@@ -34,7 +34,6 @@ from .params import (
 
 __all__ = [
     "ChannelModel",
-    "RoundOutcome",
     "BlockSample",
     "load_channel",
     "eta_total",
@@ -46,7 +45,6 @@ __all__ = [
     "single_photon_error_x",
     "fock_click_oracle",
     "sample_block",
-    "sample_round",
     "generator",
 ]
 
@@ -278,28 +276,16 @@ def fock_click_oracle(
 
 
 def generator(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic counter-based generator for a (seed, role, index) slot.
+    """Deterministic counter-based generator for a seed and spawn key.
 
-    Philox keeps the bit stream stable across platforms; distinct spawn
-    keys give independent streams for the two parties and each block of
-    the channel.
+    Philox keeps the bit stream stable across platforms, and distinct keys
+    give independent streams. A session uses one stream per role (Alice's
+    settings, Bob's settings, channel noise, post-processing seeds); every
+    block of a session draws from those same streams in turn.
     """
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
     )
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """One simulated round, including the hidden emitted photon number."""
-
-    omega: str
-    alpha: str
-    a_bit: int
-    beta: str
-    n_photons: int
-    clicked: bool
-    b_bit: int | None
 
 
 @dataclass
@@ -346,9 +332,11 @@ def sample_block(
     """Simulate one block of m rounds.
 
     Draw order is fixed (sender settings, receiver bases, photon numbers,
-    survivors, routing, dark counts, double-click coins) and every stream
-    draws a fixed count per block, so outcomes are reproducible per
-    (seed, block) regardless of the data.
+    survivors, routing, dark counts, double-click coins), so a session is
+    reproducible from its seed. The streams are shared by all blocks, and
+    the Poisson and binomial draws consume a data-dependent number of raw
+    values, so a block's outcomes depend on every block drawn before it
+    from the same streams; a block is not reproducible on its own.
     """
     if m is None:
         m = constants.m
@@ -382,25 +370,4 @@ def sample_block(
         n_photons=n_photons,
         clicked=clicked,
         b=b,
-    )
-
-
-def sample_round(
-    constants: ProtocolConstants,
-    channel: ChannelModel,
-    alice_rng: np.random.Generator,
-    bob_rng: np.random.Generator,
-    channel_rng: np.random.Generator,
-) -> RoundOutcome:
-    """Simulate a single round; scalar view over sample_block."""
-    block = sample_block(constants, channel, alice_rng, bob_rng, channel_rng, m=1)
-    clicked = bool(block.clicked[0])
-    return RoundOutcome(
-        omega=INTENSITIES[block.omega_idx[0]],
-        alpha=BASES[block.alpha[0]],
-        a_bit=int(block.a[0]),
-        beta=BASES[block.beta[0]],
-        n_photons=int(block.n_photons[0]),
-        clicked=clicked,
-        b_bit=int(block.b[0]) if clicked else None,
     )

@@ -10,7 +10,9 @@ Four subcommands:
 * ``verify-bounds``: Monte Carlo attack on the two tail envelopes.
 
 Exit codes: 0 on success, 1 when the protocol aborts or a checked bound
-is exceeded, 2 for configuration errors, 3 for internal inconsistencies.
+is exceeded, 2 when the configuration or arguments cannot be read or are
+invalid, 3 for internal faults, such as a protocol or wire error raised
+during a simulated session.
 """
 
 from __future__ import annotations
@@ -134,7 +136,10 @@ def cmd_simulate(args) -> int:
 def cmd_scan(args) -> int:
     constants, channel = _load_config(args)
     base = constants.as_dict()
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"bad --values: {exc}") from None
     rows = []
     any_key = False
     for value in values:
@@ -235,11 +240,11 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ProtocolError as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
+    except (ProtocolError, ValueError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

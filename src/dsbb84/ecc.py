@@ -2,11 +2,11 @@
 
 Alice discloses the syndrome of her sifted key under a seeded low-density
 parity-check matrix; Bob runs sum-product belief propagation against the
-syndrome difference to estimate the error pattern. When propagation stalls
-the residual syndrome is forced with a cached linear solve so the corrected
-word always matches Alice's syndrome; the verification hash afterwards is
-what actually certifies correctness, so forcing only affects the abort
-rate, never the correctness guarantee.
+syndrome difference to estimate the error pattern. Decoding either
+converges, with an estimate that meets the target syndrome, or stalls and
+reports ``converged=False`` with propagation's last estimate. Correctness
+is certified only by the verification hash afterwards, so a stalled decode
+ends the session in a verification abort, never in a wrong key.
 
 The disclosed length is ``N_EC = ceil(1.16 * N_sift * h(e_bit))``, a fixed
 rate overhead over the Shannon limit for the assumed bit error rate.
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .channel import generator
-from .gf2 import BitString, Gf2Matrix, Gf2Solver
+from .gf2 import BitString
 from .params import entropy_h
 
 COLUMN_WEIGHT = 3
@@ -32,12 +32,6 @@ def syndrome_length(n_sift: int, e_bit_assumed: float) -> int:
     if n_sift < 0:
         raise ValueError("n_sift must be non-negative")
     return math.ceil(1.16 * n_sift * entropy_h(e_bit_assumed))
-
-
-def _to_bits(arr: np.ndarray) -> BitString:
-    packed = np.packbits(arr.astype(np.uint8), bitorder="little").tobytes()
-    word = int.from_bytes(packed, "little")
-    return BitString.from_int(word, int(arr.shape[0]))
 
 
 class LdpcCode:
@@ -71,30 +65,15 @@ class LdpcCode:
         self.row_idx = row_idx[order]
         self.col_idx = col_idx[order]
         counts = np.bincount(self.row_idx, minlength=n_rows)
-        self._row_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
         self._empty_rows = counts == 0
-        rows = []
-        buf = np.zeros(n_bits, dtype=np.uint8)
-        for r in range(n_rows):
-            cols = self.col_idx[self._row_starts[r] : self._row_starts[r] + counts[r]]
-            buf[cols] = 1
-            rows.append(
-                int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
-            )
-            buf[cols] = 0
-        self.matrix = Gf2Matrix(rows, n_bits)
-        self._solver: Gf2Solver | None = None
-
-    @property
-    def solver(self) -> Gf2Solver:
-        # Elimination over the full matrix is the expensive part, so it is
-        # deferred until a decode actually stalls.
-        if self._solver is None:
-            self._solver = Gf2Solver(self.matrix)
-        return self._solver
+        # Row starts for reduceat, whose segments run from one start to the
+        # next; an empty last row would start past the end of the array.
+        self._row_starts = (np.cumsum(counts) - counts)[~self._empty_rows]
 
     def syndrome(self, x: BitString) -> BitString:
-        return self.matrix.mul_vec(x)
+        if len(x) != self.n_bits:
+            raise ValueError(f"word length {len(x)} != code length {self.n_bits}")
+        return BitString.from_array(self._syndrome_array(x.to_array()))
 
     def _syndrome_array(self, e_hat: np.ndarray) -> np.ndarray:
         acc = np.bincount(
@@ -108,26 +87,27 @@ class LdpcCode:
         """Estimate e with H e = target, errors i.i.d. at rate crossover.
 
         Returns (estimate, converged, iterations). The estimate satisfies
-        the target syndrome exactly even when propagation did not
-        converge, via the forced linear solve.
+        the target syndrome only when converged; otherwise it is the last
+        propagation estimate after MAX_ITERATIONS.
         """
         if len(target) != self.n_rows:
             raise ValueError("syndrome length mismatch")
-        t_arr = np.array(target.tolist(), dtype=np.int64)
+        t_arr = target.to_array()
         p = min(max(crossover, 1e-4), 0.5 - 1e-4)
         llr0 = math.log((1.0 - p) / p)
         sign_target = 1.0 - 2.0 * t_arr.astype(np.float64)
 
         v_msg = np.full(self.row_idx.shape, llr0)
-        c_msg = np.zeros_like(v_msg)
         e_hat = np.zeros(self.n_bits, dtype=np.int64)
         for iteration in range(1, MAX_ITERATIONS + 1):
             tanh_half = np.tanh(np.clip(v_msg, -LLR_CLIP, LLR_CLIP) / 2.0)
             tanh_half = np.where(
                 np.abs(tanh_half) < 1e-12, np.copysign(1e-12, tanh_half), tanh_half
             )
-            prod = np.multiply.reduceat(tanh_half, self._row_starts)
-            prod[self._empty_rows] = 1.0
+            prod = np.ones(self.n_rows)
+            prod[~self._empty_rows] = np.multiply.reduceat(
+                tanh_half, self._row_starts
+            )
             ext = np.clip(
                 prod[self.row_idx] / tanh_half, -1.0 + 1e-12, 1.0 - 1e-12
             )
@@ -137,15 +117,12 @@ class LdpcCode:
             )
             e_hat = (totals < 0.0).astype(np.int64)
             if np.array_equal(self._syndrome_array(e_hat), t_arr):
-                return _to_bits(e_hat), True, iteration
+                return BitString.from_array(e_hat), True, iteration
             v_msg = np.clip(
                 totals[self.col_idx] - c_msg, -LLR_CLIP, LLR_CLIP
             )
 
-        estimate = _to_bits(e_hat)
-        residual = self.syndrome(estimate) ^ target
-        estimate = estimate ^ self.solver.solve(residual)
-        return estimate, False, MAX_ITERATIONS
+        return BitString.from_array(e_hat), False, MAX_ITERATIONS
 
 
 def correct(

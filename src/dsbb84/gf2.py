@@ -1,16 +1,18 @@
-"""Bit strings and linear algebra over GF(2).
+"""Bit strings and dense matrices over GF(2).
 
 A :class:`BitString` is an immutable sequence of bits with xor, slicing and
-byte packing. :class:`Gf2Matrix` stores each row as a Python integer used as
-a bitset (bit ``j`` of the row word is column ``j``), which makes row xor a
-single integer operation and keeps matrix-vector products cheap for the
-sizes this package needs (parity checks and hash matrices up to a few
-thousand columns).
+byte packing; :meth:`BitString.from_array` and :meth:`BitString.to_array`
+are the one conversion to and from numpy 0/1 arrays. :class:`Gf2Matrix`
+stores each row as a Python integer used as a bitset (bit ``j`` of the row
+word is column ``j``); it serves small dense products and ranks, such as
+the explicit matrix of a hash function.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 def _pack_le(bits: Sequence[int]) -> int:
@@ -49,6 +51,12 @@ class BitString:
         return cls.from_int(0, n)
 
     @classmethod
+    def from_array(cls, arr: np.ndarray) -> "BitString":
+        """Pack a 1-D array of 0/1 or bool values, index 0 first."""
+        packed = np.packbits(np.asarray(arr, dtype=np.uint8), bitorder="little")
+        return cls.from_int(int.from_bytes(packed.tobytes(), "little"), len(arr))
+
+    @classmethod
     def from_bytes(cls, data: bytes, n: int) -> "BitString":
         if len(data) != (n + 7) // 8:
             raise ValueError(f"expected {(n + 7) // 8} bytes for {n} bits")
@@ -59,6 +67,11 @@ class BitString:
 
     def to_bytes(self) -> bytes:
         return self._word.to_bytes((self._n + 7) // 8, "little")
+
+    def to_array(self) -> np.ndarray:
+        """The bits as a uint8 array of 0/1, index 0 first."""
+        raw = np.frombuffer(self.to_bytes(), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little", count=self._n)
 
     @property
     def word(self) -> int:
@@ -160,9 +173,6 @@ class Gf2Matrix:
             word |= ((row & xw).bit_count() & 1) << i
         return BitString.from_int(word, self.n_rows)
 
-    def row_bits(self, r: int) -> BitString:
-        return BitString.from_int(self.rows[r], self.n_cols)
-
     def rank(self) -> int:
         pivots = []
         for word in self.rows:
@@ -176,54 +186,3 @@ class Gf2Matrix:
 
     def to_dense(self) -> list:
         return [[(row >> c) & 1 for c in range(self.n_cols)] for row in self.rows]
-
-
-class Gf2Solver:
-    """Reduced row-echelon cache for repeated solves against one matrix.
-
-    Built once from H, after which :meth:`solve` returns some x with
-    H x = y for any achievable y (free columns set to zero). Used to force
-    a syndrome onto a candidate word after decoding.
-    """
-
-    def __init__(self, matrix: Gf2Matrix):
-        self.n_cols = matrix.n_cols
-        self.n_rows = matrix.n_rows
-        # Each echelon entry is (row word, pivot column, combo word); the
-        # combo records which original rows xor to this reduced row, so a
-        # syndrome can be transformed by the same elimination. Combos of
-        # rows that vanished entirely define the consistency conditions.
-        self._entries: list = []
-        self._null_combos: list = []
-        for i, word in enumerate(matrix.rows):
-            combo = 1 << i
-            for pw, pc, pcombo in self._entries:
-                if (word >> pc) & 1:
-                    word ^= pw
-                    combo ^= pcombo
-            if word == 0:
-                self._null_combos.append(combo)
-                continue
-            pc = (word & -word).bit_length() - 1
-            for k, (ew, epc, ecombo) in enumerate(self._entries):
-                if (ew >> pc) & 1:
-                    self._entries[k] = (ew ^ word, epc, ecombo ^ combo)
-            self._entries.append((word, pc, combo))
-
-    @property
-    def rank(self) -> int:
-        return len(self._entries)
-
-    def solve(self, y: BitString) -> BitString:
-        """Return x with H x = y, raising ValueError when inconsistent."""
-        if len(y) != self.n_rows:
-            raise ValueError("syndrome length mismatch")
-        yw = y.word
-        for combo in self._null_combos:
-            if (combo & yw).bit_count() & 1:
-                raise ValueError("syndrome outside the row space")
-        xw = 0
-        for _, pc, combo in self._entries:
-            if (combo & yw).bit_count() & 1:
-                xw |= 1 << pc
-        return BitString.from_int(xw, self.n_cols)

@@ -161,16 +161,6 @@ class ProtocolConstants:
         if not 0.0 < self.eps_secrecy < 1.0:
             raise ConfigurationError("eps_secrecy must lie in (0, 1)")
 
-    @property
-    def p_bit(self) -> float:
-        """Bit-value probability; the protocol fixes a uniform bit."""
-        return 0.5
-
-    @property
-    def theta(self) -> dict[tuple[int, str], float]:
-        """Encoding phase for (bit, basis). Fixed by the protocol."""
-        return dict(THETA)
-
     def as_dict(self) -> dict:
         """JSON-serialisable view, used by report files."""
         return {
@@ -221,10 +211,6 @@ class PhotonDistributions:
             ]
             for w in INTENSITIES
         }
-
-    def p_single_photon(self) -> float:
-        """Unconditional probability that a round carries exactly one photon."""
-        return self.p_n[1]
 
 
 def p_int_joint(constants: ProtocolConstants, omega: str, n: int) -> float:

@@ -50,16 +50,6 @@ class ProtocolError(RuntimeError):
     """Out-of-order, malformed or inconsistent message."""
 
 
-def _bits_from_mask(mask: np.ndarray) -> BitString:
-    packed = np.packbits(mask.astype(np.uint8), bitorder="little").tobytes()
-    return BitString.from_int(int.from_bytes(packed, "little"), int(mask.shape[0]))
-
-
-def _mask_from_bits(bits: BitString) -> np.ndarray:
-    raw = np.frombuffer(bits.to_bytes(), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little", count=len(bits)).astype(bool)
-
-
 def sift_masks(
     alpha: np.ndarray, beta: np.ndarray, clicked: np.ndarray
 ) -> tuple:
@@ -188,8 +178,8 @@ class AliceMachine:
         m = len(data.alpha)
         if len(msg.clicked) != m:
             raise ProtocolError("block disclosure has wrong round count")
-        clicked = _mask_from_bits(msg.clicked)
-        beta = _mask_from_bits(msg.basis).astype(np.int64)
+        clicked = msg.clicked.to_array().astype(bool)
+        beta = msg.basis.to_array().astype(np.int64)
         self._acc.add_block(data.omega_idx, data.alpha, data.a, beta, clicked, None)
 
         offs = np.flatnonzero(clicked)
@@ -206,7 +196,7 @@ class AliceMachine:
         self.outbox.append(AliceBlockDisclosure(msg.j, tuple(records)))
 
         bx_off = np.flatnonzero(clicked & (beta == 1))
-        bx = _mask_from_bits(msg.x_outcomes)
+        bx = msg.x_outcomes.to_array().astype(bool)
         sel = data.alpha[bx_off] == 1
         errors = bx[sel] ^ (data.a[bx_off][sel] == 1)
         self._acc.add_errors(data.omega_idx[bx_off[sel]], errors)
@@ -292,6 +282,8 @@ class BobMachine:
         self._n_ec = 0
         self._ec_converged: Optional[bool] = None
         self._ec_iterations: Optional[int] = None
+        self._final_key: Optional[BitString] = None
+        self._abort_reason: Optional[str] = None
         self._emit_disclosure(0)
 
     @property
@@ -305,9 +297,9 @@ class BobMachine:
         self.outbox.append(
             BobBlockDisclosure(
                 j,
-                _bits_from_mask(clicked),
-                _bits_from_mask(data.beta == 1),
-                _bits_from_mask(data.b[x_mask] == 1),
+                BitString.from_array(clicked),
+                BitString.from_array(data.beta == 1),
+                BitString.from_array(data.b[x_mask] == 1),
             )
         )
 
@@ -418,8 +410,8 @@ class BobMachine:
 
     def _handle_end(self, msg: End) -> None:
         obs = self._acc.observables()
-        key = getattr(self, "_final_key", None)
-        reason = getattr(self, "_abort_reason", None)
+        key = self._final_key
+        reason = self._abort_reason
         if key is None and reason is None:
             reason = "insufficient extractable length"
         self.result = KeyMaterial(

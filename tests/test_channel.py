@@ -16,7 +16,6 @@ from dsbb84.channel import (
     load_channel,
     routing_fraction,
     sample_block,
-    sample_round,
     single_photon_error_x,
     single_photon_yield,
 )
@@ -253,16 +252,3 @@ def test_sample_block_error_rate_matches_closed_form():
     )
     sigma = math.sqrt(expected * (1 - expected) / clicked.sum())
     assert abs(err_rate - expected) < 6 * sigma
-
-
-def test_sample_round_scalar_view():
-    c = constants()
-    outcome = sample_round(c, CH, *_rngs(11))
-    assert outcome.omega in INTENSITIES
-    assert outcome.alpha in BASES and outcome.beta in BASES
-    assert outcome.a_bit in (0, 1)
-    assert outcome.n_photons >= 0
-    if outcome.clicked:
-        assert outcome.b_bit in (0, 1)
-    else:
-        assert outcome.b_bit is None

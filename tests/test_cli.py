@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import dsbb84.protocol
 from dsbb84.cli import main
+from dsbb84.wire import WireError
 
 SMALL_CONSTANTS = {
     "n_block": 5,
@@ -122,6 +124,21 @@ def test_simulate_abort_exit_code(config_files, capsys):
     assert "abort" in capsys.readouterr().out
 
 
+def test_wire_error_during_simulate_is_internal(config_files, monkeypatch, capsys):
+    def broken(raw, offset=0):
+        raise WireError("truncated frame")
+
+    monkeypatch.setattr(dsbb84.protocol, "decode_message", broken)
+    code = main([
+        "simulate",
+        "--constants", config_files["small_constants"],
+        "--channel", config_files["small_channel"],
+        "--seed", "1",
+    ])
+    assert code == 3
+    assert "WireError" in capsys.readouterr().err
+
+
 def test_scan_reports_each_value(config_files, tmp_path, capsys):
     report_path = tmp_path / "scan.json"
     code = main([
@@ -147,6 +164,18 @@ def test_scan_unknown_parameter_is_config_error(config_files, capsys):
         "--channel", config_files["small_channel"],
         "--param", "bogus",
         "--values", "1.0",
+    ])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_scan_unparsable_value_is_config_error(config_files, capsys):
+    code = main([
+        "scan",
+        "--constants", config_files["small_constants"],
+        "--channel", config_files["small_channel"],
+        "--param", "mu_S",
+        "--values", "0.5,abc",
     ])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err

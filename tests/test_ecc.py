@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dsbb84.channel import generator
-from dsbb84.ecc import LdpcCode, correct, syndrome_length
-from dsbb84.gf2 import BitString
+from dsbb84.ecc import MAX_ITERATIONS, LdpcCode, correct, syndrome_length
+from dsbb84.gf2 import BitString, Gf2Matrix
 from dsbb84.params import DomainError, entropy_h
 
 
@@ -35,16 +36,39 @@ def test_code_is_deterministic_in_seed():
     a = LdpcCode(200, 40, seed=5)
     b = LdpcCode(200, 40, seed=5)
     c = LdpcCode(200, 40, seed=6)
-    assert a.matrix.rows == b.matrix.rows
-    assert a.matrix.rows != c.matrix.rows
+    assert np.array_equal(a.row_idx, b.row_idx)
+    assert np.array_equal(a.col_idx, b.col_idx)
+    assert not (
+        np.array_equal(a.row_idx, c.row_idx) and np.array_equal(a.col_idx, c.col_idx)
+    )
 
 
 def test_column_weight():
-    code = LdpcCode(400, 60, seed=11)
-    dense = np.array(code.matrix.to_dense())
-    assert (dense.sum(axis=0) == 3).all()
-    tiny = LdpcCode(50, 2, seed=11)
-    assert (np.array(tiny.matrix.to_dense()).sum(axis=0) == 2).all()
+    for n_bits, n_rows, weight in ((400, 60, 3), (50, 2, 2)):
+        code = LdpcCode(n_bits, n_rows, seed=11)
+        assert (np.bincount(code.col_idx, minlength=n_bits) == weight).all()
+        # The rows of one column are distinct, so no entry cancels.
+        pairs = code.row_idx * n_bits + code.col_idx
+        assert len(np.unique(pairs)) == len(pairs)
+
+
+def dense_matrix(code):
+    rows = [0] * code.n_rows
+    for r, c in zip(code.row_idx.tolist(), code.col_idx.tolist()):
+        rows[r] ^= 1 << c
+    return Gf2Matrix(rows, code.n_bits)
+
+
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_sparse_syndrome_matches_dense_matrix(n_bits, n_rows, seed, rnd):
+    code = LdpcCode(n_bits, n_rows, seed)
+    x = BitString.from_int(rnd.getrandbits(n_bits), n_bits)
+    assert code.syndrome(x) == dense_matrix(code).mul_vec(x)
 
 
 def test_syndrome_is_linear():
@@ -81,26 +105,41 @@ def test_decode_zero_errors_is_immediate():
     assert corrected == x
 
 
-def test_forced_solve_matches_syndrome_when_overwhelmed():
-    # Far more errors than the code is provisioned for: propagation fails
-    # but the returned word still satisfies Alice's syndrome, leaving the
-    # verification hash to catch the mismatch.
+def test_overwhelmed_decode_reports_failure():
+    # Far more errors than the code is provisioned for: propagation stalls
+    # and returns its last estimate, flagged unconverged, leaving the
+    # verification hash to turn the mismatch into an abort.
     n_bits = 600
     code = LdpcCode(n_bits, syndrome_length(n_bits, 0.01), seed=13)
     rng = generator(99, 0)
     x_alice = random_key(n_bits, rng)
     x_bob = x_alice ^ flip_pattern(n_bits, 0.25, rng)
     target = code.syndrome(x_alice)
-    corrected, converged, _ = correct(x_bob, target, code, 0.01)
-    assert not converged
-    assert code.syndrome(corrected) == target
+    corrected, converged, iters = correct(x_bob, target, code, 0.01)
+    assert not converged and iters == MAX_ITERATIONS
     assert corrected != x_alice
+    assert code.syndrome(corrected) != target
+
+
+def test_decode_with_empty_last_row():
+    # At 1.16 rows per bit some rows get no entries; an empty last row
+    # must not break the per-row products of propagation.
+    n_bits = 200
+    code = LdpcCode(n_bits, syndrome_length(n_bits, 0.5), seed=3)
+    assert code._empty_rows[-1]
+    rng = generator(5, 0)
+    x_alice = random_key(n_bits, rng)
+    x_bob = x_alice ^ flip_pattern(n_bits, 0.01, rng)
+    corrected, converged, _ = correct(x_bob, code.syndrome(x_alice), code, 0.05)
+    assert converged and corrected == x_alice
 
 
 def test_decode_syndrome_validates_length():
     code = LdpcCode(100, 20, seed=1)
     with pytest.raises(ValueError):
         code.decode_syndrome(BitString.zeros(19), 0.02)
+    with pytest.raises(ValueError):
+        code.syndrome(BitString.zeros(99))
 
 
 def test_dimension_validation():

@@ -115,11 +115,6 @@ def test_entropy_monotone_below_half(x, frac):
 def test_constants_accepts_good_config():
     c = ProtocolConstants(**good_config())
     assert c.n_total == 10_000
-    assert c.p_bit == 0.5
-    assert c.theta[(0, "Z")] == 0.0
-    assert c.theta[(1, "Z")] == pytest.approx(math.pi)
-    assert c.theta[(0, "X")] == pytest.approx(math.pi / 2)
-    assert c.theta[(1, "X")] == pytest.approx(3 * math.pi / 2)
 
 
 def test_constants_explicit_total_checked():
@@ -201,7 +196,7 @@ def test_photon_distributions_match_pointwise():
                 assert dist.cond[w][n] == pytest.approx(
                     p_int_cond(c, w, n), rel=1e-12
                 )
-    assert dist.p_single_photon() == pytest.approx(
+    assert dist.p_n[1] == pytest.approx(
         math.fsum(
             c.p_intensity[w] * c.mu[w] * math.exp(-c.mu[w]) for w in INTENSITIES
         ),

@@ -36,6 +36,8 @@ SMALL = ProtocolConstants(
     eps_secrecy=0.05,
 )
 CLEAN = ChannelModel(eta_ch=1.0, e_mis=0.002, p_dark=1e-6, eta_det=0.9)
+# Five times the misalignment the SMALL code is provisioned for.
+NOISY = ChannelModel(eta_ch=1.0, e_mis=0.01, p_dark=1e-6, eta_det=0.9)
 
 LOSSY = ProtocolConstants(
     n_block=2,
@@ -214,6 +216,17 @@ def test_corrupted_syndrome_fails_verification():
     assert alice.result.abort_reason == "verification mismatch"
     assert bob.result.abort_reason == "verification mismatch"
     assert alice.result.key is None and bob.result.key is None
+
+
+def test_stalled_decode_ends_in_verification_abort():
+    out = run_protocol(SMALL, NOISY, seed=2000)
+    assert not out.security.abort
+    assert out.bob.ec_converged is False
+    assert out.aborted and out.bob.aborted
+    assert out.alice.abort_reason == "verification mismatch"
+    assert out.bob.abort_reason == "verification mismatch"
+    assert out.alice.key is None and out.bob.key is None
+    assert out.alice.n_fin == 0 and out.bob.n_fin == 0
 
 
 def test_zero_assumed_error_rate_skips_correction():
