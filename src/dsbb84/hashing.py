@@ -6,6 +6,12 @@ to the ``m x m`` identity. Every member is surjective, and for distinct
 inputs the collision probability over the seed draw is at most ``2^-m``,
 which is what the correctness and secrecy accounting rely on.
 
+Verification and privacy amplification share one evaluation path:
+``T x_left`` is a window of the integer convolution of the diagonal bits
+with ``x_left``, computed by one real FFT in O(n log n) and reduced mod 2.
+An exactness guard raises instead of returning a hash whenever the
+floating-point convolution is not within 0.25 of an integer everywhere.
+
 Seeds are 64-bit integers expanded into diagonal bits with SHA-256 in
 counter mode. The expansion is a pseudorandom convenience for driving the
 family from a compact announced seed; the security statements treat the
@@ -15,6 +21,9 @@ diagonal bits as the actual hash choice.
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
+from numpy.fft import irfft, rfft
 
 from .gf2 import BitString, Gf2Matrix
 
@@ -42,12 +51,6 @@ def expand_seed(seed: int, label: bytes, n_bits: int) -> BitString:
     return BitString.from_int(word, n_bits)
 
 
-def _reverse_bits(word: int, n_bits: int) -> int:
-    if n_bits == 0:
-        return 0
-    return int(format(word, f"0{n_bits}b")[::-1], 2)
-
-
 class ModifiedToeplitz:
     """Hash ``y = T x_left + x_right`` over GF(2).
 
@@ -66,32 +69,48 @@ class ModifiedToeplitz:
         self.n_in = n_in
         self.n_out = n_out
         self.width = n_in - n_out
-        # Row r of T in ascending column order is the reversed window
-        # d[r + w - 1] .. d[r]; with the diagonal word bit-reversed that
-        # window becomes a plain shift-and-mask per row.
-        self._rev = _reverse_bits(diagonals.word, len(diagonals))
+        self._diagonals = diagonals.to_array()
 
     def apply(self, x: BitString) -> BitString:
+        """Hash ``x`` by one FFT convolution, O(n log n) in ``n_in``.
+
+        ``(T x_left)[r]`` is entry ``w - 1 + r`` of the integer linear
+        convolution of the diagonal bits with ``x_left``; its parity,
+        xored with ``x_right``, is the output. A circular convolution of
+        any length ``N >= n_in - 1`` agrees with the linear one on that
+        window, because wrapped terms only reach indices ``>= N + w - 1``.
+        The floating-point sums are rounded to integers, and the call
+        raises ``FloatingPointError`` rather than return a hash when any
+        sum is 0.25 or further from an integer.
+        """
         if len(x) != self.n_in:
             raise ValueError(f"expected {self.n_in} input bits, got {len(x)}")
-        w = self.width
-        mask = (1 << w) - 1
-        left = x.word & mask
+        w, n_out = self.width, self.n_out
         right = x.word >> w
-        out = 0
-        for r in range(self.n_out):
-            row = (self._rev >> (self.n_out - 1 - r)) & mask
-            out |= (((row & left).bit_count() & 1) ^ ((right >> r) & 1)) << r
-        return BitString.from_int(out, self.n_out)
+        if w == 0 or n_out == 0:
+            return BitString.from_int(right, n_out)
+        size = 1 << (self.n_in - 2).bit_length()
+        rows = np.zeros((2, size))
+        rows[0, : self.n_in - 1] = self._diagonals
+        rows[1, :w] = x.to_array()[:w]
+        spectra = rfft(rows)
+        conv = irfft(spectra[0] * spectra[1], size)[w - 1 : w - 1 + n_out]
+        counts = np.rint(conv)
+        if np.abs(conv - counts).max() >= 0.25:
+            raise FloatingPointError("FFT convolution is not exact enough")
+        parity = BitString.from_array(counts.astype(np.int64) & 1)
+        return BitString.from_int(parity.word ^ right, n_out)
 
     def matrix(self) -> Gf2Matrix:
         """Materialize ``[T | I]``; intended for small sizes in tests."""
         w = self.width
-        mask = (1 << w) - 1
+        d = self._diagonals
         rows = []
         for r in range(self.n_out):
-            row = (self._rev >> (self.n_out - 1 - r)) & mask
-            rows.append(row | (1 << (w + r)))
+            row = 1 << (w + r)
+            for c in range(w):
+                row |= int(d[r - c + w - 1]) << c
+            rows.append(row)
         return Gf2Matrix(rows, self.n_in)
 
 

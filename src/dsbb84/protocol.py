@@ -102,14 +102,14 @@ class _CountAccumulator:
     def __init__(self) -> None:
         self.sift = [0, 0, 0]
         self.err = [0, 0, 0]
-        self.key_bits: list = []
+        self.key_parts: list = []
 
     def add_block(self, omega_idx, alpha, a, beta, clicked, bob_bits) -> None:
         z_mask, _ = sift_masks(alpha, beta, clicked)
         for w in range(3):
             self.sift[w] += int(np.sum(z_mask & (omega_idx == w)))
         source = a if bob_bits is None else bob_bits
-        self.key_bits.extend(source[z_mask].tolist())
+        self.key_parts.append(source[z_mask].astype(np.uint8))
 
     def add_errors(self, omega_idx, errors) -> None:
         for w in range(3):
@@ -125,7 +125,7 @@ class _CountAccumulator:
         )
 
     def sifted_key(self) -> BitString:
-        return BitString(self.key_bits)
+        return BitString.from_array(np.concatenate(self.key_parts))
 
 
 class AliceMachine:

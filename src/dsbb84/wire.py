@@ -118,15 +118,15 @@ class AliceBlockDisclosure:
     records: Sequence[tuple]
 
     def encode(self) -> bytes:
-        payload = struct.pack("<II", self.j, len(self.records))
+        parts = [struct.pack("<II", self.j, len(self.records))]
         last = -1
         for offset, omega, alpha, a in self.records:
             if offset <= last:
                 raise WireError("records must be in ascending round order")
             last = offset
             value = A_WITHHELD if a is None else a
-            payload += struct.pack("<IBBB", offset, omega, alpha, value)
-        return payload
+            parts.append(struct.pack("<IBBB", offset, omega, alpha, value))
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, payload: bytes) -> "AliceBlockDisclosure":

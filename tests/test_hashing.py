@@ -8,8 +8,9 @@ estimates.
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from dsbb84 import hashing
 from dsbb84.gf2 import BitString
 from dsbb84.hashing import (
     ModifiedToeplitz,
@@ -22,6 +23,26 @@ from dsbb84.hashing import (
 # Frozen output of expand_seed(7, b"t", 16); pins the byte layout of the
 # counter-mode expansion so a refactor cannot silently reshuffle seeds.
 EXPAND_ORACLE = [0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 0]
+
+
+def bigint_apply(diagonals: BitString, n_in: int, n_out: int, x: BitString):
+    """Row-by-row reference for ``ModifiedToeplitz.apply``.
+
+    Row r of T in ascending column order is the reversed window
+    d[r + w - 1] .. d[r]; with the diagonal word bit-reversed that window
+    becomes a plain shift-and-mask per row. O(n_out * n_in / 64).
+    """
+    w = n_in - n_out
+    n_d = len(diagonals)
+    rev = int(format(diagonals.word, f"0{n_d}b")[::-1], 2) if n_d else 0
+    mask = (1 << w) - 1
+    left = x.word & mask
+    right = x.word >> w
+    out = 0
+    for r in range(n_out):
+        row = (rev >> (n_out - 1 - r)) & mask
+        out |= (((row & left).bit_count() & 1) ^ ((right >> r) & 1)) << r
+    return BitString.from_int(out, n_out)
 
 
 def test_expand_seed_frozen():
@@ -74,6 +95,48 @@ def test_apply_matches_matrix(state):
     mt = ModifiedToeplitz(d, n, m)
     x = BitString.from_int(rng.getrandbits(n), n)
     assert mt.apply(x) == mt.matrix().mul_vec(x)
+
+
+@st.composite
+def mid_shapes(draw):
+    n_in = draw(st.integers(min_value=1, max_value=4000))
+    n_out = draw(
+        st.one_of(
+            st.sampled_from([0, 1, n_in - 1, n_in]),
+            st.integers(min_value=0, max_value=n_in),
+        )
+    )
+    return n_in, n_out, draw(st.integers(min_value=0, max_value=2**30 - 1))
+
+
+@settings(deadline=None)
+@given(mid_shapes())
+def test_apply_matches_bigint_oracle_mid_sizes(shape):
+    n_in, n_out, state = shape
+    rng = random.Random(state)
+    n_d = n_in - 1
+    d = BitString.from_int(rng.getrandbits(n_d), n_d)
+    x = BitString.from_int(rng.getrandbits(n_in), n_in)
+    assert ModifiedToeplitz(d, n_in, n_out).apply(x) == bigint_apply(
+        d, n_in, n_out, x
+    )
+
+
+def test_apply_matches_bigint_oracle_at_demo_size():
+    n_in, n_out = 61_700, 8_800
+    d = expand_seed(11, b"t", n_in - 1)
+    x = expand_seed(12, b"x", n_in)
+    assert ModifiedToeplitz(d, n_in, n_out).apply(x) == bigint_apply(
+        d, n_in, n_out, x
+    )
+
+
+def test_apply_raises_when_convolution_is_inexact(monkeypatch):
+    real_irfft = hashing.irfft
+    monkeypatch.setattr(hashing, "irfft", lambda *a: real_irfft(*a) + 0.5)
+    mt = ModifiedToeplitz(expand_seed(3, b"t", 99), 100, 30)
+    with pytest.raises(FloatingPointError):
+        mt.apply(expand_seed(4, b"x", 100))
 
 
 def test_linear_in_input():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,26 @@ def test_successful_run_produces_matching_keys():
     assert out.security.n_fin == out.alice.n_fin
     assert out.bob.ec_converged
     assert out.alice.abort_reason is None and out.bob.abort_reason is None
+
+
+# SHA-256 over transcript || Alice key || Bob key of
+# run_protocol(SMALL, CLEAN, seed=42).
+GOLDEN_SESSION_DIGEST = (
+    "09902f69d3c9f098aa9acae6d6c51930ddd4476521a485518dbec28c687ebc4c"
+)
+
+
+def test_seeded_session_is_byte_identical_to_golden_digest():
+    """Transcript and keys of a fixed seed are pinned byte for byte.
+
+    A refactor that is not meant to change behaviour must keep this
+    digest. A deliberate change to seeded outputs, such as re-keying the
+    sampling streams, updates the digest here and records the new value
+    and the reason in CHANGES.md.
+    """
+    out = run_protocol(SMALL, CLEAN, seed=42)
+    blob = out.transcript + out.alice.key.to_bytes() + out.bob.key.to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SESSION_DIGEST
 
 
 def test_run_is_deterministic_in_seed():

@@ -108,6 +108,19 @@ def test_alice_disclosure_roundtrip():
     assert decoded.records[0][3] is None
 
 
+def test_alice_disclosure_byte_layout():
+    # <II block index and record count, then <IBBB per record: round
+    # offset, intensity index, basis bit, bit value or 0xFF if withheld.
+    msg = AliceBlockDisclosure(j=2, records=((0, 0, 0, None), (258, 1, 1, 1)))
+    assert msg.encode() == (
+        b"\x02\x00\x00\x00" b"\x02\x00\x00\x00"
+        b"\x00\x00\x00\x00" b"\x00\x00\xff"
+        b"\x02\x01\x00\x00" b"\x01\x01\x01"
+    )
+    empty = AliceBlockDisclosure(j=7, records=())
+    assert empty.encode() == b"\x07\x00\x00\x00" + bytes(4)
+
+
 def test_alice_disclosure_validation():
     out_of_order = AliceBlockDisclosure(j=0, records=((5, 0, 0, None), (2, 0, 0, None)))
     with pytest.raises(WireError):
