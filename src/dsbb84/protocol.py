@@ -33,6 +33,7 @@ from .gf2 import BitString
 from .hashing import pa_hash, verify_hash
 from .params import ProtocolConstants
 from .wire import (
+    A_WITHHELD,
     AliceBlockDisclosure,
     BobBlockDisclosure,
     End,
@@ -97,31 +98,33 @@ class KeyMaterial:
 
 
 class _CountAccumulator:
-    """Shared tally of sift and error counts while blocks stream in."""
+    """Shared tally of sift and error counts while blocks stream in.
+
+    Both parties feed it columns over a block's clicked rounds, in
+    ascending round order.
+    """
 
     def __init__(self) -> None:
-        self.sift = [0, 0, 0]
-        self.err = [0, 0, 0]
+        self.sift = np.zeros(3, dtype=np.int64)
+        self.err = np.zeros(3, dtype=np.int64)
         self.key_parts: list = []
 
-    def add_block(self, omega_idx, alpha, a, beta, clicked, bob_bits) -> None:
-        z_mask, _ = sift_masks(alpha, beta, clicked)
-        for w in range(3):
-            self.sift[w] += int(np.sum(z_mask & (omega_idx == w)))
-        source = a if bob_bits is None else bob_bits
-        self.key_parts.append(source[z_mask].astype(np.uint8))
+    def add_block(self, omega_idx, alpha, beta, bits) -> None:
+        """Count matched-Z rounds per intensity and keep their ``bits``."""
+        z = (alpha == 0) & (beta == 0)
+        self.sift += np.bincount(omega_idx[z], minlength=3)
+        self.key_parts.append(bits[z].astype(np.uint8))
 
     def add_errors(self, omega_idx, errors) -> None:
-        for w in range(3):
-            self.err[w] += int(np.sum(errors & (omega_idx == w)))
+        self.err += np.bincount(omega_idx[errors], minlength=3)
 
     def observables(self) -> Observables:
         return Observables(
-            n_sift_s=self.sift[0],
-            n_sift_d=self.sift[1],
-            n_sift_v=self.sift[2],
-            n_err_dx=self.err[1],
-            n_err_vx=self.err[2],
+            n_sift_s=int(self.sift[0]),
+            n_sift_d=int(self.sift[1]),
+            n_sift_v=int(self.sift[2]),
+            n_err_dx=int(self.err[1]),
+            n_err_vx=int(self.err[2]),
         )
 
     def sifted_key(self) -> BitString:
@@ -178,28 +181,25 @@ class AliceMachine:
         m = len(data.alpha)
         if len(msg.clicked) != m:
             raise ProtocolError("block disclosure has wrong round count")
-        clicked = msg.clicked.to_array().astype(bool)
-        beta = msg.basis.to_array().astype(np.int64)
-        self._acc.add_block(data.omega_idx, data.alpha, data.a, beta, clicked, None)
+        offs = np.flatnonzero(msg.clicked.to_array())
+        omega_c = data.omega_idx[offs]
+        alpha_c = data.alpha[offs]
+        beta_c = msg.basis.to_array()[offs]
+        a_c = data.a[offs]
+        self._acc.add_block(omega_c, alpha_c, beta_c, a_c)
 
-        offs = np.flatnonzero(clicked)
-        disclose = (data.alpha[offs] == 1) & (beta[offs] == 1)
-        records = [
-            (
-                int(off),
-                int(data.omega_idx[off]),
-                int(data.alpha[off]),
-                int(data.a[off]) if flag else None,
-            )
-            for off, flag in zip(offs.tolist(), disclose.tolist())
-        ]
-        self.outbox.append(AliceBlockDisclosure(msg.j, tuple(records)))
+        matched_x = (alpha_c == 1) & (beta_c == 1)
+        value = np.where(matched_x, a_c.astype(np.uint8), A_WITHHELD)
+        self.outbox.append(
+            AliceBlockDisclosure.from_columns(msg.j, offs, omega_c, alpha_c, value)
+        )
 
-        bx_off = np.flatnonzero(clicked & (beta == 1))
+        # Bob's X outcomes cover his clicked X-basis rounds in order.
+        bob_x = beta_c == 1
         bx = msg.x_outcomes.to_array().astype(bool)
-        sel = data.alpha[bx_off] == 1
-        errors = bx[sel] ^ (data.a[bx_off][sel] == 1)
-        self._acc.add_errors(data.omega_idx[bx_off[sel]], errors)
+        sel = alpha_c[bob_x] == 1
+        errors = bx[sel] ^ (a_c[bob_x][sel] == 1)
+        self._acc.add_errors(omega_c[bob_x][sel], errors)
 
         self._next_block += 1
         if self._next_block == self.constants.n_block:
@@ -330,36 +330,28 @@ class BobMachine:
         if msg.j != self._next_block:
             raise ProtocolError(f"expected reply for block {self._next_block}")
         data = self.blocks[msg.j]
-        clicked = data.clicked.astype(bool)
-        offs = np.flatnonzero(clicked)
-        if len(msg.records) != len(offs):
+        offs = np.flatnonzero(data.clicked)
+        records = msg.records
+        if len(records) != len(offs):
             raise ProtocolError("reply must cover exactly the clicked rounds")
-        rec_off = np.array([r[0] for r in msg.records], dtype=np.int64).reshape(-1)
-        if rec_off.shape != offs.shape or not np.array_equal(rec_off, offs):
+        if not np.array_equal(records["offset"], offs):
             raise ProtocolError("reply offsets do not match clicked rounds")
-        omega_idx = np.array([r[1] for r in msg.records], dtype=np.int64)
-        alpha_c = np.array([r[2] for r in msg.records], dtype=np.int64)
-
-        full_omega = np.zeros(len(data.beta), dtype=np.int64)
-        full_alpha = np.full(len(data.beta), -1, dtype=np.int64)
-        full_omega[offs] = omega_idx
-        full_alpha[offs] = alpha_c
-        self._acc.add_block(
-            full_omega, full_alpha, None, data.beta, clicked, data.b
-        )
-
-        xx = (alpha_c == 1) & (data.beta[offs] == 1)
-        for (off, _, _, a_bit), is_xx in zip(msg.records, xx.tolist()):
-            if is_xx and a_bit is None:
+        omega_c = records["omega"]
+        alpha_c = records["alpha"]
+        value = records["value"]
+        beta_c = data.beta[offs]
+        matched_x = (alpha_c == 1) & (beta_c == 1)
+        # The first record that breaks the disclosure rule names the error.
+        bad = np.flatnonzero(matched_x == (value == A_WITHHELD))
+        if bad.size:
+            if matched_x[bad[0]]:
                 raise ProtocolError("matched X round must disclose the bit")
-            if not is_xx and a_bit is not None:
-                raise ProtocolError("only matched X rounds may disclose the bit")
-        a_xx = np.array(
-            [r[3] for r, is_xx in zip(msg.records, xx.tolist()) if is_xx],
-            dtype=np.int64,
-        )
-        errors = (data.b[offs[xx]] == 1) ^ (a_xx == 1)
-        self._acc.add_errors(omega_idx[xx], errors)
+            raise ProtocolError("only matched X rounds may disclose the bit")
+
+        b_c = data.b[offs]
+        self._acc.add_block(omega_c, alpha_c, beta_c, b_c)
+        errors = (b_c[matched_x] == 1) ^ (value[matched_x] == 1)
+        self._acc.add_errors(omega_c[matched_x], errors)
 
         self._next_block += 1
         if self._next_block < self.constants.n_block:

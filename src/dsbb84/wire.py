@@ -3,7 +3,14 @@
 Every message travels as one frame: a little-endian u32 byte count, one tag
 byte, then the payload the count covers (tag included). Bit strings are
 serialized as a little-endian u64 bit length followed by the LSB-first
-packed bytes. All integers are little-endian and unsigned.
+packed bytes. All integers are little-endian and unsigned; a field that does
+not fit its width raises ``WireError`` on encode, never wraps.
+
+Alice's block reply is columnar: one numpy structured array of
+``RECORD_DTYPE`` (u32 round offset, u8 intensity index, u8 basis bit, u8
+bit value with ``0xFF`` for withheld), whose packed 7-byte items are the
+wire records, so it is encoded with one ``tobytes()`` and decoded with one
+``np.frombuffer``.
 
 The authenticated classical channel is assumed, not modeled: frames carry
 no MAC. The transcript of a session is the concatenation of its frames.
@@ -13,7 +20,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar
+
+import numpy as np
 
 from .gf2 import BitString
 
@@ -22,8 +31,16 @@ class WireError(ValueError):
     """Malformed frame or payload."""
 
 
+def _pack(fmt: str, *values) -> bytes:
+    """``struct.pack`` that reports a field out of range as ``WireError``."""
+    try:
+        return struct.pack(fmt, *values)
+    except struct.error as exc:
+        raise WireError(f"field out of range for {fmt!r}: {exc}") from None
+
+
 def pack_bits(bits: BitString) -> bytes:
-    return struct.pack("<Q", len(bits)) + bits.to_bytes()
+    return _pack("<Q", len(bits)) + bits.to_bytes()
 
 
 def unpack_bits(buf: bytes, offset: int) -> tuple:
@@ -42,7 +59,7 @@ def unpack_bits(buf: bytes, offset: int) -> tuple:
 
 
 def encode_frame(tag: int, payload: bytes) -> bytes:
-    return struct.pack("<IB", len(payload) + 1, tag) + payload
+    return _pack("<IB", len(payload) + 1, tag) + payload
 
 
 def decode_frame(buf: bytes, offset: int = 0) -> tuple:
@@ -76,7 +93,7 @@ class BobBlockDisclosure:
     def encode(self) -> bytes:
         if len(self.basis) != len(self.clicked):
             raise WireError("clicked and basis must cover the same rounds")
-        payload = struct.pack("<I", self.j)
+        payload = _pack("<I", self.j)
         payload += pack_bits(self.clicked)
         payload += pack_bits(self.basis)
         payload += pack_bits(self.x_outcomes)
@@ -102,56 +119,83 @@ class BobBlockDisclosure:
 
 A_WITHHELD = 0xFF
 
+# One wire record: round offset, intensity index, basis bit, bit value.
+# Packed (itemsize 7), so an array's bytes are the ``<IBBB`` records.
+RECORD_DTYPE = np.dtype(
+    [("offset", "<u4"), ("omega", "u1"), ("alpha", "u1"), ("value", "u1")]
+)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class AliceBlockDisclosure:
     """Alice's reply for block ``j``: one record per clicked round.
 
-    Records are (round offset, intensity index, basis bit, bit value) with
-    the bit value ``A_WITHHELD`` whenever the round is not disclosed
-    (everything except matched X rounds, whose bits feed the public error
-    tally).
+    ``records`` is a read-only 1-d array of ``RECORD_DTYPE`` in ascending
+    round order. ``value`` is Alice's bit on matched X rounds, whose bits
+    feed the public error tally, and ``A_WITHHELD`` on every other round.
+    Build it with :meth:`from_columns`, which refuses values that do not
+    fit their field.
     """
 
     TAG: ClassVar[int] = 2
     j: int
-    records: Sequence[tuple]
+    records: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls, j: int, offset, omega, alpha, value
+    ) -> "AliceBlockDisclosure":
+        """Pack four equal-length columns into one record array."""
+        records = np.empty(len(offset), dtype=RECORD_DTYPE)
+        for name, column in zip(RECORD_DTYPE.names, (offset, omega, alpha, value)):
+            try:
+                records[name] = column
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise WireError(f"record {name} column: {exc}") from None
+            if not np.array_equal(records[name], column):
+                raise WireError(f"record {name} out of range")
+        records.flags.writeable = False
+        return cls(j, records)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AliceBlockDisclosure):
+            return NotImplemented
+        return self.j == other.j and self.records.tobytes() == other.records.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.j, self.records.tobytes()))
 
     def encode(self) -> bytes:
-        parts = [struct.pack("<II", self.j, len(self.records))]
-        last = -1
-        for offset, omega, alpha, a in self.records:
-            if offset <= last:
-                raise WireError("records must be in ascending round order")
-            last = offset
-            value = A_WITHHELD if a is None else a
-            parts.append(struct.pack("<IBBB", offset, omega, alpha, value))
-        return b"".join(parts)
+        records = self.records
+        if (
+            not isinstance(records, np.ndarray)
+            or records.dtype != RECORD_DTYPE
+            or records.ndim != 1
+        ):
+            raise WireError("records must be a 1-d array of RECORD_DTYPE")
+        offsets = records["offset"]
+        if np.any(offsets[1:] <= offsets[:-1]):
+            raise WireError("records must be in ascending round order")
+        return _pack("<II", self.j, len(records)) + records.tobytes()
 
     @classmethod
     def decode(cls, payload: bytes) -> "AliceBlockDisclosure":
         if len(payload) < 8:
             raise WireError("short block reply")
         j, count = struct.unpack_from("<II", payload, 0)
-        if len(payload) != 8 + 7 * count:
+        if len(payload) != 8 + RECORD_DTYPE.itemsize * count:
             raise WireError("block reply length mismatch")
-        records = []
-        last = -1
-        for i in range(count):
-            offset, omega, alpha, value = struct.unpack_from(
-                "<IBBB", payload, 8 + 7 * i
-            )
-            if offset <= last:
-                raise WireError("records must be in ascending round order")
-            last = offset
-            if omega > 2 or alpha > 1:
-                raise WireError("intensity or basis index out of range")
-            if value not in (0, 1, A_WITHHELD):
-                raise WireError("bit value out of range")
-            records.append(
-                (offset, omega, alpha, None if value == A_WITHHELD else value)
-            )
-        return cls(j, tuple(records))
+        # Over immutable bytes the array is read-only, like the message.
+        records = np.frombuffer(bytes(payload), dtype=RECORD_DTYPE, offset=8)
+        offsets = records["offset"]
+        if np.any(offsets[1:] <= offsets[:-1]):
+            raise WireError("records must be in ascending round order")
+        if np.any(records["omega"] > 2) or np.any(records["alpha"] > 1):
+            raise WireError("intensity or basis index out of range")
+        value = records["value"]
+        if np.any((value > 1) & (value != A_WITHHELD)):
+            raise WireError("bit value out of range")
+        return cls(j, records)
 
 
 @dataclass(frozen=True)
@@ -161,7 +205,7 @@ class SiftAnnounce:
     proceed: bool
 
     def encode(self) -> bytes:
-        return struct.pack("<QB", self.n_sift, 1 if self.proceed else 0)
+        return _pack("<QB", self.n_sift, 1 if self.proceed else 0)
 
     @classmethod
     def decode(cls, payload: bytes) -> "SiftAnnounce":
@@ -180,7 +224,7 @@ class Syndrome:
     code_seed: int
 
     def encode(self) -> bytes:
-        return struct.pack("<Q", self.code_seed) + pack_bits(self.bits)
+        return _pack("<Q", self.code_seed) + pack_bits(self.bits)
 
     @classmethod
     def decode(cls, payload: bytes) -> "Syndrome":
@@ -200,7 +244,7 @@ class VerifyHash:
     digest: BitString
 
     def encode(self) -> bytes:
-        return struct.pack("<Q", self.seed) + pack_bits(self.digest)
+        return _pack("<Q", self.seed) + pack_bits(self.digest)
 
     @classmethod
     def decode(cls, payload: bytes) -> "VerifyHash":
@@ -219,7 +263,7 @@ class VerifyResult:
     ok: bool
 
     def encode(self) -> bytes:
-        return struct.pack("<B", 1 if self.ok else 0)
+        return _pack("<B", 1 if self.ok else 0)
 
     @classmethod
     def decode(cls, payload: bytes) -> "VerifyResult":
@@ -235,7 +279,7 @@ class PaSeed:
     n_fin: int
 
     def encode(self) -> bytes:
-        return struct.pack("<QQ", self.seed, self.n_fin)
+        return _pack("<QQ", self.seed, self.n_fin)
 
     @classmethod
     def decode(cls, payload: bytes) -> "PaSeed":

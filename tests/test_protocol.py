@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsbb84.bounds import expected_observables
 from dsbb84.channel import ChannelModel, generator, sample_block
@@ -18,12 +19,16 @@ from dsbb84.protocol import (
     sift_masks,
 )
 from dsbb84.wire import (
+    A_WITHHELD,
+    AliceBlockDisclosure,
     BobBlockDisclosure,
     PaSeed,
     SiftAnnounce,
     Syndrome,
     VerifyResult,
+    WireError,
     decode_message,
+    encode_message,
 )
 
 SMALL = ProtocolConstants(
@@ -134,6 +139,35 @@ def test_seeded_session_is_byte_identical_to_golden_digest():
     out = run_protocol(SMALL, CLEAN, seed=42)
     blob = out.transcript + out.alice.key.to_bytes() + out.bob.key.to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SESSION_DIGEST
+
+
+# The lossy-long shape (c04, 1e6 rounds over 100 km): every session aborts
+# at the length judgement after a full block exchange.
+LOSSY_LONG = ProtocolConstants(
+    n_block=10,
+    m=100_000,
+    p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
+    mu={"S": 0.5, "D": 0.1, "V": 0.001},
+    p_basis_alice=0.8,
+    p_basis_bob=0.8,
+    n_verify=32,
+    e_bit_assumed=0.03,
+    eps_secrecy=1e-6,
+)
+
+# SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
+# taken before Alice's reply became a packed record array.
+GOLDEN_ABORT_DIGEST = (
+    "4dded962e0ac1dc40c163b3c8b0a679fd0afa4af3b8dc1ce94cc6d1d22497280"
+)
+
+
+def test_seeded_abort_is_byte_identical_to_golden_digest():
+    """The abort path is pinned like the keyed one: no key on either side."""
+    out = run_protocol(LOSSY_LONG, FIBER, seed=9)
+    assert out.alice.abort_reason == "insufficient extractable length"
+    assert out.alice.key is None and out.bob.key is None
+    assert hashlib.sha256(out.transcript).hexdigest() == GOLDEN_ABORT_DIGEST
 
 
 def test_run_is_deterministic_in_seed():
@@ -288,3 +322,58 @@ def test_transport_detects_deadlock():
     transport = InProcessTransport(alice, bob)
     with pytest.raises(ProtocolError, match="deadlock"):
         transport.run()
+
+
+@st.composite
+def reply_mutations(draw):
+    """(block, record index as a fraction, field, new value) or a drop."""
+    block = draw(st.integers(0, SMALL.n_block - 1))
+    where = draw(st.floats(0, 1, exclude_max=True))
+    field = draw(st.sampled_from(["omega", "alpha", "value", "offset", "drop"]))
+    value = {
+        "omega": st.integers(0, 2),
+        "alpha": st.integers(0, 1),
+        "value": st.sampled_from([0, 1, A_WITHHELD]),
+        "offset": st.integers(-3, 3),
+        "drop": st.just(0),
+    }[field]
+    return block, where, field, draw(value)
+
+
+def mutate_reply(msg, where, field, value):
+    """Rewrite one record of Alice's reply, keeping it decodable."""
+    columns = {
+        name: msg.records[name].astype(np.int64)
+        for name in msg.records.dtype.names
+    }
+    i = int(where * len(msg.records))
+    if field == "drop":
+        columns = {name: np.delete(col, i) for name, col in columns.items()}
+    elif field == "offset":
+        columns["offset"][i] += value
+    else:
+        columns[field][i] = value
+    try:
+        mutated = AliceBlockDisclosure.from_columns(msg.j, *columns.values())
+        raw = encode_message(mutated)
+    except WireError:
+        return None
+    return decode_message(raw)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(reply_mutations())
+def test_bob_never_accepts_a_key_from_a_mutated_reply(mutation):
+    block, where, field, value = mutation
+    alice, bob = build_machines(SMALL, CLEAN, seed=42)
+
+    def tamper(msg):
+        if isinstance(msg, AliceBlockDisclosure) and msg.j == block:
+            return mutate_reply(msg, where, field, value)
+
+    try:
+        pump(alice, bob, tamper)
+    except ProtocolError:
+        return
+    if bob.result.key is not None:
+        assert bob.result.key == alice.result.key
