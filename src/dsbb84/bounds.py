@@ -217,15 +217,6 @@ class Observables:
     def n_sift(self) -> int:
         return self.n_sift_s + self.n_sift_d + self.n_sift_v
 
-    def as_dict(self) -> dict:
-        return {
-            "n_sift_s": self.n_sift_s,
-            "n_sift_d": self.n_sift_d,
-            "n_sift_v": self.n_sift_v,
-            "n_err_dx": self.n_err_dx,
-            "n_err_vx": self.n_err_vx,
-        }
-
 
 @dataclass(frozen=True)
 class ExpectedObservables:

@@ -64,8 +64,7 @@ def _load_config(args) -> tuple:
     return constants, channel
 
 
-def _rounded_observables(constants, channel) -> Observables:
-    exp = expected_observables(constants, channel)
+def _rounded_observables(exp) -> Observables:
     return Observables(
         n_sift_s=round(exp.n_sift_s),
         n_sift_d=round(exp.n_sift_d),
@@ -77,7 +76,7 @@ def _rounded_observables(constants, channel) -> Observables:
 
 def _analytic_result(constants, channel):
     exp = expected_observables(constants, channel)
-    obs = _rounded_observables(constants, channel)
+    obs = _rounded_observables(exp)
     n_ec = syndrome_length(obs.n_sift, constants.e_bit_assumed)
     return security_result(constants, obs, exp, n_ec)
 
@@ -136,8 +135,11 @@ def cmd_simulate(args) -> int:
 def cmd_scan(args) -> int:
     constants, channel = _load_config(args)
     base = constants.as_dict()
+    # n_total is derived from n_block and m; it is never overridden.
+    del base["n_total"]
+    parse = int if args.param in ("n_block", "m", "n_verify") else float
     try:
-        values = [float(v) for v in args.values.split(",")]
+        values = [parse(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"bad --values: {exc}") from None
     rows = []
@@ -158,12 +160,13 @@ def cmd_scan(args) -> int:
         result = _analytic_result(swept, channel)
         rows.append({"value": value, "result": result.as_dict()})
         any_key = any_key or not result.abort
+        shown = value if parse is int else f"{value:g}"
         print(
-            f"{args.param}={value:g}: n_fin={result.n_fin}"
+            f"{args.param}={shown}: n_fin={result.n_fin}"
             + (" (abort)" if result.abort else "")
         )
     report = _report_skeleton("scan", args)
-    report["constants"] = base
+    report["constants"] = constants.as_dict()
     report["channel"] = channel.as_dict()
     report["param"] = args.param
     report["rows"] = rows

@@ -1,39 +1,44 @@
 """Bit strings and dense matrices over GF(2).
 
 A :class:`BitString` is an immutable sequence of bits with xor, slicing and
-byte packing; :meth:`BitString.from_array` and :meth:`BitString.to_array`
-are the one conversion to and from numpy 0/1 arrays. :class:`Gf2Matrix`
-stores each row as a Python integer used as a bitset (bit ``j`` of the row
-word is column ``j``); it serves small dense products and ranks, such as
-the explicit matrix of a hash function.
+byte packing. It holds one read-only numpy ``uint8`` array of 0/1 values,
+index 0 first, which :meth:`BitString.to_array` hands out without a copy;
+:meth:`BitString.from_array` copies an array in. Bytes are the LSB-first
+``packbits`` of that array, and :attr:`BitString.word` is the same bits as
+a Python integer, computed on demand. :class:`Gf2Matrix` stores each row as
+a Python integer used as a bitset (bit ``j`` of the row word is column
+``j``); it serves small dense products and ranks, such as the explicit
+matrix of a hash function in tests.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 
-def _pack_le(bits: Sequence[int]) -> int:
-    word = 0
-    for j, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {bit!r}")
-        if bit:
-            word |= 1 << j
-    return word
-
-
 class BitString:
     """Immutable bit sequence, index 0 first, packed LSB-first into bytes."""
 
-    __slots__ = ("_word", "_n")
+    __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int] = ()):
         bits = list(bits)
-        self._n = len(bits)
-        self._word = _pack_le(bits)
+        for bit in bits:
+            if bit not in (0, 1):
+                raise ValueError(f"bit values must be 0 or 1, got {bit!r}")
+        self._bits = np.array(bits, dtype=np.uint8)
+        self._bits.flags.writeable = False
+
+    @classmethod
+    def _wrap(cls, bits: np.ndarray) -> "BitString":
+        """Take ownership of a 1-D uint8 array of 0/1 values."""
+        bits.flags.writeable = False
+        out = cls.__new__(cls)
+        out._bits = bits
+        return out
 
     @classmethod
     def from_int(cls, word: int, n: int) -> "BitString":
@@ -41,95 +46,80 @@ class BitString:
             raise ValueError("bit word must be non-negative")
         if word >> n:
             raise ValueError(f"word has bits beyond length {n}")
-        out = cls.__new__(cls)
-        out._word = word
-        out._n = n
-        return out
+        return cls.from_bytes(word.to_bytes((n + 7) // 8, "little"), n)
 
     @classmethod
     def zeros(cls, n: int) -> "BitString":
-        return cls.from_int(0, n)
+        return cls._wrap(np.zeros(n, dtype=np.uint8))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitString":
-        """Pack a 1-D array of 0/1 or bool values, index 0 first."""
-        packed = np.packbits(np.asarray(arr, dtype=np.uint8), bitorder="little")
-        return cls.from_int(int.from_bytes(packed.tobytes(), "little"), len(arr))
+        """Copy a 1-D array of 0/1 or bool values, index 0 first.
+
+        As with ``packbits``, any value that is nonzero as ``uint8`` is a 1.
+        """
+        nonzero = np.asarray(arr, dtype=np.uint8) != 0
+        if nonzero.ndim != 1:
+            raise ValueError("bits must be a 1-D array")
+        return cls._wrap(nonzero.view(np.uint8))
 
     @classmethod
     def from_bytes(cls, data: bytes, n: int) -> "BitString":
         if len(data) != (n + 7) // 8:
             raise ValueError(f"expected {(n + 7) // 8} bytes for {n} bits")
-        word = int.from_bytes(data, "little")
-        if word >> n:
+        if n % 8 and data[-1] >> (n % 8):
             raise ValueError("padding bits beyond the stated length are set")
-        return cls.from_int(word, n)
+        raw = np.frombuffer(data, dtype=np.uint8)
+        return cls._wrap(np.unpackbits(raw, bitorder="little", count=n))
 
     def to_bytes(self) -> bytes:
-        return self._word.to_bytes((self._n + 7) // 8, "little")
+        return np.packbits(self._bits, bitorder="little").tobytes()
 
     def to_array(self) -> np.ndarray:
-        """The bits as a uint8 array of 0/1, index 0 first."""
-        raw = np.frombuffer(self.to_bytes(), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little", count=self._n)
+        """The bits as a read-only uint8 array of 0/1, index 0 first."""
+        return self._bits
 
     @property
     def word(self) -> int:
-        return self._word
+        """The bits as a non-negative integer, bit ``j`` being index ``j``."""
+        return int.from_bytes(self.to_bytes(), "little")
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._bits)
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            indices = range(*idx.indices(self._n))
-            return BitString((self._word >> i) & 1 for i in indices)
-        if idx < 0:
-            idx += self._n
-        if not 0 <= idx < self._n:
-            raise IndexError("bit index out of range")
-        return (self._word >> idx) & 1
+            return BitString._wrap(self._bits[idx])
+        return int(self._bits[operator.index(idx)])
 
     def __iter__(self) -> Iterator[int]:
-        word = self._word
-        for _ in range(self._n):
-            yield word & 1
-            word >>= 1
+        return iter(self._bits.tolist())
 
     def __xor__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
-        if other._n != self._n:
+        if len(other) != len(self):
             raise ValueError("xor requires equal lengths")
-        return BitString.from_int(self._word ^ other._word, self._n)
-
-    def __add__(self, other: "BitString") -> "BitString":
-        """Concatenation: self occupies the low indices of the result."""
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return BitString.from_int(
-            self._word | (other._word << self._n), self._n + other._n
-        )
+        return BitString._wrap(self._bits ^ other._bits)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitString)
-            and self._n == other._n
-            and self._word == other._word
+            and self._bits.tobytes() == other._bits.tobytes()
         )
 
     def __hash__(self) -> int:
-        return hash((self._n, self._word))
+        return hash(self._bits.tobytes())
 
     def __repr__(self) -> str:
-        shown = "".join(str(b) for b in self) if self._n <= 64 else "..."
-        return f"BitString({self._n} bits: {shown})"
+        shown = "".join(map(str, self)) if len(self) <= 64 else "..."
+        return f"BitString({len(self)} bits: {shown})"
 
     def weight(self) -> int:
-        return self._word.bit_count()
+        return int(np.count_nonzero(self._bits))
 
     def tolist(self) -> list:
-        return list(self)
+        return self._bits.tolist()
 
 
 class Gf2Matrix:
@@ -151,7 +141,7 @@ class Gf2Matrix:
         for row in dense:
             if len(row) != n_cols:
                 raise ValueError("ragged rows")
-            rows.append(_pack_le(row))
+            rows.append(BitString(row).word)
         return cls(rows, n_cols)
 
     @property

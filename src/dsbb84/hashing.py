@@ -38,17 +38,12 @@ def expand_seed(seed: int, label: bytes, n_bits: int) -> BitString:
     if n_bits < 0:
         raise ValueError("n_bits must be non-negative")
     prefix = bytes(label) + b"\x00" + seed.to_bytes(8, "little")
-    chunks = []
-    counter = 0
-    produced = 0
-    while produced < n_bits:
-        chunks.append(
-            hashlib.sha256(prefix + counter.to_bytes(4, "little")).digest()
-        )
-        produced += 256
-        counter += 1
-    word = int.from_bytes(b"".join(chunks), "little") & ((1 << n_bits) - 1)
-    return BitString.from_int(word, n_bits)
+    stream = b"".join(
+        hashlib.sha256(prefix + counter.to_bytes(4, "little")).digest()
+        for counter in range((n_bits + 255) // 256)
+    )
+    raw = np.frombuffer(stream, dtype=np.uint8)
+    return BitString.from_array(np.unpackbits(raw, bitorder="little", count=n_bits))
 
 
 class ModifiedToeplitz:
@@ -86,20 +81,19 @@ class ModifiedToeplitz:
         if len(x) != self.n_in:
             raise ValueError(f"expected {self.n_in} input bits, got {len(x)}")
         w, n_out = self.width, self.n_out
-        right = x.word >> w
         if w == 0 or n_out == 0:
-            return BitString.from_int(right, n_out)
+            return x[w:]
+        bits = x.to_array()
         size = 1 << (self.n_in - 2).bit_length()
         rows = np.zeros((2, size))
         rows[0, : self.n_in - 1] = self._diagonals
-        rows[1, :w] = x.to_array()[:w]
+        rows[1, :w] = bits[:w]
         spectra = rfft(rows)
         conv = irfft(spectra[0] * spectra[1], size)[w - 1 : w - 1 + n_out]
         counts = np.rint(conv)
         if np.abs(conv - counts).max() >= 0.25:
             raise FloatingPointError("FFT convolution is not exact enough")
-        parity = BitString.from_array(counts.astype(np.int64) & 1)
-        return BitString.from_int(parity.word ^ right, n_out)
+        return BitString.from_array((counts.astype(np.int64) & 1) ^ bits[w:])
 
     def matrix(self) -> Gf2Matrix:
         """Materialize ``[T | I]``; intended for small sizes in tests."""

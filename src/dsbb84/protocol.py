@@ -179,12 +179,16 @@ class AliceMachine:
             raise ProtocolError(f"expected block {self._next_block}, got {msg.j}")
         data = self.blocks[msg.j]
         m = len(data.alpha)
-        if len(msg.clicked) != m:
+        if len(msg.clicked) != m or len(msg.basis) != m:
             raise ProtocolError("block disclosure has wrong round count")
         offs = np.flatnonzero(msg.clicked.to_array())
+        beta_c = msg.basis.to_array()[offs]
+        # Bob's X outcomes cover his clicked X-basis rounds in order.
+        bob_x = beta_c == 1
+        if len(msg.x_outcomes) != np.count_nonzero(bob_x):
+            raise ProtocolError("x outcome count does not match clicked X rounds")
         omega_c = data.omega_idx[offs]
         alpha_c = data.alpha[offs]
-        beta_c = msg.basis.to_array()[offs]
         a_c = data.a[offs]
         self._acc.add_block(omega_c, alpha_c, beta_c, a_c)
 
@@ -194,8 +198,6 @@ class AliceMachine:
             AliceBlockDisclosure.from_columns(msg.j, offs, omega_c, alpha_c, value)
         )
 
-        # Bob's X outcomes cover his clicked X-basis rounds in order.
-        bob_x = beta_c == 1
         bx = msg.x_outcomes.to_array().astype(bool)
         sel = alpha_c[bob_x] == 1
         errors = bx[sel] ^ (a_c[bob_x][sel] == 1)

@@ -111,7 +111,7 @@ class BobBlockDisclosure:
             raise WireError("trailing bytes in block disclosure")
         if len(basis) != len(clicked):
             raise WireError("clicked and basis must cover the same rounds")
-        expected = (clicked.word & basis.word).bit_count()
+        expected = np.count_nonzero(clicked.to_array() & basis.to_array())
         if len(x_outcomes) != expected:
             raise WireError("x outcome count does not match clicked X rounds")
         return cls(j, clicked, basis, x_outcomes)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dsbb84.cli
 import dsbb84.protocol
 from dsbb84.cli import main
 from dsbb84.wire import WireError
@@ -179,6 +180,62 @@ def test_scan_unparsable_value_is_config_error(config_files, capsys):
     ])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_scan_integer_fields(config_files, tmp_path, capsys):
+    """Integer constants sweep as integers, and n_total follows m."""
+    for param, values in (("m", [20000, 40000]), ("n_verify", [16, 32])):
+        report_path = tmp_path / f"scan_{param}.json"
+        code = main([
+            "scan",
+            "--constants", config_files["small_constants"],
+            "--channel", config_files["small_channel"],
+            "--param", param,
+            "--values", ",".join(map(str, values)),
+            "--json", str(report_path),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        rows = json.loads(report_path.read_text())["rows"]
+        assert [row["value"] for row in rows] == values
+        for value, row in zip(values, rows):
+            assert type(row["value"]) is int and type(row["result"]["n_fin"]) is int
+            assert f"{param}={value}: n_fin={row['result']['n_fin']}" in out
+    assert rows[0]["result"]["n_fin"] == 622
+
+
+def test_scan_non_integer_value_of_integer_field_is_config_error(
+    config_files, capsys
+):
+    code = main([
+        "scan",
+        "--constants", config_files["small_constants"],
+        "--channel", config_files["small_channel"],
+        "--param", "m",
+        "--values", "20000,20000.5",
+    ])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_keyrate_computes_expected_observables_once(
+    config_files, monkeypatch, capsys
+):
+    calls = []
+    original = dsbb84.cli.expected_observables
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dsbb84.cli, "expected_observables", counted)
+    code = main([
+        "keyrate",
+        "--constants", config_files["small_constants"],
+        "--channel", config_files["small_channel"],
+    ])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_verify_bounds_passes(capsys):

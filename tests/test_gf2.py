@@ -41,7 +41,8 @@ def test_bitstring_xor_and_concat():
     a = BitString([1, 1, 0])
     b = BitString([0, 1, 1])
     assert (a ^ b).tolist() == [1, 0, 1]
-    assert (a + b).tolist() == [1, 1, 0, 0, 1, 1]
+    with pytest.raises(TypeError):
+        a + b
     with pytest.raises(ValueError):
         a ^ BitString([1])
 
@@ -62,6 +63,83 @@ def test_bitstring_array_roundtrip(bits):
     assert arr.dtype == np.uint8 and arr.tolist() == bits
     assert BitString.from_array(arr.astype(bool)) == b
     assert BitString.from_array(np.array(bits, dtype=np.int64)) == b
+
+
+@st.composite
+def words(draw, max_bits=150):
+    n = draw(st.integers(min_value=0, max_value=max_bits))
+    return draw(st.integers(min_value=0, max_value=(1 << n) - 1)), n
+
+
+def model_bits(word, n):
+    return [(word >> i) & 1 for i in range(n)]
+
+
+@given(words(), words(), st.data())
+def test_bitstring_matches_bigint_model(a, other, data):
+    """Every operation agrees with the (word, length) big-int model."""
+    word, n = a
+    b = BitString.from_int(word, n)
+    bits = model_bits(word, n)
+    assert b.word == word and len(b) == n
+    assert b.tolist() == list(b) == bits
+    assert b.weight() == word.bit_count()
+    assert b.to_bytes() == word.to_bytes((n + 7) // 8, "little")
+    assert BitString(bits) == BitString.from_array(np.array(bits)) == b
+    assert repr(b).startswith(f"BitString({n} bits")
+    if n:
+        i = data.draw(st.integers(min_value=-n, max_value=n - 1))
+        assert b[i] == bits[i]
+    with pytest.raises(IndexError):
+        b[n]
+
+    start = data.draw(st.integers(min_value=-n - 2, max_value=n + 2))
+    stop = data.draw(st.integers(min_value=-n - 2, max_value=n + 2))
+    step = data.draw(st.sampled_from([None, 1, 2, 3, -1, -2]))
+    piece = b[start:stop:step]
+    assert piece.tolist() == bits[start:stop:step]
+    assert piece.word == sum(bit << i for i, bit in enumerate(bits[start:stop:step]))
+
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    assert (b ^ BitString.from_int(mask, n)).word == word ^ mask
+    assert b ^ BitString.zeros(n) == b
+
+    other_word, other_n = other
+    c = BitString.from_int(other_word, other_n)
+    assert (b == c) == ((word, n) == (other_word, other_n))
+    if b == c:
+        assert hash(b) == hash(c)
+    assert hash(b) == hash(BitString.from_bytes(b.to_bytes(), n))
+
+
+@given(words(max_bits=80).filter(lambda a: a[1] % 8), st.data())
+def test_bitstring_from_bytes_rejects_set_padding(a, data):
+    word, n = a
+    pad = data.draw(st.integers(min_value=n, max_value=8 * ((n + 7) // 8) - 1))
+    raw = (word | (1 << pad)).to_bytes((n + 7) // 8, "little")
+    with pytest.raises(ValueError):
+        BitString.from_bytes(raw, n)
+
+
+@given(words())
+def test_bitstring_array_is_read_only(a):
+    word, n = a
+    b = BitString.from_int(word, n)
+    arr = b.to_array()
+    assert arr is b.to_array()
+    for view in (arr, b[1:].to_array(), (b ^ b).to_array()):
+        with pytest.raises(ValueError):
+            view[...] = 1
+    source = np.array(model_bits(word, n), dtype=np.uint8)
+    copied = BitString.from_array(source)
+    source[...] = 1
+    assert copied.word == word
+
+
+def test_bitstring_from_array_takes_nonzero_as_one():
+    assert BitString.from_array(np.array([0, 2, 255, 0])).tolist() == [0, 1, 1, 0]
+    with pytest.raises(ValueError):
+        BitString.from_array(np.array([[0, 1]]))
 
 
 def test_matrix_from_dense_and_entry():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -170,6 +171,36 @@ def test_seeded_abort_is_byte_identical_to_golden_digest():
     assert hashlib.sha256(out.transcript).hexdigest() == GOLDEN_ABORT_DIGEST
 
 
+# The demo config at four times the block size (2e7 rounds, about 246k
+# sifted bits): the FFT hashing and LDPC path at scale.
+DEMO_X4 = ProtocolConstants(
+    n_block=50,
+    m=400_000,
+    p_intensity={"S": 0.4, "D": 0.5, "V": 0.1},
+    mu={"S": 0.6, "D": 0.2, "V": 0.0},
+    p_basis_alice=0.7,
+    p_basis_bob=0.7,
+    n_verify=64,
+    e_bit_assumed=0.015,
+    eps_secrecy=1e-9,
+)
+DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
+
+# SHA-256 over transcript || Alice key || Bob key of
+# run_protocol(DEMO_X4, DEMO, seed=7), taken while BitString still held a
+# Python integer.
+GOLDEN_DEMO_DIGEST = (
+    "25e97fa75ef006718d9def5b0e88acdb1895aa9a05aa1800cddd62014f04c663"
+)
+
+
+def test_demo_scale_session_is_byte_identical_to_golden_digest():
+    out = run_protocol(DEMO_X4, DEMO, seed=7)
+    assert (out.alice.n_sift, out.alice.n_fin) == (246274, 72481)
+    blob = out.transcript + out.alice.key.to_bytes() + out.bob.key.to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEMO_DIGEST
+
+
 def test_run_is_deterministic_in_seed():
     a = run_protocol(SMALL, CLEAN, seed=40)
     b = run_protocol(SMALL, CLEAN, seed=40)
@@ -227,6 +258,21 @@ def test_alice_rejects_out_of_order_messages():
     alice2, _ = build_machines(SMALL, CLEAN, seed=1)
     with pytest.raises(ProtocolError):
         alice2.handle(wrong_block)
+
+
+@pytest.mark.parametrize("field", ["basis", "x_outcomes"])
+def test_alice_rejects_disclosure_one_bit_short(field):
+    """A misshapen disclosure fails closed and leaves Alice's tally as it was."""
+    alice, bob = build_machines(SMALL, CLEAN, seed=1)
+    disclosure = bob.outbox.pop(0)
+    short = dataclasses.replace(
+        disclosure, **{field: getattr(disclosure, field)[:-1]}
+    )
+    with pytest.raises(ProtocolError):
+        alice.handle(short)
+    assert not alice.outbox
+    alice.handle(disclosure)
+    assert len(alice.outbox) == 1
 
 
 def test_bob_rejects_out_of_order_messages():
