@@ -12,6 +12,11 @@ detector independently, and a double click resolves to a fair coin.
 The closed forms and the Fock-state oracle below describe the same physical
 model: the per-photon routing of a Poisson pulse thins into two independent
 Poisson detector loads, which is what the closed forms use.
+
+The sampler draws in full only the rounds that clicked: whether a round
+clicks depends on its intensity alone, so a block draws its click count and
+positions first and then each click's settings and detector cell from the
+laws conditioned on the click (see sample_block).
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from .params import (
 __all__ = [
     "ChannelModel",
     "BlockSample",
+    "BlockSource",
+    "ClickLaw",
+    "SETTINGS",
     "load_channel",
     "eta_total",
     "routing_fraction",
@@ -43,11 +51,12 @@ __all__ = [
     "single_photon_yield",
     "single_photon_error_x",
     "fock_click_oracle",
+    "click_law",
+    "setting_index",
     "sample_block",
     "generator",
 ]
 
-NO_CLICK = -1
 FOCK_MAX_PHOTONS = 12
 
 
@@ -274,99 +283,220 @@ def fock_click_oracle(
     return (p_only0, p_only1, p_both, p_none)
 
 
+# Stream roles: generator(seed, role, j) feeds block j. Roles 3 (Alice's
+# post-processing seeds) and 4 (the ground-truth oracle) belong to the
+# protocol and oracles modules.
+_ALICE, _BOB, _CHANNEL, _ALICE_UNCLICKED = 0, 1, 2, 5
+
+
 def generator(seed: int, *key: int) -> np.random.Generator:
     """Deterministic counter-based generator for a seed and spawn key.
 
     Philox keeps the bit stream stable across platforms, and distinct keys
-    give independent streams. A session uses one stream per role (Alice's
-    settings, Bob's settings, channel noise, post-processing seeds); every
-    block of a session draws from those same streams in turn.
+    give independent streams. The sampler keys one stream per (seed, role,
+    block), so block j of a session depends on (seed, j) alone: drawn by
+    itself it equals block j drawn inside the session.
     """
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
     )
 
 
-@dataclass
-class BlockSample:
-    """Vectorised simulation of one block of rounds.
+# Every (omega, alpha, a, beta) setting combination, in setting_index order.
+SETTINGS = tuple(
+    (omega, alpha, a_bit, beta)
+    for omega in INTENSITIES
+    for alpha in BASES
+    for a_bit in (0, 1)
+    for beta in BASES
+)
 
-    Encodings: omega_idx indexes INTENSITIES; alpha/beta are 0 for Z and
-    1 for X; b is NO_CLICK where no detector fired. n_photons is the
-    hidden source variable, kept for ground-truth checks only.
+
+def setting_index(omega_idx, alpha, a, beta):
+    """Index into SETTINGS of each round's settings (0 is Z, 1 is X)."""
+    return 8 * omega_idx + 4 * alpha + 2 * a + beta
+
+
+@dataclass(frozen=True)
+class ClickLaw:
+    """Tables of the click-only sampler, built once per session.
+
+    cell_cdf[c] holds P(only 0 | click) and 1 - P(both | click) for the
+    setting combination SETTINGS[c], so a cell whose probability is exactly
+    zero is never drawn.
     """
 
+    m: int
+    p_basis_alice: float
+    p_basis_bob: float
+    p_click: float
+    omega_given_click: np.ndarray
+    omega_given_none: np.ndarray
+    cell_cdf: np.ndarray
+
+
+def _conditional(weights: np.ndarray) -> np.ndarray:
+    """Normalise along the last axis; an all-zero row (never drawn) is uniform."""
+    total = weights.sum(axis=-1, keepdims=True)
+    uniform = np.full_like(weights, 1.0 / weights.shape[-1])
+    return np.divide(weights, total, out=uniform, where=total > 0.0)
+
+
+def click_law(constants: ProtocolConstants, channel: ChannelModel) -> ClickLaw:
+    """Click-only sampling tables for one (constants, channel) pair.
+
+    Whether a round clicks depends on its intensity only
+    (click_probability_total), not on alpha, a or beta, so the clicks of
+    a block are binomial with the average p_click, and given a click the
+    intensity follows P(omega | click) while alpha and a keep their priors.
+    """
+    p_omega = np.array([constants.p_intensity[w] for w in INTENSITIES])
+    click = np.array(
+        [click_probability_total(channel, constants.mu[w]) for w in INTENSITIES]
+    )
+    cells = _conditional(np.array([
+        click_probabilities(constants, channel, *settings)[:3]
+        for settings in SETTINGS
+    ]))
+    return ClickLaw(
+        m=constants.m,
+        p_basis_alice=constants.p_basis_alice,
+        p_basis_bob=constants.p_basis_bob,
+        p_click=float(p_omega @ click),
+        omega_given_click=_conditional(p_omega * click),
+        omega_given_none=_conditional(p_omega * (1.0 - click)),
+        cell_cdf=np.stack([cells[:, 0], 1.0 - cells[:, 2]], axis=1),
+    )
+
+
+def _draw_alice_settings(
+    rng: np.random.Generator, p_omega: np.ndarray, p_basis_alice: float, k: int
+) -> tuple:
+    """k rounds of (omega_idx, alpha, a): intensity from p_omega, then priors."""
+    omega_idx = rng.choice(3, size=k, p=p_omega).astype(np.int8)
+    alpha = (rng.random(k) >= p_basis_alice).astype(np.int8)
+    a = rng.integers(0, 2, size=k, dtype=np.int8)
+    return omega_idx, alpha, a
+
+
+@dataclass
+class BlockSample:
+    """Block j of a session, drawn click-only.
+
+    clicked and beta cover all m rounds, because Bob's disclosure carries
+    both. The other columns cover the clicked rounds only, in ascending
+    round order (offsets): omega_idx indexes INTENSITIES; alpha and beta
+    are 0 for Z and 1 for X; cell is 0 (only detector 0 fired), 1 (only
+    detector 1) or 2 (both); b is Bob's bit, a fair coin on a double click.
+    """
+
+    law: ClickLaw
+    seed: int
+    j: int
+    beta: np.ndarray
+    clicked: np.ndarray
+    offsets: np.ndarray
     omega_idx: np.ndarray
     alpha: np.ndarray
     a: np.ndarray
-    beta: np.ndarray
-    n_photons: np.ndarray
-    clicked: np.ndarray
+    cell: np.ndarray
     b: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.omega_idx)
+        return len(self.clicked)
+
+    def alice_settings(self, offs: np.ndarray) -> tuple:
+        """Alice's (omega_idx, alpha, a) at the ascending rounds ``offs``.
+
+        Clicked rounds read the block's columns. Unclicked rounds, which an
+        honest disclosure never names, are drawn on demand: every unclicked
+        round of the block gets its settings from P(omega | no click) and
+        the priors, in round order, on the stream generator(seed, 5, j).
+        A round's settings thus depend on (seed, j) alone, not on which
+        rounds a disclosure names.
+        """
+        hit = self.clicked[offs]
+        columns = (self.omega_idx, self.alpha, self.a)
+        if hit.all():
+            pos = np.searchsorted(self.offsets, offs)
+            return tuple(col[pos] for col in columns)
+        unclicked = np.flatnonzero(~self.clicked)
+        drawn = _draw_alice_settings(
+            generator(self.seed, _ALICE_UNCLICKED, self.j),
+            self.law.omega_given_none,
+            self.law.p_basis_alice,
+            len(unclicked),
+        )
+        out = []
+        for col, other in zip(columns, drawn):
+            full = np.empty(len(self), dtype=np.int8)
+            full[self.offsets] = col
+            full[unclicked] = other
+            out.append(full[offs])
+        return tuple(out)
 
 
-def _routing_table(channel: ChannelModel) -> np.ndarray:
-    """q0 lookup indexed by (a, alpha, beta)."""
-    table = np.empty((2, 2, 2))
-    for a_bit in (0, 1):
-        for ia, alpha in enumerate(BASES):
-            for ib, beta in enumerate(BASES):
-                table[a_bit, ia, ib] = routing_fraction(
-                    channel, _relative_phase(a_bit, alpha, beta)
-                )
-    return table
+def sample_block(law: ClickLaw, seed: int, j: int) -> BlockSample:
+    """Draw block j of the session with this seed, clicked rounds only.
 
-
-def sample_block(
-    constants: ProtocolConstants,
-    channel: ChannelModel,
-    alice_rng: np.random.Generator,
-    bob_rng: np.random.Generator,
-    channel_rng: np.random.Generator,
-    m: int | None = None,
-) -> BlockSample:
-    """Simulate one block of m rounds.
-
-    Draw order is fixed (sender settings, receiver bases, photon numbers,
-    survivors, routing, dark counts, double-click coins), so a session is
-    reproducible from its seed. The streams are shared by all blocks, and
-    the Poisson and binomial draws consume a data-dependent number of raw
-    values, so a block's outcomes depend on every block drawn before it
-    from the same streams; a block is not reproducible on its own.
+    Each role draws from its own stream generator(seed, role, j) (0 Alice,
+    1 Bob, 2 channel noise), so the block depends on (seed, j) alone and
+    not on any block drawn before it. Bob's basis is drawn for all m
+    rounds with one random(m). The click count is binomial(m, p_click) and
+    the clicked rounds a uniform subset. Each clicked round then draws, in
+    this order: its intensity from P(omega | click); alpha and a from
+    their priors; the detector cell from click_probabilities conditioned
+    on the click; and, for a double click only, the fair coin. Alice's
+    settings of unclicked rounds are not drawn here (see
+    BlockSample.alice_settings).
     """
-    if m is None:
-        m = constants.m
-    p_int = np.array([constants.p_intensity[w] for w in INTENSITIES])
-    mu_by_idx = np.array([constants.mu[w] for w in INTENSITIES])
-    omega_idx = alice_rng.choice(3, size=m, p=p_int).astype(np.int8)
-    alpha = (alice_rng.random(m) >= constants.p_basis_alice).astype(np.int8)
-    a = alice_rng.integers(0, 2, size=m, dtype=np.int8)
-    beta = (bob_rng.random(m) >= constants.p_basis_bob).astype(np.int8)
-    n_photons = channel_rng.poisson(mu_by_idx[omega_idx])
-    eta = eta_total(channel)
-    survivors = channel_rng.binomial(n_photons, eta)
-    q0 = _routing_table(channel)[a, alpha, beta]
-    k0 = channel_rng.binomial(survivors, q0)
-    dark0 = channel_rng.random(m) < channel.p_dark
-    dark1 = channel_rng.random(m) < channel.p_dark
-    coin = channel_rng.integers(0, 2, size=m, dtype=np.int8)
-    click0 = (k0 > 0) | dark0
-    click1 = ((survivors - k0) > 0) | dark1
-    clicked = click0 | click1
-    b = np.full(m, NO_CLICK, dtype=np.int8)
-    b[click0 & ~click1] = 0
-    b[click1 & ~click0] = 1
-    both = click0 & click1
-    b[both] = coin[both]
+    m = law.m
+    beta = (generator(seed, _BOB, j).random(m) >= law.p_basis_bob).astype(np.int8)
+    noise = generator(seed, _CHANNEL, j)
+    k = int(noise.binomial(m, law.p_click))
+    offsets = np.sort(noise.choice(m, k, replace=False, shuffle=False))
+    clicked = np.zeros(m, dtype=bool)
+    clicked[offsets] = True
+    omega_idx, alpha, a = _draw_alice_settings(
+        generator(seed, _ALICE, j), law.omega_given_click, law.p_basis_alice, k
+    )
+    u = noise.random(k)
+    cdf = law.cell_cdf[setting_index(omega_idx, alpha, a, beta[offsets])]
+    cell = (u >= cdf[:, 0]).astype(np.int8) + (u >= cdf[:, 1])
+    b = cell.copy()
+    both = np.flatnonzero(cell == 2)
+    b[both] = noise.integers(0, 2, size=len(both), dtype=np.int8)
     return BlockSample(
+        law=law,
+        seed=seed,
+        j=j,
+        beta=beta,
+        clicked=clicked,
+        offsets=offsets,
         omega_idx=omega_idx,
         alpha=alpha,
         a=a,
-        beta=beta,
-        n_photons=n_photons,
-        clicked=clicked,
+        cell=cell,
         b=b,
     )
+
+
+class BlockSource:
+    """A session's blocks by index, each drawn when it is first asked for.
+
+    Only the latest block is kept: asking for another index drops it
+    before the next one is drawn, so a session holds one block at a time.
+    """
+
+    def __init__(
+        self, constants: ProtocolConstants, channel: ChannelModel, seed: int
+    ):
+        self.law = click_law(constants, channel)
+        self.seed = seed
+        self._block: BlockSample | None = None
+
+    def __call__(self, j: int) -> BlockSample:
+        if self._block is None or self._block.j != j:
+            self._block = None
+            self._block = sample_block(self.law, self.seed, j)
+        return self._block

@@ -23,7 +23,7 @@ import json
 import sys
 
 from .bounds import Observables, expected_observables, security_result
-from .channel import ChannelModel, load_channel
+from .channel import load_channel
 from .ecc import syndrome_length
 from .oracles import kato_tail_mc
 from .params import ConfigurationError, DomainError, load_constants
@@ -112,6 +112,8 @@ def cmd_simulate(args) -> int:
     report["abort_reason"] = outcome.alice.abort_reason
     report["keys_match"] = outcome.keys_match
     report["transcript_bytes"] = len(outcome.transcript)
+    report["ec_converged"] = outcome.bob.ec_converged
+    report["ec_iterations"] = outcome.bob.ec_iterations
     if args.json:
         _write_report(args.json, report)
     if outcome.aborted:

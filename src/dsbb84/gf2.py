@@ -1,20 +1,17 @@
-"""Bit strings and dense matrices over GF(2).
+"""Bit strings over GF(2).
 
 A :class:`BitString` is an immutable sequence of bits with xor, slicing and
 byte packing. It holds one read-only numpy ``uint8`` array of 0/1 values,
 index 0 first, which :meth:`BitString.to_array` hands out without a copy;
 :meth:`BitString.from_array` copies an array in. Bytes are the LSB-first
 ``packbits`` of that array, and :attr:`BitString.word` is the same bits as
-a Python integer, computed on demand. :class:`Gf2Matrix` stores each row as
-a Python integer used as a bitset (bit ``j`` of the row word is column
-``j``); it serves small dense products and ranks, such as the explicit
-matrix of a hash function in tests.
+a Python integer, computed on demand.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -121,58 +118,3 @@ class BitString:
     def tolist(self) -> list:
         return self._bits.tolist()
 
-
-class Gf2Matrix:
-    """Dense GF(2) matrix with integer-bitset rows."""
-
-    __slots__ = ("rows", "n_cols")
-
-    def __init__(self, rows: Sequence[int], n_cols: int):
-        for word in rows:
-            if word >> n_cols:
-                raise ValueError("row word has bits beyond n_cols")
-        self.rows = list(rows)
-        self.n_cols = n_cols
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "Gf2Matrix":
-        n_cols = len(dense[0]) if dense else 0
-        rows = []
-        for row in dense:
-            if len(row) != n_cols:
-                raise ValueError("ragged rows")
-            rows.append(BitString(row).word)
-        return cls(rows, n_cols)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def entry(self, r: int, c: int) -> int:
-        if not 0 <= c < self.n_cols:
-            raise IndexError("column out of range")
-        return (self.rows[r] >> c) & 1
-
-    def mul_vec(self, x: BitString) -> BitString:
-        """Matrix-vector product H x over GF(2)."""
-        if len(x) != self.n_cols:
-            raise ValueError(f"vector length {len(x)} != n_cols {self.n_cols}")
-        word = 0
-        xw = x.word
-        for i, row in enumerate(self.rows):
-            word |= ((row & xw).bit_count() & 1) << i
-        return BitString.from_int(word, self.n_rows)
-
-    def rank(self) -> int:
-        pivots = []
-        for word in self.rows:
-            for pw in pivots:
-                low = pw & -pw
-                if word & low:
-                    word ^= pw
-            if word:
-                pivots.append(word)
-        return len(pivots)
-
-    def to_dense(self) -> list:
-        return [[(row >> c) & 1 for c in range(self.n_cols)] for row in self.rows]

@@ -25,7 +25,7 @@ import hashlib
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .gf2 import BitString, Gf2Matrix
+from .gf2 import BitString
 
 VERIFY_LABEL = b"verify"
 PA_LABEL = b"pa"
@@ -94,18 +94,6 @@ class ModifiedToeplitz:
         if np.abs(conv - counts).max() >= 0.25:
             raise FloatingPointError("FFT convolution is not exact enough")
         return BitString.from_array((counts.astype(np.int64) & 1) ^ bits[w:])
-
-    def matrix(self) -> Gf2Matrix:
-        """Materialize ``[T | I]``; intended for small sizes in tests."""
-        w = self.width
-        d = self._diagonals
-        rows = []
-        for r in range(self.n_out):
-            row = 1 << (w + r)
-            for c in range(w):
-                row |= int(d[r - c + w - 1]) << c
-            rows.append(row)
-        return Gf2Matrix(rows, self.n_in)
 
 
 def hash_bits(x: BitString, seed: int, n_out: int, label: bytes) -> BitString:

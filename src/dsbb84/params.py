@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -22,8 +23,6 @@ __all__ = [
     "PhotonDistributions",
     "entropy_h",
     "poisson_pcs",
-    "p_int_joint",
-    "p_int_cond",
     "load_constants",
 ]
 
@@ -116,6 +115,12 @@ class ProtocolConstants:
     n_total: int = field(default=0)
 
     def __post_init__(self) -> None:
+        for name in ("n_block", "m", "n_verify", "n_total"):
+            value = getattr(self, name)
+            # A bool is an Integral too, but never a count.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_block < 1 or self.m < 1:
             raise ConfigurationError("n_block and m must be positive integers")
         expected_total = self.n_block * self.m
@@ -211,21 +216,6 @@ class PhotonDistributions:
             ]
             for w in INTENSITIES
         }
-
-
-def p_int_joint(constants: ProtocolConstants, omega: str, n: int) -> float:
-    """Joint probability of sending intensity omega and n photons."""
-    if omega not in INTENSITIES:
-        raise DomainError(f"unknown intensity label {omega!r}")
-    return constants.p_intensity[omega] * poisson_pcs(constants.mu[omega], n)
-
-
-def p_int_cond(constants: ProtocolConstants, omega: str, n: int) -> float:
-    """Probability of intensity omega conditioned on the round holding n photons."""
-    total = math.fsum(p_int_joint(constants, w, n) for w in INTENSITIES)
-    if total <= 0.0:
-        raise DomainError(f"no intensity can emit n={n} photons under {constants.mu}")
-    return p_int_joint(constants, omega, n) / total
 
 
 def load_constants(source) -> ProtocolConstants:

@@ -1,7 +1,8 @@
 """Post-processing state machines for both parties.
 
-The quantum phase produces per-round data for each side; everything after
-that is classical messages over an authenticated channel. Bob opens each
+Both machines read the simulated quantum phase from one block source
+(j -> BlockSample), which draws block j when Bob opens it; everything
+after that is classical messages over an authenticated channel. Bob opens each
 block by disclosing which rounds clicked, his basis bits and his X-basis
 outcomes; Alice replies with intensity and basis per clicked round plus
 her bit for matched X rounds. After the last block Alice judges the final
@@ -16,7 +17,7 @@ protocol error rather than a silent divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .bounds import (
     expected_observables,
     security_result,
 )
-from .channel import ChannelModel, generator, sample_block
+from .channel import BlockSample, BlockSource, ChannelModel, generator
 from .ecc import LdpcCode, correct, syndrome_length
 from .gf2 import BitString
 from .hashing import pa_hash, verify_hash
@@ -49,36 +50,6 @@ from .wire import (
 
 class ProtocolError(RuntimeError):
     """Out-of-order, malformed or inconsistent message."""
-
-
-def sift_masks(
-    alpha: np.ndarray, beta: np.ndarray, clicked: np.ndarray
-) -> tuple:
-    """Boolean masks of matched-Z and matched-X clicked rounds."""
-    matched = clicked & (alpha == beta)
-    return matched & (alpha == 0), matched & (alpha == 1)
-
-
-@dataclass
-class AliceBlockData:
-    omega_idx: np.ndarray
-    alpha: np.ndarray
-    a: np.ndarray
-
-
-@dataclass
-class BobBlockData:
-    beta: np.ndarray
-    clicked: np.ndarray
-    b: np.ndarray
-
-
-def alice_view(sample) -> AliceBlockData:
-    return AliceBlockData(sample.omega_idx, sample.alpha, sample.a)
-
-
-def bob_view(sample) -> BobBlockData:
-    return BobBlockData(sample.beta, sample.clicked, sample.b)
 
 
 @dataclass
@@ -137,14 +108,12 @@ class AliceMachine:
     def __init__(
         self,
         constants: ProtocolConstants,
-        blocks: Sequence[AliceBlockData],
+        blocks: Callable[[int], BlockSample],
         expected: ExpectedObservables,
         rng: np.random.Generator,
     ):
-        if len(blocks) != constants.n_block:
-            raise ValueError("block count mismatch")
         self.constants = constants
-        self.blocks = list(blocks)
+        self.blocks = blocks
         self.expected = expected
         self._rng = rng
         self._acc = _CountAccumulator()
@@ -177,8 +146,7 @@ class AliceMachine:
     def _handle_block(self, msg: BobBlockDisclosure) -> None:
         if msg.j != self._next_block:
             raise ProtocolError(f"expected block {self._next_block}, got {msg.j}")
-        data = self.blocks[msg.j]
-        m = len(data.alpha)
+        m = self.constants.m
         if len(msg.clicked) != m or len(msg.basis) != m:
             raise ProtocolError("block disclosure has wrong round count")
         offs = np.flatnonzero(msg.clicked.to_array())
@@ -187,9 +155,7 @@ class AliceMachine:
         bob_x = beta_c == 1
         if len(msg.x_outcomes) != np.count_nonzero(bob_x):
             raise ProtocolError("x outcome count does not match clicked X rounds")
-        omega_c = data.omega_idx[offs]
-        alpha_c = data.alpha[offs]
-        a_c = data.a[offs]
+        omega_c, alpha_c, a_c = self.blocks(msg.j).alice_settings(offs)
         self._acc.add_block(omega_c, alpha_c, beta_c, a_c)
 
         matched_x = (alpha_c == 1) & (beta_c == 1)
@@ -264,13 +230,11 @@ class BobMachine:
     def __init__(
         self,
         constants: ProtocolConstants,
-        blocks: Sequence[BobBlockData],
+        blocks: Callable[[int], BlockSample],
         expected: ExpectedObservables,
     ):
-        if len(blocks) != constants.n_block:
-            raise ValueError("block count mismatch")
         self.constants = constants
-        self.blocks = list(blocks)
+        self.blocks = blocks
         self.expected = expected
         self._acc = _CountAccumulator()
         self._next_block = 0
@@ -293,15 +257,14 @@ class BobMachine:
         return self._state == "done"
 
     def _emit_disclosure(self, j: int) -> None:
-        data = self.blocks[j]
-        clicked = data.clicked.astype(bool)
-        x_mask = clicked & (data.beta == 1)
+        data = self.blocks(j)
+        x_c = data.beta[data.offsets] == 1
         self.outbox.append(
             BobBlockDisclosure(
                 j,
-                BitString.from_array(clicked),
-                BitString.from_array(data.beta == 1),
-                BitString.from_array(data.b[x_mask] == 1),
+                BitString.from_array(data.clicked),
+                BitString.from_array(data.beta),
+                BitString.from_array(data.b[x_c]),
             )
         )
 
@@ -331,8 +294,8 @@ class BobMachine:
     def _handle_block_reply(self, msg: AliceBlockDisclosure) -> None:
         if msg.j != self._next_block:
             raise ProtocolError(f"expected reply for block {self._next_block}")
-        data = self.blocks[msg.j]
-        offs = np.flatnonzero(data.clicked)
+        data = self.blocks(msg.j)
+        offs = data.offsets
         records = msg.records
         if len(records) != len(offs):
             raise ProtocolError("reply must cover exactly the clicked rounds")
@@ -350,7 +313,7 @@ class BobMachine:
                 raise ProtocolError("matched X round must disclose the bit")
             raise ProtocolError("only matched X rounds may disclose the bit")
 
-        b_c = data.b[offs]
+        b_c = data.b
         self._acc.add_block(omega_c, alpha_c, beta_c, b_c)
         errors = (b_c[matched_x] == 1) ^ (value[matched_x] == 1)
         self._acc.add_errors(omega_c[matched_x], errors)
@@ -486,25 +449,15 @@ def run_protocol(
 ) -> ProtocolOutcome:
     """Simulate one full session: quantum phase plus post-processing.
 
-    Stream keys: 0 Alice settings, 1 Bob settings, 2 channel noise,
-    3 Alice's post-processing seeds.
+    Block j is drawn when Bob opens it, from streams keyed (seed, role, j)
+    (see channel.sample_block), and both machines read that one sample.
+    Alice's post-processing seeds come from stream key 3.
     """
-    alice_rng = generator(seed, 0)
-    bob_rng = generator(seed, 1)
-    channel_rng = generator(seed, 2)
-    post_rng = generator(seed, 3)
     if expected is None:
         expected = expected_observables(constants, channel)
-
-    alice_blocks = []
-    bob_blocks = []
-    for _ in range(constants.n_block):
-        sample = sample_block(constants, channel, alice_rng, bob_rng, channel_rng)
-        alice_blocks.append(alice_view(sample))
-        bob_blocks.append(bob_view(sample))
-
-    alice = AliceMachine(constants, alice_blocks, expected, post_rng)
-    bob = BobMachine(constants, bob_blocks, expected)
+    blocks = BlockSource(constants, channel, seed)
+    alice = AliceMachine(constants, blocks, expected, generator(seed, 3))
+    bob = BobMachine(constants, blocks, expected)
     transport = InProcessTransport(alice, bob)
     transport.run()
     return ProtocolOutcome(

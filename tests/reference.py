@@ -1,0 +1,124 @@
+"""Reference implementations the tests check the package against.
+
+Nothing in ``src`` uses these: a dense GF(2) matrix with integer-bitset
+rows, the explicit matrix of a modified Toeplitz hash, the intensity and
+photon-number probabilities written out one value at a time, and a
+chi-square check.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from dsbb84.gf2 import BitString
+from dsbb84.params import INTENSITIES, DomainError, ProtocolConstants, poisson_pcs
+
+
+class Gf2Matrix:
+    """Dense GF(2) matrix; row ``r`` is a Python integer whose bit ``c``
+    is entry (r, c)."""
+
+    __slots__ = ("rows", "n_cols")
+
+    def __init__(self, rows: Sequence[int], n_cols: int):
+        for word in rows:
+            if word >> n_cols:
+                raise ValueError("row word has bits beyond n_cols")
+        self.rows = list(rows)
+        self.n_cols = n_cols
+
+    @classmethod
+    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "Gf2Matrix":
+        n_cols = len(dense[0]) if dense else 0
+        rows = []
+        for row in dense:
+            if len(row) != n_cols:
+                raise ValueError("ragged rows")
+            rows.append(BitString(row).word)
+        return cls(rows, n_cols)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
+
+    def entry(self, r: int, c: int) -> int:
+        if not 0 <= c < self.n_cols:
+            raise IndexError("column out of range")
+        return (self.rows[r] >> c) & 1
+
+    def mul_vec(self, x: BitString) -> BitString:
+        """Matrix-vector product H x over GF(2)."""
+        if len(x) != self.n_cols:
+            raise ValueError(f"vector length {len(x)} != n_cols {self.n_cols}")
+        word = 0
+        xw = x.word
+        for i, row in enumerate(self.rows):
+            word |= ((row & xw).bit_count() & 1) << i
+        return BitString.from_int(word, self.n_rows)
+
+    def rank(self) -> int:
+        pivots = []
+        for word in self.rows:
+            for pw in pivots:
+                low = pw & -pw
+                if word & low:
+                    word ^= pw
+            if word:
+                pivots.append(word)
+        return len(pivots)
+
+    def to_dense(self) -> list:
+        return [[(row >> c) & 1 for c in range(self.n_cols)] for row in self.rows]
+
+
+def toeplitz_matrix(diagonals: BitString, n_in: int, n_out: int) -> Gf2Matrix:
+    """``[T | I]`` with ``T[r][c] = d[r - c + w - 1]``, ``w = n_in - n_out``."""
+    w = n_in - n_out
+    d = diagonals.tolist()
+    rows = []
+    for r in range(n_out):
+        row = 1 << (w + r)
+        for c in range(w):
+            row |= d[r - c + w - 1] << c
+        rows.append(row)
+    return Gf2Matrix(rows, n_in)
+
+
+def p_int_joint(constants: ProtocolConstants, omega: str, n: int) -> float:
+    """Joint probability of sending intensity omega and n photons."""
+    if omega not in INTENSITIES:
+        raise DomainError(f"unknown intensity label {omega!r}")
+    return constants.p_intensity[omega] * poisson_pcs(constants.mu[omega], n)
+
+
+def p_int_cond(constants: ProtocolConstants, omega: str, n: int) -> float:
+    """Probability of intensity omega given that the round holds n photons."""
+    total = math.fsum(p_int_joint(constants, w, n) for w in INTENSITIES)
+    if total <= 0.0:
+        raise DomainError(f"no intensity can emit n={n} photons under {constants.mu}")
+    return p_int_joint(constants, omega, n) / total
+
+
+def chi2_upper(df: int) -> float:
+    """Upper 1e-4 quantile of chi-square with ``df`` degrees of freedom,
+    by the Wilson-Hilferty approximation (3.719 is the standard normal
+    1e-4 upper quantile)."""
+    t = 2.0 / (9.0 * df)
+    return df * (1.0 - t + 3.719 * math.sqrt(t)) ** 3
+
+
+def chi2_statistic(observed, expected, min_expected: float = 5.0) -> tuple:
+    """Pearson statistic and degrees of freedom of counts against expected
+    counts; bins expected below ``min_expected`` are pooled into one."""
+    observed = np.asarray(observed, dtype=float).ravel()
+    expected = np.asarray(expected, dtype=float).ravel()
+    small = expected < min_expected
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if exp[-1] == 0.0:
+        assert obs[-1] == 0.0
+        obs, exp = obs[:-1], exp[:-1]
+    return float(np.sum((obs - exp) ** 2 / exp)), len(exp) - 1

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsbb84.channel import (
-    NO_CLICK,
+    SETTINGS,
     ChannelModel,
     click_probabilities,
     click_probability_total,
+    click_law,
     error_probability_x,
     eta_total,
     fock_click_oracle,
-    generator,
     load_channel,
     routing_fraction,
     sample_block,
+    setting_index,
     single_photon_error_x,
     single_photon_yield,
 )
@@ -29,6 +30,7 @@ from dsbb84.params import (
     poisson_pcs,
     truncation_n_max,
 )
+from reference import chi2_statistic, chi2_upper
 
 
 def constants(**overrides):
@@ -205,50 +207,152 @@ def test_routing_fraction_limits():
     assert routing_fraction(flipped, 0.0) == pytest.approx(0.5)
 
 
-def _rngs(seed):
-    return generator(seed, 0, 0), generator(seed, 1, 0), generator(seed, 2, 0)
+def _block(c, ch, seed, j=0):
+    return sample_block(click_law(c, ch), seed, j)
 
 
 def test_sample_block_is_deterministic():
     c = constants()
-    first = sample_block(c, CH, *_rngs(42))
-    second = sample_block(c, CH, *_rngs(42))
-    for name in ("omega_idx", "alpha", "a", "beta", "n_photons", "clicked", "b"):
+    first = _block(c, CH, 42)
+    second = _block(c, CH, 42)
+    for name in ("beta", "clicked", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
-    third = sample_block(c, CH, *_rngs(43))
-    assert not np.array_equal(first.b, third.b)
+    third = _block(c, CH, 43)
+    assert not np.array_equal(first.clicked, third.clicked)
+
+
+def test_blocks_of_one_session_differ():
+    c = constants(m=20000)
+    law = click_law(c, CH)
+    first, second = sample_block(law, 42, 0), sample_block(law, 42, 1)
+    assert (first.j, second.j) == (0, 1)
+    assert not np.array_equal(first.clicked, second.clicked)
+    assert not np.array_equal(first.beta, second.beta)
 
 
 def test_sample_block_internal_consistency():
     c = constants(m=20000)
-    block = sample_block(c, CH, *_rngs(7))
-    assert len(block) == 20000
-    assert np.all((block.b == NO_CLICK) == ~block.clicked)
-    assert np.all((block.b >= NO_CLICK) & (block.b <= 1))
+    block = _block(c, CH, 7)
+    assert len(block) == 20000 and len(block.beta) == 20000
+    k = int(block.clicked.sum())
+    assert k > 0
+    assert np.array_equal(block.offsets, np.flatnonzero(block.clicked))
+    for name in ("omega_idx", "alpha", "a", "cell", "b"):
+        assert len(getattr(block, name)) == k
     assert set(np.unique(block.omega_idx)) <= {0, 1, 2}
+    assert set(np.unique(block.cell)) <= {0, 1, 2}
+    assert set(np.unique(block.b)) <= {0, 1}
+    single = block.cell < 2
+    assert np.array_equal(block.b[single], block.cell[single])
+
+
+def test_clean_matched_rounds_sample_exact_outcomes():
+    c = constants(m=20000, p_basis_alice=0.5, p_basis_bob=0.5)
+    ch = ChannelModel(eta_ch=0.5, e_mis=0.0, p_dark=0.0, eta_det=1.0)
+    block = _block(c, ch, 11)
+    matched = block.alpha == block.beta[block.offsets]
+    assert matched.sum() > 100
+    assert np.array_equal(block.cell[matched], block.a[matched])
+    assert np.array_equal(block.b[matched], block.a[matched])
 
 
 def test_sample_block_click_rate_matches_closed_form():
+    # Alice's settings of the unclicked rounds are drawn on demand, so the
+    # per-intensity click rate over all rounds checks both laws.
     c = constants(m=200_000, mu={"S": 0.5, "D": 0.1, "V": 0.001})
     ch = ChannelModel(eta_ch=0.5, e_mis=0.02, p_dark=1e-4, eta_det=0.8)
-    block = sample_block(c, ch, *_rngs(3))
+    block = _block(c, ch, 3)
+    omega_idx, alpha, _ = block.alice_settings(np.arange(len(block)))
     for idx, omega in enumerate(INTENSITIES):
-        mask = block.omega_idx == idx
+        mask = omega_idx == idx
+        share = mask.mean()
+        sigma = math.sqrt(c.p_intensity[omega] * (1 - c.p_intensity[omega]) / len(block))
+        assert abs(share - c.p_intensity[omega]) < 6 * sigma
         rate = block.clicked[mask].mean()
         expected = click_probability_total(ch, c.mu[omega])
         sigma = math.sqrt(expected * (1 - expected) / mask.sum())
         assert abs(rate - expected) < 6 * sigma + 1e-9
+    sigma = math.sqrt(c.p_basis_alice * (1 - c.p_basis_alice) / len(block))
+    assert abs((alpha == 0).mean() - c.p_basis_alice) < 6 * sigma
 
 
 def test_sample_block_error_rate_matches_closed_form():
     c = constants(m=400_000, p_basis_alice=0.5, p_basis_bob=0.5)
     ch = ChannelModel(eta_ch=0.5, e_mis=0.05, p_dark=1e-5, eta_det=0.8)
-    block = sample_block(c, ch, *_rngs(5))
-    matched_x = (block.alpha == 1) & (block.beta == 1) & (block.omega_idx == 0)
-    clicked = matched_x & block.clicked
+    block = _block(c, ch, 5)
+    beta_c = block.beta[block.offsets]
+    clicked = (block.alpha == 1) & (beta_c == 1) & (block.omega_idx == 0)
     err_rate = (block.b[clicked] != block.a[clicked]).mean()
     expected = error_probability_x(ch, c.mu["S"]) / click_probability_total(
         ch, c.mu["S"]
     )
     sigma = math.sqrt(expected * (1 - expected) / clicked.sum())
     assert abs(err_rate - expected) < 6 * sigma
+
+
+# Points of the c07 grid (mu_S, eta, e_mis, p_dark), with mu_D = mu_S / 2.
+C07_POINTS = (
+    (0.05, 1.0, 0.15, 1e-3),
+    (0.3, 0.1, 0.01, 0.0),
+    (0.6, 0.3, 0.05, 1e-3),
+    (1.2, 0.6, 0.0, 0.0),
+)
+
+
+@pytest.mark.parametrize("point", C07_POINTS)
+def test_cell_counts_match_click_probabilities(point):
+    # Counts of the 24 setting combinations times the four detector cells
+    # (only 0, only 1, both, none) over 30 blocks, against the closed form.
+    mu, eta, e_mis, p_dark = point
+    ch = ChannelModel(eta_ch=eta, e_mis=e_mis, p_dark=p_dark, eta_det=1.0)
+    c = constants(
+        m=20_000,
+        p_intensity={"S": 0.5, "D": 0.3, "V": 0.2},
+        mu={"S": mu, "D": mu / 2.0, "V": 0.0},
+        p_basis_alice=0.6,
+        p_basis_bob=0.7,
+    )
+    law = click_law(c, ch)
+    n_blocks = 30
+    observed = np.zeros((24, 4))
+    for j in range(n_blocks):
+        block = sample_block(law, 1000 + j, j)
+        omega_idx, alpha, a = block.alice_settings(np.arange(c.m))
+        combo = setting_index(omega_idx, alpha, a, block.beta)
+        cell = np.full(c.m, 3)
+        cell[block.offsets] = block.cell
+        np.add.at(observed, (combo, cell), 1)
+    expected = np.zeros((24, 4))
+    for row, (omega, alpha, a_bit, beta) in enumerate(SETTINGS):
+        prior = (
+            c.p_intensity[omega]
+            * (c.p_basis_alice if alpha == "Z" else 1 - c.p_basis_alice)
+            * 0.5
+            * (c.p_basis_bob if beta == "Z" else 1 - c.p_basis_bob)
+        )
+        cells = click_probabilities(c, ch, omega, alpha, a_bit, beta)
+        expected[row] = n_blocks * c.m * prior * np.array(cells)
+    # A cell of probability zero is never drawn.
+    assert np.all(observed[expected == 0.0] == 0)
+    stat, df = chi2_statistic(observed, expected)
+    assert df >= 40
+    assert stat < chi2_upper(df)
+
+
+def test_alice_settings_of_unclicked_rounds_are_keyed_by_block():
+    c = constants(m=20000)
+    law = click_law(c, CH)
+    block = sample_block(law, 9, 2)
+    unclicked = np.flatnonzero(~block.clicked)
+    named = np.sort(np.concatenate([block.offsets[:3], unclicked[[0, 5, 9]]]))
+    first = block.alice_settings(named)
+    again = sample_block(law, 9, 2).alice_settings(named)
+    every = block.alice_settings(np.arange(c.m))
+    for col, col2, full in zip(first, again, every):
+        assert np.array_equal(col, col2)
+        assert np.array_equal(col, full[named])
+    pos = np.searchsorted(block.offsets, block.offsets[:3])
+    clicked_part = np.isin(named, block.offsets)
+    assert np.array_equal(first[0][clicked_part], block.omega_idx[pos])
+    other_block = sample_block(law, 9, 3).alice_settings(np.arange(c.m))
+    assert not all(np.array_equal(x, y) for x, y in zip(every, other_block))

@@ -284,3 +284,51 @@ def test_invalid_constants_is_config_error(tmp_path, config_files, capsys):
     ])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_verify", 16.0), ("m", 20000.5), ("n_block", True), ("n_verify", "16")],
+)
+def test_non_integer_field_in_config_file_is_config_error(
+    tmp_path, config_files, capsys, field, value
+):
+    wrong = dict(SMALL_CONSTANTS, **{field: value})
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(wrong))
+    for command in ("keyrate", "simulate"):
+        argv = [
+            command,
+            "--constants", str(path),
+            "--channel", config_files["small_channel"],
+        ]
+        if command == "simulate":
+            argv += ["--seed", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {field} must be an integer" in err
+
+
+def test_simulate_report_carries_decoder_telemetry(config_files, tmp_path, capsys):
+    keyed, aborted = tmp_path / "keyed.json", tmp_path / "aborted.json"
+    assert main([
+        "simulate",
+        "--constants", config_files["small_constants"],
+        "--channel", config_files["small_channel"],
+        "--seed", "42",
+        "--json", str(keyed),
+    ]) == 0
+    report = json.loads(keyed.read_text())
+    assert report["schema_version"] == 1
+    assert report["ec_converged"] is True
+    assert type(report["ec_iterations"]) is int and report["ec_iterations"] > 0
+    assert f"ec_iterations={report['ec_iterations']}" in capsys.readouterr().out
+    # A length abort never reaches error correction.
+    assert main([
+        "simulate",
+        "--constants", config_files["fiber_constants"],
+        "--channel", config_files["fiber_channel"],
+        "--seed", "1",
+        "--json", str(aborted),
+    ]) == 1
+    report = json.loads(aborted.read_text())
+    assert report["ec_converged"] is None and report["ec_iterations"] is None

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from dsbb84.channel import generator
 from dsbb84.ecc import MAX_ITERATIONS, LdpcCode, correct, syndrome_length
-from dsbb84.gf2 import BitString, Gf2Matrix
+from dsbb84.gf2 import BitString
 from dsbb84.params import DomainError, entropy_h
+from reference import Gf2Matrix
 
 
 def random_key(n_bits, rng):

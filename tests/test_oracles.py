@@ -1,15 +1,34 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from dsbb84.channel import ChannelModel
+from dsbb84.channel import (
+    FOCK_MAX_PHOTONS,
+    SETTINGS,
+    ChannelModel,
+    click_law,
+    click_probabilities,
+    fock_click_oracle,
+    generator,
+    sample_block,
+    setting_index,
+)
 from dsbb84.oracles import (
     GroundTruthRun,
+    clicked_photon_numbers,
     ground_truth_run,
     kato_tail_mc,
+    photon_posterior,
     verification_mc,
 )
-from dsbb84.params import ProtocolConstants
+from dsbb84.params import (
+    THETA,
+    DomainError,
+    ProtocolConstants,
+    poisson_pcs,
+)
+from reference import chi2_statistic, chi2_upper
 
 DEMO = ProtocolConstants(
     n_block=50,
@@ -94,3 +113,51 @@ def test_verification_attack_rate():
 def test_verification_attack_never_accepts_at_long_digests():
     attack = verification_mc(n_bits=48, n_verify=32, trials=200, seed=2)
     assert attack.false_accepts == 0
+
+
+def test_photon_posterior_truncation_is_stated():
+    _, truncated = photon_posterior(LOSSY, FIBER)
+    assert 0.0 <= truncated < 1e-10
+    _, truncated = photon_posterior(DEMO, DEMO_CHANNEL)
+    assert 0.0 <= truncated < 1e-10
+
+
+def test_ground_truth_refuses_heavy_truncation():
+    bright = dataclasses.replace(LOSSY, mu={"S": 3.0, "D": 0.1, "V": 0.001})
+    with pytest.raises(DomainError):
+        ground_truth_run(bright, FIBER, seed=1)
+
+
+def test_clicked_photon_numbers_follow_the_fock_posterior():
+    # Expected counts of n = 0, 1, 2, 3 and >= 4 per intensity, summed over
+    # the clicked rounds of 20 blocks with each round's own posterior,
+    # Poisson(n; mu) * fock_click_oracle(n)[cell] / click_probabilities[cell].
+    c = dataclasses.replace(
+        DEMO, n_block=20, m=20000, n_total=0, mu={"S": 1.2, "D": 0.6, "V": 0.05}
+    )
+    law = click_law(c, DEMO_CHANNEL)
+    cdf, _ = photon_posterior(c, DEMO_CHANNEL)
+    posterior = np.zeros((24, 3, 5))
+    for row, (omega, alpha, a_bit, beta) in enumerate(SETTINGS):
+        closed = click_probabilities(c, DEMO_CHANNEL, omega, alpha, a_bit, beta)
+        for n in range(FOCK_MAX_PHOTONS + 1):
+            cells = fock_click_oracle(n, DEMO_CHANNEL, THETA[(a_bit, alpha)], beta)
+            for cell in range(3):
+                if closed[cell] > 0.0:
+                    posterior[row, cell, min(n, 4)] += (
+                        poisson_pcs(c.mu[omega], n) * cells[cell] / closed[cell]
+                    )
+    observed = np.zeros((3, 5))
+    expected = np.zeros((3, 5))
+    for j in range(c.n_block):
+        block = sample_block(law, 77, j)
+        n = clicked_photon_numbers(cdf, block, generator(77, 4, j))
+        combo = setting_index(
+            block.omega_idx, block.alpha, block.a, block.beta[block.offsets]
+        )
+        np.add.at(observed, (block.omega_idx, np.minimum(n, 4)), 1)
+        np.add.at(expected, block.omega_idx, posterior[combo, block.cell])
+    assert observed.sum() > 10000
+    stat, df = chi2_statistic(observed, expected)
+    assert df >= 8
+    assert stat < chi2_upper(df)

@@ -11,11 +11,10 @@ from dsbb84.params import (
     ProtocolConstants,
     entropy_h,
     load_constants,
-    p_int_cond,
-    p_int_joint,
     poisson_pcs,
     truncation_n_max,
 )
+from reference import p_int_cond, p_int_joint
 
 
 def good_config(**overrides):

@@ -1,12 +1,20 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dsbb84.channel
 from dsbb84.bounds import expected_observables
-from dsbb84.channel import ChannelModel, generator, sample_block
+from dsbb84.channel import (
+    BlockSource,
+    ChannelModel,
+    click_law,
+    generator,
+    sample_block,
+)
 from dsbb84.gf2 import BitString
 from dsbb84.params import ProtocolConstants
 from dsbb84.protocol import (
@@ -14,10 +22,7 @@ from dsbb84.protocol import (
     BobMachine,
     InProcessTransport,
     ProtocolError,
-    alice_view,
-    bob_view,
     run_protocol,
-    sift_masks,
 )
 from dsbb84.wire import (
     A_WITHHELD,
@@ -64,50 +69,28 @@ FIBER = ChannelModel(
 
 
 def build_machines(constants, channel, seed):
-    alice_rng = generator(seed, 0)
-    bob_rng = generator(seed, 1)
-    channel_rng = generator(seed, 2)
-    post_rng = generator(seed, 3)
-    alice_blocks, bob_blocks = [], []
-    for _ in range(constants.n_block):
-        sample = sample_block(constants, channel, alice_rng, bob_rng, channel_rng)
-        alice_blocks.append(alice_view(sample))
-        bob_blocks.append(bob_view(sample))
+    blocks = BlockSource(constants, channel, seed)
     expected = expected_observables(constants, channel)
-    alice = AliceMachine(constants, alice_blocks, expected, post_rng)
-    bob = BobMachine(constants, bob_blocks, expected)
+    alice = AliceMachine(constants, blocks, expected, generator(seed, 3))
+    bob = BobMachine(constants, blocks, expected)
     return alice, bob
 
 
 def pump(alice, bob, tamper=None):
-    """Deliver messages by hand, optionally rewriting Alice's."""
-    seen = []
+    """Deliver messages by hand, optionally rewriting Alice's; keeps none."""
     while not (alice.done and bob.done):
         moved = 0
         while bob.outbox:
-            msg = bob.outbox.pop(0)
-            seen.append(msg)
-            alice.handle(msg)
+            alice.handle(bob.outbox.pop(0))
             moved += 1
         while alice.outbox:
             msg = alice.outbox.pop(0)
             if tamper is not None:
                 msg = tamper(msg) or msg
-            seen.append(msg)
             if not bob.done:
                 bob.handle(msg)
             moved += 1
         assert moved, "deadlock"
-    return seen
-
-
-def test_sift_masks():
-    alpha = np.array([0, 0, 1, 1, 0])
-    beta = np.array([0, 1, 1, 0, 0])
-    clicked = np.array([True, True, True, True, False])
-    z_mask, x_mask = sift_masks(alpha, beta, clicked)
-    assert z_mask.tolist() == [True, False, False, False, False]
-    assert x_mask.tolist() == [False, False, True, False, False]
 
 
 def test_successful_run_produces_matching_keys():
@@ -123,9 +106,10 @@ def test_successful_run_produces_matching_keys():
 
 
 # SHA-256 over transcript || Alice key || Bob key of
-# run_protocol(SMALL, CLEAN, seed=42).
+# run_protocol(SMALL, CLEAN, seed=42), taken when sampling became
+# click-only with one stream per (seed, role, block).
 GOLDEN_SESSION_DIGEST = (
-    "09902f69d3c9f098aa9acae6d6c51930ddd4476521a485518dbec28c687ebc4c"
+    "a39b738d89b6fc64bc39a816fdd4e1a11b943a5b41ebf969a8cd5e03f2d67d7d"
 )
 
 
@@ -157,9 +141,10 @@ LOSSY_LONG = ProtocolConstants(
 )
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
-# taken before Alice's reply became a packed record array.
+# taken when sampling became click-only with one stream per (seed, role,
+# block).
 GOLDEN_ABORT_DIGEST = (
-    "4dded962e0ac1dc40c163b3c8b0a679fd0afa4af3b8dc1ce94cc6d1d22497280"
+    "7bda72128b29be5157a4b8cfc10bbe5709df0e8bf872018b0fca614885280f4a"
 )
 
 
@@ -187,16 +172,16 @@ DEMO_X4 = ProtocolConstants(
 DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
 
 # SHA-256 over transcript || Alice key || Bob key of
-# run_protocol(DEMO_X4, DEMO, seed=7), taken while BitString still held a
-# Python integer.
+# run_protocol(DEMO_X4, DEMO, seed=7), taken when sampling became
+# click-only with one stream per (seed, role, block).
 GOLDEN_DEMO_DIGEST = (
-    "25e97fa75ef006718d9def5b0e88acdb1895aa9a05aa1800cddd62014f04c663"
+    "ba7996b9c68a8e2cbf86b3ebe7f9bbfbdc50800bac52db6c2d8c91c9b7d7f239"
 )
 
 
 def test_demo_scale_session_is_byte_identical_to_golden_digest():
     out = run_protocol(DEMO_X4, DEMO, seed=7)
-    assert (out.alice.n_sift, out.alice.n_fin) == (246274, 72481)
+    assert (out.alice.n_sift, out.alice.n_fin) == (245505, 71339)
     blob = out.transcript + out.alice.key.to_bytes() + out.bob.key.to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEMO_DIGEST
 
@@ -423,3 +408,115 @@ def test_bob_never_accepts_a_key_from_a_mutated_reply(mutation):
         return
     if bob.result.key is not None:
         assert bob.result.key == alice.result.key
+
+
+class RecordingSource(BlockSource):
+    """A session's block source that keeps every block it hands out."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = {}
+
+    def __call__(self, j):
+        block = super().__call__(j)
+        self.seen.setdefault(j, block)
+        return block
+
+
+def test_block_drawn_alone_equals_block_in_session():
+    blocks = RecordingSource(SMALL, CLEAN, 42)
+    expected = expected_observables(SMALL, CLEAN)
+    alice = AliceMachine(SMALL, blocks, expected, generator(42, 3))
+    bob = BobMachine(SMALL, blocks, expected)
+    pump(alice, bob)
+    assert alice.result.key == run_protocol(SMALL, CLEAN, seed=42).alice.key
+    assert sorted(blocks.seen) == list(range(SMALL.n_block))
+    law = click_law(SMALL, CLEAN)
+    for j in reversed(range(SMALL.n_block)):
+        alone = sample_block(law, 42, j)
+        inside = blocks.seen[j]
+        for name in ("beta", "clicked", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
+            assert np.array_equal(getattr(alone, name), getattr(inside, name)), name
+    assert not np.array_equal(blocks.seen[0].clicked, blocks.seen[1].clicked)
+
+
+def test_honest_session_draws_each_block_once_and_clicks_only(monkeypatch):
+    keys = []
+    real = dsbb84.channel.generator
+
+    def recording(seed, *key):
+        keys.append(key)
+        return real(seed, *key)
+
+    monkeypatch.setattr(dsbb84.channel, "generator", recording)
+    run_protocol(SMALL, CLEAN, seed=42)
+    # Alice, Bob and channel streams once per block; never the stream of
+    # Alice's settings for unclicked rounds.
+    assert sorted(keys) == sorted(
+        (role, j) for role in (0, 1, 2) for j in range(SMALL.n_block)
+    )
+
+
+def disclosure_naming(disclosure, block, extra):
+    """Bob's disclosure with the unclicked rounds ``extra`` marked clicked;
+    X outcomes cover every named X round, 1 for the invented ones."""
+    named = np.union1d(block.offsets, extra)
+    clicked = np.zeros(len(block), dtype=np.uint8)
+    clicked[named] = 1
+    x_named = named[block.beta[named] == 1]
+    outcomes = np.ones(len(x_named), dtype=np.uint8)
+    real = np.isin(x_named, block.offsets)
+    outcomes[real] = disclosure.x_outcomes.to_array()
+    return dataclasses.replace(
+        disclosure,
+        clicked=BitString.from_array(clicked),
+        x_outcomes=BitString.from_array(outcomes),
+    ), named
+
+
+def test_reply_to_a_disclosure_naming_unclicked_rounds():
+    replies = []
+    for _ in range(2):
+        alice, bob = build_machines(SMALL, CLEAN, seed=8)
+        honest = bob.outbox.pop(0)
+        block = bob.blocks(0)
+        unclicked = np.flatnonzero(~block.clicked)
+        extra = unclicked[[0, 7, 100, len(unclicked) - 1]]
+        forged, named = disclosure_naming(honest, block, extra)
+        alice.handle(forged)
+        (reply,) = alice.outbox
+        replies.append(encode_message(reply))
+        records = reply.records
+        assert np.array_equal(records["offset"], named)
+        assert records["omega"].max() <= 2 and records["alpha"].max() <= 1
+        beta = block.beta[named]
+        matched_x = (records["alpha"] == 1) & (beta == 1)
+        assert np.array_equal(records["value"] == A_WITHHELD, ~matched_x)
+        real = np.isin(named, block.offsets)
+        assert np.array_equal(records["omega"][real], block.omega_idx)
+        assert np.array_equal(records["alpha"][real], block.alpha)
+        invented = block.alice_settings(extra)
+        assert np.array_equal(records["omega"][~real], invented[0])
+        assert np.array_equal(records["alpha"][~real], invented[1])
+    assert replies[0] == replies[1]
+
+
+def test_session_memory_is_one_block():
+    # A lossy-long session holds one sampled block at a time, so four
+    # times the blocks must not take much more memory at peak. The
+    # messages are handed over without a transcript, which is the one
+    # part of run_protocol that grows with the number of rounds (its
+    # m-bit bitmaps take about 25 kB per block). A one-block session runs
+    # first so that one-time allocations count in neither peak.
+    peaks = []
+    for n_block in (1, 10, 40):
+        constants = dataclasses.replace(LOSSY_LONG, n_block=n_block, n_total=0)
+        tracemalloc.start()
+        try:
+            alice, bob = build_machines(constants, FIBER, seed=9)
+            pump(alice, bob)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert alice.result.n_sift > 0
+    assert peaks[2] < 1.5 * peaks[1], peaks
