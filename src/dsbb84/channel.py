@@ -13,10 +13,10 @@ The closed forms and the Fock-state oracle below describe the same physical
 model: the per-photon routing of a Poisson pulse thins into two independent
 Poisson detector loads, which is what the closed forms use.
 
-The sampler draws in full only the rounds that clicked: whether a round
-clicks depends on its intensity alone, so a block draws its click count and
-positions first and then each click's settings and detector cell from the
-laws conditioned on the click (see sample_block).
+The sampler draws only the rounds that clicked: whether a round clicks
+depends on its intensity alone, so a block draws its click count and
+positions first and then each click's settings, Bob's basis and the
+detector cell from the laws conditioned on the click (see sample_block).
 """
 
 from __future__ import annotations
@@ -383,11 +383,12 @@ def _draw_alice_settings(
 class BlockSample:
     """Block j of a session, drawn click-only.
 
-    clicked and beta cover all m rounds, because Bob's disclosure carries
-    both. The other columns cover the clicked rounds only, in ascending
-    round order (offsets): omega_idx indexes INTENSITIES; alpha and beta
-    are 0 for Z and 1 for X; cell is 0 (only detector 0 fired), 1 (only
-    detector 1) or 2 (both); b is Bob's bit, a fair coin on a double click.
+    Every column covers the clicked rounds only, in ascending round order
+    (offsets): omega_idx indexes INTENSITIES; alpha and beta are 0 for Z
+    and 1 for X; cell is 0 (only detector 0 fired), 1 (only detector 1) or
+    2 (both); b is Bob's bit, a fair coin on a double click. The length-m
+    click mask clicked is kept for observers outside the package; nothing
+    here reads it.
     """
 
     law: ClickLaw
@@ -403,7 +404,7 @@ class BlockSample:
     b: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.clicked)
+        return self.law.m
 
     def alice_settings(self, offs: np.ndarray) -> tuple:
         """Alice's (omega_idx, alpha, a) at the ascending rounds ``offs``.
@@ -415,12 +416,12 @@ class BlockSample:
         A round's settings thus depend on (seed, j) alone, not on which
         rounds a disclosure names.
         """
-        hit = self.clicked[offs]
         columns = (self.omega_idx, self.alpha, self.a)
-        if hit.all():
-            pos = np.searchsorted(self.offsets, offs)
-            return tuple(col[pos] for col in columns)
-        unclicked = np.flatnonzero(~self.clicked)
+        if np.array_equal(offs, self.offsets):
+            return columns
+        unclicked = np.ones(len(self), dtype=bool)
+        unclicked[self.offsets] = False
+        unclicked = np.flatnonzero(unclicked)
         drawn = _draw_alice_settings(
             generator(self.seed, _ALICE_UNCLICKED, self.j),
             self.law.omega_given_none,
@@ -441,17 +442,17 @@ def sample_block(law: ClickLaw, seed: int, j: int) -> BlockSample:
 
     Each role draws from its own stream generator(seed, role, j) (0 Alice,
     1 Bob, 2 channel noise), so the block depends on (seed, j) alone and
-    not on any block drawn before it. Bob's basis is drawn for all m
-    rounds with one random(m). The click count is binomial(m, p_click) and
-    the clicked rounds a uniform subset. Each clicked round then draws, in
-    this order: its intensity from P(omega | click); alpha and a from
-    their priors; the detector cell from click_probabilities conditioned
-    on the click; and, for a double click only, the fair coin. Alice's
-    settings of unclicked rounds are not drawn here (see
-    BlockSample.alice_settings).
+    not on any block drawn before it. The click count is binomial(m,
+    p_click) and the clicked rounds a uniform subset. Each clicked round
+    then draws, in this order: its intensity from P(omega | click); alpha
+    and a from their priors; Bob's basis from its prior, with one
+    random(k) on Bob's stream, since a click is independent of beta; the
+    detector cell from click_probabilities conditioned on the click; and,
+    for a double click only, the fair coin. Neither party's settings of
+    unclicked rounds are drawn here: no message carries Bob's, and Alice's
+    are drawn only on demand (see BlockSample.alice_settings).
     """
     m = law.m
-    beta = (generator(seed, _BOB, j).random(m) >= law.p_basis_bob).astype(np.int8)
     noise = generator(seed, _CHANNEL, j)
     k = int(noise.binomial(m, law.p_click))
     offsets = np.sort(noise.choice(m, k, replace=False, shuffle=False))
@@ -460,8 +461,9 @@ def sample_block(law: ClickLaw, seed: int, j: int) -> BlockSample:
     omega_idx, alpha, a = _draw_alice_settings(
         generator(seed, _ALICE, j), law.omega_given_click, law.p_basis_alice, k
     )
+    beta = (generator(seed, _BOB, j).random(k) >= law.p_basis_bob).astype(np.int8)
     u = noise.random(k)
-    cdf = law.cell_cdf[setting_index(omega_idx, alpha, a, beta[offsets])]
+    cdf = law.cell_cdf[setting_index(omega_idx, alpha, a, beta)]
     cell = (u >= cdf[:, 0]).astype(np.int8) + (u >= cdf[:, 1])
     b = cell.copy()
     both = np.flatnonzero(cell == 2)

@@ -26,8 +26,8 @@ from .bounds import Observables, expected_observables, security_result
 from .channel import load_channel
 from .ecc import syndrome_length
 from .oracles import kato_tail_mc
-from .params import ConfigurationError, DomainError, load_constants
-from .protocol import ProtocolError, run_protocol
+from .params import ConfigurationError, DomainError, entropy_h, load_constants
+from .protocol import ABORT_REASONS, ProtocolError, run_protocol
 
 SCHEMA_VERSION = 1
 
@@ -101,9 +101,27 @@ def cmd_keyrate(args) -> int:
     return EXIT_OK
 
 
+def _reconciliation_report(outcome) -> dict:
+    """Estimated QBER, weight(e_hat) / n_sift, and the reconciliation
+    efficiency n_ec / (n_sift h(QBER)); null without error correction, and
+    the efficiency also when the estimate is 0."""
+    weight = outcome.bob.ec_error_weight
+    n_sift = outcome.bob.n_sift
+    if weight is None or n_sift == 0:
+        return {"qber_est": None, "ec_efficiency": None}
+    qber = weight / n_sift
+    shannon = n_sift * entropy_h(qber)
+    return {
+        "qber_est": qber,
+        "ec_efficiency": outcome.security.n_ec / shannon if shannon > 0 else None,
+    }
+
+
 def cmd_simulate(args) -> int:
     constants, channel = _load_config(args)
     outcome = run_protocol(constants, channel, args.seed)
+    if outcome.aborted and outcome.alice.abort_reason not in ABORT_REASONS:
+        raise ProtocolError(f"unknown abort reason {outcome.alice.abort_reason!r}")
     report = _report_skeleton("simulate", args)
     report["constants"] = constants.as_dict()
     report["channel"] = channel.as_dict()
@@ -114,6 +132,7 @@ def cmd_simulate(args) -> int:
     report["transcript_bytes"] = len(outcome.transcript)
     report["ec_converged"] = outcome.bob.ec_converged
     report["ec_iterations"] = outcome.bob.ec_iterations
+    report.update(_reconciliation_report(outcome))
     if args.json:
         _write_report(args.json, report)
     if outcome.aborted:

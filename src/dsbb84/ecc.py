@@ -27,6 +27,15 @@ MAX_ITERATIONS = 60
 LLR_CLIP = 25.0
 
 
+def stable_row_order(row_idx: np.ndarray) -> np.ndarray:
+    """``np.argsort(row_idx, kind="stable")`` for indices below 2**32, in
+    O(len) time: two stable radix passes over 16-bit halves, the low half
+    first, since numpy sorts 16-bit keys stably by counting."""
+    low = np.argsort((row_idx & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (row_idx[low] >> 16).astype(np.uint16)
+    return low[np.argsort(high, kind="stable")]
+
+
 def syndrome_length(n_sift: int, e_bit_assumed: float) -> int:
     """Bits of syndrome disclosed for a sifted block."""
     if n_sift < 0:
@@ -40,6 +49,8 @@ class LdpcCode:
     def __init__(self, n_bits: int, n_rows: int, seed: int):
         if n_bits <= 0 or n_rows <= 0:
             raise ValueError("code dimensions must be positive")
+        if n_rows > 2**32:
+            raise ValueError("at most 2**32 rows")
         self.n_bits = n_bits
         self.n_rows = n_rows
         self.seed = seed
@@ -61,7 +72,7 @@ class LdpcCode:
             picks.append(r3)
         col_idx = np.tile(np.arange(n_bits, dtype=np.int64), weight)
         row_idx = np.concatenate(picks)
-        order = np.argsort(row_idx, kind="stable")
+        order = stable_row_order(row_idx)
         self.row_idx = row_idx[order]
         self.col_idx = col_idx[order]
         counts = np.bincount(self.row_idx, minlength=n_rows)

@@ -168,9 +168,7 @@ def clicked_photon_numbers(
 ) -> np.ndarray:
     """Hidden photon number of each clicked round of ``block``, drawn from
     ``photon_cdf`` (see photon_posterior) given its settings and cell."""
-    combo = setting_index(
-        block.omega_idx, block.alpha, block.a, block.beta[block.offsets]
-    )
+    combo = setting_index(block.omega_idx, block.alpha, block.a, block.beta)
     u = rng.random(len(combo))
     return (photon_cdf[combo, block.cell] <= u[:, None]).sum(axis=1)
 
@@ -200,12 +198,11 @@ def ground_truth_run(
     n1z_true = 0
     for j in range(constants.n_block):
         s = blocks(j)
-        beta_c = s.beta[s.offsets]
-        acc.add_block(s.omega_idx, s.alpha, beta_c, s.a)
-        matched_x = (s.alpha == 1) & (beta_c == 1)
+        acc.add_block(s.omega_idx, s.alpha, s.beta, s.a)
+        matched_x = (s.alpha == 1) & (s.beta == 1)
         acc.add_errors(s.omega_idx[matched_x], s.a[matched_x] != s.b[matched_x])
         n_photons = clicked_photon_numbers(photon_cdf, s, generator(seed, 4, j))
-        matched_z = (s.alpha == 0) & (beta_c == 0)
+        matched_z = (s.alpha == 0) & (s.beta == 0)
         n1z_true += int(np.count_nonzero(matched_z & (n_photons == 1)))
 
     obs = acc.observables()

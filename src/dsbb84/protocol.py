@@ -3,11 +3,13 @@
 Both machines read the simulated quantum phase from one block source
 (j -> BlockSample), which draws block j when Bob opens it; everything
 after that is classical messages over an authenticated channel. Bob opens each
-block by disclosing which rounds clicked, his basis bits and his X-basis
-outcomes; Alice replies with intensity and basis per clicked round plus
-her bit for matched X rounds. After the last block Alice judges the final
-length from the announced counts, and on proceed runs syndrome disclosure,
-verification hashing and privacy amplification.
+block by disclosing which rounds clicked, his basis on those rounds and his
+X-basis outcomes; Alice replies with intensity and basis per clicked round
+plus her bit on matched X rounds only. After the last block Alice judges
+the final length from the announced counts, and on proceed runs syndrome
+disclosure, verification hashing and privacy amplification.
+
+A session that aborts names one of ABORT_REASONS.
 
 Both sides recompute the security accounting from the same pre-agreed
 expected observables, so a disagreement on any announced quantity is a
@@ -34,7 +36,6 @@ from .gf2 import BitString
 from .hashing import pa_hash, verify_hash
 from .params import ProtocolConstants
 from .wire import (
-    A_WITHHELD,
     AliceBlockDisclosure,
     BobBlockDisclosure,
     End,
@@ -43,9 +44,16 @@ from .wire import (
     Syndrome,
     VerifyHash,
     VerifyResult,
+    WireError,
+    clicked_offsets,
     encode_message,
     decode_message,
 )
+
+ABORT_LENGTH = "insufficient extractable length"
+ABORT_VERIFY = "verification mismatch"
+# Every reason a session can abort with, on both sides.
+ABORT_REASONS = frozenset({ABORT_LENGTH, ABORT_VERIFY})
 
 
 class ProtocolError(RuntimeError):
@@ -66,6 +74,7 @@ class KeyMaterial:
     security: Optional[SecurityResult]
     ec_converged: Optional[bool] = None
     ec_iterations: Optional[int] = None
+    ec_error_weight: Optional[int] = None
 
 
 class _CountAccumulator:
@@ -146,11 +155,15 @@ class AliceMachine:
     def _handle_block(self, msg: BobBlockDisclosure) -> None:
         if msg.j != self._next_block:
             raise ProtocolError(f"expected block {self._next_block}, got {msg.j}")
-        m = self.constants.m
-        if len(msg.clicked) != m or len(msg.basis) != m:
+        if msg.m != self.constants.m:
             raise ProtocolError("block disclosure has wrong round count")
-        offs = np.flatnonzero(msg.clicked.to_array())
-        beta_c = msg.basis.to_array()[offs]
+        try:
+            offs = clicked_offsets(msg.offsets, msg.m)
+        except WireError as exc:
+            raise ProtocolError(f"block disclosure: {exc}") from None
+        if len(msg.basis) != len(offs):
+            raise ProtocolError("basis must cover exactly the clicked rounds")
+        beta_c = msg.basis.to_array()
         # Bob's X outcomes cover his clicked X-basis rounds in order.
         bob_x = beta_c == 1
         if len(msg.x_outcomes) != np.count_nonzero(bob_x):
@@ -158,10 +171,9 @@ class AliceMachine:
         omega_c, alpha_c, a_c = self.blocks(msg.j).alice_settings(offs)
         self._acc.add_block(omega_c, alpha_c, beta_c, a_c)
 
-        matched_x = (alpha_c == 1) & (beta_c == 1)
-        value = np.where(matched_x, a_c.astype(np.uint8), A_WITHHELD)
+        matched_x = (alpha_c == 1) & bob_x
         self.outbox.append(
-            AliceBlockDisclosure.from_columns(msg.j, offs, omega_c, alpha_c, value)
+            AliceBlockDisclosure.from_columns(msg.j, omega_c, alpha_c, a_c[matched_x])
         )
 
         bx = msg.x_outcomes.to_array().astype(bool)
@@ -181,7 +193,7 @@ class AliceMachine:
         if self.security.abort:
             self.outbox.append(SiftAnnounce(obs.n_sift, proceed=False))
             self.outbox.append(End())
-            self._finish(aborted=True, reason="insufficient extractable length")
+            self._finish(aborted=True, reason=ABORT_LENGTH)
             return
         self._n_fin = self.security.n_fin
         self.outbox.append(SiftAnnounce(obs.n_sift, proceed=True))
@@ -201,7 +213,7 @@ class AliceMachine:
     def _handle_verify(self, msg: VerifyResult) -> None:
         if not msg.ok:
             self.outbox.append(End())
-            self._finish(aborted=True, reason="verification mismatch")
+            self._finish(aborted=True, reason=ABORT_VERIFY)
             return
         self._pa_seed = self._draw_seed()
         self.outbox.append(PaSeed(self._pa_seed, self._n_fin))
@@ -248,6 +260,7 @@ class BobMachine:
         self._n_ec = 0
         self._ec_converged: Optional[bool] = None
         self._ec_iterations: Optional[int] = None
+        self._ec_error_weight: Optional[int] = None
         self._final_key: Optional[BitString] = None
         self._abort_reason: Optional[str] = None
         self._emit_disclosure(0)
@@ -258,13 +271,13 @@ class BobMachine:
 
     def _emit_disclosure(self, j: int) -> None:
         data = self.blocks(j)
-        x_c = data.beta[data.offsets] == 1
         self.outbox.append(
             BobBlockDisclosure(
                 j,
-                BitString.from_array(data.clicked),
+                len(data),
+                data.offsets,
                 BitString.from_array(data.beta),
-                BitString.from_array(data.b[x_c]),
+                BitString.from_array(data.b[data.beta == 1]),
             )
         )
 
@@ -295,27 +308,19 @@ class BobMachine:
         if msg.j != self._next_block:
             raise ProtocolError(f"expected reply for block {self._next_block}")
         data = self.blocks(msg.j)
-        offs = data.offsets
-        records = msg.records
-        if len(records) != len(offs):
+        k = len(data.offsets)
+        if len(msg.omega) != k or len(msg.alpha) != k:
             raise ProtocolError("reply must cover exactly the clicked rounds")
-        if not np.array_equal(records["offset"], offs):
-            raise ProtocolError("reply offsets do not match clicked rounds")
-        omega_c = records["omega"]
-        alpha_c = records["alpha"]
-        value = records["value"]
-        beta_c = data.beta[offs]
+        omega_c = msg.omega
+        alpha_c = msg.alpha.to_array()
+        beta_c = data.beta
         matched_x = (alpha_c == 1) & (beta_c == 1)
-        # The first record that breaks the disclosure rule names the error.
-        bad = np.flatnonzero(matched_x == (value == A_WITHHELD))
-        if bad.size:
-            if matched_x[bad[0]]:
-                raise ProtocolError("matched X round must disclose the bit")
-            raise ProtocolError("only matched X rounds may disclose the bit")
+        if len(msg.value) != np.count_nonzero(matched_x):
+            raise ProtocolError("reply must disclose the bits of the matched X rounds")
 
         b_c = data.b
         self._acc.add_block(omega_c, alpha_c, beta_c, b_c)
-        errors = (b_c[matched_x] == 1) ^ (value[matched_x] == 1)
+        errors = b_c[matched_x] != msg.value.to_array()
         self._acc.add_errors(omega_c[matched_x], errors)
 
         self._next_block += 1
@@ -349,6 +354,7 @@ class BobMachine:
             self._corrected, self._ec_converged, self._ec_iterations = correct(
                 self._sifted, msg.bits, code, self.constants.e_bit_assumed
             )
+            self._ec_error_weight = (self._corrected ^ self._sifted).weight()
         self._state = "verify"
 
     def _handle_verify(self, msg: VerifyHash) -> None:
@@ -357,7 +363,7 @@ class BobMachine:
         self.outbox.append(VerifyResult(ok))
         self._state = "pa" if ok else "end"
         if not ok:
-            self._abort_reason = "verification mismatch"
+            self._abort_reason = ABORT_VERIFY
 
     def _handle_pa(self, msg: PaSeed) -> None:
         if msg.n_fin != self.security.n_fin:
@@ -370,7 +376,7 @@ class BobMachine:
         key = self._final_key
         reason = self._abort_reason
         if key is None and reason is None:
-            reason = "insufficient extractable length"
+            reason = ABORT_LENGTH
         self.result = KeyMaterial(
             role="bob",
             aborted=key is None,
@@ -382,6 +388,7 @@ class BobMachine:
             security=self.security,
             ec_converged=self._ec_converged,
             ec_iterations=self._ec_iterations,
+            ec_error_weight=self._ec_error_weight,
         )
         self._state = "done"
 
@@ -390,7 +397,8 @@ class BobMachine:
 class ProtocolOutcome:
     alice: KeyMaterial
     bob: KeyMaterial
-    transcript: bytes
+    # The transport's own buffer, handed over without a copy.
+    transcript: bytearray
     security: SecurityResult
 
     @property
@@ -463,6 +471,6 @@ def run_protocol(
     return ProtocolOutcome(
         alice=alice.result,
         bob=bob.result,
-        transcript=bytes(transport.transcript),
+        transcript=transport.transcript,
         security=alice.security,
     )

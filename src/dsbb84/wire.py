@@ -1,16 +1,21 @@
 """Classical-channel message formats.
 
-Every message travels as one frame: a little-endian u32 byte count, one tag
-byte, then the payload the count covers (tag included). Bit strings are
-serialized as a little-endian u64 bit length followed by the LSB-first
-packed bytes. All integers are little-endian and unsigned; a field that does
-not fit its width raises ``WireError`` on encode, never wraps.
+Every message travels as one frame: a little-endian u32 byte count, one
+version byte (``WIRE_VERSION``), one tag byte, then the payload; the count
+covers the version, the tag and the payload. A frame of any other version
+is refused. Bit strings in the scalar messages are serialized as a
+little-endian u64 bit length followed by the LSB-first packed bytes. All
+integers are little-endian and unsigned; a field that does not fit its
+width raises ``WireError`` on encode, never wraps.
 
-Alice's block reply is columnar: one numpy structured array of
-``RECORD_DTYPE`` (u32 round offset, u8 intensity index, u8 basis bit, u8
-bit value with ``0xFF`` for withheld), whose packed 7-byte items are the
-wire records, so it is encoded with one ``tobytes()`` and decoded with one
-``np.frombuffer``.
+The two block messages announce only what the other side lacks. Bob's
+disclosure names the clicked rounds of a block, his basis on those rounds
+and his bit on the clicked X rounds; Alice's reply gives intensity and
+basis per named round as packed bit columns and her bit on matched X rounds
+only. Bit columns whose length the other fields imply carry no length of
+their own. Every encoding is canonical: a decoder refuses any form the
+encoder would not have produced, so a frame that decodes re-encodes to its
+own bytes.
 
 The authenticated classical channel is assumed, not modeled: frames carry
 no MAC. The transcript of a session is the concatenation of its frames.
@@ -25,6 +30,8 @@ from typing import ClassVar
 import numpy as np
 
 from .gf2 import BitString
+
+WIRE_VERSION = 2
 
 
 class WireError(ValueError):
@@ -43,11 +50,8 @@ def pack_bits(bits: BitString) -> bytes:
     return _pack("<Q", len(bits)) + bits.to_bytes()
 
 
-def unpack_bits(buf: bytes, offset: int) -> tuple:
-    if offset + 8 > len(buf):
-        raise WireError("truncated bit-string header")
-    (n,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
+def _bits_at(buf: bytes, offset: int, n: int) -> tuple:
+    """The ``n`` bits packed LSB-first at ``offset``; set padding is refused."""
     n_bytes = (n + 7) // 8
     if offset + n_bytes > len(buf):
         raise WireError("truncated bit-string body")
@@ -58,144 +62,268 @@ def unpack_bits(buf: bytes, offset: int) -> tuple:
     return bits, offset + n_bytes
 
 
+def unpack_bits(buf: bytes, offset: int) -> tuple:
+    if offset + 8 > len(buf):
+        raise WireError("truncated bit-string header")
+    (n,) = struct.unpack_from("<Q", buf, offset)
+    return _bits_at(buf, offset + 8, n)
+
+
 def encode_frame(tag: int, payload: bytes) -> bytes:
-    return _pack("<IB", len(payload) + 1, tag) + payload
+    return _pack("<IBB", len(payload) + 2, WIRE_VERSION, tag) + payload
 
 
 def decode_frame(buf: bytes, offset: int = 0) -> tuple:
     """Return (tag, payload, next offset) for the frame at ``offset``."""
-    if offset + 5 > len(buf):
+    if offset + 6 > len(buf):
         raise WireError("truncated frame header")
-    length, tag = struct.unpack_from("<IB", buf, offset)
-    if length < 1:
-        raise WireError("frame length must cover the tag byte")
+    length, version, tag = struct.unpack_from("<IBB", buf, offset)
+    if version != WIRE_VERSION:
+        raise WireError(f"wire version {version}, expected {WIRE_VERSION}")
+    if length < 2:
+        raise WireError("frame length must cover the version and tag bytes")
     end = offset + 4 + length
     if end > len(buf):
         raise WireError("truncated frame payload")
-    return tag, buf[offset + 5 : end], end
+    return tag, buf[offset + 6 : end], end
 
 
-@dataclass(frozen=True)
+# How Bob's disclosure sends the clicked set: an m-bit bitmap, or the gaps
+# between ascending offsets (the first counted from round 0) in one width.
+CLICKED_BITMAP = 0
+GAP_DTYPES = {1: np.dtype("u1"), 2: np.dtype("<u2"), 3: np.dtype("<u4")}
+
+
+def clicked_encoding(m: int, offsets: np.ndarray) -> int:
+    """The flag of the shorter form of the clicked set ``offsets`` (int64,
+    strictly ascending) of a block of m rounds.
+
+    Gaps use the narrowest width that holds the largest gap and cost a u32
+    count besides; a tie goes to the bitmap.
+    """
+    k = len(offsets)
+    bitmap_bytes = (m + 7) // 8
+    if 4 + k >= bitmap_bytes:
+        return CLICKED_BITMAP
+    largest = int(max(offsets[0], np.max(np.diff(offsets), initial=0))) if k else 0
+    for flag, dtype in GAP_DTYPES.items():
+        if largest < 256**dtype.itemsize:
+            return flag if 4 + k * dtype.itemsize < bitmap_bytes else CLICKED_BITMAP
+
+
+def clicked_offsets(offsets, m: int) -> np.ndarray:
+    """``offsets`` as int64 after checking that they are strictly ascending
+    rounds of a block of ``m``; ``WireError`` otherwise."""
+    offsets = np.asarray(offsets)
+    if offsets.ndim != 1 or (offsets.size and offsets.dtype.kind not in "iu"):
+        raise WireError("offsets must be a 1-d integer array")
+    offsets = offsets.astype(np.int64, copy=False)
+    if offsets.size and (offsets[0] < 0 or offsets[-1] >= m):
+        raise WireError("clicked offset outside the block")
+    if np.any(offsets[1:] <= offsets[:-1]):
+        raise WireError("clicked offsets must be strictly ascending")
+    return offsets
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class BobBlockDisclosure:
-    """Bob's per-block announcement after measuring block ``j``.
+    """Bob's announcement after measuring block ``j`` of ``m`` rounds.
 
-    ``clicked`` and ``basis`` cover all rounds of the block in order
-    (basis bit 1 means X). ``x_outcomes`` lists Bob's bit for each clicked
-    X-basis round, in ascending round order.
+    ``offsets`` are the clicked rounds, strictly ascending and below ``m``.
+    ``basis`` holds Bob's basis bit on each of them (1 means X) and
+    ``x_outcomes`` his bit on each clicked X round, both in round order.
+
+    Layout: ``<IIB`` j, m and the clicked-set flag, then the clicked set,
+    then ``basis`` and ``x_outcomes`` packed LSB-first with no length
+    fields (there are ``len(offsets)`` and ``basis.weight()`` bits). Flag
+    0 sends the set as an m-bit bitmap; flags 1, 2 and 3 send a u32 count
+    and then the gaps as u8, u16 or u32 (see ``clicked_encoding``).
     """
 
     TAG: ClassVar[int] = 1
     j: int
-    clicked: BitString
+    m: int
+    offsets: np.ndarray
     basis: BitString
     x_outcomes: BitString
 
+    def _key(self) -> tuple:
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        return (self.j, self.m, offsets.tobytes(), self.basis, self.x_outcomes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BobBlockDisclosure):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def encode(self) -> bytes:
-        if len(self.basis) != len(self.clicked):
-            raise WireError("clicked and basis must cover the same rounds")
-        payload = _pack("<I", self.j)
-        payload += pack_bits(self.clicked)
-        payload += pack_bits(self.basis)
-        payload += pack_bits(self.x_outcomes)
-        return payload
+        offsets = clicked_offsets(self.offsets, self.m)
+        if len(self.basis) != len(offsets):
+            raise WireError("basis must cover exactly the clicked rounds")
+        if len(self.x_outcomes) != self.basis.weight():
+            raise WireError("x outcome count does not match clicked X rounds")
+        payload = _pack("<II", self.j, self.m)
+        flag = clicked_encoding(self.m, offsets)
+        payload += _pack("<B", flag)
+        if flag == CLICKED_BITMAP:
+            bitmap = np.zeros(self.m, dtype=np.uint8)
+            bitmap[offsets] = 1
+            payload += np.packbits(bitmap, bitorder="little").tobytes()
+        else:
+            gaps = offsets.copy()
+            gaps[1:] -= offsets[:-1]
+            payload += _pack("<I", len(offsets)) + gaps.astype(GAP_DTYPES[flag]).tobytes()
+        return payload + self.basis.to_bytes() + self.x_outcomes.to_bytes()
 
     @classmethod
     def decode(cls, payload: bytes) -> "BobBlockDisclosure":
-        if len(payload) < 4:
+        if len(payload) < 9:
             raise WireError("short block disclosure")
-        (j,) = struct.unpack_from("<I", payload, 0)
-        clicked, off = unpack_bits(payload, 4)
-        basis, off = unpack_bits(payload, off)
-        x_outcomes, off = unpack_bits(payload, off)
+        j, m, flag = struct.unpack_from("<IIB", payload, 0)
+        off = 9
+        if flag == CLICKED_BITMAP:
+            bitmap, off = _bits_at(payload, off, m)
+            # 0/1 bytes viewed as bool: nonzero search is faster on bool.
+            offsets = np.flatnonzero(bitmap.to_array().view(bool))
+        elif flag in GAP_DTYPES:
+            if off + 4 > len(payload):
+                raise WireError("truncated clicked count")
+            (k,) = struct.unpack_from("<I", payload, off)
+            off += 4
+            dtype = GAP_DTYPES[flag]
+            if off + k * dtype.itemsize > len(payload):
+                raise WireError("truncated clicked gaps")
+            gaps = np.frombuffer(payload, dtype=dtype, count=k, offset=off)
+            off += k * dtype.itemsize
+            if np.any(gaps[1:] == 0):
+                raise WireError("clicked offsets must be strictly ascending")
+            offsets = np.cumsum(gaps, dtype=np.int64)
+            if k and offsets[-1] >= m:
+                raise WireError("clicked offset beyond the block")
+        else:
+            raise WireError(f"unknown clicked-set flag {flag}")
+        if flag != clicked_encoding(m, offsets):
+            raise WireError("clicked set not in its shortest form")
+        basis, off = _bits_at(payload, off, len(offsets))
+        x_outcomes, off = _bits_at(payload, off, basis.weight())
         if off != len(payload):
             raise WireError("trailing bytes in block disclosure")
-        if len(basis) != len(clicked):
-            raise WireError("clicked and basis must cover the same rounds")
-        expected = np.count_nonzero(clicked.to_array() & basis.to_array())
-        if len(x_outcomes) != expected:
-            raise WireError("x outcome count does not match clicked X rounds")
-        return cls(j, clicked, basis, x_outcomes)
+        return cls(j, m, _read_only(offsets), basis, x_outcomes)
 
 
-A_WITHHELD = 0xFF
+def _column(name: str, column, top: int) -> np.ndarray:
+    """A 1-d column of integers in [0, top] as uint8; ``WireError`` otherwise."""
+    column = np.asarray(column)
+    if column.ndim != 1:
+        raise WireError(f"{name} column must be 1-d")
+    if column.size and (
+        column.dtype.kind not in "biu" or column.min() < 0 or column.max() > top
+    ):
+        raise WireError(f"{name} column out of range")
+    return column.astype(np.uint8)
 
-# One wire record: round offset, intensity index, basis bit, bit value.
-# Packed (itemsize 7), so an array's bytes are the ``<IBBB`` records.
-RECORD_DTYPE = np.dtype(
-    [("offset", "<u4"), ("omega", "u1"), ("alpha", "u1"), ("value", "u1")]
-)
+
+def _pack_omega(omega: np.ndarray) -> bytes:
+    """Intensity indices as 2-bit values, four per byte, LSB first."""
+    quads = np.zeros((len(omega) + 3) // 4 * 4, dtype=np.uint8)
+    quads[: len(omega)] = omega
+    quads = quads.reshape(-1, 4)
+    packed = quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6
+    return packed.tobytes()
+
+
+# The four 2-bit values of each byte, LSB first.
+_QUADS = (np.arange(256, dtype=np.uint8)[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3
+
+
+def _unpack_omega(raw: bytes, count: int) -> np.ndarray:
+    values = np.take(_QUADS, np.frombuffer(raw, dtype=np.uint8), axis=0).reshape(-1)
+    if np.any(values[count:]):
+        raise WireError("padding bits beyond the stated length are set")
+    values = values[:count]
+    if values.max(initial=0) > 2:
+        raise WireError("intensity index out of range")
+    return _read_only(values)
 
 
 @dataclass(frozen=True, eq=False)
 class AliceBlockDisclosure:
-    """Alice's reply for block ``j``: one record per clicked round.
+    """Alice's reply for block ``j``: one record per round Bob named.
 
-    ``records`` is a read-only 1-d array of ``RECORD_DTYPE`` in ascending
-    round order. ``value`` is Alice's bit on matched X rounds, whose bits
-    feed the public error tally, and ``A_WITHHELD`` on every other round.
-    Build it with :meth:`from_columns`, which refuses values that do not
-    fit their field.
+    ``omega`` (intensity index, at most 2) and ``alpha`` (basis bit) cover
+    the named rounds in ascending round order; ``value`` holds Alice's bit
+    on the matched X rounds only, whose bits feed the public error tally.
+    Which rounds those are follows from ``alpha`` and Bob's own bases, so
+    the reply carries no offsets. Build it with :meth:`from_columns`,
+    which refuses values that do not fit their field.
+
+    Layout: ``<III`` j, the record count and the number of value bits,
+    then ``omega`` as 2-bit values four to a byte, ``alpha`` and ``value``
+    packed LSB-first, each column padded with zero bits to a whole byte.
     """
 
     TAG: ClassVar[int] = 2
     j: int
-    records: np.ndarray
+    omega: np.ndarray
+    alpha: BitString
+    value: BitString
 
     @classmethod
-    def from_columns(
-        cls, j: int, offset, omega, alpha, value
-    ) -> "AliceBlockDisclosure":
-        """Pack four equal-length columns into one record array."""
-        records = np.empty(len(offset), dtype=RECORD_DTYPE)
-        for name, column in zip(RECORD_DTYPE.names, (offset, omega, alpha, value)):
-            try:
-                records[name] = column
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise WireError(f"record {name} column: {exc}") from None
-            if not np.array_equal(records[name], column):
-                raise WireError(f"record {name} out of range")
-        records.flags.writeable = False
-        return cls(j, records)
+    def from_columns(cls, j: int, omega, alpha, value) -> "AliceBlockDisclosure":
+        """Check three columns and wrap them into a reply."""
+        omega = _column("omega", omega, 2)
+        alpha = _column("alpha", alpha, 1)
+        if len(omega) != len(alpha):
+            raise WireError("omega and alpha must cover the same rounds")
+        value = _column("value", value, 1)
+        return cls(
+            j, _read_only(omega), BitString.from_array(alpha), BitString.from_array(value)
+        )
+
+    def _key(self) -> tuple:
+        omega = np.asarray(self.omega, dtype=np.uint8)
+        return (self.j, omega.tobytes(), self.alpha, self.value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AliceBlockDisclosure):
             return NotImplemented
-        return self.j == other.j and self.records.tobytes() == other.records.tobytes()
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.j, self.records.tobytes()))
+        return hash(self._key())
 
     def encode(self) -> bytes:
-        records = self.records
-        if (
-            not isinstance(records, np.ndarray)
-            or records.dtype != RECORD_DTYPE
-            or records.ndim != 1
-        ):
-            raise WireError("records must be a 1-d array of RECORD_DTYPE")
-        offsets = records["offset"]
-        if np.any(offsets[1:] <= offsets[:-1]):
-            raise WireError("records must be in ascending round order")
-        return _pack("<II", self.j, len(records)) + records.tobytes()
+        omega = _column("omega", self.omega, 2)
+        if len(self.alpha) != len(omega):
+            raise WireError("omega and alpha must cover the same rounds")
+        return (
+            _pack("<III", self.j, len(omega), len(self.value))
+            + _pack_omega(omega)
+            + self.alpha.to_bytes()
+            + self.value.to_bytes()
+        )
 
     @classmethod
     def decode(cls, payload: bytes) -> "AliceBlockDisclosure":
-        if len(payload) < 8:
+        if len(payload) < 12:
             raise WireError("short block reply")
-        j, count = struct.unpack_from("<II", payload, 0)
-        if len(payload) != 8 + RECORD_DTYPE.itemsize * count:
+        j, count, n_values = struct.unpack_from("<III", payload, 0)
+        omega_bytes = (count + 3) // 4
+        expected = 12 + omega_bytes + (count + 7) // 8 + (n_values + 7) // 8
+        if len(payload) != expected:
             raise WireError("block reply length mismatch")
-        # Over immutable bytes the array is read-only, like the message.
-        records = np.frombuffer(bytes(payload), dtype=RECORD_DTYPE, offset=8)
-        offsets = records["offset"]
-        if np.any(offsets[1:] <= offsets[:-1]):
-            raise WireError("records must be in ascending round order")
-        if np.any(records["omega"] > 2) or np.any(records["alpha"] > 1):
-            raise WireError("intensity or basis index out of range")
-        value = records["value"]
-        if np.any((value > 1) & (value != A_WITHHELD)):
-            raise WireError("bit value out of range")
-        return cls(j, records)
+        omega = _unpack_omega(payload[12 : 12 + omega_bytes], count)
+        alpha, off = _bits_at(payload, 12 + omega_bytes, count)
+        value, _ = _bits_at(payload, off, n_values)
+        return cls(j, omega, alpha, value)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dsbb84.params import (
     PhotonDistributions,
     ProtocolConstants,
 )
-from dsbb84.protocol import run_protocol
+from dsbb84.protocol import ABORT_REASONS, run_protocol
 from reference import toeplitz_matrix
 
 # Reference scenario for the bound-coverage criterion: 10^6 rounds over a
@@ -179,7 +179,7 @@ def test_c03_decoy_inversion_soundness():
 
 
 def test_c04_ground_truth_envelope_coverage():
-    # 1000 seeded honest sessions on the 20 dB reference link. The hidden
+    # 5000 seeded honest sessions on the 20 dB reference link. The hidden
     # single-photon count must never fall below the engine's floor and
     # the hidden phase-error proxy must never exceed its ceiling. The
     # joint failure budget at eps = 1e-6 is far below one run, so the
@@ -188,7 +188,7 @@ def test_c04_ground_truth_envelope_coverage():
     # regime is covered by the ground-truth unit tests.
     start = time.perf_counter()
     failures = 0
-    for seed in range(1000):
+    for seed in range(5000):
         run = ground_truth_run(LOSSY, FIBER, seed=seed)
         assert run.n_sift > 0
         if run.n1z_true < run.n1z_floor or run.nph_true > run.nph_ceil:
@@ -323,10 +323,7 @@ def test_c08_end_to_end_agreement_and_determinism():
             # a few seeds abort on length; rarely the decoder stalls and
             # verification turns that into an abort too. Both are safe
             # outcomes; anything else is a regression.
-            assert outcome.alice.abort_reason in (
-                "insufficient extractable length",
-                "verification mismatch",
-            )
+            assert outcome.alice.abort_reason in ABORT_REASONS
         if seed in probe_seeds:
             transcript_probes[seed] = bytes(outcome.transcript)
     assert produced >= 950

@@ -233,13 +233,14 @@ def test_blocks_of_one_session_differ():
 def test_sample_block_internal_consistency():
     c = constants(m=20000)
     block = _block(c, CH, 7)
-    assert len(block) == 20000 and len(block.beta) == 20000
+    assert len(block) == 20000 and len(block.clicked) == 20000
     k = int(block.clicked.sum())
     assert k > 0
     assert np.array_equal(block.offsets, np.flatnonzero(block.clicked))
-    for name in ("omega_idx", "alpha", "a", "cell", "b"):
+    for name in ("omega_idx", "alpha", "beta", "a", "cell", "b"):
         assert len(getattr(block, name)) == k
     assert set(np.unique(block.omega_idx)) <= {0, 1, 2}
+    assert set(np.unique(block.beta)) <= {0, 1}
     assert set(np.unique(block.cell)) <= {0, 1, 2}
     assert set(np.unique(block.b)) <= {0, 1}
     single = block.cell < 2
@@ -250,7 +251,7 @@ def test_clean_matched_rounds_sample_exact_outcomes():
     c = constants(m=20000, p_basis_alice=0.5, p_basis_bob=0.5)
     ch = ChannelModel(eta_ch=0.5, e_mis=0.0, p_dark=0.0, eta_det=1.0)
     block = _block(c, ch, 11)
-    matched = block.alpha == block.beta[block.offsets]
+    matched = block.alpha == block.beta
     assert matched.sum() > 100
     assert np.array_equal(block.cell[matched], block.a[matched])
     assert np.array_equal(block.b[matched], block.a[matched])
@@ -280,8 +281,7 @@ def test_sample_block_error_rate_matches_closed_form():
     c = constants(m=400_000, p_basis_alice=0.5, p_basis_bob=0.5)
     ch = ChannelModel(eta_ch=0.5, e_mis=0.05, p_dark=1e-5, eta_det=0.8)
     block = _block(c, ch, 5)
-    beta_c = block.beta[block.offsets]
-    clicked = (block.alpha == 1) & (beta_c == 1) & (block.omega_idx == 0)
+    clicked = (block.alpha == 1) & (block.beta == 1) & (block.omega_idx == 0)
     err_rate = (block.b[clicked] != block.a[clicked]).mean()
     expected = error_probability_x(ch, c.mu["S"]) / click_probability_total(
         ch, c.mu["S"]
@@ -301,8 +301,10 @@ C07_POINTS = (
 
 @pytest.mark.parametrize("point", C07_POINTS)
 def test_cell_counts_match_click_probabilities(point):
-    # Counts of the 24 setting combinations times the four detector cells
-    # (only 0, only 1, both, none) over 30 blocks, against the closed form.
+    # Counts of the 24 setting combinations times the three click cells
+    # (only 0, only 1, both) over 60 blocks, and of Alice's 12 settings on
+    # the unclicked rounds, against the closed form. No basis of Bob's is
+    # drawn for an unclicked round, so that cell sums over beta.
     mu, eta, e_mis, p_dark = point
     ch = ChannelModel(eta_ch=eta, e_mis=e_mis, p_dark=p_dark, eta_det=1.0)
     c = constants(
@@ -313,16 +315,17 @@ def test_cell_counts_match_click_probabilities(point):
         p_basis_bob=0.7,
     )
     law = click_law(c, ch)
-    n_blocks = 30
-    observed = np.zeros((24, 4))
+    n_blocks = 60
+    observed = np.zeros((24, 3))
+    observed_none = np.zeros(12)
     for j in range(n_blocks):
         block = sample_block(law, 1000 + j, j)
-        omega_idx, alpha, a = block.alice_settings(np.arange(c.m))
-        combo = setting_index(omega_idx, alpha, a, block.beta)
-        cell = np.full(c.m, 3)
-        cell[block.offsets] = block.cell
-        np.add.at(observed, (combo, cell), 1)
-    expected = np.zeros((24, 4))
+        combo = setting_index(block.omega_idx, block.alpha, block.a, block.beta)
+        np.add.at(observed, (combo, block.cell), 1)
+        omega_idx, alpha, a = block.alice_settings(np.flatnonzero(~block.clicked))
+        np.add.at(observed_none, setting_index(omega_idx, alpha, a, 0) // 2, 1)
+    expected = np.zeros((24, 3))
+    expected_none = np.zeros(12)
     for row, (omega, alpha, a_bit, beta) in enumerate(SETTINGS):
         prior = (
             c.p_intensity[omega]
@@ -331,10 +334,13 @@ def test_cell_counts_match_click_probabilities(point):
             * (c.p_basis_bob if beta == "Z" else 1 - c.p_basis_bob)
         )
         cells = click_probabilities(c, ch, omega, alpha, a_bit, beta)
-        expected[row] = n_blocks * c.m * prior * np.array(cells)
+        expected[row] = n_blocks * c.m * prior * np.array(cells[:3])
+        expected_none[row // 2] += n_blocks * c.m * prior * cells[3]
     # A cell of probability zero is never drawn.
     assert np.all(observed[expected == 0.0] == 0)
-    stat, df = chi2_statistic(observed, expected)
+    stat, df = chi2_statistic(
+        np.append(observed, observed_none), np.append(expected, expected_none)
+    )
     assert df >= 40
     assert stat < chi2_upper(df)
 

@@ -1,4 +1,6 @@
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -332,3 +334,61 @@ def test_simulate_report_carries_decoder_telemetry(config_files, tmp_path, capsy
     ]) == 1
     report = json.loads(aborted.read_text())
     assert report["ec_converged"] is None and report["ec_iterations"] is None
+
+
+def simulate_report(constants, channel, seed, tmp_path):
+    paths = []
+    for name, obj in (("c", constants), ("ch", channel)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    report_path = tmp_path / "report.json"
+    code = main([
+        "simulate", "--constants", paths[0], "--channel", paths[1],
+        "--seed", str(seed), "--json", str(report_path),
+    ])
+    return code, json.loads(report_path.read_text())
+
+
+def test_simulate_report_carries_reconciliation_estimates(tmp_path):
+    code, report = simulate_report(SMALL_CONSTANTS, SMALL_CHANNEL, 42, tmp_path)
+    assert code == 0 and report["schema_version"] == 1
+    n_sift, n_ec = report["result"]["n_sift"], report["result"]["n_ec"]
+    qber = report["qber_est"]
+    assert 0.0 < qber < 0.01
+    assert (qber * n_sift) == pytest.approx(round(qber * n_sift))
+    h = -qber * math.log2(qber) - (1 - qber) * math.log2(1 - qber)
+    assert report["ec_efficiency"] == pytest.approx(n_ec / (n_sift * h), rel=1e-12)
+    # No error correction: both null.
+    code, report = simulate_report(FIBER_CONSTANTS, FIBER_CHANNEL, 1, tmp_path)
+    assert code == 1
+    assert report["qber_est"] is None and report["ec_efficiency"] is None
+    # A decode that finds no errors: an estimate of 0 and no efficiency.
+    clean = SimpleNamespace(
+        bob=SimpleNamespace(ec_error_weight=0, n_sift=9000),
+        security=SimpleNamespace(n_ec=843),
+    )
+    assert dsbb84.cli._reconciliation_report(clean) == {
+        "qber_est": 0.0, "ec_efficiency": None,
+    }
+
+
+def test_simulate_refuses_an_abort_reason_outside_the_closed_set(
+    config_files, monkeypatch, capsys
+):
+    real = dsbb84.cli.run_protocol
+
+    def odd_reason(*args):
+        outcome = real(*args)
+        outcome.alice.abort_reason = "gave up"
+        return outcome
+
+    monkeypatch.setattr(dsbb84.cli, "run_protocol", odd_reason)
+    code = main([
+        "simulate",
+        "--constants", config_files["fiber_constants"],
+        "--channel", config_files["fiber_channel"],
+        "--seed", "1",
+    ])
+    assert code == 3
+    assert "unknown abort reason" in capsys.readouterr().err

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsbb84.channel import generator
-from dsbb84.ecc import MAX_ITERATIONS, LdpcCode, correct, syndrome_length
+from dsbb84.ecc import (
+    MAX_ITERATIONS,
+    LdpcCode,
+    correct,
+    stable_row_order,
+    syndrome_length,
+)
 from dsbb84.gf2 import BitString
 from dsbb84.params import DomainError, entropy_h
 from reference import Gf2Matrix
@@ -148,3 +154,18 @@ def test_dimension_validation():
         LdpcCode(0, 5, seed=1)
     with pytest.raises(ValueError):
         LdpcCode(5, 0, seed=1)
+
+
+@given(
+    st.sampled_from([1, 2, 255, 256, 65_535, 65_536, 65_537, 300_000, 2**32]),
+    st.integers(1, 60),
+    st.integers(0, 2000),
+    st.integers(0, 2**32 - 1),
+)
+def test_stable_row_order_matches_stable_argsort(n_rows, distinct, n, seed):
+    # Few distinct rows, so that equal rows are common at every size.
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, n_rows, size=distinct)
+    rows = values[rng.integers(0, distinct, size=n)]
+    assert np.array_equal(stable_row_order(rows), np.argsort(rows, kind="stable"))
+

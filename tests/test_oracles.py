@@ -152,9 +152,7 @@ def test_clicked_photon_numbers_follow_the_fock_posterior():
     for j in range(c.n_block):
         block = sample_block(law, 77, j)
         n = clicked_photon_numbers(cdf, block, generator(77, 4, j))
-        combo = setting_index(
-            block.omega_idx, block.alpha, block.a, block.beta[block.offsets]
-        )
+        combo = setting_index(block.omega_idx, block.alpha, block.a, block.beta)
         np.add.at(observed, (block.omega_idx, np.minimum(n, 4)), 1)
         np.add.at(expected, block.omega_idx, posterior[combo, block.cell])
     assert observed.sum() > 10000

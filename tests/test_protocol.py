@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,9 @@ from dsbb84.channel import (
 from dsbb84.gf2 import BitString
 from dsbb84.params import ProtocolConstants
 from dsbb84.protocol import (
+    ABORT_LENGTH,
+    ABORT_REASONS,
+    ABORT_VERIFY,
     AliceMachine,
     BobMachine,
     InProcessTransport,
@@ -25,9 +29,9 @@ from dsbb84.protocol import (
     run_protocol,
 )
 from dsbb84.wire import (
-    A_WITHHELD,
     AliceBlockDisclosure,
     BobBlockDisclosure,
+    End,
     PaSeed,
     SiftAnnounce,
     Syndrome,
@@ -77,11 +81,14 @@ def build_machines(constants, channel, seed):
 
 
 def pump(alice, bob, tamper=None):
-    """Deliver messages by hand, optionally rewriting Alice's; keeps none."""
+    """Deliver messages by hand, optionally rewriting them; keeps none."""
     while not (alice.done and bob.done):
         moved = 0
         while bob.outbox:
-            alice.handle(bob.outbox.pop(0))
+            msg = bob.outbox.pop(0)
+            if tamper is not None:
+                msg = tamper(msg) or msg
+            alice.handle(msg)
             moved += 1
         while alice.outbox:
             msg = alice.outbox.pop(0)
@@ -106,10 +113,10 @@ def test_successful_run_produces_matching_keys():
 
 
 # SHA-256 over transcript || Alice key || Bob key of
-# run_protocol(SMALL, CLEAN, seed=42), taken when sampling became
-# click-only with one stream per (seed, role, block).
+# run_protocol(SMALL, CLEAN, seed=42), taken when the wire became
+# click-only and Bob's basis was drawn for clicked rounds only.
 GOLDEN_SESSION_DIGEST = (
-    "a39b738d89b6fc64bc39a816fdd4e1a11b943a5b41ebf969a8cd5e03f2d67d7d"
+    "f7fe26e5b03aa1bca7a79a1ab9e4c3efaa0ffad504f8b947b61e935c1401430f"
 )
 
 
@@ -141,10 +148,10 @@ LOSSY_LONG = ProtocolConstants(
 )
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
-# taken when sampling became click-only with one stream per (seed, role,
-# block).
+# taken when the wire became click-only and Bob's basis was drawn for
+# clicked rounds only.
 GOLDEN_ABORT_DIGEST = (
-    "7bda72128b29be5157a4b8cfc10bbe5709df0e8bf872018b0fca614885280f4a"
+    "47dd5565723facbf7685938162b951d8801b13a96480513f5e4773bf5b04c4d8"
 )
 
 
@@ -172,16 +179,16 @@ DEMO_X4 = ProtocolConstants(
 DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
 
 # SHA-256 over transcript || Alice key || Bob key of
-# run_protocol(DEMO_X4, DEMO, seed=7), taken when sampling became
-# click-only with one stream per (seed, role, block).
+# run_protocol(DEMO_X4, DEMO, seed=7), taken when the wire became
+# click-only and Bob's basis was drawn for clicked rounds only.
 GOLDEN_DEMO_DIGEST = (
-    "ba7996b9c68a8e2cbf86b3ebe7f9bbfbdc50800bac52db6c2d8c91c9b7d7f239"
+    "86966918c30b87118092acf2bb2331287c2742fecc2fb5b5f51af8368dfae42b"
 )
 
 
 def test_demo_scale_session_is_byte_identical_to_golden_digest():
     out = run_protocol(DEMO_X4, DEMO, seed=7)
-    assert (out.alice.n_sift, out.alice.n_fin) == (245505, 71339)
+    assert (out.alice.n_sift, out.alice.n_fin) == (245841, 73770)
     blob = out.transcript + out.alice.key.to_bytes() + out.bob.key.to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEMO_DIGEST
 
@@ -204,8 +211,6 @@ def test_transcript_is_a_parseable_frame_stream():
         msg, offset = decode_message(out.transcript, offset)
         msgs.append(msg)
     assert isinstance(msgs[0], BobBlockDisclosure)
-    from dsbb84.wire import End
-
     assert isinstance(msgs[-1], End)
     assert sum(isinstance(m, BobBlockDisclosure) for m in msgs) == SMALL.n_block
 
@@ -233,13 +238,7 @@ def test_alice_rejects_out_of_order_messages():
     with pytest.raises(ProtocolError):
         alice.handle(VerifyResult(ok=True))
     _, bob = build_machines(SMALL, CLEAN, seed=1)
-    disclosure = bob.outbox[0]
-    wrong_block = BobBlockDisclosure(
-        j=3,
-        clicked=disclosure.clicked,
-        basis=disclosure.basis,
-        x_outcomes=disclosure.x_outcomes,
-    )
+    wrong_block = dataclasses.replace(bob.outbox[0], j=3)
     alice2, _ = build_machines(SMALL, CLEAN, seed=1)
     with pytest.raises(ProtocolError):
         alice2.handle(wrong_block)
@@ -255,6 +254,30 @@ def test_alice_rejects_disclosure_one_bit_short(field):
     )
     with pytest.raises(ProtocolError):
         alice.handle(short)
+    assert not alice.outbox
+    alice.handle(disclosure)
+    assert len(alice.outbox) == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"m": SMALL.m + 1},
+        {"offsets": np.array([5, 3])},
+        {"offsets": np.array([SMALL.m])},
+        {"offsets": np.array([-1])},
+        {"offsets": np.array([[1]])},
+    ],
+    ids=["m", "descending", "beyond-block", "negative", "2-d"],
+)
+def test_alice_rejects_misshapen_clicked_set(change):
+    alice, bob = build_machines(SMALL, CLEAN, seed=1)
+    disclosure = bob.outbox.pop(0)
+    if "offsets" in change:
+        n = change["offsets"].size
+        change = dict(change, basis=BitString.zeros(n), x_outcomes=BitString.zeros(0))
+    with pytest.raises(ProtocolError):
+        alice.handle(dataclasses.replace(disclosure, **change))
     assert not alice.outbox
     alice.handle(disclosure)
     assert len(alice.outbox) == 1
@@ -357,39 +380,41 @@ def test_transport_detects_deadlock():
 
 @st.composite
 def reply_mutations(draw):
-    """(block, record index as a fraction, field, new value) or a drop."""
+    """(block, position as a fraction, field, new value)."""
     block = draw(st.integers(0, SMALL.n_block - 1))
     where = draw(st.floats(0, 1, exclude_max=True))
-    field = draw(st.sampled_from(["omega", "alpha", "value", "offset", "drop"]))
+    field = draw(st.sampled_from(
+        ["omega", "alpha", "value", "drop", "drop-value", "add-value"]
+    ))
     value = {
         "omega": st.integers(0, 2),
         "alpha": st.integers(0, 1),
-        "value": st.sampled_from([0, 1, A_WITHHELD]),
-        "offset": st.integers(-3, 3),
-        "drop": st.just(0),
-    }[field]
+        "value": st.integers(0, 1),
+        "add-value": st.integers(0, 1),
+    }.get(field, st.just(0))
     return block, where, field, draw(value)
 
 
 def mutate_reply(msg, where, field, value):
-    """Rewrite one record of Alice's reply, keeping it decodable."""
-    columns = {
-        name: msg.records[name].astype(np.int64)
-        for name in msg.records.dtype.names
-    }
-    i = int(where * len(msg.records))
+    """Rewrite one entry of Alice's reply, drop one record, or drop or add
+    one value bit, keeping the reply decodable."""
+    omega = msg.omega.astype(np.int64)
+    alpha = msg.alpha.to_array().astype(np.int64)
+    bits = msg.value.to_array().astype(np.int64)
+    i = int(where * len(omega))
+    v = int(where * len(bits))
     if field == "drop":
-        columns = {name: np.delete(col, i) for name, col in columns.items()}
-    elif field == "offset":
-        columns["offset"][i] += value
-    else:
-        columns[field][i] = value
-    try:
-        mutated = AliceBlockDisclosure.from_columns(msg.j, *columns.values())
-        raw = encode_message(mutated)
-    except WireError:
-        return None
-    return decode_message(raw)[0]
+        omega, alpha = np.delete(omega, i), np.delete(alpha, i)
+    elif field == "drop-value" and len(bits):
+        bits = np.delete(bits, v)
+    elif field == "add-value":
+        bits = np.insert(bits, int(where * (len(bits) + 1)), value)
+    elif field == "value" and len(bits):
+        bits[v] = value
+    elif field in ("omega", "alpha"):
+        {"omega": omega, "alpha": alpha}[field][i] = value
+    mutated = AliceBlockDisclosure.from_columns(msg.j, omega, alpha, bits)
+    return decode_message(encode_message(mutated))[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -408,6 +433,122 @@ def test_bob_never_accepts_a_key_from_a_mutated_reply(mutation):
         return
     if bob.result.key is not None:
         assert bob.result.key == alice.result.key
+
+
+@pytest.mark.parametrize(
+    "field, match",
+    [("drop", "clicked rounds"), ("drop-value", "matched X"),
+     ("add-value", "matched X")],
+)
+def test_bob_rejects_reply_with_wrong_counts(field, match):
+    alice, bob = build_machines(SMALL, CLEAN, seed=42)
+
+    def tamper(msg):
+        if isinstance(msg, AliceBlockDisclosure):
+            return mutate_reply(msg, 0.5, field, 1)
+
+    with pytest.raises(ProtocolError, match=match):
+        pump(alice, bob, tamper)
+
+
+@st.composite
+def frame_mutations(draw):
+    """(block, kind, where as a fraction, bits to flip, new u32 value)."""
+    return (
+        draw(st.integers(0, SMALL.n_block - 1)),
+        draw(st.sampled_from(["truncate", "flip", "count"])),
+        draw(st.floats(0, 1, exclude_max=True)),
+        draw(st.lists(st.integers(0, 2**20), min_size=1, max_size=3)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def mutate_frame(raw, kind, where, flips, word):
+    raw = bytearray(raw)
+    if kind == "truncate":
+        return bytes(raw[: int(where * len(raw))])
+    if kind == "flip":
+        for bit in flips:
+            raw[(bit // 8) % len(raw)] ^= 1 << (bit % 8)
+        return bytes(raw)
+    # Rewrite the frame length, m or the clicked count.
+    at = (0, 10, 15)[int(where * 3)]
+    raw[at : at + 4] = word.to_bytes(4, "little")
+    return bytes(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_mutations())
+def test_alice_fails_closed_on_mutated_disclosures(mutation):
+    """A mutated Bob frame is refused by the decoder or by Alice's machine,
+    or is a well-formed disclosure that Alice answers; no session ends
+    with different keys on the two sides."""
+    block, kind, where, flips, word = mutation
+    alice, bob = build_machines(SMALL, CLEAN, seed=42)
+
+    def tamper(msg):
+        if isinstance(msg, BobBlockDisclosure) and msg.j == block:
+            raw = mutate_frame(encode_message(msg), kind, where, flips, word)
+            return decode_message(raw)[0]
+
+    try:
+        pump(alice, bob, tamper)
+    except (ProtocolError, WireError):
+        return
+    assert alice.result.abort_reason in ABORT_REASONS | {None}
+    if bob.result.key is not None:
+        assert bob.result.key == alice.result.key
+
+
+def deliver_reordered(alice, bob, step, op):
+    """Carry every frame over the wire in sending order, except that the
+    frame in flight at delivery ``step`` is swapped with the next one,
+    delivered twice or dropped."""
+    in_flight = []
+
+    def collect():
+        for sender, receiver in ((bob, alice), (alice, bob)):
+            while sender.outbox:
+                in_flight.append((receiver, encode_message(sender.outbox.pop(0))))
+
+    collect()
+    for n in itertools.count():
+        if n == step and in_flight:
+            if op == "drop":
+                in_flight.pop(0)
+            elif op == "repeat":
+                in_flight.insert(0, in_flight[0])
+            elif len(in_flight) > 1:
+                in_flight[0], in_flight[1] = in_flight[1], in_flight[0]
+        if not in_flight:
+            break
+        receiver, raw = in_flight.pop(0)
+        msg, _ = decode_message(raw)
+        if not receiver.done:
+            receiver.handle(msg)
+        elif not isinstance(msg, End):
+            raise ProtocolError("message to a finished party")
+        collect()
+    if not (alice.done and bob.done):
+        raise ProtocolError("deadlock")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 20), st.sampled_from(["swap", "repeat", "drop"]),
+       st.sampled_from([42, 2000]))
+def test_reordered_frames_fail_closed(step, op, seed):
+    """Swapping, repeating or dropping one frame ends in ProtocolError or
+    in a session whose two sides hold the same key or none."""
+    channel = CLEAN if seed == 42 else NOISY
+    alice, bob = build_machines(SMALL, channel, seed=seed)
+    try:
+        deliver_reordered(alice, bob, step, op)
+    except ProtocolError:
+        return
+    for result in (alice.result, bob.result):
+        assert result.abort_reason in ABORT_REASONS | {None}
+    if alice.result.key is not None and bob.result.key is not None:
+        assert alice.result.key == bob.result.key
 
 
 class RecordingSource(BlockSource):
@@ -458,20 +599,22 @@ def test_honest_session_draws_each_block_once_and_clicks_only(monkeypatch):
 
 
 def disclosure_naming(disclosure, block, extra):
-    """Bob's disclosure with the unclicked rounds ``extra`` marked clicked;
-    X outcomes cover every named X round, 1 for the invented ones."""
+    """Bob's disclosure with the unclicked rounds ``extra`` named as well,
+    in basis X with outcome 1; the clicked rounds keep Bob's basis and
+    outcomes."""
     named = np.union1d(block.offsets, extra)
-    clicked = np.zeros(len(block), dtype=np.uint8)
-    clicked[named] = 1
-    x_named = named[block.beta[named] == 1]
-    outcomes = np.ones(len(x_named), dtype=np.uint8)
-    real = np.isin(x_named, block.offsets)
-    outcomes[real] = disclosure.x_outcomes.to_array()
-    return dataclasses.replace(
+    real = np.isin(named, block.offsets)
+    basis = np.ones(len(named), dtype=np.uint8)
+    basis[real] = block.beta
+    outcomes = np.ones(np.count_nonzero(basis), dtype=np.uint8)
+    outcomes[real[basis == 1]] = disclosure.x_outcomes.to_array()
+    forged = dataclasses.replace(
         disclosure,
-        clicked=BitString.from_array(clicked),
+        offsets=named,
+        basis=BitString.from_array(basis),
         x_outcomes=BitString.from_array(outcomes),
-    ), named
+    )
+    return forged, named, basis
 
 
 def test_reply_to_a_disclosure_naming_unclicked_rounds():
@@ -482,22 +625,23 @@ def test_reply_to_a_disclosure_naming_unclicked_rounds():
         block = bob.blocks(0)
         unclicked = np.flatnonzero(~block.clicked)
         extra = unclicked[[0, 7, 100, len(unclicked) - 1]]
-        forged, named = disclosure_naming(honest, block, extra)
+        forged, named, basis = disclosure_naming(honest, block, extra)
         alice.handle(forged)
         (reply,) = alice.outbox
         replies.append(encode_message(reply))
-        records = reply.records
-        assert np.array_equal(records["offset"], named)
-        assert records["omega"].max() <= 2 and records["alpha"].max() <= 1
-        beta = block.beta[named]
-        matched_x = (records["alpha"] == 1) & (beta == 1)
-        assert np.array_equal(records["value"] == A_WITHHELD, ~matched_x)
+        omega, alpha = reply.omega, reply.alpha.to_array()
+        assert len(omega) == len(alpha) == len(named)
+        assert omega.max() <= 2
+        # Alice's bit goes out on exactly the matched X rounds.
+        matched_x = (alpha == 1) & (basis == 1)
+        _, _, a = block.alice_settings(named)
+        assert np.array_equal(reply.value.to_array(), a[matched_x])
         real = np.isin(named, block.offsets)
-        assert np.array_equal(records["omega"][real], block.omega_idx)
-        assert np.array_equal(records["alpha"][real], block.alpha)
+        assert np.array_equal(omega[real], block.omega_idx)
+        assert np.array_equal(alpha[real], block.alpha)
         invented = block.alice_settings(extra)
-        assert np.array_equal(records["omega"][~real], invented[0])
-        assert np.array_equal(records["alpha"][~real], invented[1])
+        assert np.array_equal(omega[~real], invented[0])
+        assert np.array_equal(alpha[~real], invented[1])
     assert replies[0] == replies[1]
 
 
@@ -505,9 +649,9 @@ def test_session_memory_is_one_block():
     # A lossy-long session holds one sampled block at a time, so four
     # times the blocks must not take much more memory at peak. The
     # messages are handed over without a transcript, which is the one
-    # part of run_protocol that grows with the number of rounds (its
-    # m-bit bitmaps take about 25 kB per block). A one-block session runs
-    # first so that one-time allocations count in neither peak.
+    # part of run_protocol that grows with the number of blocks. A
+    # one-block session runs first so that one-time allocations count in
+    # neither peak.
     peaks = []
     for n_block in (1, 10, 40):
         constants = dataclasses.replace(LOSSY_LONG, n_block=n_block, n_total=0)
@@ -520,3 +664,40 @@ def test_session_memory_is_one_block():
             tracemalloc.stop()
         assert alice.result.n_sift > 0
     assert peaks[2] < 1.5 * peaks[1], peaks
+
+
+@pytest.mark.parametrize(
+    "constants, channel, flags",
+    [(SMALL, CLEAN, {0}), (LOSSY_LONG, FIBER, {1, 2, 3}), (DEMO_X4, DEMO, {1, 2, 3})],
+    ids=["clean-short", "lossy-long", "demo-x4"],
+)
+def test_clicked_set_form_follows_block_shape(constants, channel, flags):
+    # A dense clicked set goes as a bitmap, a sparse one as gaps. The flag
+    # is the byte after the 6-byte frame header and the <II j and m.
+    _, bob = build_machines(constants, channel, seed=3)
+    raw = encode_message(bob.outbox[0])
+    assert raw[14] in flags
+
+
+def test_outcome_hands_over_the_transport_buffer(monkeypatch):
+    transports = []
+    real_run = InProcessTransport.run
+
+    def run(self):
+        transports.append(self)
+        real_run(self)
+
+    monkeypatch.setattr(InProcessTransport, "run", run)
+    out = run_protocol(SMALL, CLEAN, seed=42)
+    assert out.transcript is transports[0].transcript
+    raw = bytes(out.transcript)
+    assert len(out.transcript) == len(raw)
+    assert hashlib.sha256(out.transcript).digest() == hashlib.sha256(raw).digest()
+
+
+def test_abort_reasons_form_a_closed_set():
+    assert ABORT_REASONS == {ABORT_LENGTH, ABORT_VERIFY}
+    length = run_protocol(LOSSY, FIBER, seed=9)
+    stalled = run_protocol(SMALL, NOISY, seed=2000)
+    for out, reason in ((length, ABORT_LENGTH), (stalled, ABORT_VERIFY)):
+        assert out.alice.abort_reason == out.bob.abort_reason == reason

@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 
 from dsbb84.gf2 import BitString
 from dsbb84.wire import (
-    A_WITHHELD,
-    RECORD_DTYPE,
+    WIRE_VERSION,
     AliceBlockDisclosure,
     BobBlockDisclosure,
     End,
@@ -16,6 +15,7 @@ from dsbb84.wire import (
     VerifyHash,
     VerifyResult,
     WireError,
+    clicked_encoding,
     decode_frame,
     decode_message,
     encode_frame,
@@ -25,10 +25,11 @@ from dsbb84.wire import (
 )
 
 
-def reply(j, rows):
-    """Alice's reply from (offset, omega, alpha, value) rows."""
-    columns = list(zip(*rows)) or [(), (), (), ()]
-    return AliceBlockDisclosure.from_columns(j, *columns)
+def bob(j, m, offsets, basis, x_outcomes):
+    """Bob's disclosure from plain lists."""
+    return BobBlockDisclosure(
+        j, m, np.array(offsets, dtype=np.int64), BitString(basis), BitString(x_outcomes)
+    )
 
 
 def roundtrip(msg):
@@ -39,8 +40,10 @@ def roundtrip(msg):
 
 
 def test_frame_layout():
+    # <IBB byte count (covering version, tag and payload), version, tag.
+    assert WIRE_VERSION == 2
     raw = encode_frame(7, b"abc")
-    assert raw == b"\x04\x00\x00\x00\x07abc"
+    assert raw == b"\x05\x00\x00\x00\x02\x07abc"
     tag, payload, end = decode_frame(raw)
     assert (tag, payload, end) == (7, b"abc", len(raw))
 
@@ -51,9 +54,17 @@ def test_frame_errors():
     with pytest.raises(WireError):
         decode_frame(b"\x00\x00\x00\x00\x05")
     with pytest.raises(WireError):
-        decode_frame(b"\x09\x00\x00\x00\x05abc")
+        decode_frame(b"\x01\x00\x00\x00\x02\x05")
+    with pytest.raises(WireError):
+        decode_frame(b"\x09\x00\x00\x00\x02\x05abc")
     with pytest.raises(WireError):
         decode_message(encode_frame(200, b""))
+    # Any other version is refused, today's predecessor included.
+    for version in (0, 1, 3, 255):
+        with pytest.raises(WireError, match="version"):
+            decode_frame(b"\x05\x00\x00\x00" + bytes([version]) + b"\x07abc")
+    with pytest.raises(WireError):
+        decode_message(b"\x01\x00\x00\x00\x08")
 
 
 @given(st.binary(max_size=30), st.integers(min_value=0, max_value=7))
@@ -79,82 +90,199 @@ def test_unpack_bits_rejects_truncation_and_padding():
 
 
 def test_bob_disclosure_roundtrip():
-    msg = BobBlockDisclosure(
-        j=3,
-        clicked=BitString([1, 0, 1, 1, 0, 1]),
-        basis=BitString([0, 1, 1, 0, 1, 1]),
-        x_outcomes=BitString([1, 0]),
+    msg = bob(3, 6, [0, 2, 3, 5], [0, 1, 1, 0], [1, 0])
+    decoded = roundtrip(msg)
+    assert decoded.offsets.tolist() == [0, 2, 3, 5]
+    assert not decoded.offsets.flags.writeable
+
+
+def test_bob_disclosure_validates_x_count():
+    with pytest.raises(WireError):
+        bob(0, 3, [0, 2], [1, 1], [1]).encode()
+    with pytest.raises(WireError):
+        bob(0, 3, [0, 2], [1], [1]).encode()
+    # Decoding takes the X outcome count from the basis bits, so an extra
+    # byte of outcomes is trailing and a missing one is truncation.
+    raw = bob(0, 3, [0, 2], [1, 1], [1, 0]).encode()
+    with pytest.raises(WireError):
+        BobBlockDisclosure.decode(raw + b"\x00")
+    with pytest.raises(WireError):
+        BobBlockDisclosure.decode(raw[:-1])
+
+
+def test_bob_disclosure_byte_layout_bitmap():
+    # <IIB block index, round count m and flag 0, then the m-bit bitmap of
+    # the clicked rounds, Bob's basis on them and his X outcomes, each
+    # LSB-first and padded to a byte. 2 bitmap bytes beat 4 + 3 gap bytes.
+    msg = bob(2, 10, [0, 3, 9], [1, 0, 1], [0, 1])
+    assert msg.encode() == (
+        b"\x02\x00\x00\x00" b"\x0a\x00\x00\x00" b"\x00"
+        b"\x09\x02" b"\x05" b"\x02"
     )
     roundtrip(msg)
 
 
-def test_bob_disclosure_validates_x_count():
-    msg = BobBlockDisclosure(
-        j=0,
-        clicked=BitString([1, 0, 1]),
-        basis=BitString([1, 1, 1]),
-        x_outcomes=BitString([1]),
+def test_bob_disclosure_byte_layout_u8_gaps():
+    # Flag 1: u32 count, then the gaps as u8 (the first from round 0).
+    msg = bob(2, 1000, [5, 7, 250], [0, 1, 1], [1, 1])
+    assert msg.encode() == (
+        b"\x02\x00\x00\x00" b"\xe8\x03\x00\x00" b"\x01"
+        b"\x03\x00\x00\x00" b"\x05\x02\xf3" b"\x06" b"\x03"
     )
-    with pytest.raises(WireError):
-        BobBlockDisclosure.decode(msg.encode())
-    short = BobBlockDisclosure(
-        j=0,
-        clicked=BitString([1, 0, 1]),
-        basis=BitString([1, 1]),
-        x_outcomes=BitString([1]),
+    roundtrip(msg)
+
+
+def test_bob_disclosure_byte_layout_u16_gaps():
+    msg = bob(1, 100_000, [1, 300, 301], [1, 0, 0], [0])
+    assert msg.encode() == (
+        b"\x01\x00\x00\x00" b"\xa0\x86\x01\x00" b"\x02"
+        b"\x03\x00\x00\x00" b"\x01\x00\x2b\x01\x01\x00" b"\x01" b"\x00"
     )
+    roundtrip(msg)
+
+
+def test_bob_disclosure_byte_layout_u32_gaps():
+    msg = bob(0, 200_000, [70_000], [0], [])
+    assert msg.encode() == (
+        b"\x00\x00\x00\x00" b"\x40\x0d\x03\x00" b"\x03"
+        b"\x01\x00\x00\x00" b"\x70\x11\x01\x00" b"\x00"
+    )
+    roundtrip(msg)
+
+
+def test_clicked_encoding_picks_the_shorter_form():
+    def flag(m, offsets):
+        return clicked_encoding(m, np.array(offsets, dtype=np.int64))
+
+    assert flag(10, [0, 3, 9]) == 0
+    assert flag(1000, [5, 7, 255]) == 1
+    assert flag(1000, [5, 7, 263]) == 2
+    assert flag(1000, [256]) == 2
+    assert flag(100_000, [1, 65_536]) == 2
+    assert flag(100_000, [1, 65_538]) == 3
+    # 4 + 4 gap bytes tie with the 8-byte bitmap of 64 rounds: bitmap.
+    assert flag(64, [0, 1, 2, 3]) == 0
+    assert flag(72, [0, 1, 2, 3]) == 1
+    assert flag(0, []) == 0
+    assert flag(100, []) == 1
+
+
+def bob_payload(j, m, flag, clicked, tail):
+    return (
+        j.to_bytes(4, "little") + m.to_bytes(4, "little") + bytes([flag])
+        + clicked + tail
+    )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # Bitmap where u8 gaps are shorter (125 bitmap bytes against 5).
+        bob_payload(0, 1000, 0, b"\x01" + bytes(124), b"\x00"),
+        # u8 gaps where the 1-byte bitmap is shorter.
+        bob_payload(0, 8, 1, b"\x01\x00\x00\x00\x03", b"\x00"),
+        # u16 gaps although every gap fits u8.
+        bob_payload(0, 1000, 2, b"\x01\x00\x00\x00\x05\x00", b"\x00"),
+        # u32 gaps although every gap fits u16.
+        bob_payload(0, 100_000, 3, b"\x01\x00\x00\x00\x05\x00\x00\x00", b"\x00"),
+        # A zero gap after the first: offsets not strictly ascending.
+        bob_payload(0, 1000, 1, b"\x02\x00\x00\x00\x05\x00", b"\x00"),
+        # An offset at or beyond m.
+        bob_payload(0, 200, 1, b"\x01\x00\x00\x00\xc8", b"\x00"),
+        # Padding bits set: bitmap, basis, X outcomes.
+        bob_payload(0, 4, 0, b"\x11", b"\x00"),
+        bob_payload(0, 4, 0, b"\x01", b"\x02"),
+        bob_payload(0, 4, 0, b"\x01", b"\x01\x02"),
+        # Unknown flag; gap count beyond the payload; trailing byte.
+        bob_payload(0, 4, 4, b"\x01", b"\x00"),
+        bob_payload(0, 1000, 1, b"\xff\xff\xff\xff\x05", b"\x00"),
+        bob_payload(0, 4, 0, b"\x01", b"\x00\x00"),
+        b"\x00" * 8,
+    ],
+    ids=["bitmap-longer", "gaps-longer", "u16-for-u8", "u32-for-u16",
+         "zero-gap", "offset-beyond-m", "bitmap-padding", "basis-padding",
+         "x-padding", "unknown-flag", "count-beyond-payload", "trailing",
+         "short"],
+)
+def test_bob_disclosure_refuses_non_canonical_forms(payload):
     with pytest.raises(WireError):
-        short.encode()
+        BobBlockDisclosure.decode(payload)
+
+
+def test_bob_disclosure_refuses_bad_offsets_on_encode():
+    for m, offsets in ((10, [3, 3]), (10, [4, 2]), (10, [10]), (10, [-1, 2])):
+        with pytest.raises(WireError):
+            bob(0, m, offsets, [0] * len(offsets), []).encode()
+    with pytest.raises(WireError):
+        BobBlockDisclosure(0, 10, np.array([0.5]), BitString([0]), BitString([])).encode()
 
 
 def test_alice_disclosure_roundtrip():
-    msg = reply(2, ((0, 0, 0, A_WITHHELD), (4, 1, 1, 1), (9, 2, 0, A_WITHHELD)))
+    msg = AliceBlockDisclosure.from_columns(2, [0, 1, 2], [0, 1, 1], [1])
     decoded = roundtrip(msg)
-    assert decoded.records[1].tolist() == (4, 1, 1, 1)
-    assert decoded.records[0]["value"] == A_WITHHELD
-    assert not decoded.records.flags.writeable
+    assert decoded.omega.tolist() == [0, 1, 2]
+    assert decoded.alpha == BitString([0, 1, 1])
+    assert decoded.value == BitString([1])
+    assert not decoded.omega.flags.writeable
 
 
 def test_alice_disclosure_byte_layout():
-    # <II block index and record count, then <IBBB per record: round
-    # offset, intensity index, basis bit, bit value or 0xFF if withheld.
-    assert RECORD_DTYPE.itemsize == 7
-    msg = reply(2, ((0, 0, 0, A_WITHHELD), (258, 1, 1, 1)))
-    assert msg.encode() == (
-        b"\x02\x00\x00\x00" b"\x02\x00\x00\x00"
-        b"\x00\x00\x00\x00" b"\x00\x00\xff"
-        b"\x02\x01\x00\x00" b"\x01\x01\x01"
+    # <III block index, record count and value-bit count; then omega as
+    # 2-bit values four to a byte, alpha and the matched-X value bits,
+    # each LSB-first and padded with zero bits to a whole byte.
+    msg = AliceBlockDisclosure.from_columns(
+        2, [0, 1, 2, 1, 2], [0, 1, 1, 0, 1], [1, 0]
     )
-    empty = reply(7, ())
-    assert empty.encode() == b"\x07\x00\x00\x00" + bytes(4)
+    assert msg.encode() == (
+        b"\x02\x00\x00\x00" b"\x05\x00\x00\x00" b"\x02\x00\x00\x00"
+        b"\x64\x02" b"\x16" b"\x01"
+    )
+    empty = AliceBlockDisclosure.from_columns(7, [], [], [])
+    assert empty.encode() == b"\x07\x00\x00\x00" + bytes(8)
 
 
 def test_alice_disclosure_validation():
-    out_of_order = reply(0, ((5, 0, 0, A_WITHHELD), (2, 0, 0, A_WITHHELD)))
+    def payload(count, n_values, body):
+        return b"\x00" * 4 + count.to_bytes(4, "little") + n_values.to_bytes(4, "little") + body
+
+    # omega 3 in the second slot.
+    with pytest.raises(WireError, match="intensity"):
+        AliceBlockDisclosure.decode(payload(2, 0, b"\x0c\x00"))
+    # Padding bits set: omega, alpha, value.
     with pytest.raises(WireError):
-        out_of_order.encode()
-    bad_omega = reply(0, ((1, 3, 0, A_WITHHELD),)).encode()
+        AliceBlockDisclosure.decode(payload(2, 0, b"\x10\x00"))
     with pytest.raises(WireError):
-        AliceBlockDisclosure.decode(bad_omega)
-    bad_bit = reply(0, ((1, 0, 0, 2),)).encode()
+        AliceBlockDisclosure.decode(payload(2, 0, b"\x00\x04"))
     with pytest.raises(WireError):
-        AliceBlockDisclosure.decode(bad_bit)
+        AliceBlockDisclosure.decode(payload(2, 1, b"\x00\x00\x02"))
+    # Length disagreeing with the counts, and a short header.
+    with pytest.raises(WireError, match="length"):
+        AliceBlockDisclosure.decode(payload(2, 0, b"\x00\x00\x00"))
+    with pytest.raises(WireError, match="length"):
+        AliceBlockDisclosure.decode(payload(2**32 - 1, 0, b"\x00\x00"))
     with pytest.raises(WireError):
         AliceBlockDisclosure.decode(b"\x00" * 9)
+    with pytest.raises(WireError):
+        AliceBlockDisclosure(0, np.array([3], dtype=np.uint8), BitString([0]),
+                             BitString([])).encode()
+    with pytest.raises(WireError):
+        AliceBlockDisclosure(0, np.array([0, 1], dtype=np.uint8), BitString([0]),
+                             BitString([])).encode()
 
 
 @pytest.mark.parametrize(
     "columns",
     [
-        ([2**32], [0], [0], [0]),
-        ([-1], [0], [0], [0]),
-        ([0], [256], [0], [0]),
-        ([0], [0], [-1], [0]),
-        ([0], [0], [0], [0.5]),
-        ([0, 1], [0], [0], [0, 0]),
+        ([3], [0], []),
+        ([-1], [0], []),
+        ([0], [2], []),
+        ([0], [-1], []),
+        ([0], [1], [2]),
+        ([0], [1], [0.5]),
+        ([0, 1], [0], []),
     ],
-    ids=["offset-high", "offset-negative", "omega-high", "alpha-negative",
-         "value-fraction", "ragged"],
+    ids=["omega-high", "omega-negative", "alpha-high", "alpha-negative",
+         "value-high", "value-fraction", "ragged"],
 )
 def test_alice_columns_refuse_values_that_do_not_fit(columns):
     with pytest.raises(WireError):
@@ -162,26 +290,29 @@ def test_alice_columns_refuse_values_that_do_not_fit(columns):
 
 
 def test_alice_disclosure_refuses_foreign_record_arrays():
-    wide = np.zeros(2, dtype=[("offset", "<u8"), ("omega", "u1"),
-                              ("alpha", "u1"), ("value", "u1")])
     with pytest.raises(WireError):
-        AliceBlockDisclosure(0, wide).encode()
-    square = np.zeros((2, 2), dtype=RECORD_DTYPE)
+        AliceBlockDisclosure(0, np.zeros(2, dtype=np.float64), BitString([0, 0]),
+                             BitString([])).encode()
+    square = np.zeros((2, 2), dtype=np.uint8)
     with pytest.raises(WireError):
-        AliceBlockDisclosure(0, square).encode()
+        AliceBlockDisclosure(0, square, BitString([0, 0]), BitString([])).encode()
+    with pytest.raises(WireError):
+        AliceBlockDisclosure.from_columns(0, square, [0, 0], [])
 
 
 @pytest.mark.parametrize(
     "msg",
     [
-        BobBlockDisclosure(2**32, BitString([1]), BitString([0]), BitString([])),
-        AliceBlockDisclosure(-1, np.zeros(0, dtype=RECORD_DTYPE)),
+        BobBlockDisclosure(2**32, 1, np.array([0]), BitString([0]), BitString([])),
+        BobBlockDisclosure(0, 2**32, np.array([0]), BitString([0]), BitString([])),
+        AliceBlockDisclosure.from_columns(-1, [], [], []),
         SiftAnnounce(n_sift=-1, proceed=True),
         Syndrome(BitString([1]), code_seed=2**64),
         VerifyHash(seed=-1, digest=BitString([1])),
         PaSeed(seed=2**64, n_fin=1),
     ],
-    ids=lambda msg: type(msg).__name__,
+    ids=["BobBlockDisclosure", "BobBlockDisclosure-m", "AliceBlockDisclosure",
+         "SiftAnnounce", "Syndrome", "VerifyHash", "PaSeed"],
 )
 def test_encode_out_of_range_field_raises_wire_error(msg):
     with pytest.raises(WireError):
@@ -191,22 +322,37 @@ def test_encode_out_of_range_field_raises_wire_error(msg):
 
 
 @st.composite
-def record_arrays(draw, max_records=40):
-    """Valid reply records: ascending offsets, in-range fields."""
-    offsets = sorted(draw(st.sets(st.integers(0, 2**32 - 1), max_size=max_records)))
-    n = len(offsets)
+def alice_replies(draw, max_records=40):
+    """Valid replies: in-range columns, any number of value bits."""
+    n = draw(st.integers(0, max_records))
     omega = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     alpha = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    value = draw(st.lists(st.sampled_from([0, 1, A_WITHHELD]), min_size=n, max_size=n))
+    value = draw(st.lists(st.integers(0, 1), max_size=n))
     j = draw(st.integers(0, 2**32 - 1))
-    return AliceBlockDisclosure.from_columns(j, offsets, omega, alpha, value)
+    return AliceBlockDisclosure.from_columns(j, omega, alpha, value)
 
 
-@given(record_arrays())
+@st.composite
+def bob_disclosures(draw, max_clicks=60):
+    """Valid disclosures over block sizes that reach every clicked-set form."""
+    m = draw(st.one_of(st.integers(0, 600), st.integers(600, 400_000)))
+    offsets = sorted(draw(st.sets(st.integers(0, m - 1), max_size=max_clicks))) if m else []
+    basis = draw(st.lists(st.integers(0, 1), min_size=len(offsets), max_size=len(offsets)))
+    x = draw(st.lists(st.integers(0, 1), min_size=sum(basis), max_size=sum(basis)))
+    return bob(draw(st.integers(0, 2**32 - 1)), m, offsets, basis, x)
+
+
+@given(alice_replies())
 def test_alice_disclosure_roundtrips_random_records(msg):
     decoded = roundtrip(msg)
     assert decoded.j == msg.j
-    assert np.array_equal(decoded.records, msg.records)
+    assert np.array_equal(decoded.omega, msg.omega)
+
+
+@given(bob_disclosures())
+def test_bob_disclosure_roundtrips_random_sets(msg):
+    decoded = roundtrip(msg)
+    assert np.array_equal(decoded.offsets, msg.offsets)
 
 
 def decode_or_wire_error(raw):
@@ -220,30 +366,58 @@ def decode_or_wire_error(raw):
     return msg
 
 
-@given(record_arrays(), st.data())
-def test_truncated_alice_frames_fail_closed(msg, data):
-    raw = encode_message(msg)
-    cut = data.draw(st.integers(0, len(raw) - 1))
-    assert decode_or_wire_error(raw[:cut]) is None
+def truncate(raw, data):
+    return raw[: data.draw(st.integers(0, len(raw) - 1))]
 
 
-@given(record_arrays(), st.data())
-def test_bit_flipped_alice_frames_fail_closed(msg, data):
-    raw = bytearray(encode_message(msg))
+def flip_bits(raw, data):
+    raw = bytearray(raw)
     bits = st.integers(0, 8 * len(raw) - 1)
     for bit in data.draw(st.lists(bits, min_size=1, max_size=4)):
         raw[bit // 8] ^= 1 << (bit % 8)
-    decode_or_wire_error(bytes(raw))
+    return bytes(raw)
 
 
-@given(record_arrays(), st.data())
-def test_length_mutated_alice_frames_fail_closed(msg, data):
-    raw = bytearray(encode_message(msg))
-    # Rewrite the frame length (byte 0) or the record count (byte 9).
-    at = data.draw(st.sampled_from([0, 9]))
+def rewrite_u32(raw, data, fields):
+    """Overwrite one u32 count field and append random bytes."""
+    raw = bytearray(raw)
+    at = data.draw(st.sampled_from(fields))
     raw[at : at + 4] = data.draw(st.integers(0, 2**32 - 1)).to_bytes(4, "little")
-    tail = data.draw(st.binary(max_size=16))
-    decode_or_wire_error(bytes(raw) + tail)
+    return bytes(raw) + data.draw(st.binary(max_size=16))
+
+
+@given(alice_replies(), st.data())
+def test_truncated_alice_frames_fail_closed(msg, data):
+    assert decode_or_wire_error(truncate(encode_message(msg), data)) is None
+
+
+@given(alice_replies(), st.data())
+def test_bit_flipped_alice_frames_fail_closed(msg, data):
+    decode_or_wire_error(flip_bits(encode_message(msg), data))
+
+
+@given(alice_replies(), st.data())
+def test_length_mutated_alice_frames_fail_closed(msg, data):
+    # The frame length (byte 0), the record count (10) or the value-bit
+    # count (14).
+    decode_or_wire_error(rewrite_u32(encode_message(msg), data, [0, 10, 14]))
+
+
+@given(bob_disclosures(), st.data())
+def test_truncated_bob_frames_fail_closed(msg, data):
+    assert decode_or_wire_error(truncate(encode_message(msg), data)) is None
+
+
+@given(bob_disclosures(), st.data())
+def test_bit_flipped_bob_frames_fail_closed(msg, data):
+    decode_or_wire_error(flip_bits(encode_message(msg), data))
+
+
+@given(bob_disclosures(), st.data())
+def test_length_mutated_bob_frames_fail_closed(msg, data):
+    # The frame length (byte 0), m (10) or, in the gap forms, the clicked
+    # count (15).
+    decode_or_wire_error(rewrite_u32(encode_message(msg), data, [0, 10, 15]))
 
 
 def test_scalar_messages_roundtrip():
