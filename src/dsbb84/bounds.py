@@ -33,17 +33,13 @@ from .channel import (
 from .params import (
     INTENSITIES,
     DomainError,
-    PhotonDistributions,
     ProtocolConstants,
     entropy_h,
+    poisson_pcs,
 )
 
 __all__ = [
     "KatoPair",
-    "kato_a",
-    "kato_b",
-    "kato_a_prime",
-    "kato_b_prime",
     "kato_pair",
     "kato_pair_prime",
     "DecoyCoefficients",
@@ -62,71 +58,20 @@ __all__ = [
 # Relative slack applied at every named checkpoint in conservative mode.
 CONSERVATIVE_SLACK = 1e-9
 
-
-def _kato_validate(s: float, t: float, eps: float) -> float:
-    if not s > 0.0:
-        raise DomainError(f"sample size s must be positive, got {s!r}")
-    if not 0.0 <= t <= s:
-        raise DomainError(f"target count t must lie in [0, s], got t={t!r}, s={s!r}")
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"tail probability must lie in (0, 1), got {eps!r}")
-    return math.log(eps)
-
-
-def kato_a(s: float, t: float, eps: float) -> float:
-    """Slope coefficient of the upper deviation envelope at target count t."""
-    ln_eps = _kato_validate(s, t, eps)
-    quad = 9.0 * t * (s - t) - 2.0 * s * ln_eps
-    disc = -(s * s) * ln_eps * quad
-    if disc < 0.0:
-        raise DomainError("negative discriminant in envelope coefficient")
-    num = (
-        216.0 * math.sqrt(s) * t * (s - t) * ln_eps
-        - 48.0 * s**1.5 * ln_eps * ln_eps
-        + 27.0 * math.sqrt(2.0) * (s - 2.0 * t) * math.sqrt(disc)
-    )
-    return num / (4.0 * (9.0 * s - 8.0 * ln_eps) * quad)
-
-
-def kato_b(s: float, t: float, eps: float) -> float:
-    """Offset coefficient paired with kato_a; always at least |a|.
-
-    Evaluated as sqrt(a^2 + (-ln eps) (4a + 3 sqrt(s))^2 / (18 s)), the
-    completed-square form of (18 a^2 s - (16 a^2 + 24 a sqrt(s) + 9 s)
-    ln eps) / (18 s); the sum of squares form keeps full precision where
-    the expanded form cancels catastrophically.
-    """
-    ln_eps = _kato_validate(s, t, eps)
-    a = kato_a(s, t, eps)
-    shifted = 4.0 * a + 3.0 * math.sqrt(s)
-    return math.sqrt(a * a - ln_eps * shifted * shifted / (18.0 * s))
-
-
-def kato_a_prime(s: float, t: float, eps: float) -> float:
-    """Slope coefficient of the lower deviation envelope at target count t."""
-    ln_eps = _kato_validate(s, t, eps)
-    quad = 9.0 * t * (s - t) - 2.0 * s * ln_eps
-    disc = -(s * s) * ln_eps * quad
-    if disc < 0.0:
-        raise DomainError("negative discriminant in envelope coefficient")
-    num = (
-        -216.0 * math.sqrt(s) * t * (s - t) * ln_eps
-        + 48.0 * s**1.5 * ln_eps * ln_eps
-        + 27.0 * math.sqrt(2.0) * (s - 2.0 * t) * math.sqrt(disc)
-    )
-    return num / (4.0 * (9.0 * s - 8.0 * ln_eps) * quad)
-
-
-def kato_b_prime(s: float, t: float, eps: float) -> float:
-    """Offset coefficient paired with kato_a_prime; always at least |a'|.
-
-    Completed-square form of the lower-envelope offset, with the primed
-    slope inside (the mirror of kato_b under a -> -a').
-    """
-    ln_eps = _kato_validate(s, t, eps)
-    a = kato_a_prime(s, t, eps)
-    shifted = 4.0 * a - 3.0 * math.sqrt(s)
-    return math.sqrt(a * a - ln_eps * shifted * shifted / (18.0 * s))
+# Tail weight of each envelope event as a divisor of eps_secrecy^2: the
+# four events of the single-photon floor and the three of the phase-error
+# ceiling spend 4/32 + 3/24 = 1/4 of it.
+_N1Z_TAIL = 32.0
+_NPH_TAIL = 24.0
+_BUDGET = (
+    ("sift count S envelope", _N1Z_TAIL),
+    ("sift count V envelope", _N1Z_TAIL),
+    ("sift count D envelope", _N1Z_TAIL),
+    ("single-photon Z envelope", _N1Z_TAIL),
+    ("X error count D envelope", _NPH_TAIL),
+    ("X error count V envelope", _NPH_TAIL),
+    ("phase error envelope", _NPH_TAIL),
+)
 
 
 class KatoPair(NamedTuple):
@@ -134,14 +79,44 @@ class KatoPair(NamedTuple):
     b: float
 
 
+def _kato(sign: float, s: float, t: float, eps: float) -> KatoPair:
+    """Coefficient pair of the upper (sign +1) or lower (sign -1) envelope.
+
+    The lower pair is the mirror of the upper one: the first two terms of
+    the slope's numerator and the 3 sqrt(s) shift in the offset change
+    sign. The offset is evaluated as sqrt(a^2 + (-ln eps) (4a + 3 sign
+    sqrt(s))^2 / (18 s)), the completed-square form of (18 a^2 s - (16 a^2
+    + 24 sign a sqrt(s) + 9 s) ln eps) / (18 s); the sum of squares keeps
+    full precision where the expanded form cancels catastrophically.
+    """
+    if not s > 0.0:
+        raise DomainError(f"sample size s must be positive, got {s!r}")
+    if not 0.0 <= t <= s:
+        raise DomainError(f"target count t must lie in [0, s], got t={t!r}, s={s!r}")
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"tail probability must lie in (0, 1), got {eps!r}")
+    ln_eps = math.log(eps)
+    quad = 9.0 * t * (s - t) - 2.0 * s * ln_eps
+    disc = -(s * s) * ln_eps * quad
+    if disc < 0.0:
+        raise DomainError("negative discriminant in envelope coefficient")
+    num = sign * (
+        216.0 * math.sqrt(s) * t * (s - t) * ln_eps
+        - 48.0 * s**1.5 * ln_eps * ln_eps
+    ) + 27.0 * math.sqrt(2.0) * (s - 2.0 * t) * math.sqrt(disc)
+    a = num / (4.0 * (9.0 * s - 8.0 * ln_eps) * quad)
+    shifted = 4.0 * a + sign * 3.0 * math.sqrt(s)
+    return KatoPair(a, math.sqrt(a * a - ln_eps * shifted * shifted / (18.0 * s)))
+
+
 def kato_pair(s: float, t: float, eps: float) -> KatoPair:
-    """(a, b) for the upper envelope tuned to expected count t."""
-    return KatoPair(kato_a(s, t, eps), kato_b(s, t, eps))
+    """(a, b) for the upper envelope tuned to expected count t; b >= |a|."""
+    return _kato(1.0, s, t, eps)
 
 
 def kato_pair_prime(s: float, t: float, eps: float) -> KatoPair:
-    """(a', b') for the lower envelope tuned to expected count t."""
-    return KatoPair(kato_a_prime(s, t, eps), kato_b_prime(s, t, eps))
+    """(a', b') for the lower envelope tuned to expected count t; b' >= |a'|."""
+    return _kato(-1.0, s, t, eps)
 
 
 @dataclass(frozen=True)
@@ -160,8 +135,15 @@ class DecoyCoefficients:
     denominator: float
     reduced_denominator: float
 
-    def __iter__(self):
-        return iter((self.lam, self.zeta, self.gamma))
+
+def _photon_law(constants: ProtocolConstants, n: int) -> tuple[dict, float]:
+    """Joint law P(omega, n) = p_omega Poisson(n; mu_omega) per intensity,
+    and its marginal P(n). The engine reads it at n = 0 and n = 1 only."""
+    joint = {
+        w: constants.p_intensity[w] * poisson_pcs(constants.mu[w], n)
+        for w in INTENSITIES
+    }
+    return joint, math.fsum(joint.values())
 
 
 def decoy_coefficients(constants: ProtocolConstants) -> DecoyCoefficients:
@@ -169,10 +151,8 @@ def decoy_coefficients(constants: ProtocolConstants) -> DecoyCoefficients:
     mu_s = constants.mu["S"]
     mu_d = constants.mu["D"]
     mu_v = constants.mu["V"]
-    p1_int = math.fsum(
-        constants.p_intensity[w] * constants.mu[w] * math.exp(-constants.mu[w])
-        for w in INTENSITIES
-    )
+    vacuum, _ = _photon_law(constants, 0)
+    _, p1_int = _photon_law(constants, 1)
     reduced = mu_d - mu_d * mu_d / mu_s - mu_v
     if reduced <= 0.0:
         raise DomainError(
@@ -181,13 +161,10 @@ def decoy_coefficients(constants: ProtocolConstants) -> DecoyCoefficients:
         )
     denominator = reduced / p1_int
     kappa2 = (mu_d / mu_s) ** 2
-    p_s0 = constants.p_intensity["S"] * math.exp(-mu_s)
-    p_d0 = constants.p_intensity["D"] * math.exp(-mu_d)
-    p_v0 = constants.p_intensity["V"] * math.exp(-mu_v)
     return DecoyCoefficients(
-        lam=-kappa2 / (denominator * p_s0),
-        zeta=1.0 / (denominator * p_d0),
-        gamma=-1.0 / (denominator * p_v0),
+        lam=-kappa2 / (denominator * vacuum["S"]),
+        zeta=1.0 / (denominator * vacuum["D"]),
+        gamma=-1.0 / (denominator * vacuum["V"]),
         denominator=denominator,
         reduced_denominator=reduced,
     )
@@ -235,17 +212,6 @@ class ExpectedObservables:
     n1z: float
     nph: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n_sift_s": self.n_sift_s,
-            "n_sift_d": self.n_sift_d,
-            "n_sift_v": self.n_sift_v,
-            "n_err_dx": self.n_err_dx,
-            "n_err_vx": self.n_err_vx,
-            "n1z": self.n1z,
-            "nph": self.nph,
-        }
-
 
 def expected_observables(
     constants: ProtocolConstants, channel: ChannelModel
@@ -254,8 +220,7 @@ def expected_observables(
     n = constants.n_total
     pzz = constants.p_basis_alice * constants.p_basis_bob
     pxx = (1.0 - constants.p_basis_alice) * (1.0 - constants.p_basis_bob)
-    dist = PhotonDistributions(constants)
-    p1_int = dist.p_n[1]
+    _, p1_int = _photon_law(constants, 1)
     return ExpectedObservables(
         n_sift_s=n
         * constants.p_intensity["S"]
@@ -313,6 +278,16 @@ class _Checkpoints:
         return v
 
 
+def _upper(count: float, pair: KatoPair, rn: float) -> float:
+    """Upper envelope on the sum of conditional expectations behind count."""
+    return count * (1.0 + 2.0 * pair.a / rn) + (pair.b - pair.a) * rn
+
+
+def _lower(count: float, pair: KatoPair, n: float, rn: float) -> float:
+    """Lower envelope on the sum of conditional expectations behind count."""
+    return count - (pair.b + pair.a * (2.0 * count / n - 1.0)) * rn
+
+
 def _check_counts(constants: ProtocolConstants, obs: Observables) -> None:
     n = constants.n_total
     if obs.n_sift > n or obs.n_err_dx > n or obs.n_err_vx > n:
@@ -338,28 +313,15 @@ def n1z_lower(
     ck = _Checkpoints(slack, perturb, record)
     n = float(constants.n_total)
     rn = math.sqrt(n)
-    eps_ev = constants.eps_secrecy**2 / 32.0
+    eps_ev = constants.eps_secrecy**2 / _N1Z_TAIL
     coef = decoy_coefficients(constants)
     a1, b1 = kato_pair(n, exp.n1z, eps_ev)
-    a_s, b_s = kato_pair(n, exp.n_sift_s, eps_ev)
-    a_v, b_v = kato_pair(n, exp.n_sift_v, eps_ev)
-    a_d, b_d = kato_pair_prime(n, exp.n_sift_d, eps_ev)
-    term_s = ck(
-        "n1z_term_s",
-        coef.lam * (obs.n_sift_s * (1.0 + 2.0 * a_s / rn) + (b_s - a_s) * rn),
-        -1,
-    )
-    term_d = ck(
-        "n1z_term_d",
-        coef.zeta
-        * (obs.n_sift_d - (b_d + a_d * (2.0 * obs.n_sift_d / n - 1.0)) * rn),
-        -1,
-    )
-    term_v = ck(
-        "n1z_term_v",
-        coef.gamma * (obs.n_sift_v * (1.0 + 2.0 * a_v / rn) + (b_v - a_v) * rn),
-        -1,
-    )
+    pair_s = kato_pair(n, exp.n_sift_s, eps_ev)
+    pair_v = kato_pair(n, exp.n_sift_v, eps_ev)
+    pair_d = kato_pair_prime(n, exp.n_sift_d, eps_ev)
+    term_s = ck("n1z_term_s", coef.lam * _upper(obs.n_sift_s, pair_s, rn), -1)
+    term_d = ck("n1z_term_d", coef.zeta * _lower(obs.n_sift_d, pair_d, n, rn), -1)
+    term_v = ck("n1z_term_v", coef.gamma * _upper(obs.n_sift_v, pair_v, rn), -1)
     dev = ck("n1z_dev", (b1 - a1) * rn, +1)
     inner = ck("n1z_inner", term_s + term_d + term_v - dev, -1)
     den = 1.0 + 2.0 * a1 / rn
@@ -394,36 +356,30 @@ def nph_upper(
     ck = _Checkpoints(slack, perturb, record)
     n = float(constants.n_total)
     rn = math.sqrt(n)
-    eps_ev = constants.eps_secrecy**2 / 24.0
-    dist = PhotonDistributions(constants)
-    pd1 = dist.cond["D"][1]
-    pd0 = dist.cond["D"][0]
-    pv0 = dist.cond["V"][0]
-    if pd1 <= 0.0 or pv0 <= 0.0:
+    eps_ev = constants.eps_secrecy**2 / _NPH_TAIL
+    vacuum, p0 = _photon_law(constants, 0)
+    single, p1 = _photon_law(constants, 1)
+    if single["D"] <= 0.0 or vacuum["V"] <= 0.0:
         raise DomainError("phase-error inversion needs mu_D > 0 and p_V > 0")
+    # P(omega | n) for the decoy and vacuum settings.
+    pd1 = single["D"] / p1
+    pd0 = vacuum["D"] / p0
+    pv0 = vacuum["V"] / p0
     pz_over_px = (constants.p_basis_alice * constants.p_basis_bob) / (
         (1.0 - constants.p_basis_alice) * (1.0 - constants.p_basis_bob)
     )
     a_ph, b_ph = kato_pair_prime(n, exp.nph, eps_ev)
-    a_dx, b_dx = kato_pair(n, exp.n_err_dx, eps_ev)
-    a_vx, b_vx = kato_pair_prime(n, exp.n_err_vx, eps_ev)
+    pair_dx = kato_pair(n, exp.n_err_dx, eps_ev)
+    pair_vx = kato_pair_prime(n, exp.n_err_vx, eps_ev)
     den = 1.0 - 2.0 * a_ph / rn
     if den <= 0.0:
         if record is not None:
             record["nph_value"] = n
         return n
-    term_dx = ck(
-        "nph_term_dx",
-        (pz_over_px / pd1)
-        * (obs.n_err_dx * (1.0 + 2.0 * a_dx / rn) + (b_dx - a_dx) * rn),
-        +1,
-    )
-    term_vx = ck(
-        "nph_term_vx",
-        -(pz_over_px * pd0 / (pd1 * pv0))
-        * (obs.n_err_vx - (b_vx + a_vx * (2.0 * obs.n_err_vx / n - 1.0)) * rn),
-        +1,
-    )
+    upper_dx = _upper(obs.n_err_dx, pair_dx, rn)
+    lower_vx = _lower(obs.n_err_vx, pair_vx, n, rn)
+    term_dx = ck("nph_term_dx", (pz_over_px / pd1) * upper_dx, +1)
+    term_vx = ck("nph_term_vx", -(pz_over_px * pd0 / (pd1 * pv0)) * lower_vx, +1)
     dev = ck("nph_dev", (b_ph - a_ph) * rn, +1)
     inner = ck("nph_inner", term_dx + term_vx + dev, +1)
     if inner <= 0.0:
@@ -540,15 +496,7 @@ def security_result(
     n_fin = obs.n_sift - pa_bits - n_ec - constants.n_verify
     abort = n_fin <= 0
     eps2 = constants.eps_secrecy**2
-    budget = (
-        ("sift count S envelope", eps2 / 32.0),
-        ("sift count V envelope", eps2 / 32.0),
-        ("sift count D envelope", eps2 / 32.0),
-        ("single-photon Z envelope", eps2 / 32.0),
-        ("X error count D envelope", eps2 / 24.0),
-        ("X error count V envelope", eps2 / 24.0),
-        ("phase error envelope", eps2 / 24.0),
-    )
+    budget = tuple((name, eps2 / divisor) for name, divisor in _BUDGET)
     eps_correct = 2.0 ** (-constants.n_verify)
     return SecurityResult(
         n_sift=obs.n_sift,

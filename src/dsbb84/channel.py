@@ -34,6 +34,7 @@ from .params import (
     ConfigurationError,
     DomainError,
     ProtocolConstants,
+    require_real,
 )
 
 __all__ = [
@@ -76,6 +77,11 @@ class ChannelModel:
     distance_km: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("e_mis", "p_dark", "eta_det"):
+            require_real(name, getattr(self, name))
+        for name in ("eta_ch", "loss_db_per_km", "distance_km"):
+            if getattr(self, name) is not None:
+                require_real(name, getattr(self, name))
         direct = self.eta_ch is not None
         budget = self.loss_db_per_km is not None or self.distance_km is not None
         if direct and budget:

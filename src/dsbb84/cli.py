@@ -11,8 +11,8 @@ Four subcommands:
 
 Exit codes: 0 on success, 1 when the protocol aborts or a checked bound
 is exceeded, 2 when the configuration or arguments cannot be read or are
-invalid, 3 for internal faults, such as a protocol or wire error raised
-during a simulated session.
+invalid, 3 for any other error raised inside a command (an internal fault,
+such as a protocol or wire error during a simulated session).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 
 from .bounds import Observables, expected_observables, security_result
 from .channel import load_channel
@@ -267,7 +268,11 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ProtocolError, ValueError) as exc:
+    except Exception as exc:
+        # Any other fault inside a command, such as a protocol or wire error
+        # or the hashing exactness guard, is ours, not the caller's: report
+        # it with its traceback.
+        traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -131,7 +132,7 @@ def photon_posterior(
     probability that the kept photon numbers miss; the double-click cells
     miss the most. It is 3.5e-11 at mu_S = 0.5 on the 100 km reference
     link, about 1e-9 at mu_S = 0.8 and 8e-6 at mu_S = 2.0.
-    ground_truth_run refuses a configuration where it exceeds 1e-6.
+    ground_truth_runs refuses a configuration where it exceeds 1e-6.
     """
     ns = range(FOCK_MAX_PHOTONS + 1)
     pois = {
@@ -173,19 +174,22 @@ def clicked_photon_numbers(
     return (photon_cdf[combo, block.cell] <= u[:, None]).sum(axis=1)
 
 
-def ground_truth_run(
-    constants: ProtocolConstants, channel: ChannelModel, seed: int
-) -> GroundTruthRun:
-    """Run the quantum phase and score the floor and ceiling against truth.
+def ground_truth_runs(
+    constants: ProtocolConstants, channel: ChannelModel, seeds: Iterable[int]
+) -> list[GroundTruthRun]:
+    """Run the quantum phase once per seed and score the floor and ceiling
+    against truth.
 
-    Blocks come from the session's BlockSource and are tallied by the
-    protocol's count accumulator. Each clicked round then draws its hidden
-    photon number from photon_posterior on the stream generator(seed, 4, j);
-    the hidden single-photon count is the number of matched-Z clicks with
-    one photon. Phase errors are not directly simulated, so each hidden
-    single-photon sifted round draws an error flag at the exact
-    conditional single-photon X-error probability, on generator(seed, 4);
-    the ceiling must dominate that draw.
+    The photon posterior, its truncation check and the expected counts
+    depend on the configuration alone, so they are built once for all
+    seeds. Blocks come from each session's BlockSource and are tallied by
+    the protocol's count accumulator. Each clicked round then draws its
+    hidden photon number from photon_posterior on the stream
+    generator(seed, 4, j); the hidden single-photon count is the number of
+    matched-Z clicks with one photon. Phase errors are not directly
+    simulated, so each hidden single-photon sifted round draws an error
+    flag at the exact conditional single-photon X-error probability, on
+    generator(seed, 4); the ceiling must dominate that draw.
     """
     photon_cdf, truncated = photon_posterior(constants, channel)
     if truncated > 1e-6:
@@ -193,37 +197,41 @@ def ground_truth_run(
             f"photon numbers above {FOCK_MAX_PHOTONS} carry {truncated:.2e} "
             "of a cell's probability"
         )
-    blocks = BlockSource(constants, channel, seed)
-    acc = _CountAccumulator()
-    n1z_true = 0
-    for j in range(constants.n_block):
-        s = blocks(j)
-        acc.add_block(s.omega_idx, s.alpha, s.beta, s.a)
-        matched_x = (s.alpha == 1) & (s.beta == 1)
-        acc.add_errors(s.omega_idx[matched_x], s.a[matched_x] != s.b[matched_x])
-        n_photons = clicked_photon_numbers(photon_cdf, s, generator(seed, 4, j))
-        matched_z = (s.alpha == 0) & (s.beta == 0)
-        n1z_true += int(np.count_nonzero(matched_z & (n_photons == 1)))
-
-    obs = acc.observables()
-    p_err_given_click = single_photon_error_x(channel) / single_photon_yield(channel)
-    nph_true = int(generator(seed, 4).binomial(n1z_true, p_err_given_click))
-
     expected = expected_observables(constants, channel)
-    n_ec = syndrome_length(obs.n_sift, constants.e_bit_assumed)
-    result = security_result(constants, obs, expected, n_ec)
-    covered = result.abort or (
-        result.n1z_floor <= n1z_true and nph_true <= result.nph_ceil
-    )
-    return GroundTruthRun(
-        n1z_true=n1z_true,
-        nph_true=nph_true,
-        n1z_floor=result.n1z_floor,
-        nph_ceil=result.nph_ceil,
-        abort=result.abort,
-        covered=covered,
-        n_sift=obs.n_sift,
-    )
+    p_err_given_click = single_photon_error_x(channel) / single_photon_yield(channel)
+    runs = []
+    for seed in seeds:
+        blocks = BlockSource(constants, channel, seed)
+        acc = _CountAccumulator()
+        n1z_true = 0
+        for j in range(constants.n_block):
+            s = blocks(j)
+            acc.add_block(s.omega_idx, s.alpha, s.beta, s.a)
+            matched_x = (s.alpha == 1) & (s.beta == 1)
+            acc.add_errors(s.omega_idx[matched_x], s.a[matched_x] != s.b[matched_x])
+            n_photons = clicked_photon_numbers(photon_cdf, s, generator(seed, 4, j))
+            matched_z = (s.alpha == 0) & (s.beta == 0)
+            n1z_true += int(np.count_nonzero(matched_z & (n_photons == 1)))
+
+        obs = acc.observables()
+        nph_true = int(generator(seed, 4).binomial(n1z_true, p_err_given_click))
+        n_ec = syndrome_length(obs.n_sift, constants.e_bit_assumed)
+        result = security_result(constants, obs, expected, n_ec)
+        covered = result.abort or (
+            result.n1z_floor <= n1z_true and nph_true <= result.nph_ceil
+        )
+        runs.append(
+            GroundTruthRun(
+                n1z_true=n1z_true,
+                nph_true=nph_true,
+                n1z_floor=result.n1z_floor,
+                nph_ceil=result.nph_ceil,
+                abort=result.abort,
+                covered=covered,
+                n_sift=obs.n_sift,
+            )
+        )
+    return runs
 
 
 @dataclass(frozen=True)

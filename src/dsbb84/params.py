@@ -1,9 +1,9 @@
 """Protocol constants and photon-number statistics for decoy-state BB84.
 
 The source emits phase-randomised coherent pulses, so the photon number of a
-round with intensity setting ``omega`` is Poisson with mean ``mu[omega]``.
-Everything downstream (decoy inversion, concentration bounds, channel model)
-consumes the tables built here.
+round with intensity setting ``omega`` is Poisson with mean ``mu[omega]``
+(poisson_pcs). The decoy inversion, the concentration bounds and the channel
+model evaluate that law where they need it.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ __all__ = [
     "ConfigurationError",
     "DomainError",
     "ProtocolConstants",
-    "PhotonDistributions",
     "entropy_h",
     "poisson_pcs",
+    "require_real",
     "load_constants",
 ]
 
@@ -37,9 +37,6 @@ THETA = {
     (0, "X"): math.pi / 2.0,
     (1, "X"): 3.0 * math.pi / 2.0,
 }
-
-_POISSON_NORM_TOL = 1e-12
-
 
 class ConfigurationError(ValueError):
     """Raised when protocol constants or channel parameters are invalid."""
@@ -79,9 +76,17 @@ def poisson_pcs(mu: float, n: int) -> float:
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
-def truncation_n_max(mu: float) -> int:
-    """Photon-number cutoff holding at least 1 - 1e-12 of the Poisson mass."""
-    return math.ceil(mu + 12.0 * math.sqrt(mu) + 30.0)
+def require_real(name: str, value) -> None:
+    """Refuse a configuration value that is not a finite real number.
+
+    A bool is a Real too, but never a probability or an intensity.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -132,10 +137,14 @@ class ProtocolConstants:
             )
         for name in ("p_intensity", "mu"):
             table = getattr(self, name)
-            if set(table) != set(INTENSITIES):
+            if not isinstance(table, Mapping) or set(table) != set(INTENSITIES):
                 raise ConfigurationError(
                     f"{name} must have exactly the keys {INTENSITIES}"
                 )
+            for w in INTENSITIES:
+                require_real(f"{name}[{w}]", table[w])
+        for name in ("p_basis_alice", "p_basis_bob", "e_bit_assumed", "eps_secrecy"):
+            require_real(name, getattr(self, name))
         object.__setattr__(self, "p_intensity", dict(self.p_intensity))
         object.__setattr__(self, "mu", dict(self.mu))
         psum = 0.0
@@ -179,42 +188,6 @@ class ProtocolConstants:
             "n_verify": self.n_verify,
             "e_bit_assumed": self.e_bit_assumed,
             "eps_secrecy": self.eps_secrecy,
-        }
-
-
-class PhotonDistributions:
-    """Cached joint/conditional photon-number tables for one constant set.
-
-    Tables run over n = 0 .. n_max with n_max chosen so every intensity's
-    Poisson tail above it weighs less than 1e-12.
-    """
-
-    def __init__(self, constants: ProtocolConstants) -> None:
-        self.constants = constants
-        self.n_max = max(truncation_n_max(constants.mu[w]) for w in INTENSITIES)
-        ns = range(self.n_max + 1)
-        self.pcs = {
-            w: [poisson_pcs(constants.mu[w], n) for n in ns] for w in INTENSITIES
-        }
-        for w in INTENSITIES:
-            mass = math.fsum(self.pcs[w])
-            if mass < 1.0 - _POISSON_NORM_TOL:
-                raise DomainError(
-                    f"Poisson mass below cutoff for {w}: {mass} (n_max={self.n_max})"
-                )
-        self.joint = {
-            w: [constants.p_intensity[w] * p for p in self.pcs[w]]
-            for w in INTENSITIES
-        }
-        self.p_n = [
-            math.fsum(self.joint[w][n] for w in INTENSITIES) for n in ns
-        ]
-        self.cond = {
-            w: [
-                self.joint[w][n] / self.p_n[n] if self.p_n[n] > 0.0 else 0.0
-                for n in ns
-            ]
-            for w in INTENSITIES
         }
 
 

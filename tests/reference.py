@@ -2,8 +2,8 @@
 
 Nothing in ``src`` uses these: a dense GF(2) matrix with integer-bitset
 rows, the explicit matrix of a modified Toeplitz hash, the intensity and
-photon-number probabilities written out one value at a time, and a
-chi-square check.
+photon-number probabilities written out one value at a time, a chi-square
+check, and a generator of random length-computation scenarios.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
+from dsbb84.bounds import Observables, expected_observables
+from dsbb84.channel import ChannelModel
+from dsbb84.ecc import syndrome_length
 from dsbb84.gf2 import BitString
 from dsbb84.params import INTENSITIES, DomainError, ProtocolConstants, poisson_pcs
 
@@ -122,3 +125,38 @@ def chi2_statistic(observed, expected, min_expected: float = 5.0) -> tuple:
         assert obs[-1] == 0.0
         obs, exp = obs[:-1], exp[:-1]
     return float(np.sum((obs - exp) ** 2 / exp)), len(exp) - 1
+
+
+def random_length_scenario(rng):
+    """A random but valid (constants, observables, expectations, n_ec)."""
+    mu_s = rng.uniform(0.3, 1.0)
+    mu_d = mu_s * rng.uniform(0.15, 0.6)
+    mu_v = 0.5 * mu_d * (1.0 - mu_d / mu_s) * rng.uniform(0.0, 0.9)
+    raw_p = rng.uniform(0.05, 1.0, size=3)
+    raw_p /= raw_p.sum()
+    c = ProtocolConstants(
+        n_block=int(rng.integers(1, 21)),
+        m=int(rng.integers(1_000, 100_001)),
+        p_intensity={"S": raw_p[0], "D": raw_p[1], "V": raw_p[2]},
+        mu={"S": mu_s, "D": mu_d, "V": mu_v},
+        p_basis_alice=rng.uniform(0.3, 0.9),
+        p_basis_bob=rng.uniform(0.3, 0.9),
+        n_verify=int(rng.integers(8, 65)),
+        e_bit_assumed=rng.uniform(0.005, 0.12),
+        eps_secrecy=10.0 ** rng.uniform(-12.0, -2.0),
+    )
+    channel = ChannelModel(
+        eta_ch=rng.uniform(0.05, 1.0),
+        e_mis=rng.uniform(0.0, 0.1),
+        p_dark=rng.uniform(0.0, 1e-4),
+        eta_det=rng.uniform(0.1, 1.0),
+    )
+    exp = expected_observables(c, channel)
+    cap = c.n_total // 4
+    noisy = {
+        name: min(int(round(getattr(exp, name) * rng.uniform(0.5, 1.5))), cap)
+        for name in ("n_sift_s", "n_sift_d", "n_sift_v", "n_err_dx", "n_err_vx")
+    }
+    obs = Observables(**noisy)
+    n_ec = syndrome_length(obs.n_sift, c.e_bit_assumed)
+    return c, obs, exp, n_ec

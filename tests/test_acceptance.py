@@ -13,10 +13,7 @@ import numpy as np
 
 from dsbb84.bounds import (
     CONSERVATIVE_SLACK,
-    ExpectedObservables,
-    Observables,
     decoy_coefficients,
-    expected_observables,
     kato_pair,
     kato_pair_prime,
     security_result,
@@ -26,18 +23,17 @@ from dsbb84.channel import (
     click_probabilities,
     fock_click_oracle,
 )
-from dsbb84.ecc import syndrome_length
 from dsbb84.gf2 import BitString
-from dsbb84.oracles import ground_truth_run, kato_tail_mc, verification_mc
+from dsbb84.oracles import ground_truth_runs, kato_tail_mc, verification_mc
 from dsbb84.params import (
     BASES,
     INTENSITIES,
     THETA,
-    PhotonDistributions,
     ProtocolConstants,
+    poisson_pcs,
 )
 from dsbb84.protocol import ABORT_REASONS, run_protocol
-from reference import toeplitz_matrix
+from reference import p_int_cond, p_int_joint, random_length_scenario, toeplitz_matrix
 
 # Reference scenario for the bound-coverage criterion: 10^6 rounds over a
 # 20 dB link with realistic detector parameters.
@@ -132,21 +128,23 @@ def test_c03_decoy_inversion_soundness():
         eps_secrecy=1e-6,
     )
     coef = decoy_coefficients(c)
-    dist = PhotonDistributions(c)
     rng = np.random.default_rng(433)
 
-    pcs = np.array([dist.pcs[w] for w in INTENSITIES])
+    # Photon numbers 0..39 hold all but < 1e-12 of the mu = 0.5 Poisson mass.
+    ns = range(40)
+    pcs = np.array([[poisson_pcs(c.mu[w], n) for n in ns] for w in INTENSITIES])
     p_w = np.array([c.p_intensity[w] for w in INTENSITIES])
     weights = np.array([coef.lam, coef.zeta, coef.gamma])
-    yields = rng.random((10_000, dist.n_max + 1))
+    yields = rng.random((10_000, len(ns)))
     detections = yields @ (pcs * p_w[:, None]).T
     estimates = detections @ weights
-    truths = dist.p_n[1] * yields[:, 1]
+    p1 = math.fsum(p_int_joint(c, w, 1) for w in INTENSITIES)
+    truths = p1 * yields[:, 1]
     assert int(np.sum(estimates > truths + 1e-12)) == 0
 
-    cond_d = np.asarray(dist.cond["D"])
-    cond_v = np.asarray(dist.cond["V"])
-    err_yields = rng.random((10_000, dist.n_max + 1))
+    cond_d = np.array([p_int_cond(c, "D", n) for n in ns])
+    cond_v = np.array([p_int_cond(c, "V", n) for n in ns])
+    err_yields = rng.random((10_000, len(ns)))
     upper = (err_yields @ cond_d) / cond_d[1] - (
         cond_d[0] / (cond_d[1] * cond_v[0])
     ) * (err_yields @ cond_v)
@@ -172,7 +170,8 @@ def test_c03_decoy_inversion_soundness():
             e_bit_assumed=0.03,
             eps_secrecy=1e-6,
         )
-        product = decoy_coefficients(ci).denominator * PhotonDistributions(ci).p_n[1]
+        p1 = math.fsum(p_int_joint(ci, w, 1) for w in INTENSITIES)
+        product = decoy_coefficients(ci).denominator * p1
         target = mu_d * (mu_s - mu_d) / mu_s
         assert abs(product - target) <= 1e-10 * target
     assert time.perf_counter() - start < 30.0
@@ -188,8 +187,7 @@ def test_c04_ground_truth_envelope_coverage():
     # regime is covered by the ground-truth unit tests.
     start = time.perf_counter()
     failures = 0
-    for seed in range(5000):
-        run = ground_truth_run(LOSSY, FIBER, seed=seed)
+    for run in ground_truth_runs(LOSSY, FIBER, range(5000)):
         assert run.n_sift > 0
         if run.n1z_true < run.n1z_floor or run.nph_true > run.nph_ceil:
             failures += 1
@@ -333,41 +331,6 @@ def test_c08_end_to_end_agreement_and_determinism():
     assert time.perf_counter() - start < 600.0
 
 
-def _random_length_scenario(rng):
-    """A random but valid (constants, observables, expectations, n_ec)."""
-    mu_s = rng.uniform(0.3, 1.0)
-    mu_d = mu_s * rng.uniform(0.15, 0.6)
-    mu_v = 0.5 * mu_d * (1.0 - mu_d / mu_s) * rng.uniform(0.0, 0.9)
-    raw_p = rng.uniform(0.05, 1.0, size=3)
-    raw_p /= raw_p.sum()
-    c = ProtocolConstants(
-        n_block=int(rng.integers(1, 21)),
-        m=int(rng.integers(1_000, 100_001)),
-        p_intensity={"S": raw_p[0], "D": raw_p[1], "V": raw_p[2]},
-        mu={"S": mu_s, "D": mu_d, "V": mu_v},
-        p_basis_alice=rng.uniform(0.3, 0.9),
-        p_basis_bob=rng.uniform(0.3, 0.9),
-        n_verify=int(rng.integers(8, 65)),
-        e_bit_assumed=rng.uniform(0.005, 0.12),
-        eps_secrecy=10.0 ** rng.uniform(-12.0, -2.0),
-    )
-    channel = ChannelModel(
-        eta_ch=rng.uniform(0.05, 1.0),
-        e_mis=rng.uniform(0.0, 0.1),
-        p_dark=rng.uniform(0.0, 1e-4),
-        eta_det=rng.uniform(0.1, 1.0),
-    )
-    exp = expected_observables(c, channel)
-    cap = c.n_total // 4
-    noisy = {
-        name: min(int(round(getattr(exp, name) * rng.uniform(0.5, 1.5))), cap)
-        for name in ("n_sift_s", "n_sift_d", "n_sift_v", "n_err_dx", "n_err_vx")
-    }
-    obs = Observables(**noisy)
-    n_ec = syndrome_length(obs.n_sift, c.e_bit_assumed)
-    return c, obs, exp, n_ec
-
-
 def test_c09_conservative_rounding_audit():
     # 100 random configurations. The engine pads every intermediate with
     # a directed 1e-9 relative slack; re-evaluating with adversarial
@@ -393,7 +356,7 @@ def test_c09_conservative_rounding_audit():
         "n_pa_value",
     )
     for _ in range(100):
-        c, obs, exp, n_ec = _random_length_scenario(rng)
+        c, obs, exp, n_ec = random_length_scenario(rng)
         plain = security_result(c, obs, exp, n_ec, slack=0.0)
         patterns = [
             {name: CONSERVATIVE_SLACK for name in names},

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,14 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from dsbb84.bounds import (
     CONSERVATIVE_SLACK,
-    ExpectedObservables,
     Observables,
     decoy_coefficients,
     expected_observables,
-    kato_a,
-    kato_a_prime,
-    kato_b,
-    kato_b_prime,
     kato_pair,
     kato_pair_prime,
     n1z_lower,
@@ -22,15 +20,19 @@ from dsbb84.bounds import (
     pa_log_term,
     security_result,
 )
-from dsbb84.channel import ChannelModel
+from dsbb84.channel import ChannelModel, load_channel
+from dsbb84.ecc import syndrome_length
 from dsbb84.params import (
     INTENSITIES,
     DomainError,
-    PhotonDistributions,
     ProtocolConstants,
     entropy_h,
+    load_constants,
     poisson_pcs,
 )
+from reference import p_int_cond, p_int_joint, random_length_scenario
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def constants(**overrides):
@@ -69,19 +71,19 @@ DECOY_ORACLE = (-0.27486524505618585, 16.121672325470231, -29.20417429987941)
 
 def test_kato_frozen_values():
     for s, t, eps, a, b, ap, bp in KATO_ORACLE:
-        assert kato_a(s, t, eps) == pytest.approx(a, rel=1e-12)
-        assert kato_b(s, t, eps) == pytest.approx(b, rel=1e-12)
-        assert kato_a_prime(s, t, eps) == pytest.approx(ap, rel=1e-12)
-        assert kato_b_prime(s, t, eps) == pytest.approx(bp, rel=1e-12)
+        assert kato_pair(s, t, eps).a == pytest.approx(a, rel=1e-12)
+        assert kato_pair(s, t, eps).b == pytest.approx(b, rel=1e-12)
+        assert kato_pair_prime(s, t, eps).a == pytest.approx(ap, rel=1e-12)
+        assert kato_pair_prime(s, t, eps).b == pytest.approx(bp, rel=1e-12)
 
 
 def test_kato_domain_errors():
     for bad in [(0.0, 0.0, 0.5), (1e4, -1.0, 0.5), (1e4, 1e4 + 1, 0.5),
                 (1e4, 5e3, 0.0), (1e4, 5e3, 1.0)]:
         with pytest.raises(DomainError):
-            kato_a(*bad)
+            kato_pair(*bad)
         with pytest.raises(DomainError):
-            kato_a_prime(*bad)
+            kato_pair_prime(*bad)
 
 
 kato_inputs = dict(
@@ -153,11 +155,10 @@ def test_kato_reflection_symmetry(s, frac, eps):
     # the t = 0 and t = s endpoints (measured over 2e5 corner-weighted
     # draws), so the tolerance sits an order of magnitude above that.
     t = s * frac
-    scale = max(1.0, abs(kato_a(s, t, eps)))
-    assert kato_a_prime(s, t, eps) == pytest.approx(
-        -kato_a(s, s - t, eps), rel=1e-7, abs=1e-7 * scale
-    )
-    assert kato_b_prime(s, t, eps) == pytest.approx(kato_b(s, s - t, eps), rel=1e-7)
+    upper, lower = kato_pair(s, s - t, eps), kato_pair_prime(s, t, eps)
+    scale = max(1.0, abs(kato_pair(s, t, eps).a))
+    assert lower.a == pytest.approx(-upper.a, rel=1e-7, abs=1e-7 * scale)
+    assert lower.b == pytest.approx(upper.b, rel=1e-7)
 
 
 @given(**kato_inputs)
@@ -167,16 +168,15 @@ def test_kato_slope_gap_identity(s, frac, eps):
     t = s * frac
     ln_eps = math.log(eps)
     gap = 12.0 * math.sqrt(s) * ln_eps / (9.0 * s - 8.0 * ln_eps)
-    scale = max(abs(kato_a(s, t, eps)), abs(gap))
-    assert kato_a(s, t, eps) - kato_a_prime(s, t, eps) == pytest.approx(
-        gap, rel=1e-9, abs=1e-10 * scale
-    )
-    assert kato_b(s, t, eps) == pytest.approx(kato_b_prime(s, t, eps), rel=1e-10)
+    upper, lower = kato_pair(s, t, eps), kato_pair_prime(s, t, eps)
+    scale = max(abs(upper.a), abs(gap))
+    assert upper.a - lower.a == pytest.approx(gap, rel=1e-9, abs=1e-10 * scale)
+    assert upper.b == pytest.approx(lower.b, rel=1e-10)
 
 
 def test_decoy_frozen_values():
     coef = decoy_coefficients(constants())
-    lam, zeta, gamma = coef
+    lam, zeta, gamma = coef.lam, coef.zeta, coef.gamma
     assert lam == pytest.approx(DECOY_ORACLE[0], rel=1e-12)
     assert zeta == pytest.approx(DECOY_ORACLE[1], rel=1e-12)
     assert gamma == pytest.approx(DECOY_ORACLE[2], rel=1e-12)
@@ -186,29 +186,24 @@ def test_decoy_frozen_values():
 def test_decoy_single_photon_coefficient_is_one():
     c = constants()
     coef = decoy_coefficients(c)
-    dist = PhotonDistributions(c)
-    c1 = (
-        coef.lam * dist.cond["S"][1]
-        + coef.zeta * dist.cond["D"][1]
-        + coef.gamma * dist.cond["V"][1]
-    )
-    assert c1 == pytest.approx(1.0, abs=1e-12)
-    for n in range(0, 26):
-        if n == 1:
-            continue
-        cn = (
-            coef.lam * dist.cond["S"][n]
-            + coef.zeta * dist.cond["D"][n]
-            + coef.gamma * dist.cond["V"][n]
+
+    def coefficient(n):
+        return (
+            coef.lam * p_int_cond(c, "S", n)
+            + coef.zeta * p_int_cond(c, "D", n)
+            + coef.gamma * p_int_cond(c, "V", n)
         )
-        assert cn <= 1e-12
+
+    assert coefficient(1) == pytest.approx(1.0, abs=1e-12)
+    for n in range(0, 26):
+        if n != 1:
+            assert coefficient(n) <= 1e-12
 
 
 def test_decoy_denominator_identity():
     c = constants(mu={"S": 0.5, "D": 0.1, "V": 0.0})
     coef = decoy_coefficients(c)
-    dist = PhotonDistributions(c)
-    p1_int = dist.p_n[1]
+    p1_int = math.fsum(p_int_joint(c, w, 1) for w in INTENSITIES)
     expected = 0.1 * (0.5 - 0.1) / 0.5
     assert coef.denominator * p1_int == pytest.approx(expected, rel=1e-10)
     assert coef.reduced_denominator == pytest.approx(expected, rel=1e-10)
@@ -225,16 +220,18 @@ def test_decoy_yield_soundness_small_sweep():
     # detection probabilities must not exceed the single-photon part.
     c = constants(mu={"S": 0.5, "D": 0.1, "V": 0.0})
     coef = decoy_coefficients(c)
-    dist = PhotonDistributions(c)
     rng = np.random.default_rng(2024)
-    pcs = np.array([dist.pcs[w] for w in INTENSITIES])
+    # Photon numbers 0..39 hold all but < 1e-12 of the mu = 0.5 Poisson mass.
+    ns = range(40)
+    pcs = np.array([[poisson_pcs(c.mu[w], n) for n in ns] for w in INTENSITIES])
     p_w = np.array([c.p_intensity[w] for w in INTENSITIES])
     weights = np.array([coef.lam, coef.zeta, coef.gamma])
+    p1 = math.fsum(p_int_joint(c, w, 1) for w in INTENSITIES)
     for _ in range(500):
-        y = rng.random(dist.n_max + 1)
+        y = rng.random(len(ns))
         detections = (pcs * y).sum(axis=1) * p_w
         estimate = float(weights @ detections)
-        truth = dist.p_n[1] * y[1]
+        truth = p1 * y[1]
         assert estimate <= truth + 1e-12
 
 
@@ -257,7 +254,8 @@ def reference_n1z(c, obs, exp):
     n = float(c.n_total)
     rn = math.sqrt(n)
     eps = c.eps_secrecy**2 / 32.0
-    lam, zeta, gamma = decoy_coefficients(c)
+    coef = decoy_coefficients(c)
+    lam, zeta, gamma = coef.lam, coef.zeta, coef.gamma
     a1, b1 = kato_pair(n, exp.n1z, eps)
     a_s, b_s = kato_pair(n, exp.n_sift_s, eps)
     a_v, b_v = kato_pair(n, exp.n_sift_v, eps)
@@ -274,7 +272,7 @@ def reference_nph(c, obs, exp):
     n = float(c.n_total)
     rn = math.sqrt(n)
     eps = c.eps_secrecy**2 / 24.0
-    dist = PhotonDistributions(c)
+    pd1, pd0, pv0 = p_int_cond(c, "D", 1), p_int_cond(c, "D", 0), p_int_cond(c, "V", 0)
     ratio = (c.p_basis_alice * c.p_basis_bob) / (
         (1 - c.p_basis_alice) * (1 - c.p_basis_bob)
     )
@@ -284,8 +282,8 @@ def reference_nph(c, obs, exp):
     upper_dx = obs.n_err_dx * (1 + 2 * a_dx / rn) + (b_dx - a_dx) * rn
     lower_vx = obs.n_err_vx - (b_vx + a_vx * (2 * obs.n_err_vx / n - 1)) * rn
     inner = (
-        ratio / dist.cond["D"][1] * upper_dx
-        - ratio * dist.cond["D"][0] / (dist.cond["D"][1] * dist.cond["V"][0]) * lower_vx
+        ratio / pd1 * upper_dx
+        - ratio * pd0 / (pd1 * pv0) * lower_vx
         + (b_ph - a_ph) * rn
     )
     value = inner / (1 - 2 * a_ph / rn)
@@ -326,7 +324,7 @@ def test_n1z_degenerate_envelope_returns_zero():
     # Tuning the envelope to expect every round in the target class drives
     # its slope below the guard, collapsing the floor to the trivial 0.
     c, obs, exp0 = scenario()
-    exp = ExpectedObservables(**{**exp0.as_dict(), "n1z": float(c.n_total)})
+    exp = dataclasses.replace(exp0, n1z=float(c.n_total))
     assert n1z_lower(c, obs, exp) == 0.0
 
 
@@ -334,7 +332,7 @@ def test_nph_degenerate_envelope_returns_total():
     # A zero expected phase-error count degenerates the inverted prefactor,
     # collapsing the ceiling to the trivial N.
     c, obs, exp0 = scenario()
-    exp = ExpectedObservables(**{**exp0.as_dict(), "nph": 0.0})
+    exp = dataclasses.replace(exp0, nph=0.0)
     assert nph_upper(c, obs, exp) == float(c.n_total)
 
 
@@ -442,5 +440,37 @@ def test_expected_observables_closed_forms():
     )
     want_n1z = n * pzz * p1 * (1 - (1 - HONEST.p_dark) ** 2 * (1 - eta))
     assert exp.n1z == pytest.approx(want_n1z, rel=1e-12)
-    for value in exp.as_dict().values():
+    for value in dataclasses.astuple(exp):
         assert 0.0 <= value <= n
+
+
+# SHA-256 over the integer SecurityResult fields of the scenarios below,
+# taken before the engine's formulas were consolidated; a refactor of the
+# engine must leave every key length where it was.
+PINNED_KEY_LENGTHS = "4f8e49ab04768a3ef1ce6c1a005e219bc8795eaac1d1493360f4c8e1cd5cc997"
+
+
+def test_key_lengths_are_pinned():
+    fields = ("n_sift", "n1z_floor", "nph_ceil", "n_pa", "n_ec", "n_fin", "abort")
+    digest = hashlib.sha256()
+    results = []
+    rng = np.random.default_rng(2025)
+    for _ in range(200):
+        c, obs, exp, n_ec = random_length_scenario(rng)
+        results.append(security_result(c, obs, exp, n_ec))
+    for stem in ("demo", "fiber", "small"):
+        c = load_constants(CONFIGS / f"{stem}_constants.json")
+        exp = expected_observables(c, load_channel(CONFIGS / f"{stem}_channel.json"))
+        obs = Observables(
+            n_sift_s=round(exp.n_sift_s),
+            n_sift_d=round(exp.n_sift_d),
+            n_sift_v=round(exp.n_sift_v),
+            n_err_dx=round(exp.n_err_dx),
+            n_err_vx=round(exp.n_err_vx),
+        )
+        n_ec = syndrome_length(obs.n_sift, c.e_bit_assumed)
+        results.append(security_result(c, obs, exp, n_ec))
+    for res in results:
+        digest.update(repr(tuple(getattr(res, f) for f in fields)).encode())
+    assert 0 < sum(res.abort for res in results) < len(results)
+    assert digest.hexdigest() == PINNED_KEY_LENGTHS

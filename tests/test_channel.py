@@ -28,7 +28,6 @@ from dsbb84.params import (
     DomainError,
     ProtocolConstants,
     poisson_pcs,
-    truncation_n_max,
 )
 from reference import chi2_statistic, chi2_upper
 
@@ -75,6 +74,14 @@ def test_channel_validation():
         ChannelModel(eta_ch=0.5, e_mis=0.0, p_dark=1.0, eta_det=1.0)
     with pytest.raises(ConfigurationError):
         ChannelModel(eta_ch=0.5, e_mis=0.0, p_dark=0.0, eta_det=0.0)
+    for bad in (dict(e_mis="0.01"), dict(p_dark=None), dict(eta_ch=True),
+                dict(eta_det=float("inf"))):
+        fields = {**dict(eta_ch=0.5, e_mis=0.0, p_dark=0.0, eta_det=1.0), **bad}
+        with pytest.raises(ConfigurationError, match="real number"):
+            ChannelModel(**fields)
+    with pytest.raises(ConfigurationError, match="real number"):
+        ChannelModel(loss_db_per_km=0.2, distance_km="100", e_mis=0.0,
+                     p_dark=0.0, eta_det=1.0)
 
 
 def test_transmittance_from_fibre_budget():
@@ -175,7 +182,7 @@ def test_poisson_mixture_of_fock_matches_closed_form():
     c = constants()
     for omega in INTENSITIES:
         mu = c.mu[omega]
-        n_top = min(truncation_n_max(mu), 12)
+        n_top = 12
         for alpha, a_bit, beta in [("Z", 0, "Z"), ("X", 1, "X"), ("Z", 1, "X")]:
             mix = [0.0, 0.0, 0.0, 0.0]
             for n in range(n_top + 1):

@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import shlex
 from types import SimpleNamespace
 
 import pytest
@@ -7,7 +9,10 @@ import pytest
 import dsbb84.cli
 import dsbb84.protocol
 from dsbb84.cli import main
+from dsbb84.hashing import ModifiedToeplitz
 from dsbb84.wire import WireError
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 SMALL_CONSTANTS = {
     "n_block": 5,
@@ -140,6 +145,56 @@ def test_wire_error_during_simulate_is_internal(config_files, monkeypatch, capsy
     ])
     assert code == 3
     assert "WireError" in capsys.readouterr().err
+
+
+def test_uncaught_error_during_simulate_is_internal(
+    config_files, monkeypatch, capsys
+):
+    def inexact(self, x):
+        raise FloatingPointError("FFT convolution is not exact enough")
+
+    monkeypatch.setattr(ModifiedToeplitz, "apply", inexact)
+    code = main([
+        "simulate",
+        "--constants", config_files["small_constants"],
+        "--channel", config_files["small_channel"],
+        "--seed", "1",
+    ])
+    assert code == 3
+    assert "internal error: FloatingPointError" in capsys.readouterr().err
+
+
+def readme_examples():
+    """Each ``$ dsbb84 ...`` example in README.md with its printed lines."""
+    examples = []
+    lines = (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    i = 0
+    while i < len(lines):
+        if not lines[i].startswith("$ dsbb84 "):
+            i += 1
+            continue
+        command = lines[i][len("$ dsbb84 "):]
+        while command.endswith("\\"):
+            i += 1
+            command = command[:-1] + lines[i].strip()
+        i += 1
+        output = []
+        while not lines[i].startswith("```"):
+            output.append(lines[i])
+            i += 1
+        examples.append((shlex.split(command), output))
+    return examples
+
+
+def test_readme_examples_print_what_they_show(monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == [
+        "keyrate", "simulate", "scan", "verify-bounds",
+    ]
+    for argv, output in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == output, argv
 
 
 def test_scan_reports_each_value(config_files, tmp_path, capsys):
@@ -286,6 +341,25 @@ def test_invalid_constants_is_config_error(tmp_path, config_files, capsys):
     ])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+    # A real-valued field that is not a number is a configuration error
+    # too, in the constants and in the channel.
+    for constants, channel in (
+        (dict(SMALL_CONSTANTS, p_basis_alice="0.5"), SMALL_CHANNEL),
+        (dict(SMALL_CONSTANTS, p_intensity={"S": "0.4", "D": 0.5, "V": 0.1}),
+         SMALL_CHANNEL),
+        (dict(SMALL_CONSTANTS, eps_secrecy=None), SMALL_CHANNEL),
+        (dict(SMALL_CONSTANTS, mu={"S": "abc", "D": 0.3, "V": 0.0}),
+         SMALL_CHANNEL),
+        (SMALL_CONSTANTS, dict(SMALL_CHANNEL, e_mis="0.01")),
+    ):
+        paths = []
+        for name, obj in (("c", constants), ("ch", channel)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(obj))
+        code = main(["keyrate", "--constants", str(paths[0]),
+                     "--channel", str(paths[1])])
+        assert code == 2
+        assert "must be a real number" in capsys.readouterr().err
 
 @pytest.mark.parametrize(
     "field, value",

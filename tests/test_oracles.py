@@ -17,7 +17,7 @@ from dsbb84.channel import (
 from dsbb84.oracles import (
     GroundTruthRun,
     clicked_photon_numbers,
-    ground_truth_run,
+    ground_truth_runs,
     kato_tail_mc,
     photon_posterior,
     verification_mc,
@@ -81,7 +81,7 @@ def test_tail_mc_validates_q():
 
 
 def test_ground_truth_nonvacuous_coverage():
-    run = ground_truth_run(DEMO, DEMO_CHANNEL, seed=3)
+    (run,) = ground_truth_runs(DEMO, DEMO_CHANNEL, [3])
     assert not run.abort
     assert run.n1z_floor > 0
     assert run.n1z_floor <= run.n1z_true
@@ -90,17 +90,18 @@ def test_ground_truth_nonvacuous_coverage():
 
 
 def test_ground_truth_abort_counts_as_covered():
-    run = ground_truth_run(LOSSY, FIBER, seed=3)
+    (run,) = ground_truth_runs(LOSSY, FIBER, [3])
     assert run.abort
     assert run.covered
     assert run.n1z_floor == 0
 
 
 def test_ground_truth_is_deterministic():
-    a = ground_truth_run(LOSSY, FIBER, seed=12)
-    b = ground_truth_run(LOSSY, FIBER, seed=12)
+    a, b = ground_truth_runs(LOSSY, FIBER, [12, 12])
     assert a == b
     assert isinstance(a, GroundTruthRun)
+    # A run depends on its own seed only, not on the seeds batched with it.
+    assert ground_truth_runs(LOSSY, FIBER, [5, 12])[1] == a
 
 
 def test_verification_attack_rate():
@@ -125,7 +126,7 @@ def test_photon_posterior_truncation_is_stated():
 def test_ground_truth_refuses_heavy_truncation():
     bright = dataclasses.replace(LOSSY, mu={"S": 3.0, "D": 0.1, "V": 0.001})
     with pytest.raises(DomainError):
-        ground_truth_run(bright, FIBER, seed=1)
+        ground_truth_runs(bright, FIBER, [1])
 
 
 def test_clicked_photon_numbers_follow_the_fock_posterior():

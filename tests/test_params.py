@@ -7,12 +7,10 @@ from dsbb84.params import (
     INTENSITIES,
     ConfigurationError,
     DomainError,
-    PhotonDistributions,
     ProtocolConstants,
     entropy_h,
     load_constants,
     poisson_pcs,
-    truncation_n_max,
 )
 from reference import p_int_cond, p_int_joint
 
@@ -79,7 +77,7 @@ def test_poisson_branches_agree_at_crossover():
 
 @given(st.floats(min_value=1e-6, max_value=50.0))
 def test_poisson_mass_above_cutoff_is_negligible(mu):
-    n_max = truncation_n_max(mu)
+    n_max = math.ceil(mu + 12.0 * math.sqrt(mu) + 30.0)
     mass = math.fsum(poisson_pcs(mu, n) for n in range(n_max + 1))
     assert mass >= 1.0 - 1e-12
 
@@ -140,6 +138,13 @@ def test_constants_explicit_total_checked():
         dict(e_bit_assumed=0.6),
         dict(eps_secrecy=0.0),
         dict(eps_secrecy=1.0),
+        dict(p_basis_alice="0.5"),
+        dict(p_intensity={"S": "0.7", "D": 0.2, "V": 0.1}),
+        dict(mu={"S": "abc", "D": 0.1, "V": 0.0}),
+        dict(eps_secrecy=None),
+        dict(e_bit_assumed=True),
+        dict(p_basis_bob=float("nan")),
+        dict(mu=[0.5, 0.1, 0.0]),
     ],
 )
 def test_constants_rejects_bad_config(overrides):
@@ -182,30 +187,3 @@ def test_joint_and_conditional_tables():
             )
     with pytest.raises(DomainError):
         p_int_joint(c, "Q", 0)
-
-
-def test_photon_distributions_match_pointwise():
-    c = ProtocolConstants(**good_config())
-    dist = PhotonDistributions(c)
-    for n in (0, 1, 2, 5, dist.n_max):
-        for w in INTENSITIES:
-            assert dist.joint[w][n] == pytest.approx(p_int_joint(c, w, n), rel=1e-13)
-        if dist.p_n[n] > 0:
-            for w in INTENSITIES:
-                assert dist.cond[w][n] == pytest.approx(
-                    p_int_cond(c, w, n), rel=1e-12
-                )
-    assert dist.p_n[1] == pytest.approx(
-        math.fsum(
-            c.p_intensity[w] * c.mu[w] * math.exp(-c.mu[w]) for w in INTENSITIES
-        ),
-        rel=1e-13,
-    )
-
-
-def test_photon_distributions_vacuum_has_no_photons():
-    c = ProtocolConstants(**good_config(mu={"S": 0.5, "D": 0.1, "V": 0.0}))
-    dist = PhotonDistributions(c)
-    assert dist.cond["V"][0] > 0.0
-    for n in range(1, 5):
-        assert dist.cond["V"][n] == 0.0
