@@ -154,6 +154,33 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _swept_constants(base: dict, param: str, value) -> dict:
+    """The constants ``base`` with ``param`` set to ``value``.
+
+    A sending probability ``p_S``, ``p_D`` or ``p_V`` must lie in (0, 1);
+    the other two are rescaled in their configured ratio to sum to
+    ``1 - value``.
+    """
+    override = dict(base)
+    if param in ("mu_S", "mu_D", "mu_V"):
+        override["mu"] = dict(override["mu"])
+        override["mu"][param[-1]] = value
+    elif param in ("p_S", "p_D", "p_V"):
+        if not 0.0 < value < 1.0:
+            raise ConfigurationError(f"{param} must lie in (0, 1), got {value}")
+        label = param[-1]
+        probs = override["p_intensity"]
+        scale = (1.0 - value) / sum(p for w, p in probs.items() if w != label)
+        override["p_intensity"] = {
+            w: value if w == label else p * scale for w, p in probs.items()
+        }
+    elif param in base:
+        override[param] = value
+    else:
+        raise ConfigurationError(f"unknown scan parameter {param}")
+    return override
+
+
 def cmd_scan(args) -> int:
     constants, channel = _load_config(args)
     base = constants.as_dict()
@@ -164,21 +191,11 @@ def cmd_scan(args) -> int:
         values = [parse(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"bad --values: {exc}") from None
+    # Every value is checked before the first row is printed.
+    sweep = [load_constants(_swept_constants(base, args.param, v)) for v in values]
     rows = []
     any_key = False
-    for value in values:
-        override = dict(base)
-        if args.param in ("mu_S", "mu_D", "mu_V"):
-            override["mu"] = dict(override["mu"])
-            override["mu"][args.param[-1]] = value
-        elif args.param in ("p_S", "p_D", "p_V"):
-            override["p_intensity"] = dict(override["p_intensity"])
-            override["p_intensity"][args.param[-1]] = value
-        elif args.param in base:
-            override[args.param] = value
-        else:
-            raise ConfigurationError(f"unknown scan parameter {args.param}")
-        swept = load_constants(override)
+    for value, swept in zip(values, sweep):
         result = _analytic_result(swept, channel)
         rows.append({"value": value, "result": result.as_dict()})
         any_key = any_key or not result.abort

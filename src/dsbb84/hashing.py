@@ -6,11 +6,18 @@ to the ``m x m`` identity. Every member is surjective, and for distinct
 inputs the collision probability over the seed draw is at most ``2^-m``,
 which is what the correctness and secrecy accounting rely on.
 
-Verification and privacy amplification share one evaluation path:
-``T x_left`` is a window of the integer convolution of the diagonal bits
-with ``x_left``, computed by one real FFT in O(n log n) and reduced mod 2.
-An exactness guard raises instead of returning a hash whenever the
-floating-point convolution is not within 0.25 of an integer everywhere.
+Verification and privacy amplification share one apply, ``T x_left``
+being a window of the integer convolution of the diagonal bits with
+``x_left``, reduced mod 2. The window is computed one of two ways, by
+which costs less for the shape:
+
+* directly, ``n_out`` dot products of length ``w = n_in - n_out`` in
+  float64 (a short verification digest). Every product is 0 or 1 and
+  every sum an integer at most ``w < 2**53``, so the result is exact;
+* by one real FFT convolution in O(n log n) (privacy amplification).
+  Its rounding errors are not bounded a priori, so an exactness guard
+  raises instead of returning a hash whenever a sum is not within 0.25 of
+  an integer.
 
 Seeds are 64-bit integers expanded into diagonal bits with SHA-256 in
 counter mode. The expansion is a pseudorandom convenience for driving the
@@ -21,6 +28,7 @@ diagonal bits as the actual hash choice.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -29,6 +37,34 @@ from .gf2 import BitString
 
 VERIFY_LABEL = b"verify"
 PA_LABEL = b"pa"
+
+# Multiply-adds of the direct sum that cost as much as one term of the
+# FFT's ``n log2 n``. Measured with numpy 2.4 on x86-64, the break-even is
+# about 5 at n_in = 9e3 and 23 at 2.5e5. At 8, a verification digest of
+# 16-64 bits is summed directly, and a privacy-amplification output of a
+# few hundred bits or more takes the FFT.
+_DIRECT_PER_FFT_TERM = 8
+
+
+def _fft_length(n: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c`` at or above ``n >= 1``, a length
+    numpy's FFT handles as fast as a power of two."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # odd * 2**k with the least k that reaches n.
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _uses_fft(n_in: int, n_out: int) -> bool:
+    """Whether :meth:`ModifiedToeplitz.apply` takes the FFT path."""
+    w = n_in - n_out
+    return n_out * w > _DIRECT_PER_FFT_TERM * n_in * math.log2(n_in)
 
 
 def expand_seed(seed: int, label: bytes, n_bits: int) -> BitString:
@@ -67,16 +103,18 @@ class ModifiedToeplitz:
         self._diagonals = diagonals.to_array()
 
     def apply(self, x: BitString) -> BitString:
-        """Hash ``x`` by one FFT convolution, O(n log n) in ``n_in``.
+        """Hash ``x``; O(n log n) in ``n_in`` at worst.
 
         ``(T x_left)[r]`` is entry ``w - 1 + r`` of the integer linear
         convolution of the diagonal bits with ``x_left``; its parity,
-        xored with ``x_right``, is the output. A circular convolution of
-        any length ``N >= n_in - 1`` agrees with the linear one on that
-        window, because wrapped terms only reach indices ``>= N + w - 1``.
-        The floating-point sums are rounded to integers, and the call
-        raises ``FloatingPointError`` rather than return a hash when any
-        sum is 0.25 or further from an integer.
+        xored with ``x_right``, is the output. When ``n_out * w`` is small
+        against the FFT's cost (:func:`_uses_fft`) the window is summed
+        directly, exactly. Otherwise it comes from a circular FFT
+        convolution of length :func:`_fft_length` ``(n_in - 1)``, which
+        agrees with the linear one on that window because wrapped terms
+        only reach indices ``>= N + w - 1``. Its sums are rounded to
+        integers, and the call raises ``FloatingPointError`` rather than
+        return a hash when any sum is 0.25 or further from an integer.
         """
         if len(x) != self.n_in:
             raise ValueError(f"expected {self.n_in} input bits, got {len(x)}")
@@ -84,15 +122,22 @@ class ModifiedToeplitz:
         if w == 0 or n_out == 0:
             return x[w:]
         bits = x.to_array()
-        size = 1 << (self.n_in - 2).bit_length()
-        rows = np.zeros((2, size))
-        rows[0, : self.n_in - 1] = self._diagonals
-        rows[1, :w] = bits[:w]
-        spectra = rfft(rows)
-        conv = irfft(spectra[0] * spectra[1], size)[w - 1 : w - 1 + n_out]
-        counts = np.rint(conv)
-        if np.abs(conv - counts).max() >= 0.25:
-            raise FloatingPointError("FFT convolution is not exact enough")
+        if _uses_fft(self.n_in, n_out):
+            size = _fft_length(self.n_in - 1)
+            rows = np.zeros((2, size))
+            rows[0, : self.n_in - 1] = self._diagonals
+            rows[1, :w] = bits[:w]
+            spectra = rfft(rows)
+            conv = irfft(spectra[0] * spectra[1], size)[w - 1 : w - 1 + n_out]
+            counts = np.rint(conv)
+            if np.abs(conv - counts).max() >= 0.25:
+                raise FloatingPointError("FFT convolution is not exact enough")
+        else:
+            counts = np.convolve(
+                self._diagonals.astype(np.float64),
+                bits[:w].astype(np.float64),
+                "valid",
+            )
         return BitString.from_array((counts.astype(np.int64) & 1) ^ bits[w:])
 
 

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against.
 
 Nothing in ``src`` uses these: a dense GF(2) matrix with integer-bitset
-rows, the explicit matrix of a modified Toeplitz hash, the intensity and
+rows, the explicit matrix of a modified Toeplitz hash, a belief-propagation
+decoder written with one fresh array per step, the intensity and
 photon-number probabilities written out one value at a time, a chi-square
 check, and a generator of random length-computation scenarios.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from dsbb84.bounds import Observables, expected_observables
 from dsbb84.channel import ChannelModel
-from dsbb84.ecc import syndrome_length
+from dsbb84.ecc import LLR_CLIP, MAX_ITERATIONS, LdpcCode, syndrome_length
 from dsbb84.gf2 import BitString
 from dsbb84.params import INTENSITIES, DomainError, ProtocolConstants, poisson_pcs
 
@@ -88,6 +89,52 @@ def toeplitz_matrix(diagonals: BitString, n_in: int, n_out: int) -> Gf2Matrix:
             row |= d[r - c + w - 1] << c
         rows.append(row)
     return Gf2Matrix(rows, n_in)
+
+
+def decode_syndrome(
+    code: LdpcCode, target: BitString, crossover: float
+) -> tuple[BitString, bool, int]:
+    """``LdpcCode.decode_syndrome`` with a fresh array for every step.
+
+    The edges are put in row order by ``np.argsort(kind="stable")``, the
+    column sums are float ``bincount``s over that order and the syndrome
+    check is a full float-weighted ``bincount``, so every float operation
+    is the one the package's decoder must reproduce bit for bit.
+    """
+    weight = code.rows.shape[0]
+    row_idx = code.rows.astype(np.int64).ravel()
+    col_idx = np.tile(np.arange(code.n_bits, dtype=np.int64), weight)
+    order = np.argsort(row_idx, kind="stable")
+    row_idx, col_idx = row_idx[order], col_idx[order]
+    counts = np.bincount(row_idx, minlength=code.n_rows)
+    empty_rows = counts == 0
+    row_starts = (np.cumsum(counts) - counts)[~empty_rows]
+
+    def syndrome(e_hat):
+        acc = np.bincount(row_idx, weights=e_hat[col_idx], minlength=code.n_rows)
+        return acc.astype(np.int64) & 1
+
+    t_arr = target.to_array()
+    p = min(max(crossover, 1e-4), 0.5 - 1e-4)
+    llr0 = math.log((1.0 - p) / p)
+    sign_target = 1.0 - 2.0 * t_arr.astype(np.float64)
+    v_msg = np.full(row_idx.shape, llr0)
+    e_hat = np.zeros(code.n_bits, dtype=np.int64)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        tanh_half = np.tanh(np.clip(v_msg, -LLR_CLIP, LLR_CLIP) / 2.0)
+        tanh_half = np.where(
+            np.abs(tanh_half) < 1e-12, np.copysign(1e-12, tanh_half), tanh_half
+        )
+        prod = np.ones(code.n_rows)
+        prod[~empty_rows] = np.multiply.reduceat(tanh_half, row_starts)
+        ext = np.clip(prod[row_idx] / tanh_half, -1.0 + 1e-12, 1.0 - 1e-12)
+        c_msg = sign_target[row_idx] * 2.0 * np.arctanh(ext)
+        totals = llr0 + np.bincount(col_idx, weights=c_msg, minlength=code.n_bits)
+        e_hat = (totals < 0.0).astype(np.int64)
+        if np.array_equal(syndrome(e_hat), t_arr):
+            return BitString.from_array(e_hat), True, iteration
+        v_msg = np.clip(totals[col_idx] - c_msg, -LLR_CLIP, LLR_CLIP)
+    return BitString.from_array(e_hat), False, MAX_ITERATIONS
 
 
 def p_int_joint(constants: ProtocolConstants, omega: str, n: int) -> float:

@@ -215,6 +215,50 @@ def test_scan_reports_each_value(config_files, tmp_path, capsys):
     assert report["rows"][1]["result"]["n_fin"] == 622
 
 
+def test_scan_sending_probability_rescales_the_other_two(
+    config_files, tmp_path, capsys
+):
+    report_path = tmp_path / "scan.json"
+    code = main([
+        "scan",
+        "--constants", config_files["small_constants"],
+        "--channel", config_files["small_channel"],
+        "--param", "p_S",
+        "--values", "0.4,0.3",
+        "--json", str(report_path),
+    ])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["p_S=0.4", "p_S=0.3"]
+    rows = json.loads(report_path.read_text())["rows"]
+    assert [row["value"] for row in rows] == [0.4, 0.3]
+    # The configured value reproduces keyrate; D and V keep their 5:1 ratio.
+    assert rows[0]["result"]["n_fin"] == 622
+    assert rows[0]["result"] != rows[1]["result"]
+    assert SMALL_CONSTANTS["p_intensity"] == {"S": 0.4, "D": 0.5, "V": 0.1}
+    swept = dsbb84.cli._swept_constants(SMALL_CONSTANTS, "p_S", 0.3)["p_intensity"]
+    assert swept["S"] == 0.3
+    assert swept["D"] == pytest.approx(0.7 * 5 / 6, rel=1e-15)
+    assert swept["V"] == pytest.approx(0.7 / 6, rel=1e-15)
+
+
+@pytest.mark.parametrize("values", ["0.4,1.0", "0.4,0", "0.4,-0.2", "0.4,1.5"])
+def test_scan_sending_probability_outside_unit_interval_prints_no_row(
+    config_files, capsys, values
+):
+    code = main([
+        "scan",
+        "--constants", config_files["small_constants"],
+        "--channel", config_files["small_channel"],
+        "--param", "p_D",
+        "--values", values,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p_D must lie in (0, 1)" in captured.err
+
+
 def test_scan_unknown_parameter_is_config_error(config_files, capsys):
     code = main([
         "scan",

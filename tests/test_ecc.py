@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dsbb84.channel import generator
 from dsbb84.ecc import (
@@ -14,7 +14,7 @@ from dsbb84.ecc import (
 )
 from dsbb84.gf2 import BitString
 from dsbb84.params import DomainError, entropy_h
-from reference import Gf2Matrix
+from reference import Gf2Matrix, decode_syndrome as reference_decode
 
 
 def random_key(n_bits, rng):
@@ -43,26 +43,25 @@ def test_code_is_deterministic_in_seed():
     a = LdpcCode(200, 40, seed=5)
     b = LdpcCode(200, 40, seed=5)
     c = LdpcCode(200, 40, seed=6)
-    assert np.array_equal(a.row_idx, b.row_idx)
-    assert np.array_equal(a.col_idx, b.col_idx)
-    assert not (
-        np.array_equal(a.row_idx, c.row_idx) and np.array_equal(a.col_idx, c.col_idx)
-    )
+    assert np.array_equal(a.rows, b.rows)
+    assert not np.array_equal(a.rows, c.rows)
 
 
 def test_column_weight():
     for n_bits, n_rows, weight in ((400, 60, 3), (50, 2, 2)):
         code = LdpcCode(n_bits, n_rows, seed=11)
-        assert (np.bincount(code.col_idx, minlength=n_bits) == weight).all()
+        assert code.rows.shape == (weight, n_bits)
+        assert ((0 <= code.rows) & (code.rows < n_rows)).all()
         # The rows of one column are distinct, so no entry cancels.
-        pairs = code.row_idx * n_bits + code.col_idx
-        assert len(np.unique(pairs)) == len(pairs)
+        ordered = np.sort(code.rows, axis=0)
+        assert (ordered[1:] != ordered[:-1]).all()
 
 
 def dense_matrix(code):
     rows = [0] * code.n_rows
-    for r, c in zip(code.row_idx.tolist(), code.col_idx.tolist()):
-        rows[r] ^= 1 << c
+    for column_rows in code.rows.tolist():
+        for c, r in enumerate(column_rows):
+            rows[r] ^= 1 << c
     return Gf2Matrix(rows, code.n_bits)
 
 
@@ -133,7 +132,7 @@ def test_decode_with_empty_last_row():
     # must not break the per-row products of propagation.
     n_bits = 200
     code = LdpcCode(n_bits, syndrome_length(n_bits, 0.5), seed=3)
-    assert code._empty_rows[-1]
+    assert not (code.rows == code.n_rows - 1).any()
     rng = generator(5, 0)
     x_alice = random_key(n_bits, rng)
     x_bob = x_alice ^ flip_pattern(n_bits, 0.01, rng)
@@ -167,5 +166,61 @@ def test_stable_row_order_matches_stable_argsort(n_rows, distinct, n, seed):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, n_rows, size=distinct)
     rows = values[rng.integers(0, distinct, size=n)]
-    assert np.array_equal(stable_row_order(rows), np.argsort(rows, kind="stable"))
+    expected = np.argsort(rows, kind="stable")
+    assert np.array_equal(stable_row_order(rows, n_rows), expected)
 
+
+def test_decoder_layout_beyond_16_bit_rows_matches_stable_argsort():
+    # More rows than one 16-bit radix pass can order.
+    n_bits, n_rows = 30_000, 70_000
+    code = LdpcCode(n_bits, n_rows, seed=21)
+    order = np.argsort(code.rows.ravel(), kind="stable")
+    layout = code._layout
+    assert np.array_equal(layout.col, order % n_bits)
+    row_sorted = code.rows.ravel()[order]
+    nonempty_rows = np.flatnonzero(layout.nonempty)
+    assert np.array_equal(nonempty_rows[layout.rank], row_sorted)
+    assert np.array_equal(nonempty_rows, np.unique(row_sorted))
+    assert np.array_equal(
+        layout.starts, np.searchsorted(row_sorted, nonempty_rows)
+    )
+
+
+@st.composite
+def decode_cases(draw):
+    n_bits = draw(st.integers(min_value=1, max_value=300))
+    # One and two rows give weight-1 and weight-2 codes; more rows than
+    # three per bit leave some rows, often the last, empty.
+    n_rows = draw(
+        st.one_of(
+            st.sampled_from([1, 2, 3]),
+            st.integers(min_value=1, max_value=120),
+            st.integers(min_value=3 * n_bits, max_value=3 * n_bits + 40),
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    # From clean up to error rates no code at these rates decodes.
+    rate = draw(st.sampled_from([0.0, 0.005, 0.02, 0.08, 0.25, 0.5]))
+    crossover = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5]))
+    state = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    # Half the targets are syndromes of an error pattern; the others are
+    # arbitrary, possibly with a 1 on an empty row that no estimate meets.
+    from_pattern = draw(st.booleans())
+    return n_bits, n_rows, seed, rate, crossover, state, from_pattern
+
+
+@settings(deadline=None)
+@example((200, syndrome_length(200, 0.5), 3, 0.01, 0.05, 5, True))
+@example((600, syndrome_length(600, 0.01), 13, 0.25, 0.01, 99, True))
+@given(decode_cases())
+def test_decoder_matches_reference_decoder(case):
+    n_bits, n_rows, seed, rate, crossover, state, from_pattern = case
+    code = LdpcCode(n_bits, n_rows, seed)
+    rng = np.random.default_rng(state)
+    if from_pattern:
+        target = code.syndrome(BitString.from_array(rng.random(n_bits) < rate))
+    else:
+        target = BitString.from_array(rng.random(n_rows) < 0.5)
+    assert code.decode_syndrome(target, crossover) == reference_decode(
+        code, target, crossover
+    )

@@ -131,12 +131,66 @@ def test_apply_matches_bigint_oracle_at_demo_size():
     )
 
 
+@st.composite
+def cutover_shapes(draw):
+    """Shapes on both sides of the direct/FFT cutover, and right at it."""
+    # From about 260 input bits up, the middle n_out go to the FFT.
+    n_in = draw(st.integers(min_value=300, max_value=3000))
+    edge = max(n for n in range(n_in // 2 + 1) if not hashing._uses_fft(n_in, n))
+    n_out = draw(st.integers(min_value=edge - 3, max_value=edge + 4))
+    return n_in, n_out, edge, draw(st.integers(0, 2**30 - 1))
+
+
+@settings(deadline=None)
+@given(cutover_shapes())
+def test_apply_matches_bigint_oracle_across_cutover(shape):
+    n_in, n_out, edge, state = shape
+    assert hashing._uses_fft(n_in, n_out) == (n_out > edge)
+    rng = random.Random(state)
+    d = BitString.from_int(rng.getrandbits(n_in - 1), n_in - 1)
+    x = BitString.from_int(rng.getrandbits(n_in), n_in)
+    assert ModifiedToeplitz(d, n_in, n_out).apply(x) == bigint_apply(
+        d, n_in, n_out, x
+    )
+
+
+def test_digests_are_summed_directly_and_keys_by_fft():
+    # The verification digest and the final key of clean-short and demo-x4.
+    assert not hashing._uses_fft(9000, 16)
+    assert not hashing._uses_fft(245_841, 64)
+    assert hashing._uses_fft(9000, 622)
+    assert hashing._uses_fft(245_841, 73_770)
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for n in range(1, 3000):
+        length = hashing._fft_length(n)
+        assert length >= n and smooth(length)
+        assert not any(smooth(k) for k in range(n, length))
+    assert hashing._fft_length(245_840) == 248_832
+
+
 def test_apply_raises_when_convolution_is_inexact(monkeypatch):
+    calls = []
     real_irfft = hashing.irfft
-    monkeypatch.setattr(hashing, "irfft", lambda *a: real_irfft(*a) + 0.5)
-    mt = ModifiedToeplitz(expand_seed(3, b"t", 99), 100, 30)
+
+    def off_by_half(*args):
+        calls.append(args)
+        return real_irfft(*args) + 0.5
+
+    monkeypatch.setattr(hashing, "irfft", off_by_half)
+    n_in, n_out = 4000, 2000
+    assert hashing._uses_fft(n_in, n_out)
+    mt = ModifiedToeplitz(expand_seed(3, b"t", n_in - 1), n_in, n_out)
     with pytest.raises(FloatingPointError):
-        mt.apply(expand_seed(4, b"x", 100))
+        mt.apply(expand_seed(4, b"x", n_in))
+    assert len(calls) == 1
 
 
 def test_linear_in_input():

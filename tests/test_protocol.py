@@ -193,6 +193,26 @@ def test_demo_scale_session_is_byte_identical_to_golden_digest():
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEMO_DIGEST
 
 
+# SHA-256 over repr of Bob's [(ec_converged, ec_iterations, ec_error_weight)]
+# for run_protocol(SMALL, CLEAN, seed) at seeds 1-4 and (SMALL, NOISY, 1),
+# whose decode stalls: [(True, 3, 10), (True, 3, 17), (True, 3, 19),
+# (True, 3, 16), (False, 60, 23)]. The transcript digests do not cover the
+# decoder's own telemetry.
+GOLDEN_DECODER_TELEMETRY_DIGEST = (
+    "630fe2a53d6ff1bab867b593c2739c6ba7ae7e87d562989916a0d9d83c58810c"
+)
+
+
+def test_decoder_telemetry_is_pinned():
+    rows = []
+    for channel, seed in ((CLEAN, 1), (CLEAN, 2), (CLEAN, 3), (CLEAN, 4), (NOISY, 1)):
+        bob = run_protocol(SMALL, channel, seed=seed).bob
+        rows.append((bob.ec_converged, bob.ec_iterations, bob.ec_error_weight))
+    assert rows[-1][:2] == (False, 60)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == GOLDEN_DECODER_TELEMETRY_DIGEST
+
+
 def test_run_is_deterministic_in_seed():
     a = run_protocol(SMALL, CLEAN, seed=40)
     b = run_protocol(SMALL, CLEAN, seed=40)
