@@ -20,7 +20,7 @@ All seven envelope events share the secrecy budget as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, NamedTuple
 
 from .channel import (
@@ -186,9 +186,9 @@ class Observables:
     n_err_vx: int
 
     def __post_init__(self) -> None:
-        for name in ("n_sift_s", "n_sift_d", "n_sift_v", "n_err_dx", "n_err_vx"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise DomainError(f"{f.name} must be nonnegative")
 
     @property
     def n_sift(self) -> int:
@@ -221,27 +221,12 @@ def expected_observables(
     pzz = constants.p_basis_alice * constants.p_basis_bob
     pxx = (1.0 - constants.p_basis_alice) * (1.0 - constants.p_basis_bob)
     _, p1_int = _photon_law(constants, 1)
+    p, mu = constants.p_intensity, constants.mu
+    sift = (n * p[w] * pzz * click_probability_total(channel, mu[w]) for w in INTENSITIES)
+    err = (n * p[w] * pxx * error_probability_x(channel, mu[w]) for w in ("D", "V"))
     return ExpectedObservables(
-        n_sift_s=n
-        * constants.p_intensity["S"]
-        * pzz
-        * click_probability_total(channel, constants.mu["S"]),
-        n_sift_d=n
-        * constants.p_intensity["D"]
-        * pzz
-        * click_probability_total(channel, constants.mu["D"]),
-        n_sift_v=n
-        * constants.p_intensity["V"]
-        * pzz
-        * click_probability_total(channel, constants.mu["V"]),
-        n_err_dx=n
-        * constants.p_intensity["D"]
-        * pxx
-        * error_probability_x(channel, constants.mu["D"]),
-        n_err_vx=n
-        * constants.p_intensity["V"]
-        * pxx
-        * error_probability_x(channel, constants.mu["V"]),
+        *sift,
+        *err,
         n1z=n * pzz * p1_int * single_photon_yield(channel),
         nph=n * pzz * p1_int * single_photon_error_x(channel),
     )
@@ -450,23 +435,7 @@ class SecurityResult:
     intermediates: Mapping[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "n_sift": self.n_sift,
-            "n1z_real": self.n1z_real,
-            "n1z_floor": self.n1z_floor,
-            "nph_real": self.nph_real,
-            "nph_ceil": self.nph_ceil,
-            "n_pa": self.n_pa,
-            "n_ec": self.n_ec,
-            "n_verify": self.n_verify,
-            "n_fin": self.n_fin,
-            "abort": self.abort,
-            "eps_secrecy": self.eps_secrecy,
-            "eps_correct": self.eps_correct,
-            "eps_total": self.eps_total,
-            "budget": [list(entry) for entry in self.budget],
-            "intermediates": dict(self.intermediates),
-        }
+        return asdict(self)
 
 
 def security_result(

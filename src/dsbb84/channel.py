@@ -9,9 +9,9 @@ detector a, mismatched bases split it evenly. Misalignment flips each
 photon's routing independently with probability e_mis, dark counts fire each
 detector independently, and a double click resolves to a fair coin.
 
-The closed forms and the Fock-state oracle below describe the same physical
-model: the per-photon routing of a Poisson pulse thins into two independent
-Poisson detector loads, which is what the closed forms use.
+The closed forms use that the per-photon routing of a Poisson pulse thins
+into two independent Poisson detector loads. The test suite checks them
+against a Fock-state oracle that enumerates each photon's fate instead.
 
 The sampler draws only the rounds that clicked: whether a round clicks
 depends on its intensity alone, so a block draws its click count and
@@ -21,7 +21,7 @@ detector cell from the laws conditioned on the click (see sample_block).
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -34,6 +34,7 @@ from .params import (
     ConfigurationError,
     DomainError,
     ProtocolConstants,
+    read_config,
     require_real,
 )
 
@@ -51,14 +52,11 @@ __all__ = [
     "error_probability_x",
     "single_photon_yield",
     "single_photon_error_x",
-    "fock_click_oracle",
     "click_law",
     "setting_index",
     "sample_block",
     "generator",
 ]
-
-FOCK_MAX_PHOTONS = 12
 
 
 @dataclass(frozen=True)
@@ -112,33 +110,13 @@ class ChannelModel:
         return 10.0 ** (-self.loss_db_per_km * self.distance_km / 10.0)
 
     def as_dict(self) -> dict:
-        out = {
-            "e_mis": self.e_mis,
-            "p_dark": self.p_dark,
-            "eta_det": self.eta_det,
-        }
-        if self.eta_ch is not None:
-            out["eta_ch"] = self.eta_ch
-        else:
-            out["loss_db_per_km"] = self.loss_db_per_km
-            out["distance_km"] = self.distance_km
-        return out
+        """JSON-serialisable view with the transmittance in the form given."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
 
 def load_channel(source) -> ChannelModel:
     """Build a ChannelModel from a JSON file path or a mapping."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raw = dict(source)
-    if not isinstance(raw, dict):
-        raise ConfigurationError("channel file must hold a JSON object")
-    allowed = {"eta_ch", "loss_db_per_km", "distance_km", "e_mis", "p_dark", "eta_det"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown channel keys: {sorted(unknown)}")
-    return ChannelModel(**raw)
+    return ChannelModel(**read_config(source, ChannelModel, "channel"))
 
 
 def eta_total(channel: ChannelModel) -> float:
@@ -243,55 +221,9 @@ def single_photon_error_x(channel: ChannelModel) -> float:
     )
 
 
-def fock_click_oracle(
-    n_photons: int,
-    channel: ChannelModel,
-    phase_delta: float,
-    beta: str,
-) -> tuple[float, float, float, float]:
-    """(p_only0, p_only1, p_both, p_none) for an n-photon input state.
-
-    phase_delta is the sender's encoding phase; the receiver's reference
-    for basis beta is subtracted internally. Enumerates every split of the
-    n photons over (detector 0, detector 1, lost), then folds in the dark
-    counts, so it shares no code path with the closed form above and
-    serves as its independent check through Poisson mixing.
-    """
-    if not 0 <= n_photons <= FOCK_MAX_PHOTONS:
-        raise DomainError(
-            f"oracle supports 0..{FOCK_MAX_PHOTONS} photons, got {n_photons}"
-        )
-    if beta not in BASES:
-        raise DomainError(f"unknown basis label {beta!r}")
-    eta = eta_total(channel)
-    q0 = routing_fraction(channel, phase_delta - THETA[(0, beta)])
-    p_hit = [0.0, 0.0, 0.0, 0.0]  # cells (h0, h1) as 2*h0 + h1
-    for k0 in range(n_photons + 1):
-        for k1 in range(n_photons - k0 + 1):
-            lost = n_photons - k0 - k1
-            weight = (
-                math.factorial(n_photons)
-                / (math.factorial(k0) * math.factorial(k1) * math.factorial(lost))
-                * (eta * q0) ** k0
-                * (eta * (1.0 - q0)) ** k1
-                * (1.0 - eta) ** lost
-            )
-            p_hit[2 * (k0 > 0) + (k1 > 0)] += weight
-    d = channel.p_dark
-    p_none = p_hit[0] * (1.0 - d) ** 2
-    p_only0 = p_hit[2] * (1.0 - d) + p_hit[0] * d * (1.0 - d)
-    p_only1 = p_hit[1] * (1.0 - d) + p_hit[0] * (1.0 - d) * d
-    p_both = (
-        p_hit[3]
-        + (p_hit[1] + p_hit[2]) * d
-        + p_hit[0] * d * d
-    )
-    return (p_only0, p_only1, p_both, p_none)
-
-
-# Stream roles: generator(seed, role, j) feeds block j. Roles 3 (Alice's
-# post-processing seeds) and 4 (the ground-truth oracle) belong to the
-# protocol and oracles modules.
+# Stream roles: generator(seed, role, j) feeds block j. Role 3 (Alice's
+# post-processing seeds) belongs to the protocol module, and role 4 to the
+# test suite's ground-truth oracle.
 _ALICE, _BOB, _CHANNEL, _ALICE_UNCLICKED = 0, 1, 2, 5
 
 

@@ -38,11 +38,6 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _write_report(path: str, report: dict) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if path == "-":
@@ -60,19 +55,12 @@ def _report_skeleton(command: str, args) -> dict:
 
 
 def _load_config(args) -> tuple:
-    constants = load_constants(_read_json(args.constants))
-    channel = load_channel(_read_json(args.channel))
-    return constants, channel
+    return load_constants(args.constants), load_channel(args.channel)
 
 
 def _rounded_observables(exp) -> Observables:
-    return Observables(
-        n_sift_s=round(exp.n_sift_s),
-        n_sift_d=round(exp.n_sift_d),
-        n_sift_v=round(exp.n_sift_v),
-        n_err_dx=round(exp.n_err_dx),
-        n_err_vx=round(exp.n_err_vx),
-    )
+    names = (f.name for f in dataclasses.fields(Observables))
+    return Observables(*(round(getattr(exp, name)) for name in names))
 
 
 def _analytic_result(constants, channel):
@@ -183,9 +171,7 @@ def _swept_constants(base: dict, param: str, value) -> dict:
 
 def cmd_scan(args) -> int:
     constants, channel = _load_config(args)
-    base = constants.as_dict()
-    # n_total is derived from n_block and m; it is never overridden.
-    del base["n_total"]
+    base = dataclasses.asdict(constants)
     parse = int if args.param in ("n_block", "m", "n_verify") else float
     try:
         values = [parse(v) for v in args.values.split(",")]

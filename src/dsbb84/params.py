@@ -4,14 +4,20 @@ The source emits phase-randomised coherent pulses, so the photon number of a
 round with intensity setting ``omega`` is Poisson with mean ``mu[omega]``
 (poisson_pcs). The decoy inversion, the concentration bounds and the channel
 model evaluate that law where they need it.
+
+A configuration record's dataclass declaration is the one list of its
+fields: ``read_config`` takes the accepted and required keys of a config
+file from it, and ``as_dict`` the keys of a report. The total round count
+``n_total`` is derived (``n_block * m``), never stored.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 __all__ = [
@@ -23,6 +29,7 @@ __all__ = [
     "entropy_h",
     "poisson_pcs",
     "require_real",
+    "read_config",
     "load_constants",
 ]
 
@@ -89,6 +96,45 @@ def require_real(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be a real number, got {value!r}")
 
 
+def _require_int(name: str, value) -> int:
+    """Refuse a configuration value that is not an integer; a bool is an
+    Integral too, but never a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def read_config(source, record, kind: str, extra=frozenset()) -> dict:
+    """The keys of a config for the dataclass ``record``, from a JSON file
+    path or a mapping.
+
+    The record's fields are the accepted keys, besides ``extra``, and its
+    fields without a default the required ones, so a typo in a config file
+    cannot silently fall back to a default.
+    """
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                source = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{kind} file is not UTF-8 text: {exc}") from None
+    if not isinstance(source, Mapping):
+        raise ConfigurationError(f"{kind} file must hold a JSON object")
+    raw = dict(source)
+    fields = dataclasses.fields(record)
+    unknown = set(raw) - {f.name for f in fields} - set(extra)
+    if unknown:
+        raise ConfigurationError(f"unknown {kind} keys: {sorted(unknown)}")
+    missing = {
+        f.name
+        for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    } - set(raw)
+    if missing:
+        raise ConfigurationError(f"missing {kind} keys: {sorted(missing)}")
+    return raw
+
+
 @dataclass(frozen=True)
 class ProtocolConstants:
     """Pre-agreed public parameters of one protocol execution.
@@ -105,7 +151,8 @@ class ProtocolConstants:
         e_bit_assumed: bit-error rate the syndrome length is provisioned for.
         eps_secrecy: secrecy parameter; the concentration budget is split
             across seven events as 4 * eps^2/32 + 3 * eps^2/24 = eps^2/4.
-        n_total: optional; must equal n_block * m when given.
+
+    The total round count is the property ``n_total = n_block * m``.
     """
 
     n_block: int
@@ -117,24 +164,12 @@ class ProtocolConstants:
     n_verify: int
     e_bit_assumed: float
     eps_secrecy: float
-    n_total: int = field(default=0)
 
     def __post_init__(self) -> None:
-        for name in ("n_block", "m", "n_verify", "n_total"):
-            value = getattr(self, name)
-            # A bool is an Integral too, but never a count.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("n_block", "m", "n_verify"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
         if self.n_block < 1 or self.m < 1:
             raise ConfigurationError("n_block and m must be positive integers")
-        expected_total = self.n_block * self.m
-        if self.n_total == 0:
-            object.__setattr__(self, "n_total", expected_total)
-        elif self.n_total != expected_total:
-            raise ConfigurationError(
-                f"n_total={self.n_total} but n_block*m={expected_total}"
-            )
         for name in ("p_intensity", "mu"):
             table = getattr(self, name)
             if not isinstance(table, Mapping) or set(table) != set(INTENSITIES):
@@ -175,51 +210,25 @@ class ProtocolConstants:
         if not 0.0 < self.eps_secrecy < 1.0:
             raise ConfigurationError("eps_secrecy must lie in (0, 1)")
 
+    @property
+    def n_total(self) -> int:
+        return self.n_block * self.m
+
     def as_dict(self) -> dict:
         """JSON-serialisable view, used by report files."""
-        return {
-            "n_block": self.n_block,
-            "m": self.m,
-            "n_total": self.n_total,
-            "p_intensity": dict(self.p_intensity),
-            "mu": dict(self.mu),
-            "p_basis_alice": self.p_basis_alice,
-            "p_basis_bob": self.p_basis_bob,
-            "n_verify": self.n_verify,
-            "e_bit_assumed": self.e_bit_assumed,
-            "eps_secrecy": self.eps_secrecy,
-        }
+        return {**dataclasses.asdict(self), "n_total": self.n_total}
 
 
 def load_constants(source) -> ProtocolConstants:
     """Build ProtocolConstants from a JSON file path or a mapping.
 
-    Unknown keys are rejected so a typo in a config file cannot silently
-    fall back to a default.
+    A config may also give ``n_total``, which must equal ``n_block * m``.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raw = dict(source)
-    if not isinstance(raw, dict):
-        raise ConfigurationError("constants file must hold a JSON object")
-    allowed = {
-        "n_block",
-        "m",
-        "n_total",
-        "p_intensity",
-        "mu",
-        "p_basis_alice",
-        "p_basis_bob",
-        "n_verify",
-        "e_bit_assumed",
-        "eps_secrecy",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown constants keys: {sorted(unknown)}")
-    missing = allowed - {"n_total"} - set(raw)
-    if missing:
-        raise ConfigurationError(f"missing constants keys: {sorted(missing)}")
-    return ProtocolConstants(**raw)
+    raw = read_config(source, ProtocolConstants, "constants", extra={"n_total"})
+    given = raw.pop("n_total", None)
+    constants = ProtocolConstants(**raw)
+    if given is not None and _require_int("n_total", given) != constants.n_total:
+        raise ConfigurationError(
+            f"n_total={given} but n_block*m={constants.n_total}"
+        )
+    return constants

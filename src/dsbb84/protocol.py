@@ -99,13 +99,8 @@ class _CountAccumulator:
         self.err += np.bincount(omega_idx[errors], minlength=3)
 
     def observables(self) -> Observables:
-        return Observables(
-            n_sift_s=int(self.sift[0]),
-            n_sift_d=int(self.sift[1]),
-            n_sift_v=int(self.sift[2]),
-            n_err_dx=int(self.err[1]),
-            n_err_vx=int(self.err[2]),
-        )
+        """Sift counts per intensity, then the decoy and vacuum error counts."""
+        return Observables(*map(int, (*self.sift, *self.err[1:])))
 
     def sifted_key(self) -> BitString:
         return BitString.from_array(np.concatenate(self.key_parts))

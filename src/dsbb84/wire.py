@@ -3,10 +3,13 @@
 Every message travels as one frame: a little-endian u32 byte count, one
 version byte (``WIRE_VERSION``), one tag byte, then the payload; the count
 covers the version, the tag and the payload. A frame of any other version
-is refused. Bit strings in the scalar messages are serialized as a
-little-endian u64 bit length followed by the LSB-first packed bytes. All
-integers are little-endian and unsigned; a field that does not fit its
-width raises ``WireError`` on encode, never wraps.
+is refused. All integers are little-endian and unsigned; a field that does
+not fit its width raises ``WireError`` on encode, never wraps.
+
+The six scalar messages (``SiftAnnounce`` to ``End``) each declare one
+struct format and share one codec: the payload is the fixed-width fields
+in declaration order, then, if the message has one, its bit string as a
+u64 bit length followed by the LSB-first packed bytes.
 
 The two block messages announce only what the other side lacks. Bob's
 disclosure names the clicked rounds of a block, his basis on those rounds
@@ -23,7 +26,10 @@ no MAC. The transcript of a session is the concatenation of its frames.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import struct
+import typing
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -130,8 +136,20 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Block:
+    """A block message; two are equal when their frames are."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.encode() == other.encode()
+
+    def __hash__(self) -> int:
+        return hash(self.encode())
+
+
 @dataclass(frozen=True, eq=False)
-class BobBlockDisclosure:
+class BobBlockDisclosure(_Block):
     """Bob's announcement after measuring block ``j`` of ``m`` rounds.
 
     ``offsets`` are the clicked rounds, strictly ascending and below ``m``.
@@ -151,18 +169,6 @@ class BobBlockDisclosure:
     offsets: np.ndarray
     basis: BitString
     x_outcomes: BitString
-
-    def _key(self) -> tuple:
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        return (self.j, self.m, offsets.tobytes(), self.basis, self.x_outcomes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BobBlockDisclosure):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def encode(self) -> bytes:
         offsets = clicked_offsets(self.offsets, self.m)
@@ -255,7 +261,7 @@ def _unpack_omega(raw: bytes, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class AliceBlockDisclosure:
+class AliceBlockDisclosure(_Block):
     """Alice's reply for block ``j``: one record per round Bob named.
 
     ``omega`` (intensity index, at most 2) and ``alpha`` (basis bit) cover
@@ -288,18 +294,6 @@ class AliceBlockDisclosure:
             j, _read_only(omega), BitString.from_array(alpha), BitString.from_array(value)
         )
 
-    def _key(self) -> tuple:
-        omega = np.asarray(self.omega, dtype=np.uint8)
-        return (self.j, omega.tobytes(), self.alpha, self.value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AliceBlockDisclosure):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def encode(self) -> bytes:
         omega = _column("omega", self.omega, 2)
         if len(self.alpha) != len(omega):
@@ -326,109 +320,91 @@ class AliceBlockDisclosure:
         return cls(j, omega, alpha, value)
 
 
+class _Scalar:
+    """A message of fixed-width fields and at most one bit string.
+
+    ``FORMAT`` is the struct format of the fields other than the bit
+    string, in declaration order; the bit string, if any, follows them as a
+    u64 bit length and its packed bytes (``pack_bits``). A payload that
+    does not re-encode to itself, such as one with trailing bytes or a flag
+    byte above 1, is refused.
+    """
+
+    TAG: ClassVar[int]
+    FORMAT: ClassVar[str]
+
+    @classmethod
+    @functools.cache
+    def _layout(cls) -> tuple:
+        """(names of the fixed fields, name of the bit-string field or None)."""
+        types = typing.get_type_hints(cls)
+        names = [f.name for f in dataclasses.fields(cls)]
+        fixed = tuple(name for name in names if types[name] is not BitString)
+        return fixed, next((name for name in names if types[name] is BitString), None)
+
+    def encode(self) -> bytes:
+        fixed, bits = self._layout()
+        payload = _pack(self.FORMAT, *(getattr(self, name) for name in fixed))
+        return payload if bits is None else payload + pack_bits(getattr(self, bits))
+
+    @classmethod
+    def decode(cls, payload: bytes) -> "_Scalar":
+        fixed, bits = cls._layout()
+        size = struct.calcsize(cls.FORMAT)
+        if len(payload) < size:
+            raise WireError(f"short {cls.__name__} payload")
+        values = dict(zip(fixed, struct.unpack_from(cls.FORMAT, payload)))
+        if bits is not None:
+            values[bits], _ = unpack_bits(payload, size)
+        msg = cls(**values)
+        if msg.encode() != payload:
+            raise WireError(f"{cls.__name__} payload not in canonical form")
+        return msg
+
+
 @dataclass(frozen=True)
-class SiftAnnounce:
+class SiftAnnounce(_Scalar):
     TAG: ClassVar[int] = 3
+    FORMAT: ClassVar[str] = "<Q?"
     n_sift: int
     proceed: bool
 
-    def encode(self) -> bytes:
-        return _pack("<QB", self.n_sift, 1 if self.proceed else 0)
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "SiftAnnounce":
-        if len(payload) != 9:
-            raise WireError("sift announce must be 9 bytes")
-        n_sift, proceed = struct.unpack("<QB", payload)
-        if proceed > 1:
-            raise WireError("proceed flag out of range")
-        return cls(n_sift, bool(proceed))
-
 
 @dataclass(frozen=True)
-class Syndrome:
+class Syndrome(_Scalar):
     TAG: ClassVar[int] = 4
+    FORMAT: ClassVar[str] = "<Q"
     bits: BitString
     code_seed: int
 
-    def encode(self) -> bytes:
-        return _pack("<Q", self.code_seed) + pack_bits(self.bits)
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "Syndrome":
-        if len(payload) < 8:
-            raise WireError("short syndrome")
-        (code_seed,) = struct.unpack_from("<Q", payload, 0)
-        bits, off = unpack_bits(payload, 8)
-        if off != len(payload):
-            raise WireError("trailing bytes in syndrome")
-        return cls(bits, code_seed)
-
 
 @dataclass(frozen=True)
-class VerifyHash:
+class VerifyHash(_Scalar):
     TAG: ClassVar[int] = 5
+    FORMAT: ClassVar[str] = "<Q"
     seed: int
     digest: BitString
 
-    def encode(self) -> bytes:
-        return _pack("<Q", self.seed) + pack_bits(self.digest)
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "VerifyHash":
-        if len(payload) < 8:
-            raise WireError("short verify hash")
-        (seed,) = struct.unpack_from("<Q", payload, 0)
-        digest, off = unpack_bits(payload, 8)
-        if off != len(payload):
-            raise WireError("trailing bytes in verify hash")
-        return cls(seed, digest)
-
 
 @dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(_Scalar):
     TAG: ClassVar[int] = 6
+    FORMAT: ClassVar[str] = "<?"
     ok: bool
 
-    def encode(self) -> bytes:
-        return _pack("<B", 1 if self.ok else 0)
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "VerifyResult":
-        if len(payload) != 1 or payload[0] > 1:
-            raise WireError("verify result must be one flag byte")
-        return cls(bool(payload[0]))
-
 
 @dataclass(frozen=True)
-class PaSeed:
+class PaSeed(_Scalar):
     TAG: ClassVar[int] = 7
+    FORMAT: ClassVar[str] = "<QQ"
     seed: int
     n_fin: int
 
-    def encode(self) -> bytes:
-        return _pack("<QQ", self.seed, self.n_fin)
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "PaSeed":
-        if len(payload) != 16:
-            raise WireError("pa seed must be 16 bytes")
-        seed, n_fin = struct.unpack("<QQ", payload)
-        return cls(seed, n_fin)
-
 
 @dataclass(frozen=True)
-class End:
+class End(_Scalar):
     TAG: ClassVar[int] = 8
-
-    def encode(self) -> bytes:
-        return b""
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "End":
-        if payload:
-            raise WireError("end carries no payload")
-        return cls()
+    FORMAT: ClassVar[str] = "<"
 
 
 MESSAGE_TYPES = {

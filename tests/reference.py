@@ -1,24 +1,48 @@
-"""Reference implementations the tests check the package against.
+"""Reference implementations and oracles that the tests check against.
 
 Nothing in ``src`` uses these: a dense GF(2) matrix with integer-bitset
 rows, the explicit matrix of a modified Toeplitz hash, a belief-propagation
 decoder written with one fresh array per step, the intensity and
 photon-number probabilities written out one value at a time, a chi-square
-check, and a generator of random length-computation scenarios.
+check, a generator of random length-computation scenarios, the Fock-state
+click oracle, the ground-truth scoring of the single-photon floor and
+phase-error ceiling, and a forced-mismatch attack on the verification hash.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from dsbb84.bounds import Observables, expected_observables
-from dsbb84.channel import ChannelModel
+from dsbb84.bounds import Observables, expected_observables, security_result
+from dsbb84.channel import (
+    SETTINGS,
+    BlockSample,
+    BlockSource,
+    ChannelModel,
+    click_probabilities,
+    eta_total,
+    generator,
+    routing_fraction,
+    setting_index,
+    single_photon_error_x,
+    single_photon_yield,
+)
 from dsbb84.ecc import LLR_CLIP, MAX_ITERATIONS, LdpcCode, syndrome_length
 from dsbb84.gf2 import BitString
-from dsbb84.params import INTENSITIES, DomainError, ProtocolConstants, poisson_pcs
+from dsbb84.hashing import verify_hash
+from dsbb84.params import (
+    BASES,
+    INTENSITIES,
+    THETA,
+    DomainError,
+    ProtocolConstants,
+    poisson_pcs,
+)
+from dsbb84.protocol import _CountAccumulator
 
 
 class Gf2Matrix:
@@ -207,3 +231,230 @@ def random_length_scenario(rng):
     obs = Observables(**noisy)
     n_ec = syndrome_length(obs.n_sift, c.e_bit_assumed)
     return c, obs, exp, n_ec
+
+
+# Photon-number truth of the simulated channel: independent of the closed
+# forms in dsbb84.channel, and scored against the bounds by ground_truth_runs.
+FOCK_MAX_PHOTONS = 12
+
+
+def fock_click_oracle(
+    n_photons: int,
+    channel: ChannelModel,
+    phase_delta: float,
+    beta: str,
+) -> tuple[float, float, float, float]:
+    """(p_only0, p_only1, p_both, p_none) for an n-photon input state.
+
+    phase_delta is the sender's encoding phase; the receiver's reference
+    for basis beta is subtracted internally. Enumerates every split of the
+    n photons over (detector 0, detector 1, lost), then folds in the dark
+    counts, so it shares no code path with the closed forms of
+    dsbb84.channel and serves as their independent check through Poisson
+    mixing.
+    """
+    if not 0 <= n_photons <= FOCK_MAX_PHOTONS:
+        raise DomainError(
+            f"oracle supports 0..{FOCK_MAX_PHOTONS} photons, got {n_photons}"
+        )
+    if beta not in BASES:
+        raise DomainError(f"unknown basis label {beta!r}")
+    eta = eta_total(channel)
+    q0 = routing_fraction(channel, phase_delta - THETA[(0, beta)])
+    p_hit = [0.0, 0.0, 0.0, 0.0]  # cells (h0, h1) as 2*h0 + h1
+    for k0 in range(n_photons + 1):
+        for k1 in range(n_photons - k0 + 1):
+            lost = n_photons - k0 - k1
+            weight = (
+                math.factorial(n_photons)
+                / (math.factorial(k0) * math.factorial(k1) * math.factorial(lost))
+                * (eta * q0) ** k0
+                * (eta * (1.0 - q0)) ** k1
+                * (1.0 - eta) ** lost
+            )
+            p_hit[2 * (k0 > 0) + (k1 > 0)] += weight
+    d = channel.p_dark
+    p_none = p_hit[0] * (1.0 - d) ** 2
+    p_only0 = p_hit[2] * (1.0 - d) + p_hit[0] * d * (1.0 - d)
+    p_only1 = p_hit[1] * (1.0 - d) + p_hit[0] * (1.0 - d) * d
+    p_both = (
+        p_hit[3]
+        + (p_hit[1] + p_hit[2]) * d
+        + p_hit[0] * d * d
+    )
+    return (p_only0, p_only1, p_both, p_none)
+
+
+@dataclass(frozen=True)
+class GroundTruthRun:
+    """One simulated session compared against its hidden truth."""
+
+    n1z_true: int
+    nph_true: int
+    n1z_floor: int
+    nph_ceil: int
+    abort: bool
+    covered: bool
+    n_sift: int
+
+
+def photon_posterior(
+    constants: ProtocolConstants, channel: ChannelModel
+) -> tuple[np.ndarray, float]:
+    """Photon-number law of a clicked round, and the mass it leaves out.
+
+    Returns ``cdf`` of shape (24, 3, FOCK_MAX_PHOTONS + 1): for setting
+    combination SETTINGS[c] and detector cell (0 only detector 0, 1 only
+    detector 1, 2 both), the cumulative law of P(n | settings, cell),
+    proportional to Poisson(n; mu_omega) times the Fock oracle's
+    probability of that cell, for n = 0..FOCK_MAX_PHOTONS.
+
+    The truncation drops photon numbers above FOCK_MAX_PHOTONS. The second
+    return value is the largest share of any cell's closed-form
+    probability that the kept photon numbers miss; the double-click cells
+    miss the most. It is 3.5e-11 at mu_S = 0.5 on the 100 km reference
+    link, about 1e-9 at mu_S = 0.8 and 8e-6 at mu_S = 2.0.
+    ground_truth_runs refuses a configuration where it exceeds 1e-6.
+    """
+    ns = range(FOCK_MAX_PHOTONS + 1)
+    pois = {
+        omega: np.array([poisson_pcs(constants.mu[omega], n) for n in ns])
+        for omega in INTENSITIES
+    }
+    fock = {
+        (alpha, a_bit, beta): np.array(
+            [fock_click_oracle(n, channel, THETA[(a_bit, alpha)], beta)[:3] for n in ns]
+        )
+        for alpha in BASES
+        for a_bit in (0, 1)
+        for beta in BASES
+    }
+    weights = []
+    truncated = 0.0
+    for omega, alpha, a_bit, beta in SETTINGS:
+        joint = pois[omega][:, None] * fock[(alpha, a_bit, beta)]
+        closed = click_probabilities(constants, channel, omega, alpha, a_bit, beta)
+        for cell in range(3):
+            if closed[cell] > 0.0:
+                kept = math.fsum(joint[:, cell]) / closed[cell]
+                truncated = max(truncated, 1.0 - kept)
+        weights.append(joint.T)
+    cdf = np.cumsum(np.array(weights), axis=-1)
+    total = cdf[..., -1:]
+    # A cell that never clicks is never drawn; give it n = 0.
+    cdf = np.divide(cdf, total, out=np.ones_like(cdf), where=total > 0.0)
+    return cdf, truncated
+
+
+def clicked_photon_numbers(
+    photon_cdf: np.ndarray, block: BlockSample, rng: np.random.Generator
+) -> np.ndarray:
+    """Hidden photon number of each clicked round of ``block``, drawn from
+    ``photon_cdf`` (see photon_posterior) given its settings and cell."""
+    combo = setting_index(block.omega_idx, block.alpha, block.a, block.beta)
+    u = rng.random(len(combo))
+    return (photon_cdf[combo, block.cell] <= u[:, None]).sum(axis=1)
+
+
+def ground_truth_runs(
+    constants: ProtocolConstants, channel: ChannelModel, seeds: Iterable[int]
+) -> list[GroundTruthRun]:
+    """Run the quantum phase once per seed and score the floor and ceiling
+    against truth.
+
+    The photon posterior, its truncation check and the expected counts
+    depend on the configuration alone, so they are built once for all
+    seeds. Blocks come from each session's BlockSource and are tallied by
+    the protocol's count accumulator. Each clicked round then draws its
+    hidden photon number from photon_posterior on the stream
+    generator(seed, 4, j); the hidden single-photon count is the number of
+    matched-Z clicks with one photon. Phase errors are not directly
+    simulated, so each hidden single-photon sifted round draws an error
+    flag at the exact conditional single-photon X-error probability, on
+    generator(seed, 4); the ceiling must dominate that draw.
+    """
+    photon_cdf, truncated = photon_posterior(constants, channel)
+    if truncated > 1e-6:
+        raise DomainError(
+            f"photon numbers above {FOCK_MAX_PHOTONS} carry {truncated:.2e} "
+            "of a cell's probability"
+        )
+    expected = expected_observables(constants, channel)
+    p_err_given_click = single_photon_error_x(channel) / single_photon_yield(channel)
+    runs = []
+    for seed in seeds:
+        blocks = BlockSource(constants, channel, seed)
+        acc = _CountAccumulator()
+        n1z_true = 0
+        for j in range(constants.n_block):
+            s = blocks(j)
+            acc.add_block(s.omega_idx, s.alpha, s.beta, s.a)
+            matched_x = (s.alpha == 1) & (s.beta == 1)
+            acc.add_errors(s.omega_idx[matched_x], s.a[matched_x] != s.b[matched_x])
+            n_photons = clicked_photon_numbers(photon_cdf, s, generator(seed, 4, j))
+            matched_z = (s.alpha == 0) & (s.beta == 0)
+            n1z_true += int(np.count_nonzero(matched_z & (n_photons == 1)))
+
+        obs = acc.observables()
+        nph_true = int(generator(seed, 4).binomial(n1z_true, p_err_given_click))
+        n_ec = syndrome_length(obs.n_sift, constants.e_bit_assumed)
+        result = security_result(constants, obs, expected, n_ec)
+        covered = result.abort or (
+            result.n1z_floor <= n1z_true and nph_true <= result.nph_ceil
+        )
+        runs.append(
+            GroundTruthRun(
+                n1z_true=n1z_true,
+                nph_true=nph_true,
+                n1z_floor=result.n1z_floor,
+                nph_ceil=result.nph_ceil,
+                abort=result.abort,
+                covered=covered,
+                n_sift=obs.n_sift,
+            )
+        )
+    return runs
+
+
+@dataclass(frozen=True)
+class VerificationAttack:
+    trials: int
+    false_accepts: int
+    n_verify: int
+
+    @property
+    def rate(self) -> float:
+        return self.false_accepts / self.trials
+
+    @property
+    def bound(self) -> float:
+        return 2.0 ** (-self.n_verify)
+
+
+def verification_mc(
+    n_bits: int, n_verify: int, trials: int, seed: int
+) -> VerificationAttack:
+    """False-accept rate of the verification hash under forced mismatches.
+
+    Every trial hashes two keys that differ in a fresh uniformly random
+    nonzero pattern under a fresh seed; accepting any of them is a
+    correctness failure, which two-universality caps at 2^-n_verify per
+    trial.
+    """
+    rng = generator(seed, 0xC0)
+    false_accepts = 0
+    n_bytes = (n_bits + 7) // 8
+    mask = (1 << n_bits) - 1
+    for _ in range(trials):
+        key_word = int.from_bytes(rng.bytes(n_bytes), "little") & mask
+        diff = 0
+        while diff == 0:
+            diff = int.from_bytes(rng.bytes(n_bytes), "little") & mask
+        k_a = BitString.from_int(key_word, n_bits)
+        k_b = BitString.from_int(key_word ^ diff, n_bits)
+        hash_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        if verify_hash(k_a, hash_seed, n_verify) == verify_hash(
+            k_b, hash_seed, n_verify
+        ):
+            false_accepts += 1
+    return VerificationAttack(trials, false_accepts, n_verify)

@@ -18,13 +18,9 @@ from dsbb84.bounds import (
     kato_pair_prime,
     security_result,
 )
-from dsbb84.channel import (
-    ChannelModel,
-    click_probabilities,
-    fock_click_oracle,
-)
+from dsbb84.channel import ChannelModel, click_probabilities
 from dsbb84.gf2 import BitString
-from dsbb84.oracles import ground_truth_runs, kato_tail_mc, verification_mc
+from dsbb84.oracles import kato_tail_mc
 from dsbb84.params import (
     BASES,
     INTENSITIES,
@@ -33,7 +29,15 @@ from dsbb84.params import (
     poisson_pcs,
 )
 from dsbb84.protocol import ABORT_REASONS, run_protocol
-from reference import p_int_cond, p_int_joint, random_length_scenario, toeplitz_matrix
+from reference import (
+    fock_click_oracle,
+    ground_truth_runs,
+    p_int_cond,
+    p_int_joint,
+    random_length_scenario,
+    toeplitz_matrix,
+    verification_mc,
+)
 
 # Reference scenario for the bound-coverage criterion: 10^6 rounds over a
 # 20 dB link with realistic detector parameters.

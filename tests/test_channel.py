@@ -12,7 +12,6 @@ from dsbb84.channel import (
     click_law,
     error_probability_x,
     eta_total,
-    fock_click_oracle,
     load_channel,
     routing_fraction,
     sample_block,
@@ -29,7 +28,7 @@ from dsbb84.params import (
     ProtocolConstants,
     poisson_pcs,
 )
-from reference import chi2_statistic, chi2_upper
+from reference import chi2_statistic, chi2_upper, fock_click_oracle
 
 
 def constants(**overrides):

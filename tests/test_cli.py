@@ -510,3 +510,119 @@ def test_simulate_refuses_an_abort_reason_outside_the_closed_set(
     ])
     assert code == 3
     assert "unknown abort reason" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["e_mis", "p_dark", "eta_det"])
+def test_channel_file_missing_a_key_is_config_error(tmp_path, config_files, capsys, key):
+    channel = dict(SMALL_CHANNEL)
+    del channel[key]
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(channel))
+    code = main([
+        "keyrate",
+        "--constants", config_files["small_constants"],
+        "--channel", str(path),
+    ])
+    assert code == 2
+    assert f"missing channel keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["constants", "channel"])
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"[0.5, 0.1, 0.0]", "must hold a JSON object"),
+     (b"\xff\xfe{}", "is not UTF-8 text")],
+    ids=["json-array", "not-utf8"],
+)
+def test_unreadable_config_file_is_config_error(
+    tmp_path, config_files, capsys, which, content, message
+):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    files = {
+        "constants": config_files["small_constants"],
+        "channel": config_files["small_channel"],
+        which: str(path),
+    }
+    code = main([
+        "keyrate", "--constants", files["constants"], "--channel", files["channel"],
+    ])
+    assert code == 2
+    assert f"configuration error: {which} file {message}" in capsys.readouterr().err
+
+
+# The key paths of each command's --json report; a list element is "[]".
+# Keys may be added to a report, never dropped or renamed.
+CONSTANTS_KEYS = {
+    "constants", "constants.e_bit_assumed", "constants.eps_secrecy",
+    "constants.m", "constants.mu", "constants.mu.D", "constants.mu.S",
+    "constants.mu.V", "constants.n_block", "constants.n_total",
+    "constants.n_verify", "constants.p_basis_alice", "constants.p_basis_bob",
+    "constants.p_intensity", "constants.p_intensity.D",
+    "constants.p_intensity.S", "constants.p_intensity.V",
+}
+CHANNEL_KEYS = {
+    "channel", "channel.e_mis", "channel.eta_ch", "channel.eta_det",
+    "channel.p_dark",
+}
+RESULT_KEYS = {
+    "abort", "budget", "eps_correct", "eps_secrecy", "eps_total",
+    "intermediates", "n1z_floor", "n1z_real", "n_ec", "n_fin", "n_pa",
+    "n_sift", "n_verify", "nph_ceil", "nph_real",
+} | {
+    f"intermediates.{name}"
+    for name in (
+        "n1z_dev", "n1z_inner", "n1z_pref", "n1z_term_d", "n1z_term_s",
+        "n1z_term_v", "n1z_value", "n_pa_value", "nph_dev", "nph_inner",
+        "nph_pref", "nph_term_dx", "nph_term_vx", "nph_value",
+    )
+}
+REPORT_KEYS = {
+    "keyrate": {"schema_version", "command", "result"}
+    | CONSTANTS_KEYS | CHANNEL_KEYS | {f"result.{k}" for k in RESULT_KEYS},
+    "simulate": {
+        "schema_version", "command", "seed", "result", "aborted",
+        "abort_reason", "keys_match", "transcript_bytes", "ec_converged",
+        "ec_iterations", "qber_est", "ec_efficiency",
+    } | CONSTANTS_KEYS | CHANNEL_KEYS | {f"result.{k}" for k in RESULT_KEYS},
+    "scan": {"schema_version", "command", "param", "rows", "rows[].value",
+             "rows[].result"}
+    | CONSTANTS_KEYS | CHANNEL_KEYS | {f"rows[].result.{k}" for k in RESULT_KEYS},
+    "verify-bounds": {
+        "schema_version", "command", "seed", "params", "params.eps",
+        "params.n", "params.q", "params.trials", "result", "result.eps",
+        "result.forward_violations", "result.reverse_violations",
+        "result.trials", "forward_rate", "reverse_rate",
+    },
+}
+
+
+def key_paths(obj, prefix=""):
+    if isinstance(obj, dict):
+        out = set()
+        for key, value in obj.items():
+            path = f"{prefix}.{key}" if prefix else key
+            out |= {path} | key_paths(value, path)
+        return out
+    if isinstance(obj, list):
+        return set().union(*(key_paths(value, prefix + "[]") for value in obj))
+    return set()
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+def test_report_key_paths_are_pinned(config_files, tmp_path, command):
+    config = [
+        "--constants", config_files["small_constants"],
+        "--channel", config_files["small_channel"],
+    ]
+    extra = {
+        "keyrate": config,
+        "simulate": config + ["--seed", "7"],
+        "scan": config + ["--param", "mu_S", "--values", "0.6,0.8"],
+        "verify-bounds": ["--n", "1000", "--trials", "2000"],
+    }[command]
+    path = tmp_path / "report.json"
+    assert main([command, *extra, "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["schema_version"] == 1
+    assert key_paths(report) == REPORT_KEYS[command]

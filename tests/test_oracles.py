@@ -4,31 +4,32 @@ import numpy as np
 import pytest
 
 from dsbb84.channel import (
-    FOCK_MAX_PHOTONS,
     SETTINGS,
     ChannelModel,
     click_law,
     click_probabilities,
-    fock_click_oracle,
     generator,
     sample_block,
     setting_index,
 )
-from dsbb84.oracles import (
-    GroundTruthRun,
-    clicked_photon_numbers,
-    ground_truth_runs,
-    kato_tail_mc,
-    photon_posterior,
-    verification_mc,
-)
+from dsbb84.oracles import kato_tail_mc
 from dsbb84.params import (
     THETA,
     DomainError,
     ProtocolConstants,
     poisson_pcs,
 )
-from reference import chi2_statistic, chi2_upper
+from reference import (
+    FOCK_MAX_PHOTONS,
+    GroundTruthRun,
+    chi2_statistic,
+    chi2_upper,
+    clicked_photon_numbers,
+    fock_click_oracle,
+    ground_truth_runs,
+    photon_posterior,
+    verification_mc,
+)
 
 DEMO = ProtocolConstants(
     n_block=50,
@@ -134,7 +135,7 @@ def test_clicked_photon_numbers_follow_the_fock_posterior():
     # the clicked rounds of 20 blocks with each round's own posterior,
     # Poisson(n; mu) * fock_click_oracle(n)[cell] / click_probabilities[cell].
     c = dataclasses.replace(
-        DEMO, n_block=20, m=20000, n_total=0, mu={"S": 1.2, "D": 0.6, "V": 0.05}
+        DEMO, n_block=20, m=20000, mu={"S": 1.2, "D": 0.6, "V": 0.05}
     )
     law = click_law(c, DEMO_CHANNEL)
     cdf, _ = photon_posterior(c, DEMO_CHANNEL)

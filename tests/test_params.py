@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -115,10 +116,22 @@ def test_constants_accepts_good_config():
 
 
 def test_constants_explicit_total_checked():
-    c = ProtocolConstants(**good_config(n_total=10_000))
+    c = load_constants(good_config(n_total=10_000))
     assert c.n_total == 10_000
     with pytest.raises(ConfigurationError):
-        ProtocolConstants(**good_config(n_total=9_999))
+        load_constants(good_config(n_total=9_999))
+
+
+@pytest.mark.parametrize("total", [10_000.0, True, "10000", 0])
+def test_load_constants_refuses_a_total_that_is_not_the_integer_product(total):
+    with pytest.raises(ConfigurationError, match="n_total"):
+        load_constants(good_config(n_total=total))
+
+
+def test_total_is_derived_not_a_field():
+    c = ProtocolConstants(**good_config())
+    assert "n_total" not in {f.name for f in dataclasses.fields(c)}
+    assert c.as_dict()["n_total"] == c.n_block * c.m == 10_000
 
 
 @pytest.mark.parametrize(

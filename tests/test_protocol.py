@@ -674,7 +674,7 @@ def test_session_memory_is_one_block():
     # neither peak.
     peaks = []
     for n_block in (1, 10, 40):
-        constants = dataclasses.replace(LOSSY_LONG, n_block=n_block, n_total=0)
+        constants = dataclasses.replace(LOSSY_LONG, n_block=n_block)
         tracemalloc.start()
         try:
             alice, bob = build_machines(constants, FIBER, seed=9)

@@ -420,6 +420,55 @@ def test_length_mutated_bob_frames_fail_closed(msg, data):
     decode_or_wire_error(rewrite_u32(encode_message(msg), data, [0, 10, 15]))
 
 
+SCALAR_TYPES = (SiftAnnounce, Syndrome, VerifyHash, VerifyResult, PaSeed, End)
+U64 = st.integers(0, 2**64 - 1)
+BITS = st.lists(st.integers(0, 1), max_size=80).map(BitString)
+scalar_messages = st.one_of(
+    st.builds(SiftAnnounce, U64, st.booleans()),
+    st.builds(Syndrome, BITS, U64),
+    st.builds(VerifyHash, U64, BITS),
+    st.builds(VerifyResult, st.booleans()),
+    st.builds(PaSeed, U64, U64),
+    st.just(End()),
+)
+
+
+def test_scalar_messages_share_one_codec():
+    for cls in SCALAR_TYPES:
+        assert "encode" not in vars(cls) and "decode" not in vars(cls)
+
+
+@given(scalar_messages, st.data())
+def test_truncated_scalar_frames_fail_closed(msg, data):
+    roundtrip(msg)
+    assert decode_or_wire_error(truncate(encode_message(msg), data)) is None
+
+
+@given(scalar_messages, st.data())
+def test_bit_flipped_scalar_frames_fail_closed(msg, data):
+    decode_or_wire_error(flip_bits(encode_message(msg), data))
+
+
+@given(scalar_messages, st.data())
+def test_length_mutated_scalar_frames_fail_closed(msg, data):
+    # The frame length (byte 0) or, in a message with a bit string, its u64
+    # bit length (byte 14), then random appended bytes.
+    raw = bytearray(encode_message(msg))
+    fields = [(0, 4)]
+    if isinstance(msg, (Syndrome, VerifyHash)):
+        fields.append((14, 8))
+    at, width = data.draw(st.sampled_from(fields))
+    count = data.draw(st.integers(0, 256**width - 1))
+    raw[at : at + width] = count.to_bytes(width, "little")
+    decode_or_wire_error(bytes(raw) + data.draw(st.binary(max_size=16)))
+
+
+@given(scalar_messages, st.binary(min_size=1, max_size=16))
+def test_length_extended_scalar_frames_fail_closed(msg, extra):
+    # A frame whose count covers bytes appended to a valid payload.
+    assert decode_or_wire_error(encode_frame(msg.TAG, msg.encode() + extra)) is None
+
+
 def test_scalar_messages_roundtrip():
     roundtrip(SiftAnnounce(n_sift=123456789, proceed=True))
     roundtrip(SiftAnnounce(n_sift=0, proceed=False))
