@@ -23,12 +23,11 @@ import json
 import sys
 import traceback
 
-from .bounds import Observables, expected_observables, security_result
+from .bounds import Observables, expected_observables
 from .channel import load_channel
-from .ecc import syndrome_length
 from .oracles import kato_tail_mc
 from .params import ConfigurationError, DomainError, entropy_h, load_constants
-from .protocol import ABORT_REASONS, ProtocolError, run_protocol
+from .protocol import ABORT_REASONS, ProtocolError, judge_length, run_protocol
 
 SCHEMA_VERSION = 1
 
@@ -47,10 +46,13 @@ def _write_report(path: str, report: dict) -> None:
             fh.write(text)
 
 
-def _report_skeleton(command: str, args) -> dict:
+def _report_skeleton(command: str, args, constants=None, channel=None) -> dict:
     report = {"schema_version": SCHEMA_VERSION, "command": command}
     if getattr(args, "seed", None) is not None:
         report["seed"] = args.seed
+    if constants is not None:
+        report["constants"] = constants.as_dict()
+        report["channel"] = channel.as_dict()
     return report
 
 
@@ -65,17 +67,13 @@ def _rounded_observables(exp) -> Observables:
 
 def _analytic_result(constants, channel):
     exp = expected_observables(constants, channel)
-    obs = _rounded_observables(exp)
-    n_ec = syndrome_length(obs.n_sift, constants.e_bit_assumed)
-    return security_result(constants, obs, exp, n_ec)
+    return judge_length(constants, _rounded_observables(exp), exp)
 
 
 def cmd_keyrate(args) -> int:
     constants, channel = _load_config(args)
     result = _analytic_result(constants, channel)
-    report = _report_skeleton("keyrate", args)
-    report["constants"] = constants.as_dict()
-    report["channel"] = channel.as_dict()
+    report = _report_skeleton("keyrate", args, constants, channel)
     report["result"] = result.as_dict()
     if args.json:
         _write_report(args.json, report)
@@ -111,9 +109,7 @@ def cmd_simulate(args) -> int:
     outcome = run_protocol(constants, channel, args.seed)
     if outcome.aborted and outcome.alice.abort_reason not in ABORT_REASONS:
         raise ProtocolError(f"unknown abort reason {outcome.alice.abort_reason!r}")
-    report = _report_skeleton("simulate", args)
-    report["constants"] = constants.as_dict()
-    report["channel"] = channel.as_dict()
+    report = _report_skeleton("simulate", args, constants, channel)
     report["result"] = outcome.security.as_dict()
     report["aborted"] = outcome.aborted
     report["abort_reason"] = outcome.alice.abort_reason
@@ -190,9 +186,7 @@ def cmd_scan(args) -> int:
             f"{args.param}={shown}: n_fin={result.n_fin}"
             + (" (abort)" if result.abort else "")
         )
-    report = _report_skeleton("scan", args)
-    report["constants"] = constants.as_dict()
-    report["channel"] = channel.as_dict()
+    report = _report_skeleton("scan", args, constants, channel)
     report["param"] = args.param
     report["rows"] = rows
     if args.json:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bounds import kato_pair, kato_pair_prime
 from .channel import generator
+from .params import DomainError
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,9 @@ def kato_tail_mc(
     pre-agreed expected counts.
     """
     if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+        raise DomainError(f"q must lie in (0, 1), got {q}")
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     lam = n * q
     a, b = kato_pair(n, lam, eps)
     ap, bp = kato_pair_prime(n, lam, eps)

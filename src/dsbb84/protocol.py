@@ -9,6 +9,14 @@ plus her bit on matched X rounds only. After the last block Alice judges
 the final length from the announced counts, and on proceed runs syndrome
 disclosure, verification hashing and privacy amplification.
 
+The two machines share one skeleton, ``_Party``. Each declares a state
+table, ``HANDLERS`` (state -> message type -> handler), and the one
+``handle`` dispatches on it: any other message is a ``ProtocolError`` that
+leaves the machine as it was. Both apply one tally rule
+(``_CountAccumulator.add_block``), reach their verdict with one
+``judge_length``, and end in one ``_finish`` that builds the
+``KeyMaterial`` record.
+
 A session that aborts names one of ABORT_REASONS.
 
 Both sides recompute the security accounting from the same pre-agreed
@@ -60,28 +68,47 @@ class ProtocolError(RuntimeError):
     """Out-of-order, malformed or inconsistent message."""
 
 
+def judge_length(
+    constants: ProtocolConstants, obs: Observables, expected: ExpectedObservables
+) -> SecurityResult:
+    """The length judgement on a tally: the finite-size accounting with the
+    syndrome length the rule discloses for ``obs.n_sift`` sifted bits."""
+    n_ec = syndrome_length(obs.n_sift, constants.e_bit_assumed)
+    return security_result(constants, obs, expected, n_ec)
+
+
 @dataclass
 class KeyMaterial:
-    """What one party walks away with."""
+    """What one party walks away with: a key, or None after an abort."""
 
     role: str
-    aborted: bool
     abort_reason: Optional[str]
     key: Optional[BitString]
-    n_fin: int
-    n_sift: int
-    observables: Optional[Observables]
+    observables: Observables
     security: Optional[SecurityResult]
     ec_converged: Optional[bool] = None
     ec_iterations: Optional[int] = None
     ec_error_weight: Optional[int] = None
 
+    @property
+    def aborted(self) -> bool:
+        return self.key is None
+
+    @property
+    def n_fin(self) -> int:
+        return 0 if self.key is None else len(self.key)
+
+    @property
+    def n_sift(self) -> int:
+        return self.observables.n_sift
+
 
 class _CountAccumulator:
-    """Shared tally of sift and error counts while blocks stream in.
+    """The one tally rule both parties apply while blocks stream in.
 
-    Both parties feed it columns over a block's clicked rounds, in
-    ascending round order.
+    Each party feeds it its own columns over a block's clicked rounds, in
+    ascending round order, and the other party's bits on the matched-X
+    rounds among them.
     """
 
     def __init__(self) -> None:
@@ -89,14 +116,15 @@ class _CountAccumulator:
         self.err = np.zeros(3, dtype=np.int64)
         self.key_parts: list = []
 
-    def add_block(self, omega_idx, alpha, beta, bits) -> None:
-        """Count matched-Z rounds per intensity and keep their ``bits``."""
+    def add_block(self, omega_idx, alpha, beta, bits, other_x) -> None:
+        """Count matched-Z rounds per intensity and keep their ``bits``;
+        count matched-X rounds per intensity where ``bits`` and ``other_x``
+        differ."""
         z = (alpha == 0) & (beta == 0)
+        x = (alpha == 1) & (beta == 1)
         self.sift += np.bincount(omega_idx[z], minlength=3)
+        self.err += np.bincount(omega_idx[x][bits[x] != other_x], minlength=3)
         self.key_parts.append(bits[z].astype(np.uint8))
-
-    def add_errors(self, omega_idx, errors) -> None:
-        self.err += np.bincount(omega_idx[errors], minlength=3)
 
     def observables(self) -> Observables:
         """Sift counts per intensity, then the decoy and vacuum error counts."""
@@ -106,8 +134,66 @@ class _CountAccumulator:
         return BitString.from_array(np.concatenate(self.key_parts))
 
 
-class AliceMachine:
+class _Party:
+    """What both machines share: state-table dispatch, the tally, the
+    length judgement and the key record."""
+
+    role: str
+    # state -> {message type: handler}. A state not listed, such as
+    # "done", accepts nothing.
+    HANDLERS: dict
+
+    def __init__(
+        self,
+        constants: ProtocolConstants,
+        blocks: Callable[[int], BlockSample],
+        expected: ExpectedObservables,
+    ):
+        self.constants = constants
+        self.blocks = blocks
+        self.expected = expected
+        self._acc = _CountAccumulator()
+        self._next_block = 0
+        self._state = "blocks"
+        self.outbox: list = []
+        self.result: Optional[KeyMaterial] = None
+        self.security: Optional[SecurityResult] = None
+        self._sifted: Optional[BitString] = None
+
+    @property
+    def done(self) -> bool:
+        return self._state == "done"
+
+    def handle(self, msg) -> None:
+        handler = self.HANDLERS.get(self._state, {}).get(type(msg))
+        if handler is None:
+            raise ProtocolError(
+                f"{self.role} in state {self._state} cannot accept "
+                f"{type(msg).__name__}"
+            )
+        handler(self, msg)
+
+    def _judge_length(self) -> None:
+        """Close the tally: keep the sifted key and judge its final length."""
+        self._sifted = self._acc.sifted_key()
+        self.security = judge_length(
+            self.constants, self._acc.observables(), self.expected
+        )
+
+    def _finish(self, reason: Optional[str], key=None, **ec) -> None:
+        self.result = KeyMaterial(
+            self.role, reason, key, self._acc.observables(), self.security, **ec
+        )
+        self._state = "done"
+
+
+class AliceMachine(_Party):
     """Reference side: judges length, owns the seeds, extracts first."""
+
+    role = "alice"
+    # Each machine holds the shared dispatch under its own name, so the two
+    # parties can be wrapped or timed apart.
+    handle = _Party.handle
 
     def __init__(
         self,
@@ -116,36 +202,11 @@ class AliceMachine:
         expected: ExpectedObservables,
         rng: np.random.Generator,
     ):
-        self.constants = constants
-        self.blocks = blocks
-        self.expected = expected
+        super().__init__(constants, blocks, expected)
         self._rng = rng
-        self._acc = _CountAccumulator()
-        self._next_block = 0
-        self._state = "blocks"
-        self.outbox: list = []
-        self.result: Optional[KeyMaterial] = None
-        self.security: Optional[SecurityResult] = None
-        self._sifted: Optional[BitString] = None
-        self._pa_seed: Optional[int] = None
-        self._n_fin = 0
-
-    @property
-    def done(self) -> bool:
-        return self._state == "done"
 
     def _draw_seed(self) -> int:
         return int(self._rng.integers(0, 2**64, dtype=np.uint64))
-
-    def handle(self, msg) -> None:
-        if self._state == "blocks" and isinstance(msg, BobBlockDisclosure):
-            self._handle_block(msg)
-        elif self._state == "verify" and isinstance(msg, VerifyResult):
-            self._handle_verify(msg)
-        else:
-            raise ProtocolError(
-                f"alice in state {self._state} cannot accept {type(msg).__name__}"
-            )
 
     def _handle_block(self, msg: BobBlockDisclosure) -> None:
         if msg.j != self._next_block:
@@ -164,42 +225,33 @@ class AliceMachine:
         if len(msg.x_outcomes) != np.count_nonzero(bob_x):
             raise ProtocolError("x outcome count does not match clicked X rounds")
         omega_c, alpha_c, a_c = self.blocks(msg.j).alice_settings(offs)
-        self._acc.add_block(omega_c, alpha_c, beta_c, a_c)
+        bob_matched_x = msg.x_outcomes.to_array()[alpha_c[bob_x] == 1]
+        self._acc.add_block(omega_c, alpha_c, beta_c, a_c, bob_matched_x)
 
         matched_x = (alpha_c == 1) & bob_x
         self.outbox.append(
             AliceBlockDisclosure.from_columns(msg.j, omega_c, alpha_c, a_c[matched_x])
         )
-
-        bx = msg.x_outcomes.to_array().astype(bool)
-        sel = alpha_c[bob_x] == 1
-        errors = bx[sel] ^ (a_c[bob_x][sel] == 1)
-        self._acc.add_errors(omega_c[bob_x][sel], errors)
-
         self._next_block += 1
         if self._next_block == self.constants.n_block:
             self._judge_and_commit()
 
     def _judge_and_commit(self) -> None:
-        obs = self._acc.observables()
-        self._sifted = self._acc.sifted_key()
-        n_ec = syndrome_length(obs.n_sift, self.constants.e_bit_assumed)
-        self.security = security_result(self.constants, obs, self.expected, n_ec)
-        if self.security.abort:
-            self.outbox.append(SiftAnnounce(obs.n_sift, proceed=False))
+        self._judge_length()
+        sec = self.security
+        self.outbox.append(SiftAnnounce(sec.n_sift, proceed=not sec.abort))
+        if sec.abort:
             self.outbox.append(End())
-            self._finish(aborted=True, reason=ABORT_LENGTH)
+            self._finish(ABORT_LENGTH)
             return
-        self._n_fin = self.security.n_fin
-        self.outbox.append(SiftAnnounce(obs.n_sift, proceed=True))
         code_seed = self._draw_seed()
-        if n_ec == 0:
+        if sec.n_ec == 0:
             # Zero assumed error rate discloses nothing; verification
             # still guards actual mismatches.
-            self.outbox.append(Syndrome(BitString.zeros(0), code_seed))
+            syndrome = BitString.zeros(0)
         else:
-            code = LdpcCode(obs.n_sift, n_ec, code_seed)
-            self.outbox.append(Syndrome(code.syndrome(self._sifted), code_seed))
+            syndrome = LdpcCode(sec.n_sift, sec.n_ec, code_seed).syndrome(self._sifted)
+        self.outbox.append(Syndrome(syndrome, code_seed))
         verify_seed = self._draw_seed()
         digest = verify_hash(self._sifted, verify_seed, self.constants.n_verify)
         self.outbox.append(VerifyHash(verify_seed, digest))
@@ -208,31 +260,23 @@ class AliceMachine:
     def _handle_verify(self, msg: VerifyResult) -> None:
         if not msg.ok:
             self.outbox.append(End())
-            self._finish(aborted=True, reason=ABORT_VERIFY)
+            self._finish(ABORT_VERIFY)
             return
-        self._pa_seed = self._draw_seed()
-        self.outbox.append(PaSeed(self._pa_seed, self._n_fin))
-        self.outbox.append(End())
-        key = pa_hash(self._sifted, self._pa_seed, self._n_fin)
-        self._finish(aborted=False, reason=None, key=key)
+        pa_seed, n_fin = self._draw_seed(), self.security.n_fin
+        self.outbox += (PaSeed(pa_seed, n_fin), End())
+        self._finish(None, pa_hash(self._sifted, pa_seed, n_fin))
 
-    def _finish(self, aborted: bool, reason, key: Optional[BitString] = None) -> None:
-        obs = self._acc.observables()
-        self.result = KeyMaterial(
-            role="alice",
-            aborted=aborted,
-            abort_reason=reason,
-            key=key,
-            n_fin=0 if aborted else self._n_fin,
-            n_sift=obs.n_sift,
-            observables=obs,
-            security=self.security,
-        )
-        self._state = "done"
+    HANDLERS = {
+        "blocks": {BobBlockDisclosure: _handle_block},
+        "verify": {VerifyResult: _handle_verify},
+    }
 
 
-class BobMachine:
+class BobMachine(_Party):
     """Measuring side: opens blocks, corrects, checks, extracts second."""
+
+    role = "bob"
+    handle = _Party.handle
 
     def __init__(
         self,
@@ -240,29 +284,13 @@ class BobMachine:
         blocks: Callable[[int], BlockSample],
         expected: ExpectedObservables,
     ):
-        self.constants = constants
-        self.blocks = blocks
-        self.expected = expected
-        self._acc = _CountAccumulator()
-        self._next_block = 0
-        self._state = "blocks"
-        self.outbox: list = []
-        self.result: Optional[KeyMaterial] = None
-        self.security: Optional[SecurityResult] = None
-        self._sifted: Optional[BitString] = None
+        super().__init__(constants, blocks, expected)
         self._corrected: Optional[BitString] = None
-        self._announced_sift = 0
-        self._n_ec = 0
-        self._ec_converged: Optional[bool] = None
-        self._ec_iterations: Optional[int] = None
-        self._ec_error_weight: Optional[int] = None
-        self._final_key: Optional[BitString] = None
-        self._abort_reason: Optional[str] = None
+        # Decoder telemetry, as KeyMaterial's ec_* fields.
+        self._ec: dict = {}
+        # (abort reason, key) that End closes the session with.
+        self._ending: tuple = (ABORT_LENGTH, None)
         self._emit_disclosure(0)
-
-    @property
-    def done(self) -> bool:
-        return self._state == "done"
 
     def _emit_disclosure(self, j: int) -> None:
         data = self.blocks(j)
@@ -276,29 +304,6 @@ class BobMachine:
             )
         )
 
-    def handle(self, msg) -> None:
-        handlers = {
-            "blocks": (AliceBlockDisclosure, self._handle_block_reply),
-            "sift": (SiftAnnounce, self._handle_sift),
-            "syndrome": (Syndrome, self._handle_syndrome),
-            "verify": (VerifyHash, self._handle_verify),
-            "pa": (PaSeed, self._handle_pa),
-            "end": (End, self._handle_end),
-        }
-        if self._state not in handlers:
-            raise ProtocolError(f"bob is done, cannot accept {type(msg).__name__}")
-        expected_type, handler = handlers[self._state]
-        if not isinstance(msg, expected_type):
-            # After an abort announcement or a failed verification the
-            # next frame is End rather than the nominal successor.
-            if isinstance(msg, End) and self._state in ("sift", "pa", "syndrome"):
-                self._handle_end(msg)
-                return
-            raise ProtocolError(
-                f"bob in state {self._state} cannot accept {type(msg).__name__}"
-            )
-        handler(msg)
-
     def _handle_block_reply(self, msg: AliceBlockDisclosure) -> None:
         if msg.j != self._next_block:
             raise ProtocolError(f"expected reply for block {self._next_block}")
@@ -306,17 +311,10 @@ class BobMachine:
         k = len(data.offsets)
         if len(msg.omega) != k or len(msg.alpha) != k:
             raise ProtocolError("reply must cover exactly the clicked rounds")
-        omega_c = msg.omega
         alpha_c = msg.alpha.to_array()
-        beta_c = data.beta
-        matched_x = (alpha_c == 1) & (beta_c == 1)
-        if len(msg.value) != np.count_nonzero(matched_x):
+        if len(msg.value) != np.count_nonzero((alpha_c == 1) & (data.beta == 1)):
             raise ProtocolError("reply must disclose the bits of the matched X rounds")
-
-        b_c = data.b
-        self._acc.add_block(omega_c, alpha_c, beta_c, b_c)
-        errors = b_c[matched_x] != msg.value.to_array()
-        self._acc.add_errors(omega_c[matched_x], errors)
+        self._acc.add_block(msg.omega, alpha_c, data.beta, data.b, msg.value.to_array())
 
         self._next_block += 1
         if self._next_block < self.constants.n_block:
@@ -325,31 +323,30 @@ class BobMachine:
             self._state = "sift"
 
     def _handle_sift(self, msg: SiftAnnounce) -> None:
-        obs = self._acc.observables()
-        if msg.n_sift != obs.n_sift:
+        if msg.n_sift != self._acc.observables().n_sift:
             raise ProtocolError("announced sift count disagrees with own tally")
-        self._sifted = self._acc.sifted_key()
-        self._announced_sift = obs.n_sift
-        self._n_ec = syndrome_length(obs.n_sift, self.constants.e_bit_assumed)
-        self.security = security_result(
-            self.constants, obs, self.expected, self._n_ec
-        )
+        self._judge_length()
         if msg.proceed == self.security.abort:
             raise ProtocolError("length judgement disagrees with announcement")
-        self._state = "end" if not msg.proceed else "syndrome"
+        self._state = "syndrome" if msg.proceed else "end"
 
     def _handle_syndrome(self, msg: Syndrome) -> None:
-        if len(msg.bits) != self._n_ec:
+        sec = self.security
+        if len(msg.bits) != sec.n_ec:
             raise ProtocolError("syndrome length disagrees with the rule")
-        if self._n_ec == 0:
+        if sec.n_ec == 0:
             self._corrected = self._sifted
-            self._ec_converged, self._ec_iterations = True, 0
+            self._ec = {"ec_converged": True, "ec_iterations": 0}
         else:
-            code = LdpcCode(self._announced_sift, self._n_ec, msg.code_seed)
-            self._corrected, self._ec_converged, self._ec_iterations = correct(
+            code = LdpcCode(sec.n_sift, sec.n_ec, msg.code_seed)
+            self._corrected, converged, iterations = correct(
                 self._sifted, msg.bits, code, self.constants.e_bit_assumed
             )
-            self._ec_error_weight = (self._corrected ^ self._sifted).weight()
+            self._ec = {
+                "ec_converged": converged,
+                "ec_iterations": iterations,
+                "ec_error_weight": (self._corrected ^ self._sifted).weight(),
+            }
         self._state = "verify"
 
     def _handle_verify(self, msg: VerifyHash) -> None:
@@ -358,34 +355,27 @@ class BobMachine:
         self.outbox.append(VerifyResult(ok))
         self._state = "pa" if ok else "end"
         if not ok:
-            self._abort_reason = ABORT_VERIFY
+            self._ending = (ABORT_VERIFY, None)
 
     def _handle_pa(self, msg: PaSeed) -> None:
         if msg.n_fin != self.security.n_fin:
             raise ProtocolError("final length disagrees with own computation")
-        self._final_key = pa_hash(self._corrected, msg.seed, msg.n_fin)
+        self._ending = (None, pa_hash(self._corrected, msg.seed, msg.n_fin))
         self._state = "end"
 
     def _handle_end(self, msg: End) -> None:
-        obs = self._acc.observables()
-        key = self._final_key
-        reason = self._abort_reason
-        if key is None and reason is None:
-            reason = ABORT_LENGTH
-        self.result = KeyMaterial(
-            role="bob",
-            aborted=key is None,
-            abort_reason=reason if key is None else None,
-            key=key,
-            n_fin=len(key) if key is not None else 0,
-            n_sift=obs.n_sift,
-            observables=obs,
-            security=self.security,
-            ec_converged=self._ec_converged,
-            ec_iterations=self._ec_iterations,
-            ec_error_weight=self._ec_error_weight,
-        )
-        self._state = "done"
+        self._finish(*self._ending, **self._ec)
+
+    # End is also taken wherever Alice may close the session before the
+    # nominal next message.
+    HANDLERS = {
+        "blocks": {AliceBlockDisclosure: _handle_block_reply},
+        "sift": {SiftAnnounce: _handle_sift, End: _handle_end},
+        "syndrome": {Syndrome: _handle_syndrome, End: _handle_end},
+        "verify": {VerifyHash: _handle_verify},
+        "pa": {PaSeed: _handle_pa, End: _handle_end},
+        "end": {End: _handle_end},
+    }
 
 
 @dataclass
@@ -394,7 +384,11 @@ class ProtocolOutcome:
     bob: KeyMaterial
     # The transport's own buffer, handed over without a copy.
     transcript: bytearray
-    security: SecurityResult
+
+    @property
+    def security(self) -> Optional[SecurityResult]:
+        """The session's length judgement, as Alice made it."""
+        return self.alice.security
 
     @property
     def aborted(self) -> bool:
@@ -402,11 +396,7 @@ class ProtocolOutcome:
 
     @property
     def keys_match(self) -> bool:
-        return (
-            not self.aborted
-            and self.alice.key is not None
-            and self.alice.key == self.bob.key
-        )
+        return self.alice.key is not None and self.alice.key == self.bob.key
 
 
 class InProcessTransport:
@@ -463,9 +453,4 @@ def run_protocol(
     bob = BobMachine(constants, blocks, expected)
     transport = InProcessTransport(alice, bob)
     transport.run()
-    return ProtocolOutcome(
-        alice=alice.result,
-        bob=bob.result,
-        transcript=transport.transcript,
-        security=alice.security,
-    )
+    return ProtocolOutcome(alice.result, bob.result, transport.transcript)

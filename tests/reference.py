@@ -388,9 +388,8 @@ def ground_truth_runs(
         n1z_true = 0
         for j in range(constants.n_block):
             s = blocks(j)
-            acc.add_block(s.omega_idx, s.alpha, s.beta, s.a)
             matched_x = (s.alpha == 1) & (s.beta == 1)
-            acc.add_errors(s.omega_idx[matched_x], s.a[matched_x] != s.b[matched_x])
+            acc.add_block(s.omega_idx, s.alpha, s.beta, s.a, s.b[matched_x])
             n_photons = clicked_photon_numbers(photon_cdf, s, generator(seed, 4, j))
             matched_z = (s.alpha == 0) & (s.beta == 0)
             n1z_true += int(np.count_nonzero(matched_z & (n_photons == 1)))

@@ -353,6 +353,21 @@ def test_verify_bounds_passes(capsys):
     assert "forward" in out and "reverse" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--q", "0"), ("--q", "1"), ("--q", "1.5"), ("--q", "-0.1"),
+     ("--trials", "0"), ("--trials", "-5")],
+)
+def test_verify_bounds_argument_outside_its_domain_is_config_error(
+    flag, value, capsys
+):
+    code = main(["verify-bounds", "--n", "100", "--trials", "10", flag, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "forward" not in captured.out
+
+
 def test_missing_file_is_config_error(config_files, capsys):
     code = main([
         "keyrate",

@@ -35,6 +35,7 @@ from dsbb84.wire import (
     PaSeed,
     SiftAnnounce,
     Syndrome,
+    VerifyHash,
     VerifyResult,
     WireError,
     decode_message,
@@ -213,6 +214,51 @@ def test_decoder_telemetry_is_pinned():
     assert digest == GOLDEN_DECODER_TELEMETRY_DIGEST
 
 
+# Every field of both parties' KeyMaterial, stored or derived.
+KEY_MATERIAL_FIELDS = (
+    "role", "aborted", "abort_reason", "key", "n_fin", "n_sift",
+    "observables", "security", "ec_converged", "ec_iterations",
+    "ec_error_weight",
+)
+
+# SHA-256 over "name=repr;" for each of KEY_MATERIAL_FIELDS of Alice, then
+# Bob (the key as hex), for the keyed run (SMALL, CLEAN, 42), the length
+# abort (LOSSY_LONG, FIBER, 9) and the verification abort (SMALL, NOISY,
+# 2000), taken before KeyMaterial derived aborted, n_fin and n_sift.
+GOLDEN_KEY_MATERIAL_DIGEST = (
+    "d9202763aafd10459a3f2bef2427bd65459645de537ea3bad882bcb6923036f4"
+)
+
+
+def key_material_digest(outcomes) -> str:
+    digest = hashlib.sha256()
+    for out in outcomes:
+        for party in (out.alice, out.bob):
+            for name in KEY_MATERIAL_FIELDS:
+                value = getattr(party, name)
+                if name == "key" and value is not None:
+                    value = value.to_bytes().hex()
+                digest.update(f"{name}={value!r};".encode())
+    return digest.hexdigest()
+
+
+def test_key_material_is_pinned_on_every_end_path():
+    outcomes = [
+        run_protocol(SMALL, CLEAN, seed=42),
+        run_protocol(LOSSY_LONG, FIBER, seed=9),
+        run_protocol(SMALL, NOISY, seed=2000),
+    ]
+    reasons = [out.alice.abort_reason for out in outcomes]
+    assert reasons == [None, ABORT_LENGTH, ABORT_VERIFY]
+    for out in outcomes:
+        assert out.security is out.alice.security
+        for party in (out.alice, out.bob):
+            assert party.aborted == (party.key is None)
+            assert party.n_fin == (0 if party.key is None else len(party.key))
+            assert party.n_sift == party.observables.n_sift
+    assert key_material_digest(outcomes) == GOLDEN_KEY_MATERIAL_DIGEST
+
+
 def test_run_is_deterministic_in_seed():
     a = run_protocol(SMALL, CLEAN, seed=40)
     b = run_protocol(SMALL, CLEAN, seed=40)
@@ -309,6 +355,59 @@ def test_bob_rejects_out_of_order_messages():
         bob.handle(PaSeed(seed=1, n_fin=10))
     with pytest.raises(ProtocolError):
         bob.handle(SiftAnnounce(n_sift=100, proceed=True))
+
+
+# The message types each state of a keyed session accepts. Bob also takes
+# End wherever Alice may end the session early.
+ACCEPTED = {
+    ("alice", "blocks"): {BobBlockDisclosure},
+    ("alice", "verify"): {VerifyResult},
+    ("bob", "blocks"): {AliceBlockDisclosure},
+    ("bob", "sift"): {SiftAnnounce, End},
+    ("bob", "syndrome"): {Syndrome, End},
+    ("bob", "verify"): {VerifyHash},
+    ("bob", "pa"): {PaSeed, End},
+    ("bob", "end"): {End},
+}
+
+
+def test_every_state_refuses_every_message_it_does_not_accept():
+    """Before each delivery of a keyed session the receiver is offered one
+    message of every type its state does not accept. Each is refused with
+    ProtocolError and leaves the machine as it was, so the session still
+    ends with the golden keys."""
+    reference = run_protocol(SMALL, CLEAN, seed=42)
+    samples, offset = {}, 0
+    while offset < len(reference.transcript):
+        msg, offset = decode_message(reference.transcript, offset)
+        samples.setdefault(type(msg), msg)
+    assert len(samples) == 8
+    alice, bob = build_machines(SMALL, CLEAN, seed=42)
+    seen = set()
+
+    def offer_the_rest(msg):
+        from_bob = isinstance(msg, (BobBlockDisclosure, VerifyResult))
+        role, receiver = ("alice", alice) if from_bob else ("bob", bob)
+        if receiver.done:
+            return
+        state = receiver._state
+        seen.add((role, state))
+        for kind, sample in samples.items():
+            if kind in ACCEPTED[role, state]:
+                continue
+            outbox = list(receiver.outbox)
+            with pytest.raises(ProtocolError):
+                receiver.handle(sample)
+            assert receiver._state == state and receiver.outbox == outbox
+
+    pump(alice, bob, offer_the_rest)
+    assert seen == set(ACCEPTED)
+    blob = (
+        reference.transcript
+        + alice.result.key.to_bytes()
+        + bob.result.key.to_bytes()
+    )
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SESSION_DIGEST
 
 
 def test_bob_rejects_wrong_sift_announcement():
