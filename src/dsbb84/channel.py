@@ -22,6 +22,7 @@ detector cell from the laws conditioned on the click (see sample_block).
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
 from dataclasses import dataclass
 
@@ -221,10 +222,23 @@ def single_photon_error_x(channel: ChannelModel) -> float:
     )
 
 
-# Stream roles: generator(seed, role, j) feeds block j. Role 3 (Alice's
-# post-processing seeds) belongs to the protocol module, and role 4 to the
-# test suite's ground-truth oracle.
-_ALICE, _BOB, _CHANNEL, _ALICE_UNCLICKED = 0, 1, 2, 5
+@enum.unique
+class StreamKey(enum.IntEnum):
+    """The first spawn key of each stream drawn from a seed.
+
+    A per-block stream is generator(seed, key, j), any other one
+    generator(seed, key); no two uses share a key.
+    """
+
+    ALICE = 0  # Alice's settings on the clicked rounds of a block
+    BOB = 1  # Bob's basis on the clicked rounds of a block
+    CHANNEL = 2  # the clicked set, detector cells and coins of a block
+    POST_PROCESSING = 3  # Alice's verification and PA seeds (protocol)
+    GROUND_TRUTH = 4  # the test suite's hidden photon numbers
+    ALICE_UNCLICKED = 5  # Alice's settings on the unclicked rounds of a block
+    VERIFY_ATTACK = 0xC0  # the test suite's verification-hash attack
+    LDPC = 0xEC  # the rows of an LDPC code, from its code seed (ecc)
+    VERIFY_BOUNDS = 0x7A11  # the verify-bounds Monte Carlo (oracles)
 
 
 def generator(seed: int, *key: int) -> np.random.Generator:
@@ -350,9 +364,10 @@ class BlockSample:
         Clicked rounds read the block's columns. Unclicked rounds, which an
         honest disclosure never names, are drawn on demand: every unclicked
         round of the block gets its settings from P(omega | no click) and
-        the priors, in round order, on the stream generator(seed, 5, j).
-        A round's settings thus depend on (seed, j) alone, not on which
-        rounds a disclosure names.
+        the priors, in round order, on the stream
+        generator(seed, StreamKey.ALICE_UNCLICKED, j). A round's settings
+        thus depend on (seed, j) alone, not on which rounds a disclosure
+        names.
         """
         columns = (self.omega_idx, self.alpha, self.a)
         if np.array_equal(offs, self.offsets):
@@ -361,7 +376,7 @@ class BlockSample:
         unclicked[self.offsets] = False
         unclicked = np.flatnonzero(unclicked)
         drawn = _draw_alice_settings(
-            generator(self.seed, _ALICE_UNCLICKED, self.j),
+            generator(self.seed, StreamKey.ALICE_UNCLICKED, self.j),
             self.law.omega_given_none,
             self.law.p_basis_alice,
             len(unclicked),
@@ -378,9 +393,9 @@ class BlockSample:
 def sample_block(law: ClickLaw, seed: int, j: int) -> BlockSample:
     """Draw block j of the session with this seed, clicked rounds only.
 
-    Each role draws from its own stream generator(seed, role, j) (0 Alice,
-    1 Bob, 2 channel noise), so the block depends on (seed, j) alone and
-    not on any block drawn before it. The click count is binomial(m,
+    Each role draws from its own stream generator(seed, key, j) (the
+    StreamKey ALICE, BOB and CHANNEL), so the block depends on (seed, j)
+    alone and not on any block drawn before it. The click count is binomial(m,
     p_click) and the clicked rounds a uniform subset. Each clicked round
     then draws, in this order: its intensity from P(omega | click); alpha
     and a from their priors; Bob's basis from its prior, with one
@@ -391,15 +406,15 @@ def sample_block(law: ClickLaw, seed: int, j: int) -> BlockSample:
     are drawn only on demand (see BlockSample.alice_settings).
     """
     m = law.m
-    noise = generator(seed, _CHANNEL, j)
+    noise = generator(seed, StreamKey.CHANNEL, j)
     k = int(noise.binomial(m, law.p_click))
     offsets = np.sort(noise.choice(m, k, replace=False, shuffle=False))
     clicked = np.zeros(m, dtype=bool)
     clicked[offsets] = True
     omega_idx, alpha, a = _draw_alice_settings(
-        generator(seed, _ALICE, j), law.omega_given_click, law.p_basis_alice, k
+        generator(seed, StreamKey.ALICE, j), law.omega_given_click, law.p_basis_alice, k
     )
-    beta = (generator(seed, _BOB, j).random(k) >= law.p_basis_bob).astype(np.int8)
+    beta = (generator(seed, StreamKey.BOB, j).random(k) >= law.p_basis_bob).astype(np.int8)
     u = noise.random(k)
     cdf = law.cell_cdf[setting_index(omega_idx, alpha, a, beta)]
     cell = (u >= cdf[:, 0]).astype(np.int8) + (u >= cdf[:, 1])

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import generator
+from .channel import StreamKey, generator
 from .gf2 import BitString
 from .params import entropy_h
 
@@ -83,7 +83,7 @@ class LdpcCode:
             raise ValueError("at most 2**31 rows, so a row index fits in int32")
         self.n_bits = n_bits
         self.n_rows = n_rows
-        rng = generator(seed, 0xEC)
+        rng = generator(seed, StreamKey.LDPC)
         weight = min(COLUMN_WEIGHT, n_rows)
         rows = np.empty((weight, n_bits), dtype=np.int32)
         first = rng.integers(0, n_rows, size=n_bits)

@@ -4,8 +4,7 @@ A :class:`BitString` is an immutable sequence of bits with xor, slicing and
 byte packing. It holds one read-only numpy ``uint8`` array of 0/1 values,
 index 0 first, which :meth:`BitString.to_array` hands out without a copy;
 :meth:`BitString.from_array` copies an array in. Bytes are the LSB-first
-``packbits`` of that array, and :attr:`BitString.word` is the same bits as
-a Python integer, computed on demand.
+``packbits`` of that array.
 """
 
 from __future__ import annotations
@@ -76,11 +75,6 @@ class BitString:
         """The bits as a read-only uint8 array of 0/1, index 0 first."""
         return self._bits
 
-    @property
-    def word(self) -> int:
-        """The bits as a non-negative integer, bit ``j`` being index ``j``."""
-        return int.from_bytes(self.to_bytes(), "little")
-
     def __len__(self) -> int:
         return len(self._bits)
 
@@ -114,7 +108,4 @@ class BitString:
 
     def weight(self) -> int:
         return int(np.count_nonzero(self._bits))
-
-    def tolist(self) -> list:
-        return self._bits.tolist()
 

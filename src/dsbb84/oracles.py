@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import kato_pair, kato_pair_prime
-from .channel import generator
+from .channel import StreamKey, generator
 from .params import DomainError
 
 
@@ -61,7 +61,7 @@ def kato_tail_mc(
     centre = 2.0 * lam / n - 1.0
     forward_edge = lam - (b + a * centre) * root
     reverse_edge = lam + (bp + ap * centre) * root
-    rng = generator(seed, 0x7A11)
+    rng = generator(seed, StreamKey.VERIFY_BOUNDS)
     forward = 0
     reverse = 0
     block = 1_000_000

@@ -38,7 +38,7 @@ from .bounds import (
     expected_observables,
     security_result,
 )
-from .channel import BlockSample, BlockSource, ChannelModel, generator
+from .channel import BlockSample, BlockSource, ChannelModel, StreamKey, generator
 from .ecc import LdpcCode, correct, syndrome_length
 from .gf2 import BitString
 from .hashing import pa_hash, verify_hash
@@ -444,12 +444,13 @@ def run_protocol(
 
     Block j is drawn when Bob opens it, from streams keyed (seed, role, j)
     (see channel.sample_block), and both machines read that one sample.
-    Alice's post-processing seeds come from stream key 3.
+    Alice's post-processing seeds come from the stream
+    StreamKey.POST_PROCESSING.
     """
     if expected is None:
         expected = expected_observables(constants, channel)
     blocks = BlockSource(constants, channel, seed)
-    alice = AliceMachine(constants, blocks, expected, generator(seed, 3))
+    alice = AliceMachine(constants, blocks, expected, generator(seed, StreamKey.POST_PROCESSING))
     bob = BobMachine(constants, blocks, expected)
     transport = InProcessTransport(alice, bob)
     transport.run()

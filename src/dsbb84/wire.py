@@ -12,13 +12,15 @@ in declaration order, then, if the message has one, its bit string as a
 u64 bit length followed by the LSB-first packed bytes.
 
 The two block messages announce only what the other side lacks. Bob's
-disclosure names the clicked rounds of a block, his basis on those rounds
-and his bit on the clicked X rounds; Alice's reply gives intensity and
-basis per named round as packed bit columns and her bit on matched X rounds
-only. Bit columns whose length the other fields imply carry no length of
-their own. Every encoding is canonical: a decoder refuses any form the
-encoder would not have produced, so a frame that decodes re-encodes to its
-own bytes.
+disclosure names the clicked rounds of a block in one Elias-Fano form
+(Elias 1974; Fano 1971), whose layout follows from the block size and
+the click count alone, then gives his basis on those rounds and his bit
+on the clicked X rounds; Alice's reply gives intensity and basis per
+named round and her bit on matched X rounds only. Every column of a block
+message is a bit column packed LSB-first and padded with zero bits to a
+whole byte, and carries no length of its own: the fixed fields imply it.
+Every encoding is canonical: a decoder refuses any form the encoder would
+not have produced, so a frame that decodes re-encodes to its own bytes.
 
 The authenticated classical channel is assumed, not modeled: frames carry
 no MAC. The transcript of a session is the concatenation of its frames.
@@ -37,7 +39,7 @@ import numpy as np
 
 from .gf2 import BitString
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 
 class WireError(ValueError):
@@ -94,29 +96,6 @@ def decode_frame(buf: bytes, offset: int = 0) -> tuple:
     return tag, buf[offset + 6 : end], end
 
 
-# How Bob's disclosure sends the clicked set: an m-bit bitmap, or the gaps
-# between ascending offsets (the first counted from round 0) in one width.
-CLICKED_BITMAP = 0
-GAP_DTYPES = {1: np.dtype("u1"), 2: np.dtype("<u2"), 3: np.dtype("<u4")}
-
-
-def clicked_encoding(m: int, offsets: np.ndarray) -> int:
-    """The flag of the shorter form of the clicked set ``offsets`` (int64,
-    strictly ascending) of a block of m rounds.
-
-    Gaps use the narrowest width that holds the largest gap and cost a u32
-    count besides; a tie goes to the bitmap.
-    """
-    k = len(offsets)
-    bitmap_bytes = (m + 7) // 8
-    if 4 + k >= bitmap_bytes:
-        return CLICKED_BITMAP
-    largest = int(max(offsets[0], np.max(np.diff(offsets), initial=0))) if k else 0
-    for flag, dtype in GAP_DTYPES.items():
-        if largest < 256**dtype.itemsize:
-            return flag if 4 + k * dtype.itemsize < bitmap_bytes else CLICKED_BITMAP
-
-
 def clicked_offsets(offsets, m: int) -> np.ndarray:
     """``offsets`` as int64 after checking that they are strictly ascending
     rounds of a block of ``m``; ``WireError`` otherwise."""
@@ -148,6 +127,18 @@ class _Block:
         return hash(self.encode())
 
 
+def _clicked_layout(m: int, k: int) -> tuple:
+    """(L, high-part bits, plane shifts) of the Elias-Fano form of k clicked
+    rounds out of m. Each offset sends its L = floor(log2(m/k)) low bits,
+    and the high part has k + ((m - 1) >> L) bits; an empty set sends no
+    bits. The shifts 0, ..., L - 1 are a column in the narrowest unsigned
+    type that holds L bits, so that the L x k planes take no wider type."""
+    low_bits = (m // k).bit_length() - 1 if k else 0
+    high_len = k + ((m - 1) >> low_bits) if k else 0
+    shifts = np.arange(low_bits, dtype=np.min_scalar_type((1 << low_bits) - 1))[:, None]
+    return low_bits, high_len, shifts
+
+
 @dataclass(frozen=True, eq=False)
 class BobBlockDisclosure(_Block):
     """Bob's announcement after measuring block ``j`` of ``m`` rounds.
@@ -156,11 +147,12 @@ class BobBlockDisclosure(_Block):
     ``basis`` holds Bob's basis bit on each of them (1 means X) and
     ``x_outcomes`` his bit on each clicked X round, both in round order.
 
-    Layout: ``<IIB`` j, m and the clicked-set flag, then the clicked set,
-    then ``basis`` and ``x_outcomes`` packed LSB-first with no length
-    fields (there are ``len(offsets)`` and ``basis.weight()`` bits). Flag
-    0 sends the set as an m-bit bitmap; flags 1, 2 and 3 send a u32 count
-    and then the gaps as u8, u16 or u32 (see ``clicked_encoding``).
+    Layout: ``<III`` j, m and the clicked count k, then four bit columns.
+    The first two are the clicked set in Elias-Fano form, whose layout
+    follows from (m, k) alone (see ``_clicked_layout``): L low-bit planes
+    of k bits each, plane p holding bit p of every offset, then the high
+    part, with bit ``(offsets[i] >> L) + i`` set for each i. Then come
+    ``basis`` (k bits) and ``x_outcomes`` (``basis.weight()`` bits).
     """
 
     TAG: ClassVar[int] = 1
@@ -176,53 +168,43 @@ class BobBlockDisclosure(_Block):
             raise WireError("basis must cover exactly the clicked rounds")
         if len(self.x_outcomes) != self.basis.weight():
             raise WireError("x outcome count does not match clicked X rounds")
-        payload = _pack("<II", self.j, self.m)
-        flag = clicked_encoding(self.m, offsets)
-        payload += _pack("<B", flag)
-        if flag == CLICKED_BITMAP:
-            bitmap = np.zeros(self.m, dtype=np.uint8)
-            bitmap[offsets] = 1
-            payload += np.packbits(bitmap, bitorder="little").tobytes()
-        else:
-            gaps = offsets.copy()
-            gaps[1:] -= offsets[:-1]
-            payload += _pack("<I", len(offsets)) + gaps.astype(GAP_DTYPES[flag]).tobytes()
-        return payload + self.basis.to_bytes() + self.x_outcomes.to_bytes()
+        k = len(offsets)
+        # Packed first, so that an m beyond u32 is refused before the high
+        # part, about m >> L bits, is allocated.
+        header = _pack("<III", self.j, self.m, k)
+        low_bits, high_len, shifts = _clicked_layout(self.m, k)
+        low = (offsets & ((1 << low_bits) - 1)).astype(shifts.dtype)
+        high = np.zeros(high_len, dtype=np.uint8)
+        high[(offsets >> low_bits) + np.arange(k)] = 1
+        return (
+            header
+            + BitString.from_array(((low >> shifts) & 1).ravel()).to_bytes()
+            + BitString.from_array(high).to_bytes()
+            + self.basis.to_bytes()
+            + self.x_outcomes.to_bytes()
+        )
 
     @classmethod
     def decode(cls, payload: bytes) -> "BobBlockDisclosure":
-        if len(payload) < 9:
+        if len(payload) < 12:
             raise WireError("short block disclosure")
-        j, m, flag = struct.unpack_from("<IIB", payload, 0)
-        off = 9
-        if flag == CLICKED_BITMAP:
-            bitmap, off = _bits_at(payload, off, m)
-            # 0/1 bytes viewed as bool: nonzero search is faster on bool.
-            offsets = np.flatnonzero(bitmap.to_array().view(bool))
-        elif flag in GAP_DTYPES:
-            if off + 4 > len(payload):
-                raise WireError("truncated clicked count")
-            (k,) = struct.unpack_from("<I", payload, off)
-            off += 4
-            dtype = GAP_DTYPES[flag]
-            if off + k * dtype.itemsize > len(payload):
-                raise WireError("truncated clicked gaps")
-            gaps = np.frombuffer(payload, dtype=dtype, count=k, offset=off)
-            off += k * dtype.itemsize
-            if np.any(gaps[1:] == 0):
-                raise WireError("clicked offsets must be strictly ascending")
-            offsets = np.cumsum(gaps, dtype=np.int64)
-            if k and offsets[-1] >= m:
-                raise WireError("clicked offset beyond the block")
-        else:
-            raise WireError(f"unknown clicked-set flag {flag}")
-        if flag != clicked_encoding(m, offsets):
-            raise WireError("clicked set not in its shortest form")
-        basis, off = _bits_at(payload, off, len(offsets))
+        j, m, k = struct.unpack_from("<III", payload, 0)
+        if k > m:
+            raise WireError("more clicked rounds than the block has")
+        low_bits, high_len, shifts = _clicked_layout(m, k)
+        low, off = _bits_at(payload, 12, low_bits * k)
+        high, off = _bits_at(payload, off, high_len)
+        basis, off = _bits_at(payload, off, k)
         x_outcomes, off = _bits_at(payload, off, basis.weight())
         if off != len(payload):
             raise WireError("trailing bytes in block disclosure")
-        return cls(j, m, _read_only(offsets), basis, x_outcomes)
+        # 0/1 bytes viewed as bool: nonzero search is faster on bool.
+        ones = np.flatnonzero(high.to_array().view(bool))
+        if len(ones) != k:
+            raise WireError("high part must hold one set bit per clicked round")
+        planes = np.left_shift(low.to_array().reshape(low_bits, k), shifts, dtype=shifts.dtype)
+        offsets = (ones - np.arange(k)) << low_bits | np.bitwise_or.reduce(planes, axis=0)
+        return cls(j, m, _read_only(clicked_offsets(offsets, m)), basis, x_outcomes)
 
 
 def _column(name: str, column, top: int) -> np.ndarray:
@@ -237,29 +219,6 @@ def _column(name: str, column, top: int) -> np.ndarray:
     return column.astype(np.uint8)
 
 
-def _pack_omega(omega: np.ndarray) -> bytes:
-    """Intensity indices as 2-bit values, four per byte, LSB first."""
-    quads = np.zeros((len(omega) + 3) // 4 * 4, dtype=np.uint8)
-    quads[: len(omega)] = omega
-    quads = quads.reshape(-1, 4)
-    packed = quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6
-    return packed.tobytes()
-
-
-# The four 2-bit values of each byte, LSB first.
-_QUADS = (np.arange(256, dtype=np.uint8)[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3
-
-
-def _unpack_omega(raw: bytes, count: int) -> np.ndarray:
-    values = np.take(_QUADS, np.frombuffer(raw, dtype=np.uint8), axis=0).reshape(-1)
-    if np.any(values[count:]):
-        raise WireError("padding bits beyond the stated length are set")
-    values = values[:count]
-    if values.max(initial=0) > 2:
-        raise WireError("intensity index out of range")
-    return _read_only(values)
-
-
 @dataclass(frozen=True, eq=False)
 class AliceBlockDisclosure(_Block):
     """Alice's reply for block ``j``: one record per round Bob named.
@@ -272,8 +231,10 @@ class AliceBlockDisclosure(_Block):
     which refuses values that do not fit their field.
 
     Layout: ``<III`` j, the record count and the number of value bits,
-    then ``omega`` as 2-bit values four to a byte, ``alpha`` and ``value``
-    packed LSB-first, each column padded with zero bits to a whole byte.
+    then three bit columns: ``omega`` as two bits per record (bit 2i is the
+    low bit of record i, bit 2i + 1 its high bit), ``alpha`` and
+    ``value``, each packed LSB-first and padded with zero bits to a whole
+    byte.
     """
 
     TAG: ClassVar[int] = 2
@@ -298,9 +259,12 @@ class AliceBlockDisclosure(_Block):
         omega = _column("omega", self.omega, 2)
         if len(self.alpha) != len(omega):
             raise WireError("omega and alpha must cover the same rounds")
+        omega_bits = np.empty((len(omega), 2), dtype=np.uint8)
+        omega_bits[:, 0] = omega & 1
+        omega_bits[:, 1] = omega >> 1
         return (
             _pack("<III", self.j, len(omega), len(self.value))
-            + _pack_omega(omega)
+            + BitString.from_array(omega_bits.ravel()).to_bytes()
             + self.alpha.to_bytes()
             + self.value.to_bytes()
         )
@@ -310,14 +274,17 @@ class AliceBlockDisclosure(_Block):
         if len(payload) < 12:
             raise WireError("short block reply")
         j, count, n_values = struct.unpack_from("<III", payload, 0)
-        omega_bytes = (count + 3) // 4
-        expected = 12 + omega_bytes + (count + 7) // 8 + (n_values + 7) // 8
+        expected = 12 + (2 * count + 7) // 8 + (count + 7) // 8 + (n_values + 7) // 8
         if len(payload) != expected:
             raise WireError("block reply length mismatch")
-        omega = _unpack_omega(payload[12 : 12 + omega_bytes], count)
-        alpha, off = _bits_at(payload, 12 + omega_bytes, count)
+        omega_bits, off = _bits_at(payload, 12, 2 * count)
+        pairs = omega_bits.to_array().reshape(count, 2)
+        omega = pairs[:, 0] + 2 * pairs[:, 1]
+        if omega.max(initial=0) > 2:
+            raise WireError("intensity index out of range")
+        alpha, off = _bits_at(payload, off, count)
         value, _ = _bits_at(payload, off, n_values)
-        return cls(j, omega, alpha, value)
+        return cls(j, _read_only(omega), alpha, value)
 
 
 class _Scalar:

@@ -23,6 +23,7 @@ from dsbb84.channel import (
     BlockSample,
     BlockSource,
     ChannelModel,
+    StreamKey,
     click_probabilities,
     eta_total,
     generator,
@@ -45,6 +46,11 @@ from dsbb84.params import (
 from dsbb84.protocol import _CountAccumulator
 
 
+def word(bits: BitString) -> int:
+    """The bits as a non-negative integer, bit ``j`` being index ``j``."""
+    return int.from_bytes(bits.to_bytes(), "little")
+
+
 class Gf2Matrix:
     """Dense GF(2) matrix; row ``r`` is a Python integer whose bit ``c``
     is entry (r, c)."""
@@ -65,7 +71,7 @@ class Gf2Matrix:
         for row in dense:
             if len(row) != n_cols:
                 raise ValueError("ragged rows")
-            rows.append(BitString(row).word)
+            rows.append(word(BitString(row)))
         return cls(rows, n_cols)
 
     @property
@@ -81,11 +87,11 @@ class Gf2Matrix:
         """Matrix-vector product H x over GF(2)."""
         if len(x) != self.n_cols:
             raise ValueError(f"vector length {len(x)} != n_cols {self.n_cols}")
-        word = 0
-        xw = x.word
+        product = 0
+        xw = word(x)
         for i, row in enumerate(self.rows):
-            word |= ((row & xw).bit_count() & 1) << i
-        return BitString.from_int(word, self.n_rows)
+            product |= ((row & xw).bit_count() & 1) << i
+        return BitString.from_int(product, self.n_rows)
 
     def rank(self) -> int:
         pivots = []
@@ -105,7 +111,7 @@ class Gf2Matrix:
 def toeplitz_matrix(diagonals: BitString, n_in: int, n_out: int) -> Gf2Matrix:
     """``[T | I]`` with ``T[r][c] = d[r - c + w - 1]``, ``w = n_in - n_out``."""
     w = n_in - n_out
-    d = diagonals.tolist()
+    d = list(diagonals)
     rows = []
     for r in range(n_out):
         row = 1 << (w + r)
@@ -367,11 +373,12 @@ def ground_truth_runs(
     seeds. Blocks come from each session's BlockSource and are tallied by
     the protocol's count accumulator. Each clicked round then draws its
     hidden photon number from photon_posterior on the stream
-    generator(seed, 4, j); the hidden single-photon count is the number of
-    matched-Z clicks with one photon. Phase errors are not directly
-    simulated, so each hidden single-photon sifted round draws an error
-    flag at the exact conditional single-photon X-error probability, on
-    generator(seed, 4); the ceiling must dominate that draw.
+    generator(seed, StreamKey.GROUND_TRUTH, j); the hidden single-photon
+    count is the number of matched-Z clicks with one photon. Phase errors
+    are not directly simulated, so each hidden single-photon sifted round
+    draws an error flag at the exact conditional single-photon X-error
+    probability, on generator(seed, StreamKey.GROUND_TRUTH); the ceiling
+    must dominate that draw.
     """
     photon_cdf, truncated = photon_posterior(constants, channel)
     if truncated > 1e-6:
@@ -390,12 +397,14 @@ def ground_truth_runs(
             s = blocks(j)
             matched_x = (s.alpha == 1) & (s.beta == 1)
             acc.add_block(s.omega_idx, s.alpha, s.beta, s.a, s.b[matched_x])
-            n_photons = clicked_photon_numbers(photon_cdf, s, generator(seed, 4, j))
+            rng = generator(seed, StreamKey.GROUND_TRUTH, j)
+            n_photons = clicked_photon_numbers(photon_cdf, s, rng)
             matched_z = (s.alpha == 0) & (s.beta == 0)
             n1z_true += int(np.count_nonzero(matched_z & (n_photons == 1)))
 
         obs = acc.observables()
-        nph_true = int(generator(seed, 4).binomial(n1z_true, p_err_given_click))
+        rng = generator(seed, StreamKey.GROUND_TRUTH)
+        nph_true = int(rng.binomial(n1z_true, p_err_given_click))
         n_ec = syndrome_length(obs.n_sift, constants.e_bit_assumed)
         result = security_result(constants, obs, expected, n_ec)
         covered = result.abort or (
@@ -440,7 +449,7 @@ def verification_mc(
     correctness failure, which two-universality caps at 2^-n_verify per
     trial.
     """
-    rng = generator(seed, 0xC0)
+    rng = generator(seed, StreamKey.VERIFY_ATTACK)
     false_accepts = 0
     n_bytes = (n_bits + 7) // 8
     mask = (1 << n_bits) - 1

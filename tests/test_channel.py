@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dsbb84.channel import (
     SETTINGS,
     ChannelModel,
+    StreamKey,
     click_probabilities,
     click_probability_total,
     click_law,
@@ -225,6 +226,22 @@ def test_sample_block_is_deterministic():
         assert np.array_equal(getattr(first, name), getattr(second, name))
     third = _block(c, CH, 43)
     assert not np.array_equal(first.clicked, third.clicked)
+
+
+def test_stream_keys_are_pinned():
+    # Re-keying a stream changes every seeded output; the golden digests
+    # would catch it too, but only after a full session.
+    assert {key.name: int(key) for key in StreamKey} == {
+        "ALICE": 0,
+        "BOB": 1,
+        "CHANNEL": 2,
+        "POST_PROCESSING": 3,
+        "GROUND_TRUTH": 4,
+        "ALICE_UNCLICKED": 5,
+        "VERIFY_ATTACK": 0xC0,
+        "LDPC": 0xEC,
+        "VERIFY_BOUNDS": 0x7A11,
+    }
 
 
 def test_blocks_of_one_session_differ():

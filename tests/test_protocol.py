@@ -114,10 +114,10 @@ def test_successful_run_produces_matching_keys():
 
 
 # SHA-256 over transcript || Alice key || Bob key of
-# run_protocol(SMALL, CLEAN, seed=42), taken when the wire became
-# click-only and Bob's basis was drawn for clicked rounds only.
+# run_protocol(SMALL, CLEAN, seed=42), taken when Bob's clicked set
+# became one Elias-Fano form (wire version 3).
 GOLDEN_SESSION_DIGEST = (
-    "f7fe26e5b03aa1bca7a79a1ab9e4c3efaa0ffad504f8b947b61e935c1401430f"
+    "f7db9925d2869331b1a546f08282c8677d135c94fac58a0cd1e176f6e7f26a78"
 )
 
 
@@ -149,10 +149,9 @@ LOSSY_LONG = ProtocolConstants(
 )
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
-# taken when the wire became click-only and Bob's basis was drawn for
-# clicked rounds only.
+# taken when Bob's clicked set became one Elias-Fano form (wire version 3).
 GOLDEN_ABORT_DIGEST = (
-    "47dd5565723facbf7685938162b951d8801b13a96480513f5e4773bf5b04c4d8"
+    "a6d55717bce609ceb43b9b180d0f151425ff919a92b998096e65585d33ad76e4"
 )
 
 
@@ -180,10 +179,10 @@ DEMO_X4 = ProtocolConstants(
 DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
 
 # SHA-256 over transcript || Alice key || Bob key of
-# run_protocol(DEMO_X4, DEMO, seed=7), taken when the wire became
-# click-only and Bob's basis was drawn for clicked rounds only.
+# run_protocol(DEMO_X4, DEMO, seed=7), taken when Bob's clicked set
+# became one Elias-Fano form (wire version 3).
 GOLDEN_DEMO_DIGEST = (
-    "86966918c30b87118092acf2bb2331287c2742fecc2fb5b5f51af8368dfae42b"
+    "62f69b5a0623b6fd3b30d2c2645aba67207fef7127098a3cb8a08a1fc09bacfd"
 )
 
 
@@ -783,19 +782,6 @@ def test_session_memory_is_one_block():
             tracemalloc.stop()
         assert alice.result.n_sift > 0
     assert peaks[2] < 1.5 * peaks[1], peaks
-
-
-@pytest.mark.parametrize(
-    "constants, channel, flags",
-    [(SMALL, CLEAN, {0}), (LOSSY_LONG, FIBER, {1, 2, 3}), (DEMO_X4, DEMO, {1, 2, 3})],
-    ids=["clean-short", "lossy-long", "demo-x4"],
-)
-def test_clicked_set_form_follows_block_shape(constants, channel, flags):
-    # A dense clicked set goes as a bitmap, a sparse one as gaps. The flag
-    # is the byte after the 6-byte frame header and the <II j and m.
-    _, bob = build_machines(constants, channel, seed=3)
-    raw = encode_message(bob.outbox[0])
-    assert raw[14] in flags
 
 
 def test_outcome_hands_over_the_transport_buffer(monkeypatch):

@@ -1,8 +1,13 @@
+import pathlib
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from dsbb84.channel import click_law, load_channel
 from dsbb84.gf2 import BitString
+from dsbb84.params import load_constants
 from dsbb84.wire import (
     WIRE_VERSION,
     AliceBlockDisclosure,
@@ -15,7 +20,6 @@ from dsbb84.wire import (
     VerifyHash,
     VerifyResult,
     WireError,
-    clicked_encoding,
     decode_frame,
     decode_message,
     encode_frame,
@@ -41,9 +45,9 @@ def roundtrip(msg):
 
 def test_frame_layout():
     # <IBB byte count (covering version, tag and payload), version, tag.
-    assert WIRE_VERSION == 2
+    assert WIRE_VERSION == 3
     raw = encode_frame(7, b"abc")
-    assert raw == b"\x05\x00\x00\x00\x02\x07abc"
+    assert raw == b"\x05\x00\x00\x00\x03\x07abc"
     tag, payload, end = decode_frame(raw)
     assert (tag, payload, end) == (7, b"abc", len(raw))
 
@@ -54,13 +58,13 @@ def test_frame_errors():
     with pytest.raises(WireError):
         decode_frame(b"\x00\x00\x00\x00\x05")
     with pytest.raises(WireError):
-        decode_frame(b"\x01\x00\x00\x00\x02\x05")
+        decode_frame(b"\x01\x00\x00\x00\x03\x05")
     with pytest.raises(WireError):
-        decode_frame(b"\x09\x00\x00\x00\x02\x05abc")
+        decode_frame(b"\x09\x00\x00\x00\x03\x05abc")
     with pytest.raises(WireError):
         decode_message(encode_frame(200, b""))
     # Any other version is refused, today's predecessor included.
-    for version in (0, 1, 3, 255):
+    for version in (0, 1, 2, 255):
         with pytest.raises(WireError, match="version"):
             decode_frame(b"\x05\x00\x00\x00" + bytes([version]) + b"\x07abc")
     with pytest.raises(WireError):
@@ -110,102 +114,119 @@ def test_bob_disclosure_validates_x_count():
         BobBlockDisclosure.decode(raw[:-1])
 
 
-def test_bob_disclosure_byte_layout_bitmap():
-    # <IIB block index, round count m and flag 0, then the m-bit bitmap of
-    # the clicked rounds, Bob's basis on them and his X outcomes, each
-    # LSB-first and padded to a byte. 2 bitmap bytes beat 4 + 3 gap bytes.
+def test_bob_disclosure_byte_layout():
+    # <III block index, round count m = 10 and click count k = 3. The
+    # clicked set [0, 3, 9] sends L = floor(log2(10/3)) = 1 low-bit plane
+    # (bit 0 of each offset: 0, 1, 1) and a high part of 3 + (9 >> 1) = 7
+    # bits with bits (o >> 1) + i = 0, 2 and 6 set. Bob's basis and X
+    # outcomes follow; each column is LSB-first and padded to a byte.
     msg = bob(2, 10, [0, 3, 9], [1, 0, 1], [0, 1])
-    assert msg.encode() == (
-        b"\x02\x00\x00\x00" b"\x0a\x00\x00\x00" b"\x00"
-        b"\x09\x02" b"\x05" b"\x02"
-    )
+    assert msg.encode() == bytes.fromhex("02000000" "0a000000" "03000000" "06" "45" "05" "02")
     roundtrip(msg)
+    assert len(WIDE) == 12 + 5 + 6 + 3 + 3
+    # An empty set sends no clicked-set bits at all.
+    assert bob(1, 10, [], [], []).encode() == bytes.fromhex("01000000" "0a000000" "00000000")
 
 
-def test_bob_disclosure_byte_layout_u8_gaps():
-    # Flag 1: u32 count, then the gaps as u8 (the first from round 0).
-    msg = bob(2, 1000, [5, 7, 250], [0, 1, 1], [1, 1])
-    assert msg.encode() == (
-        b"\x02\x00\x00\x00" b"\xe8\x03\x00\x00" b"\x01"
-        b"\x03\x00\x00\x00" b"\x05\x02\xf3" b"\x06" b"\x03"
-    )
-    roundtrip(msg)
+@st.composite
+def clicked_sets(draw):
+    """(m, offsets): any subset of a small block, a few clicks of a large one."""
+    m = draw(st.one_of(st.integers(0, 200), st.integers(201, 400_000), st.just(2**32 - 1)))
+    if m <= 200:
+        mask = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        return m, [i for i, clicked in enumerate(mask) if clicked]
+    return m, sorted(draw(st.sets(st.integers(0, m - 1), max_size=60)))
 
 
-def test_bob_disclosure_byte_layout_u16_gaps():
-    msg = bob(1, 100_000, [1, 300, 301], [1, 0, 0], [0])
-    assert msg.encode() == (
-        b"\x01\x00\x00\x00" b"\xa0\x86\x01\x00" b"\x02"
-        b"\x03\x00\x00\x00" b"\x01\x00\x2b\x01\x01\x00" b"\x01" b"\x00"
-    )
-    roundtrip(msg)
+def clicked_set_bytes(msg):
+    """Bytes of the clicked set: the payload less header, basis and outcomes."""
+    return len(msg.encode()) - 12 - len(msg.basis.to_bytes()) - len(msg.x_outcomes.to_bytes())
 
 
-def test_bob_disclosure_byte_layout_u32_gaps():
-    msg = bob(0, 200_000, [70_000], [0], [])
-    assert msg.encode() == (
-        b"\x00\x00\x00\x00" b"\x40\x0d\x03\x00" b"\x03"
-        b"\x01\x00\x00\x00" b"\x70\x11\x01\x00" b"\x00"
-    )
-    roundtrip(msg)
+@given(clicked_sets())
+@example((0, []))
+@example((1, []))
+@example((1, [0]))
+@example((64, list(range(64))))
+@example((2**32 - 1, [0, 2**31, 2**32 - 2]))
+def test_clicked_set_roundtrips(clicked):
+    m, offsets = clicked
+    decoded = roundtrip(bob(0, m, offsets, [0] * len(offsets), []))
+    assert decoded.m == m and decoded.offsets.tolist() == offsets
 
 
-def test_clicked_encoding_picks_the_shorter_form():
-    def flag(m, offsets):
-        return clicked_encoding(m, np.array(offsets, dtype=np.int64))
-
-    assert flag(10, [0, 3, 9]) == 0
-    assert flag(1000, [5, 7, 255]) == 1
-    assert flag(1000, [5, 7, 263]) == 2
-    assert flag(1000, [256]) == 2
-    assert flag(100_000, [1, 65_536]) == 2
-    assert flag(100_000, [1, 65_538]) == 3
-    # 4 + 4 gap bytes tie with the 8-byte bitmap of 64 rounds: bitmap.
-    assert flag(64, [0, 1, 2, 3]) == 0
-    assert flag(72, [0, 1, 2, 3]) == 1
-    assert flag(0, []) == 0
-    assert flag(100, []) == 1
+@given(clicked_sets())
+@example((8, [0, 4]))
+@example((4000, list(range(0, 4000, 4))))
+def test_sparse_clicked_set_is_no_longer_than_a_bitmap(clicked):
+    # While at most a quarter of the rounds click, the Elias-Fano form
+    # costs at most 4 bytes more than an m-bit bitmap would.
+    m, offsets = clicked
+    if len(offsets) <= m / 4:
+        msg = bob(0, m, offsets, [0] * len(offsets), [])
+        assert clicked_set_bytes(msg) <= (m + 7) // 8 + 4
 
 
-def bob_payload(j, m, flag, clicked, tail):
-    return (
-        j.to_bytes(4, "little") + m.to_bytes(4, "little") + bytes([flag])
-        + clicked + tail
-    )
+def test_shipped_configs_click_sparsely_enough_for_the_size_bound():
+    # The bound above holds while at most a quarter of a block's rounds
+    # click; a mean click ratio below 0.2 leaves room for the spread of
+    # one block's click count.
+    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    for stem in ("demo", "fiber", "small"):
+        law = click_law(
+            load_constants(configs / f"{stem}_constants.json"),
+            load_channel(configs / f"{stem}_channel.json"),
+        )
+        assert law.p_click < 0.2, stem
+
+
+def bob_payload(j, m, k, *columns):
+    return struct.pack("<III", j, m, k) + b"".join(columns)
+
+
+# m = 100 with every fifth round clicked and in X: L = 2, so a 40-bit low
+# part (5 bytes), a 20 + 24 = 44-bit high part (6), then 20 basis bits (3)
+# and 20 X outcomes (3). Each cut ends the payload inside one column.
+WIDE = bob(0, 100, list(range(0, 100, 5)), [1] * 20, [1, 0] * 10).encode()
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, match",
     [
-        # Bitmap where u8 gaps are shorter (125 bitmap bytes against 5).
-        bob_payload(0, 1000, 0, b"\x01" + bytes(124), b"\x00"),
-        # u8 gaps where the 1-byte bitmap is shorter.
-        bob_payload(0, 8, 1, b"\x01\x00\x00\x00\x03", b"\x00"),
-        # u16 gaps although every gap fits u8.
-        bob_payload(0, 1000, 2, b"\x01\x00\x00\x00\x05\x00", b"\x00"),
-        # u32 gaps although every gap fits u16.
-        bob_payload(0, 100_000, 3, b"\x01\x00\x00\x00\x05\x00\x00\x00", b"\x00"),
-        # A zero gap after the first: offsets not strictly ascending.
-        bob_payload(0, 1000, 1, b"\x02\x00\x00\x00\x05\x00", b"\x00"),
-        # An offset at or beyond m.
-        bob_payload(0, 200, 1, b"\x01\x00\x00\x00\xc8", b"\x00"),
-        # Padding bits set: bitmap, basis, X outcomes.
-        bob_payload(0, 4, 0, b"\x11", b"\x00"),
-        bob_payload(0, 4, 0, b"\x01", b"\x02"),
-        bob_payload(0, 4, 0, b"\x01", b"\x01\x02"),
-        # Unknown flag; gap count beyond the payload; trailing byte.
-        bob_payload(0, 4, 4, b"\x01", b"\x00"),
-        bob_payload(0, 1000, 1, b"\xff\xff\xff\xff\x05", b"\x00"),
-        bob_payload(0, 4, 0, b"\x01", b"\x00\x00"),
-        b"\x00" * 8,
+        # More clicks than rounds.
+        (bob_payload(0, 2, 3, b"\x06", b"\x45", b"\x05", b"\x02"), "more clicked"),
+        # The 7-bit high part of [0, 3, 9] in m = 10 with one set bit too
+        # few (bits 0, 2) and one too many (bits 0, 1, 2, 6).
+        (bob_payload(0, 10, 3, b"\x06", b"\x05", b"\x05", b"\x02"), "high part"),
+        (bob_payload(0, 10, 3, b"\x06", b"\x47", b"\x05", b"\x02"), "high part"),
+        # Offsets [3, 3, 9] and [3, 2, 9].
+        (bob_payload(0, 10, 3, b"\x07", b"\x46", b"\x05", b"\x02"), "ascending"),
+        (bob_payload(0, 10, 3, b"\x05", b"\x46", b"\x05", b"\x02"), "ascending"),
+        # Offsets [0, 3, 9] in a block of m = 9.
+        (bob_payload(0, 9, 3, b"\x06", b"\x45", b"\x05", b"\x02"), "outside the block"),
+        # Padding bits set: low part, high part, basis, X outcomes.
+        (bob_payload(0, 10, 3, b"\x0e", b"\x45", b"\x05", b"\x02"), "padding"),
+        (bob_payload(0, 10, 3, b"\x06", b"\xc5", b"\x05", b"\x02"), "padding"),
+        (bob_payload(0, 10, 3, b"\x06", b"\x45", b"\x0d", b"\x02"), "padding"),
+        (bob_payload(0, 10, 3, b"\x06", b"\x45", b"\x05", b"\x06"), "padding"),
+        # A payload that ends inside the low part, the high part, the basis
+        # or the X outcomes; a count whose columns the payload cannot hold.
+        (WIDE[: 12 + 2], "truncated"),
+        (WIDE[: 12 + 5 + 3], "truncated"),
+        (WIDE[: 12 + 11 + 1], "truncated"),
+        (WIDE[: 12 + 14 + 1], "truncated"),
+        (bob_payload(0, 2**32 - 1, 2**31), "truncated"),
+        # Trailing byte; short header.
+        (bob_payload(0, 10, 3, b"\x06", b"\x45", b"\x05", b"\x02", b"\x00"), "trailing"),
+        (b"\x00" * 8, "short"),
     ],
-    ids=["bitmap-longer", "gaps-longer", "u16-for-u8", "u32-for-u16",
-         "zero-gap", "offset-beyond-m", "bitmap-padding", "basis-padding",
-         "x-padding", "unknown-flag", "count-beyond-payload", "trailing",
-         "short"],
+    ids=["k-above-m", "missing-one", "extra-one", "zero-gap", "descending",
+         "offset-beyond-m", "low-padding", "high-padding", "basis-padding",
+         "x-padding", "truncated-low", "truncated-high", "truncated-basis",
+         "truncated-x", "count-beyond-payload", "trailing", "short"],
 )
-def test_bob_disclosure_refuses_non_canonical_forms(payload):
-    with pytest.raises(WireError):
+def test_bob_disclosure_refuses_non_canonical_forms(payload, match):
+    with pytest.raises(WireError, match=match):
         BobBlockDisclosure.decode(payload)
 
 
@@ -228,8 +249,8 @@ def test_alice_disclosure_roundtrip():
 
 def test_alice_disclosure_byte_layout():
     # <III block index, record count and value-bit count; then omega as
-    # 2-bit values four to a byte, alpha and the matched-X value bits,
-    # each LSB-first and padded with zero bits to a whole byte.
+    # two bits per record (low bit first), alpha and the matched-X value
+    # bits, each LSB-first and padded with zero bits to a whole byte.
     msg = AliceBlockDisclosure.from_columns(
         2, [0, 1, 2, 1, 2], [0, 1, 1, 0, 1], [1, 0]
     )
@@ -333,10 +354,9 @@ def alice_replies(draw, max_records=40):
 
 
 @st.composite
-def bob_disclosures(draw, max_clicks=60):
-    """Valid disclosures over block sizes that reach every clicked-set form."""
-    m = draw(st.one_of(st.integers(0, 600), st.integers(600, 400_000)))
-    offsets = sorted(draw(st.sets(st.integers(0, m - 1), max_size=max_clicks))) if m else []
+def bob_disclosures(draw):
+    """Valid disclosures of dense and sparse clicked sets."""
+    m, offsets = draw(clicked_sets())
     basis = draw(st.lists(st.integers(0, 1), min_size=len(offsets), max_size=len(offsets)))
     x = draw(st.lists(st.integers(0, 1), min_size=sum(basis), max_size=sum(basis)))
     return bob(draw(st.integers(0, 2**32 - 1)), m, offsets, basis, x)
@@ -415,9 +435,8 @@ def test_bit_flipped_bob_frames_fail_closed(msg, data):
 
 @given(bob_disclosures(), st.data())
 def test_length_mutated_bob_frames_fail_closed(msg, data):
-    # The frame length (byte 0), m (10) or, in the gap forms, the clicked
-    # count (15).
-    decode_or_wire_error(rewrite_u32(encode_message(msg), data, [0, 10, 15]))
+    # The frame length (byte 0), m (10) or the clicked count (14).
+    decode_or_wire_error(rewrite_u32(encode_message(msg), data, [0, 10, 14]))
 
 
 SCALAR_TYPES = (SiftAnnounce, Syndrome, VerifyHash, VerifyResult, PaSeed, End)
