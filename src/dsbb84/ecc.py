@@ -8,13 +8,24 @@ reports ``converged=False`` with propagation's last estimate. Correctness
 is certified only by the verification hash afterwards, so a stalled decode
 ends the session in a verification abort, never in a wrong key.
 
-The code has two layouts. ``LdpcCode.rows``, the rows of each column's
-entries as drawn, is the code's definition: a syndrome (Alice's, and Bob's
-of his own key) counts the rows of the set bits straight from it, so
-Alice builds nothing else. The decoder's layout orders the edges by row,
-stably, for the per-row products of propagation. It is built once per
+``LdpcCode.rows``, the rows of each column's entries as drawn, shaped
+``(weight, n_bits)``, is the code's definition: a syndrome (Alice's, and
+Bob's of his own key) counts the rows of the set bits straight from it,
+so Alice builds nothing else. Propagation keeps its messages in that same
+column-major shape, one per edge: a column's total is a sum over the
+first axis. For the per-row products it reads the messages through one
+gather, ``order``, that lists the edges by row, stably; ``rank`` carries
+each row's product back to its edges. This layout is built once per
 code, on its first decode, so only Bob builds it. Propagation reuses two
 preallocated edge buffers across iterations.
+
+Messages are float32. The tanh-domain factors keep ``MARGIN`` = 1e-7 from
+0 and from +-1 (1 - 1e-12 would round to 1.0). Convergence is decided by
+the exact integer parity of the hard decision, counted from ``rows`` as a
+syndrome is, never by a float: this is the guard that keeps the float
+shortcut from reporting a word that misses the target. Precision can
+only change which decodes converge, and the verification hash, not the
+decoder, certifies the key.
 
 The disclosed length is ``N_EC = ceil(1.16 * N_sift * h(e_bit))``, a fixed
 rate overhead over the Shannon limit for the assumed bit error rate.
@@ -35,6 +46,9 @@ from .params import entropy_h
 COLUMN_WEIGHT = 3
 MAX_ITERATIONS = 60
 LLR_CLIP = 25.0
+# Distance kept from 0 and from +-1 by the tanh-domain factors; 1 - 1e-12
+# rounds to 1.0 in float32.
+MARGIN = 1e-7
 
 
 def stable_row_order(row_idx: np.ndarray, n_rows: int) -> np.ndarray:
@@ -57,16 +71,19 @@ def syndrome_length(n_sift: int, e_bit_assumed: float) -> int:
 
 
 class _DecoderLayout(NamedTuple):
-    """The code's edges ordered by row, stably, as the decoder walks them.
+    """The row structure of the code's edges, as the decoder reads it.
 
-    ``starts`` are the first positions of the non-empty rows; ``rank`` is
-    the non-empty row and ``col`` the column of each position.
+    An edge is a position of ``rows``, flattened column-major: entry ``k``
+    of column ``c`` is edge ``k * n_bits + c``. ``order`` lists the edges
+    by row, stably; ``starts`` are the positions in ``order`` where the
+    non-empty rows begin, and ``rank`` is, in ``rows``' shape, the index of
+    each edge's row among the non-empty rows.
     """
 
     nonempty: np.ndarray
+    order: np.ndarray
     starts: np.ndarray
     rank: np.ndarray
-    col: np.ndarray
 
 
 class LdpcCode:
@@ -102,25 +119,26 @@ class LdpcCode:
         rows.flags.writeable = False
         self.rows = rows
 
+    def _parity(self, bits: np.ndarray) -> np.ndarray:
+        """The syndrome of the boolean word ``bits``, exactly, as 0/1 per row."""
+        hits = np.compress(bits, self.rows, axis=1)
+        return np.bincount(hits.ravel(), minlength=self.n_rows) & 1
+
     def syndrome(self, x: BitString) -> BitString:
         if len(x) != self.n_bits:
             raise ValueError(f"word length {len(x)} != code length {self.n_bits}")
-        hits = np.compress(x.to_array().view(bool), self.rows, axis=1)
-        counts = np.bincount(hits.ravel(), minlength=self.n_rows)
-        return BitString.from_array(counts & 1)
+        return BitString.from_array(self._parity(x.to_array().view(bool)))
 
     @functools.cached_property
     def _layout(self) -> _DecoderLayout:
-        flat = self.rows.ravel()
-        order = stable_row_order(flat, self.n_rows)
-        counts = np.bincount(flat, minlength=self.n_rows)
+        counts = np.bincount(self.rows.ravel(), minlength=self.n_rows)
         nonempty = counts > 0
         # Row starts for reduceat, whose segments run from one start to the
         # next; an empty last row would start past the end of the array.
         starts = (np.cumsum(counts) - counts)[nonempty]
-        rank = np.repeat(np.arange(len(starts)), counts[nonempty])
-        col = np.remainder(order, self.n_bits, out=order)
-        return _DecoderLayout(nonempty, starts, rank, col)
+        rank = (np.cumsum(nonempty) - 1)[self.rows]
+        order = stable_row_order(self.rows.ravel(), self.n_rows)
+        return _DecoderLayout(nonempty, order, starts, rank)
 
     def decode_syndrome(
         self, target: BitString, crossover: float
@@ -137,46 +155,45 @@ class LdpcCode:
         p = min(max(crossover, 1e-4), 0.5 - 1e-4)
         llr0 = math.log((1.0 - p) / p)
         lay = self._layout
-        # An empty row has parity 0, so a target bit of 1 there is never met.
-        reachable = not t_arr[~lay.nonempty].any()
-        t_rows = t_arr[lay.nonempty]
-        # Edges whose check has target 1 send their messages negated.
-        flipped = np.flatnonzero(t_rows[lay.rank])
+        # A check with target 1 negates its outgoing messages.
+        sign = np.where(t_arr[lay.nonempty], -1.0, 1.0).astype(np.float32)
 
-        # Two edge buffers. ``msg`` holds the variable-to-check messages at
-        # the top of an iteration and the check-to-variable ones after the
-        # row products; ``half`` holds tanh(msg / 2), then each edge's
-        # column total. ``mode="clip"`` lets take write straight into them.
-        msg = np.full(lay.col.size, llr0)
-        half = np.empty(lay.col.size)
-        hard = np.empty(lay.col.size, dtype=bool)
-        prod = np.empty(len(lay.starts))
-        parity = np.empty(len(lay.starts), dtype=np.uint8)
+        # Two edge buffers in ``rows``' shape. ``msg`` holds the
+        # variable-to-check messages at the top of an iteration, the edges
+        # in row order for the row products, and then the check-to-variable
+        # messages; ``half`` holds tanh(msg / 2). ``mode="clip"`` lets take
+        # write straight into them.
+        msg = np.full(self.rows.shape, llr0, dtype=np.float32)
+        half = np.empty_like(msg)
+        by_row = msg.reshape(-1)
+        prod = np.empty(len(lay.starts), dtype=np.float32)
+        totals = np.empty(self.n_bits, dtype=np.float32)
+        hard = np.empty(self.n_bits, dtype=bool)
         for iteration in range(1, MAX_ITERATIONS + 1):
-            np.divide(msg, 2.0, out=half)
+            np.multiply(msg, 0.5, out=half)
             np.tanh(half, out=half)
-            # Keep each factor at least 1e-12 from zero, sign unchanged.
+            # Keep each factor at least MARGIN from zero, sign unchanged.
             np.abs(half, out=msg)
-            np.maximum(msg, 1e-12, out=msg)
-            np.copysign(msg, half, out=half)
-            np.multiply.reduceat(half, lay.starts, out=prod)
+            if msg.min() < MARGIN:
+                np.maximum(msg, MARGIN, out=msg)
+                np.copysign(msg, half, out=half)
+            np.take(half.reshape(-1), lay.order, out=by_row, mode="clip")
+            np.multiply.reduceat(by_row, lay.starts, out=prod)
+            prod *= sign
             np.take(prod, lay.rank, out=msg, mode="clip")
             np.divide(msg, half, out=msg)
-            np.clip(msg, -1.0 + 1e-12, 1.0 - 1e-12, out=msg)
+            np.clip(msg, -1.0 + MARGIN, 1.0 - MARGIN, out=msg)
             np.arctanh(msg, out=msg)
-            np.multiply(msg, 2.0, out=msg)
-            msg[flipped] *= -1.0
-            totals = np.bincount(lay.col, weights=msg, minlength=self.n_bits)
+            msg *= 2.0
+            np.sum(msg, axis=0, out=totals)
             totals += llr0
-            np.take(totals, lay.col, out=half, mode="clip")
-            np.less(half, 0.0, out=hard)
-            np.bitwise_xor.reduceat(hard.view(np.uint8), lay.starts, out=parity)
-            if reachable and np.array_equal(parity, t_rows):
-                return BitString.from_array(totals < 0.0), True, iteration
-            np.subtract(half, msg, out=msg)
+            np.less(totals, 0.0, out=hard)
+            if np.array_equal(self._parity(hard), t_arr):
+                return BitString.from_array(hard), True, iteration
+            np.subtract(totals, msg, out=msg)
             np.clip(msg, -LLR_CLIP, LLR_CLIP, out=msg)
 
-        return BitString.from_array(totals < 0.0), False, MAX_ITERATIONS
+        return BitString.from_array(hard), False, MAX_ITERATIONS
 
 
 def correct(

@@ -120,11 +120,12 @@ class _CountAccumulator:
         """Count matched-Z rounds per intensity and keep their ``bits``;
         count matched-X rounds per intensity where ``bits`` and ``other_x``
         differ."""
-        z = (alpha == 0) & (beta == 0)
-        x = (alpha == 1) & (beta == 1)
-        self.sift += np.bincount(omega_idx[z], minlength=3)
-        self.err += np.bincount(omega_idx[x][bits[x] != other_x], minlength=3)
-        self.key_parts.append(bits[z].astype(np.uint8))
+        z = ((alpha == 0) & (beta == 0)).nonzero()[0]
+        x = ((alpha == 1) & (beta == 1)).nonzero()[0]
+        self.sift += np.bincount(omega_idx.take(z), minlength=3)
+        differ = x.compress(bits.take(x) != other_x)
+        self.err += np.bincount(omega_idx.take(differ), minlength=3)
+        self.key_parts.append(bits.take(z).astype(np.uint8))
 
     def observables(self) -> Observables:
         """Sift counts per intensity, then the decoy and vacuum error counts."""
@@ -221,16 +222,17 @@ class AliceMachine(_Party):
             raise ProtocolError("basis must cover exactly the clicked rounds")
         beta_c = msg.basis.to_array()
         # Bob's X outcomes cover his clicked X-basis rounds in order.
-        bob_x = beta_c == 1
-        if len(msg.x_outcomes) != np.count_nonzero(bob_x):
+        bob_x = (beta_c == 1).nonzero()[0]
+        if len(msg.x_outcomes) != len(bob_x):
             raise ProtocolError("x outcome count does not match clicked X rounds")
         omega_c, alpha_c, a_c = self.blocks(msg.j).alice_settings(offs)
-        bob_matched_x = msg.x_outcomes.to_array()[alpha_c[bob_x] == 1]
+        alice_x = alpha_c.take(bob_x) == 1
+        bob_matched_x = msg.x_outcomes.to_array().compress(alice_x)
         self._acc.add_block(omega_c, alpha_c, beta_c, a_c, bob_matched_x)
 
-        matched_x = (alpha_c == 1) & bob_x
+        matched_x = bob_x.compress(alice_x)
         self.outbox.append(
-            AliceBlockDisclosure.from_columns(msg.j, omega_c, alpha_c, a_c[matched_x])
+            AliceBlockDisclosure.from_columns(msg.j, omega_c, alpha_c, a_c.take(matched_x))
         )
         self._next_block += 1
         if self._next_block == self.constants.n_block:
@@ -300,7 +302,7 @@ class BobMachine(_Party):
                 len(data),
                 data.offsets,
                 BitString.from_array(data.beta),
-                BitString.from_array(data.b[data.beta == 1]),
+                BitString.from_array(data.b.take((data.beta == 1).nonzero()[0])),
             )
         )
 

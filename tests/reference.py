@@ -32,7 +32,7 @@ from dsbb84.channel import (
     single_photon_error_x,
     single_photon_yield,
 )
-from dsbb84.ecc import LLR_CLIP, MAX_ITERATIONS, LdpcCode, syndrome_length
+from dsbb84.ecc import LLR_CLIP, MARGIN, MAX_ITERATIONS, LdpcCode, syndrome_length
 from dsbb84.gf2 import BitString
 from dsbb84.hashing import verify_hash
 from dsbb84.params import (
@@ -124,12 +124,13 @@ def toeplitz_matrix(diagonals: BitString, n_in: int, n_out: int) -> Gf2Matrix:
 def decode_syndrome(
     code: LdpcCode, target: BitString, crossover: float
 ) -> tuple[BitString, bool, int]:
-    """``LdpcCode.decode_syndrome`` with a fresh array for every step.
+    """The package's earlier float64 decoder, with a fresh array for every
+    step: the oracle of how many decodes single precision may lose.
 
     The edges are put in row order by ``np.argsort(kind="stable")``, the
     column sums are float ``bincount``s over that order and the syndrome
-    check is a full float-weighted ``bincount``, so every float operation
-    is the one the package's decoder must reproduce bit for bit.
+    check is a full float-weighted ``bincount``; the tanh-domain factors
+    keep 1e-12 from 0 and from +-1.
     """
     weight = code.rows.shape[0]
     row_idx = code.rows.astype(np.int64).ravel()
@@ -165,6 +166,70 @@ def decode_syndrome(
             return BitString.from_array(e_hat), True, iteration
         v_msg = np.clip(totals[col_idx] - c_msg, -LLR_CLIP, LLR_CLIP)
     return BitString.from_array(e_hat), False, MAX_ITERATIONS
+
+
+def decode_syndrome_float32(
+    code: LdpcCode, target: BitString, crossover: float
+) -> tuple[BitString, bool, int]:
+    """``LdpcCode.decode_syndrome`` one edge at a time, in float32.
+
+    Edge ``k * n_bits + c`` is entry ``k`` of column ``c``. Each row's
+    product runs over its edges in ascending edge order, each column's
+    total over its entries in ``k`` order and then the prior, with every
+    float32 operation in the package's order, so the two must agree bit
+    for bit. Only tanh and arctanh are taken by numpy over the whole edge
+    array, as the package takes them: numpy dispatches its float32
+    kernels per platform, and they need not match its scalar path in the
+    last place. The syndrome check flips a parity per edge of each hard
+    decision of 1.
+    """
+    f32 = np.float32
+    weight, n_bits = code.rows.shape
+    row_of = code.rows.ravel().tolist()
+    edges_of_row = [[] for _ in range(code.n_rows)]
+    for e, r in enumerate(row_of):
+        edges_of_row[r].append(e)
+    t = target.to_array().tolist()
+    p = min(max(crossover, 1e-4), 0.5 - 1e-4)
+    llr0 = f32(math.log((1.0 - p) / p))
+    margin, low, high = f32(MARGIN), f32(-1.0 + MARGIN), f32(1.0 - MARGIN)
+    clip = f32(LLR_CLIP)
+    msg = [llr0] * len(row_of)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        half = list(np.tanh(np.array(msg, dtype=f32) * f32(0.5)))
+        for e, h in enumerate(half):
+            if abs(h) < margin:
+                half[e] = np.copysign(margin, h)
+        ext = [None] * len(row_of)
+        for r, edges in enumerate(edges_of_row):
+            if not edges:
+                continue
+            prod = half[edges[0]]
+            for e in edges[1:]:
+                prod = prod * half[e]
+            if t[r]:
+                prod = -prod
+            for e in edges:
+                ext[e] = min(max(prod / half[e], low), high)
+        c_msg = [f32(2.0) * a for a in np.arctanh(np.array(ext, dtype=f32))]
+        totals = []
+        for c in range(n_bits):
+            total = c_msg[c]
+            for k in range(1, weight):
+                total = total + c_msg[k * n_bits + c]
+            totals.append(total + llr0)
+        hard = [total < 0 for total in totals]
+        parity = [0] * code.n_rows
+        for e, r in enumerate(row_of):
+            if hard[e % n_bits]:
+                parity[r] ^= 1
+        if parity == t:
+            return BitString.from_array(np.array(hard)), True, iteration
+        msg = [
+            min(max(totals[e % n_bits] - c_msg[e], -clip), clip)
+            for e in range(len(row_of))
+        ]
+    return BitString.from_array(np.array(hard)), False, MAX_ITERATIONS
 
 
 def p_int_joint(constants: ProtocolConstants, omega: str, n: int) -> float:

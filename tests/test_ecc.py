@@ -14,7 +14,8 @@ from dsbb84.ecc import (
 )
 from dsbb84.gf2 import BitString
 from dsbb84.params import DomainError, entropy_h
-from reference import Gf2Matrix, decode_syndrome as reference_decode
+from reference import Gf2Matrix, decode_syndrome as float64_decode
+from reference import decode_syndrome_float32 as reference_decode
 
 
 def random_key(n_bits, rng):
@@ -174,16 +175,50 @@ def test_decoder_layout_beyond_16_bit_rows_matches_stable_argsort():
     # More rows than one 16-bit radix pass can order.
     n_bits, n_rows = 30_000, 70_000
     code = LdpcCode(n_bits, n_rows, seed=21)
-    order = np.argsort(code.rows.ravel(), kind="stable")
+    flat = code.rows.ravel()
     layout = code._layout
-    assert np.array_equal(layout.col, order % n_bits)
-    row_sorted = code.rows.ravel()[order]
-    nonempty_rows = np.flatnonzero(layout.nonempty)
-    assert np.array_equal(nonempty_rows[layout.rank], row_sorted)
-    assert np.array_equal(nonempty_rows, np.unique(row_sorted))
+    assert np.array_equal(layout.order, np.argsort(flat, kind="stable"))
+    nonempty_rows = np.unique(flat)
+    assert np.array_equal(np.flatnonzero(layout.nonempty), nonempty_rows)
+    assert layout.rank.shape == code.rows.shape
+    assert np.array_equal(nonempty_rows[layout.rank], code.rows)
     assert np.array_equal(
-        layout.starts, np.searchsorted(row_sorted, nonempty_rows)
+        layout.starts, np.searchsorted(np.sort(flat), nonempty_rows)
     )
+
+
+def test_decoder_messages_are_float32(monkeypatch):
+    seen = []
+    for name in ("tanh", "arctanh"):
+        real = getattr(np, name)
+
+        def spy(x, out=None, _real=real):
+            seen.append((x.dtype, out.dtype))
+            return _real(x, out=out)
+
+        monkeypatch.setattr(np, name, spy)
+    code = LdpcCode(600, syndrome_length(600, 0.01), seed=13)
+    rng = generator(99, 0)
+    code.decode_syndrome(code.syndrome(flip_pattern(600, 0.25, rng)), 0.01)
+    assert len(seen) == 2 * MAX_ITERATIONS
+    assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float32))}
+
+
+@pytest.mark.parametrize("q", [0.004, 0.006])
+def test_single_precision_fails_no_more_decodes(q):
+    # Correctness rests on the verification hash, so the decoder's
+    # precision may only cost decodes; here it may not cost any.
+    n_bits, e_bit_assumed = 9000, 0.01
+    failed32 = failed64 = 0
+    for seed in range(40):
+        code = LdpcCode(n_bits, syndrome_length(n_bits, e_bit_assumed), seed)
+        errors = BitString.from_array(generator(seed, 0xE7).random(n_bits) < q)
+        target = code.syndrome(errors)
+        estimate, converged, _ = code.decode_syndrome(target, e_bit_assumed)
+        failed32 += not (converged and estimate == errors)
+        estimate, converged, _ = float64_decode(code, target, e_bit_assumed)
+        failed64 += not (converged and estimate == errors)
+    assert failed32 <= failed64
 
 
 @st.composite
@@ -221,6 +256,9 @@ def test_decoder_matches_reference_decoder(case):
         target = code.syndrome(BitString.from_array(rng.random(n_bits) < rate))
     else:
         target = BitString.from_array(rng.random(n_rows) < 0.5)
-    assert code.decode_syndrome(target, crossover) == reference_decode(
+    estimate, converged, iterations = code.decode_syndrome(target, crossover)
+    assert (estimate, converged, iterations) == reference_decode(
         code, target, crossover
     )
+    if converged:
+        assert code.syndrome(estimate) == target
