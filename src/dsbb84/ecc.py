@@ -13,11 +13,13 @@ ends the session in a verification abort, never in a wrong key.
 Bob's of his own key) counts the rows of the set bits straight from it,
 so Alice builds nothing else. Propagation keeps its messages in that same
 column-major shape, one per edge: a column's total is a sum over the
-first axis. For the per-row products it reads the messages through one
-gather, ``order``, that lists the edges by row, stably; ``rank`` carries
-each row's product back to its edges. This layout is built once per
-code, on its first decode, so only Bob builds it. Propagation reuses two
-preallocated edge buffers across iterations.
+first axis. There is no row layout. ``np.multiply.at`` takes each row's
+product straight from ``rows``, over the row's edges in ascending edge
+order, and a ``take`` through ``rows`` carries it back to the edges. The
+float32 twin in ``tests/reference.py`` fixes that order, so it is what
+guards it. ``ufunc.at`` has a fast path from numpy 1.25 on; before that
+it is many times slower. Propagation reuses two preallocated edge
+buffers across iterations.
 
 Messages are float32. The tanh-domain factors keep ``MARGIN`` = 1e-7 from
 0 and from +-1 (1 - 1e-12 would round to 1.0). Convergence is decided by
@@ -33,9 +35,7 @@ rate overhead over the Shannon limit for the assumed bit error rate.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,39 +51,11 @@ LLR_CLIP = 25.0
 MARGIN = 1e-7
 
 
-def stable_row_order(row_idx: np.ndarray, n_rows: int) -> np.ndarray:
-    """``np.argsort(row_idx, kind="stable")`` for indices below
-    ``n_rows <= 2**32``, in O(len) time. numpy sorts 16-bit keys stably by
-    counting, so this is one pass when ``n_rows <= 2**16`` and otherwise
-    two stable radix passes over the 16-bit halves, the low half first."""
-    if n_rows <= 2**16:
-        return np.argsort(row_idx.astype(np.uint16), kind="stable")
-    low = np.argsort((row_idx & 0xFFFF).astype(np.uint16), kind="stable")
-    high = (row_idx[low] >> 16).astype(np.uint16)
-    return low[np.argsort(high, kind="stable")]
-
-
 def syndrome_length(n_sift: int, e_bit_assumed: float) -> int:
     """Bits of syndrome disclosed for a sifted block."""
     if n_sift < 0:
         raise ValueError("n_sift must be non-negative")
     return math.ceil(1.16 * n_sift * entropy_h(e_bit_assumed))
-
-
-class _DecoderLayout(NamedTuple):
-    """The row structure of the code's edges, as the decoder reads it.
-
-    An edge is a position of ``rows``, flattened column-major: entry ``k``
-    of column ``c`` is edge ``k * n_bits + c``. ``order`` lists the edges
-    by row, stably; ``starts`` are the positions in ``order`` where the
-    non-empty rows begin, and ``rank`` is, in ``rows``' shape, the index of
-    each edge's row among the non-empty rows.
-    """
-
-    nonempty: np.ndarray
-    order: np.ndarray
-    starts: np.ndarray
-    rank: np.ndarray
 
 
 class LdpcCode:
@@ -129,17 +101,6 @@ class LdpcCode:
             raise ValueError(f"word length {len(x)} != code length {self.n_bits}")
         return BitString.from_array(self._parity(x.to_array().view(bool)))
 
-    @functools.cached_property
-    def _layout(self) -> _DecoderLayout:
-        counts = np.bincount(self.rows.ravel(), minlength=self.n_rows)
-        nonempty = counts > 0
-        # Row starts for reduceat, whose segments run from one start to the
-        # next; an empty last row would start past the end of the array.
-        starts = (np.cumsum(counts) - counts)[nonempty]
-        rank = (np.cumsum(nonempty) - 1)[self.rows]
-        order = stable_row_order(self.rows.ravel(), self.n_rows)
-        return _DecoderLayout(nonempty, order, starts, rank)
-
     def decode_syndrome(
         self, target: BitString, crossover: float
     ) -> tuple[BitString, bool, int]:
@@ -154,19 +115,21 @@ class LdpcCode:
         t_arr = target.to_array()
         p = min(max(crossover, 1e-4), 0.5 - 1e-4)
         llr0 = math.log((1.0 - p) / p)
-        lay = self._layout
-        # A check with target 1 negates its outgoing messages.
-        sign = np.where(t_arr[lay.nonempty], -1.0, 1.0).astype(np.float32)
+        # A check with target 1 negates its outgoing messages; each row's
+        # product starts from that sign. An empty row keeps it, unread.
+        sign = np.where(t_arr, -1.0, 1.0).astype(np.float32)
+        # The row of each edge, flat and as ``intp``: ``ufunc.at`` takes its
+        # fast path on 1-D operands only, and take would otherwise convert
+        # int32 indices on every call.
+        edge_rows = self.rows.astype(np.intp).ravel()
 
         # Two edge buffers in ``rows``' shape. ``msg`` holds the
-        # variable-to-check messages at the top of an iteration, the edges
-        # in row order for the row products, and then the check-to-variable
-        # messages; ``half`` holds tanh(msg / 2). ``mode="clip"`` lets take
-        # write straight into them.
+        # variable-to-check messages at the top of an iteration and then
+        # the check-to-variable messages; ``half`` holds tanh(msg / 2).
+        # ``mode="clip"`` lets take write straight into ``msg``.
         msg = np.full(self.rows.shape, llr0, dtype=np.float32)
         half = np.empty_like(msg)
-        by_row = msg.reshape(-1)
-        prod = np.empty(len(lay.starts), dtype=np.float32)
+        prod = np.empty(self.n_rows, dtype=np.float32)
         totals = np.empty(self.n_bits, dtype=np.float32)
         hard = np.empty(self.n_bits, dtype=bool)
         for iteration in range(1, MAX_ITERATIONS + 1):
@@ -177,10 +140,9 @@ class LdpcCode:
             if msg.min() < MARGIN:
                 np.maximum(msg, MARGIN, out=msg)
                 np.copysign(msg, half, out=half)
-            np.take(half.reshape(-1), lay.order, out=by_row, mode="clip")
-            np.multiply.reduceat(by_row, lay.starts, out=prod)
-            prod *= sign
-            np.take(prod, lay.rank, out=msg, mode="clip")
+            np.copyto(prod, sign)
+            np.multiply.at(prod, edge_rows, half.reshape(-1))
+            np.take(prod, edge_rows, out=msg.reshape(-1), mode="clip")
             np.divide(msg, half, out=msg)
             np.clip(msg, -1.0 + MARGIN, 1.0 - MARGIN, out=msg)
             np.arctanh(msg, out=msg)

@@ -11,9 +11,11 @@ being a window of the integer convolution of the diagonal bits with
 ``x_left``, reduced mod 2. The window is computed one of two ways, by
 which costs less for the shape:
 
-* directly, ``n_out`` dot products of length ``w = n_in - n_out`` in
-  float64 (a short verification digest). Every product is 0 or 1 and
-  every sum an integer at most ``w < 2**53``, so the result is exact;
+* directly, as exact bit parity (a short verification digest): output
+  bit ``r`` is the parity of the diagonal bits ``r .. r + w - 1`` ANDed
+  with the reversed ``x_left``, ``w = n_in - n_out``, on bytes packed
+  eight bits each. It is integer arithmetic throughout, with no float and
+  no BLAS call;
 * by one real FFT convolution in O(n log n) (privacy amplification).
   Its rounding errors are not bounded a priori, so an exactness guard
   raises instead of returning a hash whenever a sum is not within 0.25 of
@@ -38,12 +40,19 @@ from .gf2 import BitString
 VERIFY_LABEL = b"verify"
 PA_LABEL = b"pa"
 
-# Multiply-adds of the direct sum that cost as much as one term of the
+# Bit products of the direct parity that cost as much as one term of the
 # FFT's ``n log2 n``. Measured with numpy 2.4 on x86-64, the break-even is
-# about 5 at n_in = 9e3 and 23 at 2.5e5. At 8, a verification digest of
-# 16-64 bits is summed directly, and a privacy-amplification output of a
-# few hundred bits or more takes the FFT.
-_DIRECT_PER_FFT_TERM = 8
+# about 70 at n_in = 9e3 and 6e4, and 60-110 at 2.5e5, where the direct
+# path's ``n_out * w / 8``-byte temporary falls out of the cache. At 32,
+# the direct path is still faster at the cutover (1.2 times at n_in =
+# 1.4e3, 2.1 at 9e3, 3.6 at 2.5e5), and its temporary stays below
+# ``4 n_in log2 n_in`` bytes. A verification digest of 16-64 bits is a
+# parity, and a privacy-amplification output of a few hundred bits or more
+# takes the FFT.
+_DIRECT_PER_FFT_TERM = 32
+
+# The parity of each byte value.
+_BYTE_PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], np.uint8)
 
 
 def _fft_length(n: int) -> int:
@@ -108,13 +117,14 @@ class ModifiedToeplitz:
         ``(T x_left)[r]`` is entry ``w - 1 + r`` of the integer linear
         convolution of the diagonal bits with ``x_left``; its parity,
         xored with ``x_right``, is the output. When ``n_out * w`` is small
-        against the FFT's cost (:func:`_uses_fft`) the window is summed
-        directly, exactly. Otherwise it comes from a circular FFT
-        convolution of length :func:`_fft_length` ``(n_in - 1)``, which
-        agrees with the linear one on that window because wrapped terms
-        only reach indices ``>= N + w - 1``. Its sums are rounded to
-        integers, and the call raises ``FloatingPointError`` rather than
-        return a hash when any sum is 0.25 or further from an integer.
+        against the FFT's cost (:func:`_uses_fft`) each output is the exact
+        parity of a packed window (:func:`_window_parities`). Otherwise it
+        comes from a circular FFT convolution of length :func:`_fft_length`
+        ``(n_in - 1)``, which agrees with the linear one on that window
+        because wrapped terms only reach indices ``>= N + w - 1``. Its sums
+        are rounded to integers, and the call raises ``FloatingPointError``
+        rather than return a hash when any sum is 0.25 or further from an
+        integer.
         """
         if len(x) != self.n_in:
             raise ValueError(f"expected {self.n_in} input bits, got {len(x)}")
@@ -132,13 +142,34 @@ class ModifiedToeplitz:
             counts = np.rint(conv)
             if np.abs(conv - counts).max() >= 0.25:
                 raise FloatingPointError("FFT convolution is not exact enough")
+            odd = counts.astype(np.int64) & 1
         else:
-            counts = np.convolve(
-                self._diagonals.astype(np.float64),
-                bits[:w].astype(np.float64),
-                "valid",
-            )
-        return BitString.from_array((counts.astype(np.int64) & 1) ^ bits[w:])
+            odd = _window_parities(self._diagonals, bits[w - 1 :: -1], n_out)
+        return BitString.from_array(odd ^ bits[w:])
+
+
+def _window_parities(diagonals: np.ndarray, x_rev: np.ndarray, n_out: int):
+    """Parity of ``diagonals[r : r + w] & x_rev`` for each ``r < n_out``,
+    ``w = len(x_rev)``, as 0/1 values, taken on bits packed eight a byte.
+
+    Row ``s`` of ``shifted`` packs ``diagonals[s:]``, so window ``8 q + s``
+    is bytes ``q`` to ``q + nb - 1`` of row ``s``; zero padding past ``w``
+    in the packed ``x_rev`` masks the bits the window's last byte overruns.
+    Each window's masked bytes are xored into one byte, whose parity is
+    read from a table: one numpy call, where folding the byte's bits takes
+    six, a fixed cost that every hash of a few bits pays in full.
+    """
+    x_packed = np.packbits(x_rev)
+    nb = len(x_packed)
+    groups = (n_out + 7) // 8
+    size = groups - 1 + nb
+    padded = np.zeros(8 * size + 7, dtype=np.uint8)
+    padded[: len(diagonals)] = diagonals
+    shifts = np.ndarray((8, 8 * size), np.uint8, padded, strides=(1, 1))
+    shifted = np.packbits(shifts, axis=1)
+    windows = np.ndarray((groups, 8, nb), np.uint8, shifted, strides=(1, size, 1))
+    acc = np.bitwise_xor.reduce(windows & x_packed, axis=2)
+    return _BYTE_PARITY.take(acc).reshape(-1)[:n_out]
 
 
 def hash_bits(x: BitString, seed: int, n_out: int, label: bytes) -> BitString:

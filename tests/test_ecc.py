@@ -9,7 +9,6 @@ from dsbb84.ecc import (
     MAX_ITERATIONS,
     LdpcCode,
     correct,
-    stable_row_order,
     syndrome_length,
 )
 from dsbb84.gf2 import BitString
@@ -156,35 +155,18 @@ def test_dimension_validation():
         LdpcCode(5, 0, seed=1)
 
 
-@given(
-    st.sampled_from([1, 2, 255, 256, 65_535, 65_536, 65_537, 300_000, 2**32]),
-    st.integers(1, 60),
-    st.integers(0, 2000),
-    st.integers(0, 2**32 - 1),
-)
-def test_stable_row_order_matches_stable_argsort(n_rows, distinct, n, seed):
-    # Few distinct rows, so that equal rows are common at every size.
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, n_rows, size=distinct)
-    rows = values[rng.integers(0, distinct, size=n)]
-    expected = np.argsort(rows, kind="stable")
-    assert np.array_equal(stable_row_order(rows, n_rows), expected)
-
-
-def test_decoder_layout_beyond_16_bit_rows_matches_stable_argsort():
-    # More rows than one 16-bit radix pass can order.
-    n_bits, n_rows = 30_000, 70_000
+def test_decoder_beyond_16_bit_rows_matches_reference_decoder():
+    # More rows than 16 bits index, and more rows than edges, so many rows
+    # are empty, the last one among them; no edge may read their products.
+    n_bits, n_rows = 20_000, 70_000
     code = LdpcCode(n_bits, n_rows, seed=21)
-    flat = code.rows.ravel()
-    layout = code._layout
-    assert np.array_equal(layout.order, np.argsort(flat, kind="stable"))
-    nonempty_rows = np.unique(flat)
-    assert np.array_equal(np.flatnonzero(layout.nonempty), nonempty_rows)
-    assert layout.rank.shape == code.rows.shape
-    assert np.array_equal(nonempty_rows[layout.rank], code.rows)
-    assert np.array_equal(
-        layout.starts, np.searchsorted(np.sort(flat), nonempty_rows)
-    )
+    hit = np.bincount(code.rows.ravel(), minlength=n_rows) > 0
+    assert not hit[-1] and (~hit[:-1]).sum() > 10_000
+    errors = BitString.from_array(generator(21, 0xE7).random(n_bits) < 0.2)
+    target = code.syndrome(errors)
+    estimate, converged, iterations = code.decode_syndrome(target, 0.2)
+    assert converged and iterations > 1
+    assert (estimate, converged, iterations) == reference_decode(code, target, 0.2)
 
 
 def test_decoder_messages_are_float32(monkeypatch):
@@ -247,6 +229,11 @@ def decode_cases(draw):
 @settings(deadline=None)
 @example((200, syndrome_length(200, 0.5), 3, 0.01, 0.05, 5, True))
 @example((600, syndrome_length(600, 0.01), 13, 0.25, 0.01, 99, True))
+# Stalled decodes whose last estimate changes when the row products are
+# taken in descending edge order: the twin pins the order, not only the
+# algebra.
+@example((114, 100, 1721626191, 0.25, 0.01, 1028083929, True))
+@example((60, 91, 4046344998, 0.0, 0.01, 2733801964, False))
 @given(decode_cases())
 def test_decoder_matches_reference_decoder(case):
     n_bits, n_rows, seed, rate, crossover, state, from_pattern = case

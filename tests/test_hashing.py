@@ -7,6 +7,7 @@ estimates.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,8 +135,8 @@ def test_apply_matches_bigint_oracle_at_demo_size():
 @st.composite
 def cutover_shapes(draw):
     """Shapes on both sides of the direct/FFT cutover, and right at it."""
-    # From about 260 input bits up, the middle n_out go to the FFT.
-    n_in = draw(st.integers(min_value=300, max_value=3000))
+    # From about 1,330 input bits up, the middle n_out go to the FFT.
+    n_in = draw(st.integers(min_value=1400, max_value=4000))
     edge = max(n for n in range(n_in // 2 + 1) if not hashing._uses_fft(n_in, n))
     n_out = draw(st.integers(min_value=edge - 3, max_value=edge + 4))
     return n_in, n_out, edge, draw(st.integers(0, 2**30 - 1))
@@ -152,6 +153,39 @@ def test_apply_matches_bigint_oracle_across_cutover(shape):
     assert ModifiedToeplitz(d, n_in, n_out).apply(x) == bigint_apply(
         d, n_in, n_out, x
     )
+
+
+@pytest.mark.parametrize("n_in,n_out", [
+    (245_841, 64),  # the demo-x4 verification digest
+    (9000, 21),  # an output length that is not a multiple of 8
+    (1000, 13),
+    (200, 150),  # n_out >= w
+    (40, 33),  # w < 8
+    (9, 2),
+    (2, 1),
+])
+def test_direct_parity_matches_bigint_oracle(n_in, n_out):
+    assert not hashing._uses_fft(n_in, n_out)
+    for seed in range(3):
+        d = expand_seed(seed, b"t", n_in - 1)
+        x = expand_seed(seed, b"x", n_in)
+        assert ModifiedToeplitz(d, n_in, n_out).apply(x) == bigint_apply(
+            d, n_in, n_out, x
+        )
+
+
+def test_direct_parity_calls_no_float_product(monkeypatch):
+    n_in, n_out = 245_841, 64
+    d = expand_seed(5, b"t", n_in - 1)
+    x = expand_seed(6, b"x", n_in)
+    expected = bigint_apply(d, n_in, n_out, x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct path took a float product")
+
+    for name in ("convolve", "correlate", "dot"):
+        monkeypatch.setattr(np, name, refuse)
+    assert ModifiedToeplitz(d, n_in, n_out).apply(x) == expected
 
 
 def test_digests_are_summed_directly_and_keys_by_fft():
