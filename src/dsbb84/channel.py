@@ -17,6 +17,12 @@ The sampler draws only the rounds that clicked: whether a round clicks
 depends on its intensity alone, so a block draws its click count and
 positions first and then each click's settings, Bob's basis and the
 detector cell from the laws conditioned on the click (see sample_block).
+Drawing a sparse block costs little more than its three generator builds:
+the intensity is one uniform draw against two cut points and the cell
+two ``take``s from two flat tables, all stored once per session in the
+ClickLaw; each column is a bool comparison viewed as int8; and no array
+is as long as the block, since the click mask BlockSample.clicked is
+derived from the offsets only when it is read.
 """
 
 from __future__ import annotations
@@ -273,18 +279,28 @@ def setting_index(omega_idx, alpha, a, beta):
 class ClickLaw:
     """Tables of the click-only sampler, built once per session.
 
-    cell_cdf[c] holds P(only 0 | click) and 1 - P(both | click) for the
-    setting combination SETTINGS[c], so a cell whose probability is exactly
-    zero is never drawn.
+    omega_cuts_click and omega_cuts_none are the two inner cut points of
+    the intensity law given a click and given none: the cumulative sum of
+    the law divided by its last entry, as ``Generator.choice`` forms it.
+    A round's intensity index is the number of cut points at or below one
+    uniform draw u, which is the index ``choice(3, p=law)`` takes for the
+    same u (its ``searchsorted(u, side="right")``); a cut point of exactly
+    1.0 is never reached, so an intensity that cannot occur is never drawn.
+
+    cell_only0[c] holds P(only 0 | click) and cell_not_both[c] holds
+    1 - P(both | click) for the setting combination SETTINGS[c], two flat
+    tables read with ``take``; a cell whose probability is exactly zero is
+    never drawn.
     """
 
     m: int
     p_basis_alice: float
     p_basis_bob: float
     p_click: float
-    omega_given_click: np.ndarray
-    omega_given_none: np.ndarray
-    cell_cdf: np.ndarray
+    omega_cuts_click: tuple
+    omega_cuts_none: tuple
+    cell_only0: np.ndarray
+    cell_not_both: np.ndarray
 
 
 def _conditional(weights: np.ndarray) -> np.ndarray:
@@ -292,6 +308,14 @@ def _conditional(weights: np.ndarray) -> np.ndarray:
     total = weights.sum(axis=-1, keepdims=True)
     uniform = np.full_like(weights, 1.0 / weights.shape[-1])
     return np.divide(weights, total, out=uniform, where=total > 0.0)
+
+
+def _cuts(law: np.ndarray) -> tuple:
+    """The two inner cut points of a three-way law, formed as numpy's
+    ``Generator.choice`` forms its cdf."""
+    cdf = law.cumsum()
+    cdf /= cdf[-1]
+    return float(cdf[0]), float(cdf[1])
 
 
 def click_law(constants: ProtocolConstants, channel: ChannelModel) -> ClickLaw:
@@ -315,18 +339,23 @@ def click_law(constants: ProtocolConstants, channel: ChannelModel) -> ClickLaw:
         p_basis_alice=constants.p_basis_alice,
         p_basis_bob=constants.p_basis_bob,
         p_click=float(p_omega @ click),
-        omega_given_click=_conditional(p_omega * click),
-        omega_given_none=_conditional(p_omega * (1.0 - click)),
-        cell_cdf=np.stack([cells[:, 0], 1.0 - cells[:, 2]], axis=1),
+        omega_cuts_click=_cuts(_conditional(p_omega * click)),
+        omega_cuts_none=_cuts(_conditional(p_omega * (1.0 - click))),
+        cell_only0=cells[:, 0],
+        cell_not_both=1.0 - cells[:, 2],
     )
 
 
 def _draw_alice_settings(
-    rng: np.random.Generator, p_omega: np.ndarray, p_basis_alice: float, k: int
+    rng: np.random.Generator, cuts: tuple, p_basis_alice: float, k: int
 ) -> tuple:
-    """k rounds of (omega_idx, alpha, a): intensity from p_omega, then priors."""
-    omega_idx = rng.choice(3, size=k, p=p_omega).astype(np.int8)
-    alpha = (rng.random(k) >= p_basis_alice).astype(np.int8)
+    """k rounds of (omega_idx, alpha, a): the intensity from one uniform
+    draw against the cut points, then alpha and a from their priors.
+
+    Each column is a bool comparison viewed as int8, not copied."""
+    u = rng.random(k)
+    omega_idx = (u >= cuts[0]).view(np.int8) + (u >= cuts[1])
+    alpha = (rng.random(k) >= p_basis_alice).view(np.int8)
     a = rng.integers(0, 2, size=k, dtype=np.int8)
     return omega_idx, alpha, a
 
@@ -338,16 +367,16 @@ class BlockSample:
     Every column covers the clicked rounds only, in ascending round order
     (offsets): omega_idx indexes INTENSITIES; alpha and beta are 0 for Z
     and 1 for X; cell is 0 (only detector 0 fired), 1 (only detector 1) or
-    2 (both); b is Bob's bit, a fair coin on a double click. The length-m
-    click mask clicked is kept for observers outside the package; nothing
-    here reads it.
+    2 (both); b is Bob's bit, a fair coin on a double click. No column is
+    as long as the block: the length-m click mask ``clicked`` is derived
+    from offsets on each read, for observers outside the package, and
+    nothing here reads it on the honest path.
     """
 
     law: ClickLaw
     seed: int
     j: int
     beta: np.ndarray
-    clicked: np.ndarray
     offsets: np.ndarray
     omega_idx: np.ndarray
     alpha: np.ndarray
@@ -357,6 +386,13 @@ class BlockSample:
 
     def __len__(self) -> int:
         return self.law.m
+
+    @property
+    def clicked(self) -> np.ndarray:
+        """The length-m bool mask of the clicked rounds, built on each read."""
+        mask = np.zeros(len(self), dtype=bool)
+        mask[self.offsets] = True
+        return mask
 
     def alice_settings(self, offs: np.ndarray) -> tuple:
         """Alice's (omega_idx, alpha, a) at the ascending rounds ``offs``.
@@ -372,12 +408,10 @@ class BlockSample:
         columns = (self.omega_idx, self.alpha, self.a)
         if np.array_equal(offs, self.offsets):
             return columns
-        unclicked = np.ones(len(self), dtype=bool)
-        unclicked[self.offsets] = False
-        unclicked = np.flatnonzero(unclicked)
+        unclicked = np.flatnonzero(~self.clicked)
         drawn = _draw_alice_settings(
             generator(self.seed, StreamKey.ALICE_UNCLICKED, self.j),
-            self.law.omega_given_none,
+            self.law.omega_cuts_none,
             self.law.p_basis_alice,
             len(unclicked),
         )
@@ -408,25 +442,28 @@ def sample_block(law: ClickLaw, seed: int, j: int) -> BlockSample:
     m = law.m
     noise = generator(seed, StreamKey.CHANNEL, j)
     k = int(noise.binomial(m, law.p_click))
-    offsets = np.sort(noise.choice(m, k, replace=False, shuffle=False))
-    clicked = np.zeros(m, dtype=bool)
-    clicked[offsets] = True
+    offsets = noise.choice(m, k, replace=False, shuffle=False)
+    offsets.sort()
     omega_idx, alpha, a = _draw_alice_settings(
-        generator(seed, StreamKey.ALICE, j), law.omega_given_click, law.p_basis_alice, k
+        generator(seed, StreamKey.ALICE, j), law.omega_cuts_click, law.p_basis_alice, k
     )
-    beta = (generator(seed, StreamKey.BOB, j).random(k) >= law.p_basis_bob).astype(np.int8)
+    beta = (generator(seed, StreamKey.BOB, j).random(k) >= law.p_basis_bob).view(np.int8)
     u = noise.random(k)
-    cdf = law.cell_cdf[setting_index(omega_idx, alpha, a, beta)]
-    cell = (u >= cdf[:, 0]).astype(np.int8) + (u >= cdf[:, 1])
+    setting = setting_index(omega_idx, alpha, a, beta)
+    cell = (u >= law.cell_only0.take(setting)).view(np.int8) + (
+        u >= law.cell_not_both.take(setting)
+    )
     b = cell.copy()
-    both = np.flatnonzero(cell == 2)
-    b[both] = noise.integers(0, 2, size=len(both), dtype=np.int8)
+    both = (cell == 2).nonzero()[0]
+    # The coin is the block's last draw on its stream, so a block without a
+    # double click may skip the call.
+    if len(both):
+        b[both] = noise.integers(0, 2, size=len(both), dtype=np.int8)
     return BlockSample(
         law=law,
         seed=seed,
         j=j,
         beta=beta,
-        clicked=clicked,
         offsets=offsets,
         omega_idx=omega_idx,
         alpha=alpha,

@@ -37,6 +37,12 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
+def _human(args):
+    """Where the human-readable lines go: stderr when the JSON report
+    takes stdout, so that stdout holds the report alone."""
+    return sys.stderr if getattr(args, "json", None) == "-" else sys.stdout
+
+
 def _write_report(path: str, report: dict) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if path == "-":
@@ -80,10 +86,11 @@ def cmd_keyrate(args) -> int:
     print(
         f"n_sift={result.n_sift} n1z_floor={result.n1z_floor} "
         f"nph_ceil={result.nph_ceil} n_pa={result.n_pa} n_ec={result.n_ec} "
-        f"n_fin={result.n_fin} eps_total={result.eps_total:.3e}"
+        f"n_fin={result.n_fin} eps_total={result.eps_total:.3e}",
+        file=_human(args),
     )
     if result.abort:
-        print("abort: no extractable key at this configuration")
+        print("abort: no extractable key at this configuration", file=_human(args))
         return EXIT_ABORT
     return EXIT_OK
 
@@ -121,10 +128,10 @@ def cmd_simulate(args) -> int:
     if args.json:
         _write_report(args.json, report)
     if outcome.aborted:
-        print(f"abort: {outcome.alice.abort_reason}")
+        print(f"abort: {outcome.alice.abort_reason}", file=_human(args))
         return EXIT_ABORT
     if not outcome.keys_match:
-        print("internal error: both sides accepted but keys differ")
+        print("internal error: both sides accepted but keys differ", file=_human(args))
         return EXIT_INTERNAL
     if args.keys_out:
         with open(args.keys_out, "w", encoding="utf-8") as fh:
@@ -133,7 +140,8 @@ def cmd_simulate(args) -> int:
     print(
         f"n_sift={outcome.alice.n_sift} n_fin={outcome.alice.n_fin} "
         f"ec_iterations={outcome.bob.ec_iterations} "
-        f"transcript={len(outcome.transcript)} bytes"
+        f"transcript={len(outcome.transcript)} bytes",
+        file=_human(args),
     )
     return EXIT_OK
 
@@ -184,7 +192,8 @@ def cmd_scan(args) -> int:
         shown = value if parse is int else f"{value:g}"
         print(
             f"{args.param}={shown}: n_fin={result.n_fin}"
-            + (" (abort)" if result.abort else "")
+            + (" (abort)" if result.abort else ""),
+            file=_human(args),
         )
     report = _report_skeleton("scan", args, constants, channel)
     report["param"] = args.param
@@ -212,7 +221,8 @@ def cmd_verify_bounds(args) -> int:
     print(
         f"forward {result.forward_violations}/{result.trials} "
         f"({result.forward_rate:.3e}), reverse {result.reverse_violations}/"
-        f"{result.trials} ({result.reverse_rate:.3e}), budget {args.eps:.3e}"
+        f"{result.trials} ({result.reverse_rate:.3e}), budget {args.eps:.3e}",
+        file=_human(args),
     )
     return EXIT_OK if ok else EXIT_ABORT
 

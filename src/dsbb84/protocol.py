@@ -119,11 +119,13 @@ class _CountAccumulator:
     def add_block(self, omega_idx, alpha, beta, bits, other_x) -> None:
         """Count matched-Z rounds per intensity and keep their ``bits``;
         count matched-X rounds per intensity where ``bits`` and ``other_x``
-        differ."""
-        z = ((alpha == 0) & (beta == 0)).nonzero()[0]
-        x = ((alpha == 1) & (beta == 1)).nonzero()[0]
+        differ. ``alpha`` and ``beta`` hold 0 or 1 in one byte each, so
+        they are read as bool without a copy."""
+        alpha, beta = alpha.view(bool), beta.view(bool)
+        z = (~(alpha | beta)).nonzero()[0]
+        x = (alpha & beta).nonzero()[0]
         self.sift += np.bincount(omega_idx.take(z), minlength=3)
-        differ = x.compress(bits.take(x) != other_x)
+        differ = x[bits.take(x) != other_x]
         self.err += np.bincount(omega_idx.take(differ), minlength=3)
         self.key_parts.append(bits.take(z).astype(np.uint8))
 
@@ -222,15 +224,15 @@ class AliceMachine(_Party):
             raise ProtocolError("basis must cover exactly the clicked rounds")
         beta_c = msg.basis.to_array()
         # Bob's X outcomes cover his clicked X-basis rounds in order.
-        bob_x = (beta_c == 1).nonzero()[0]
+        bob_x = beta_c.view(bool).nonzero()[0]
         if len(msg.x_outcomes) != len(bob_x):
             raise ProtocolError("x outcome count does not match clicked X rounds")
         omega_c, alpha_c, a_c = self.blocks(msg.j).alice_settings(offs)
-        alice_x = alpha_c.take(bob_x) == 1
-        bob_matched_x = msg.x_outcomes.to_array().compress(alice_x)
+        alice_x = alpha_c.take(bob_x).view(bool)
+        bob_matched_x = msg.x_outcomes.to_array()[alice_x]
         self._acc.add_block(omega_c, alpha_c, beta_c, a_c, bob_matched_x)
 
-        matched_x = bob_x.compress(alice_x)
+        matched_x = bob_x[alice_x]
         self.outbox.append(
             AliceBlockDisclosure.from_columns(msg.j, omega_c, alpha_c, a_c.take(matched_x))
         )
@@ -302,7 +304,7 @@ class BobMachine(_Party):
                 len(data),
                 data.offsets,
                 BitString.from_array(data.beta),
-                BitString.from_array(data.b.take((data.beta == 1).nonzero()[0])),
+                BitString.from_array(data.b[data.beta.view(bool)]),
             )
         )
 
@@ -314,7 +316,7 @@ class BobMachine(_Party):
         if len(msg.omega) != k or len(msg.alpha) != k:
             raise ProtocolError("reply must cover exactly the clicked rounds")
         alpha_c = msg.alpha.to_array()
-        if len(msg.value) != np.count_nonzero((alpha_c == 1) & (data.beta == 1)):
+        if len(msg.value) != np.count_nonzero(alpha_c.view(bool) & data.beta.view(bool)):
             raise ProtocolError("reply must disclose the bits of the matched X rounds")
         self._acc.add_block(msg.omega, alpha_c, data.beta, data.b, msg.value.to_array())
 

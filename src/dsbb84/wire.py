@@ -58,23 +58,29 @@ def pack_bits(bits: BitString) -> bytes:
     return _pack("<Q", len(bits)) + bits.to_bytes()
 
 
-def _bits_at(buf: bytes, offset: int, n: int) -> tuple:
-    """The ``n`` bits packed LSB-first at ``offset``; set padding is refused."""
-    n_bytes = (n + 7) // 8
-    if offset + n_bytes > len(buf):
+def _column_end(buf: bytes, offset: int, n: int) -> int:
+    """End of the ``n``-bit column packed LSB-first at ``offset``; a column
+    that runs past ``buf`` or has a padding bit set is refused."""
+    end = offset + (n + 7) // 8
+    if end > len(buf):
         raise WireError("truncated bit-string body")
-    try:
-        bits = BitString.from_bytes(buf[offset : offset + n_bytes], n)
-    except ValueError as exc:
-        raise WireError(str(exc)) from exc
-    return bits, offset + n_bytes
+    if n % 8 and buf[end - 1] >> (n % 8):
+        raise WireError("padding bits beyond the stated length are set")
+    return end
+
+
+def _packed(bits: np.ndarray) -> bytes:
+    """A column of 0/1 values, flattened, packed LSB-first in one call."""
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def unpack_bits(buf: bytes, offset: int) -> tuple:
     if offset + 8 > len(buf):
         raise WireError("truncated bit-string header")
     (n,) = struct.unpack_from("<Q", buf, offset)
-    return _bits_at(buf, offset + 8, n)
+    start = offset + 8
+    end = _column_end(buf, start, n)
+    return BitString.from_bytes(buf[start:end], n), end
 
 
 def encode_frame(tag: int, payload: bytes) -> bytes:
@@ -105,7 +111,7 @@ def clicked_offsets(offsets, m: int) -> np.ndarray:
     offsets = offsets.astype(np.int64, copy=False)
     if offsets.size and (offsets[0] < 0 or offsets[-1] >= m):
         raise WireError("clicked offset outside the block")
-    if np.any(offsets[1:] <= offsets[:-1]):
+    if (offsets[1:] <= offsets[:-1]).any():
         raise WireError("clicked offsets must be strictly ascending")
     return offsets
 
@@ -127,16 +133,23 @@ class _Block:
         return hash(self.encode())
 
 
+@functools.cache
+def _plane_shifts(low_bits: int) -> np.ndarray:
+    """The shifts 0, ..., L - 1 as a read-only column in the narrowest
+    unsigned type that holds L bits, so that the L x k planes take no wider
+    type. A u32 block size allows at most 33 values of L."""
+    dtype = np.min_scalar_type((1 << low_bits) - 1)
+    return _read_only(np.arange(low_bits, dtype=dtype)[:, None])
+
+
 def _clicked_layout(m: int, k: int) -> tuple:
     """(L, high-part bits, plane shifts) of the Elias-Fano form of k clicked
     rounds out of m. Each offset sends its L = floor(log2(m/k)) low bits,
     and the high part has k + ((m - 1) >> L) bits; an empty set sends no
-    bits. The shifts 0, ..., L - 1 are a column in the narrowest unsigned
-    type that holds L bits, so that the L x k planes take no wider type."""
+    bits."""
     low_bits = (m // k).bit_length() - 1 if k else 0
     high_len = k + ((m - 1) >> low_bits) if k else 0
-    shifts = np.arange(low_bits, dtype=np.min_scalar_type((1 << low_bits) - 1))[:, None]
-    return low_bits, high_len, shifts
+    return low_bits, high_len, _plane_shifts(low_bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,13 +189,13 @@ class BobBlockDisclosure(_Block):
         low = (offsets & ((1 << low_bits) - 1)).astype(shifts.dtype)
         high = np.zeros(high_len, dtype=np.uint8)
         high[(offsets >> low_bits) + np.arange(k)] = 1
-        return (
-            header
-            + BitString.from_array(((low >> shifts) & 1).ravel()).to_bytes()
-            + BitString.from_array(high).to_bytes()
-            + self.basis.to_bytes()
-            + self.x_outcomes.to_bytes()
-        )
+        return b"".join((
+            header,
+            _packed((low >> shifts) & 1),
+            _packed(high),
+            self.basis.to_bytes(),
+            self.x_outcomes.to_bytes(),
+        ))
 
     @classmethod
     def decode(cls, payload: bytes) -> "BobBlockDisclosure":
@@ -192,18 +205,26 @@ class BobBlockDisclosure(_Block):
         if k > m:
             raise WireError("more clicked rounds than the block has")
         low_bits, high_len, shifts = _clicked_layout(m, k)
-        low, off = _bits_at(payload, 12, low_bits * k)
-        high, off = _bits_at(payload, off, high_len)
-        basis, off = _bits_at(payload, off, k)
-        x_outcomes, off = _bits_at(payload, off, basis.weight())
-        if off != len(payload):
+        # Every column is checked against the payload before any bit is
+        # unpacked, so a count the payload cannot hold allocates nothing.
+        high_at = _column_end(payload, 12, low_bits * k)
+        basis_at = _column_end(payload, high_at, high_len)
+        x_at = _column_end(payload, basis_at, k)
+        # One unpack for the whole payload; each column is a view of it.
+        bits = BitString.from_bytes(payload, 8 * len(payload))
+        basis = bits[8 * basis_at : 8 * basis_at + k]
+        n_x = basis.weight()
+        if _column_end(payload, x_at, n_x) != len(payload):
             raise WireError("trailing bytes in block disclosure")
+        raw = bits.to_array()
         # 0/1 bytes viewed as bool: nonzero search is faster on bool.
-        ones = np.flatnonzero(high.to_array().view(bool))
+        ones = raw[8 * high_at : 8 * high_at + high_len].view(bool).nonzero()[0]
         if len(ones) != k:
             raise WireError("high part must hold one set bit per clicked round")
-        planes = np.left_shift(low.to_array().reshape(low_bits, k), shifts, dtype=shifts.dtype)
+        low = raw[96 : 96 + low_bits * k].reshape(low_bits, k)
+        planes = np.left_shift(low, shifts, dtype=shifts.dtype)
         offsets = (ones - np.arange(k)) << low_bits | np.bitwise_or.reduce(planes, axis=0)
+        x_outcomes = bits[8 * x_at : 8 * x_at + n_x]
         return cls(j, m, _read_only(clicked_offsets(offsets, m)), basis, x_outcomes)
 
 
@@ -213,7 +234,9 @@ def _column(name: str, column, top: int) -> np.ndarray:
     if column.ndim != 1:
         raise WireError(f"{name} column must be 1-d")
     if column.size and (
-        column.dtype.kind not in "biu" or column.min() < 0 or column.max() > top
+        column.dtype.kind not in "biu"
+        # Viewed as unsigned, a negative value lies above top as well.
+        or column.view(f"u{column.itemsize}").max() > top
     ):
         raise WireError(f"{name} column out of range")
     return column.astype(np.uint8)
@@ -262,12 +285,12 @@ class AliceBlockDisclosure(_Block):
         omega_bits = np.empty((len(omega), 2), dtype=np.uint8)
         omega_bits[:, 0] = omega & 1
         omega_bits[:, 1] = omega >> 1
-        return (
-            _pack("<III", self.j, len(omega), len(self.value))
-            + BitString.from_array(omega_bits.ravel()).to_bytes()
-            + self.alpha.to_bytes()
-            + self.value.to_bytes()
-        )
+        return b"".join((
+            _pack("<III", self.j, len(omega), len(self.value)),
+            _packed(omega_bits),
+            self.alpha.to_bytes(),
+            self.value.to_bytes(),
+        ))
 
     @classmethod
     def decode(cls, payload: bytes) -> "AliceBlockDisclosure":
@@ -277,13 +300,16 @@ class AliceBlockDisclosure(_Block):
         expected = 12 + (2 * count + 7) // 8 + (count + 7) // 8 + (n_values + 7) // 8
         if len(payload) != expected:
             raise WireError("block reply length mismatch")
-        omega_bits, off = _bits_at(payload, 12, 2 * count)
-        pairs = omega_bits.to_array().reshape(count, 2)
+        alpha_at = _column_end(payload, 12, 2 * count)
+        value_at = _column_end(payload, alpha_at, count)
+        _column_end(payload, value_at, n_values)
+        bits = BitString.from_bytes(payload, 8 * len(payload))
+        pairs = bits.to_array()[96 : 96 + 2 * count].reshape(count, 2)
         omega = pairs[:, 0] + 2 * pairs[:, 1]
         if omega.max(initial=0) > 2:
             raise WireError("intensity index out of range")
-        alpha, off = _bits_at(payload, off, count)
-        value, _ = _bits_at(payload, off, n_values)
+        alpha = bits[8 * alpha_at : 8 * alpha_at + count]
+        value = bits[8 * value_at : 8 * value_at + n_values]
         return cls(j, _read_only(omega), alpha, value)
 
 

@@ -6,7 +6,8 @@ decoder written with one fresh array per step, the intensity and
 photon-number probabilities written out one value at a time, a chi-square
 check, a generator of random length-computation scenarios, the Fock-state
 click oracle, the ground-truth scoring of the single-photon floor and
-phase-error ceiling, and a forced-mismatch attack on the verification hash.
+phase-error ceiling, a forced-mismatch attack on the verification hash,
+and the click-only sampler as first written, with ``Generator.choice``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from dsbb84.channel import (
     BlockSource,
     ChannelModel,
     StreamKey,
+    _conditional,
     click_probabilities,
+    click_probability_total,
     eta_total,
     generator,
     routing_fraction,
@@ -354,6 +357,130 @@ def fock_click_oracle(
         + p_hit[0] * d * d
     )
     return (p_only0, p_only1, p_both, p_none)
+
+
+# The click-only sampler as first written: the intensity from
+# Generator.choice, every column copied with astype, the cells read from one
+# (24, 2) table and a length-m click mask kept on every block.
+# dsbb84.channel draws the same columns from the same streams with fewer
+# calls; test_channel checks the two equal.
+
+
+@dataclass(frozen=True)
+class ChoiceLaw:
+    """The sampler tables as first written: the intensity laws as
+    probabilities and the cell thresholds as one (24, 2) table."""
+
+    m: int
+    p_basis_alice: float
+    p_basis_bob: float
+    p_click: float
+    omega_given_click: np.ndarray
+    omega_given_none: np.ndarray
+    cell_cdf: np.ndarray
+
+
+def choice_click_law(constants: ProtocolConstants, channel: ChannelModel) -> ChoiceLaw:
+    p_omega = np.array([constants.p_intensity[w] for w in INTENSITIES])
+    click = np.array(
+        [click_probability_total(channel, constants.mu[w]) for w in INTENSITIES]
+    )
+    cells = _conditional(np.array([
+        click_probabilities(constants, channel, *settings)[:3]
+        for settings in SETTINGS
+    ]))
+    return ChoiceLaw(
+        m=constants.m,
+        p_basis_alice=constants.p_basis_alice,
+        p_basis_bob=constants.p_basis_bob,
+        p_click=float(p_omega @ click),
+        omega_given_click=_conditional(p_omega * click),
+        omega_given_none=_conditional(p_omega * (1.0 - click)),
+        cell_cdf=np.stack([cells[:, 0], 1.0 - cells[:, 2]], axis=1),
+    )
+
+
+def _draw_alice_settings(
+    rng: np.random.Generator, p_omega: np.ndarray, p_basis_alice: float, k: int
+) -> tuple:
+    """k rounds of (omega_idx, alpha, a): intensity from p_omega, then priors."""
+    omega_idx = rng.choice(3, size=k, p=p_omega).astype(np.int8)
+    alpha = (rng.random(k) >= p_basis_alice).astype(np.int8)
+    a = rng.integers(0, 2, size=k, dtype=np.int8)
+    return omega_idx, alpha, a
+
+
+@dataclass
+class ChoiceBlock:
+    """Block j as the first sampler drew it, click mask included."""
+
+    law: ChoiceLaw
+    seed: int
+    j: int
+    beta: np.ndarray
+    clicked: np.ndarray
+    offsets: np.ndarray
+    omega_idx: np.ndarray
+    alpha: np.ndarray
+    a: np.ndarray
+    cell: np.ndarray
+    b: np.ndarray
+
+    def __len__(self) -> int:
+        return self.law.m
+
+    def alice_settings(self, offs: np.ndarray) -> tuple:
+        columns = (self.omega_idx, self.alpha, self.a)
+        if np.array_equal(offs, self.offsets):
+            return columns
+        unclicked = np.ones(len(self), dtype=bool)
+        unclicked[self.offsets] = False
+        unclicked = np.flatnonzero(unclicked)
+        drawn = _draw_alice_settings(
+            generator(self.seed, StreamKey.ALICE_UNCLICKED, self.j),
+            self.law.omega_given_none,
+            self.law.p_basis_alice,
+            len(unclicked),
+        )
+        out = []
+        for col, other in zip(columns, drawn):
+            full = np.empty(len(self), dtype=np.int8)
+            full[self.offsets] = col
+            full[unclicked] = other
+            out.append(full[offs])
+        return tuple(out)
+
+
+def sample_block(law: ChoiceLaw, seed: int, j: int) -> ChoiceBlock:
+    m = law.m
+    noise = generator(seed, StreamKey.CHANNEL, j)
+    k = int(noise.binomial(m, law.p_click))
+    offsets = np.sort(noise.choice(m, k, replace=False, shuffle=False))
+    clicked = np.zeros(m, dtype=bool)
+    clicked[offsets] = True
+    omega_idx, alpha, a = _draw_alice_settings(
+        generator(seed, StreamKey.ALICE, j), law.omega_given_click, law.p_basis_alice, k
+    )
+    beta = (generator(seed, StreamKey.BOB, j).random(k) >= law.p_basis_bob).astype(np.int8)
+    u = noise.random(k)
+    cdf = law.cell_cdf[setting_index(omega_idx, alpha, a, beta)]
+    cell = (u >= cdf[:, 0]).astype(np.int8) + (u >= cdf[:, 1])
+    b = cell.copy()
+    both = np.flatnonzero(cell == 2)
+    b[both] = noise.integers(0, 2, size=len(both), dtype=np.int8)
+    return ChoiceBlock(
+        law=law,
+        seed=seed,
+        j=j,
+        beta=beta,
+        clicked=clicked,
+        offsets=offsets,
+        omega_idx=omega_idx,
+        alpha=alpha,
+        a=a,
+        cell=cell,
+        b=b,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from dsbb84.params import (
     ConfigurationError,
     DomainError,
     ProtocolConstants,
+    load_constants,
     poisson_pcs,
 )
+import reference
 from reference import chi2_statistic, chi2_upper, fock_click_oracle
 
 
@@ -385,3 +389,56 @@ def test_alice_settings_of_unclicked_rounds_are_keyed_by_block():
     assert np.array_equal(first[0][clicked_part], block.omega_idx[pos])
     other_block = sample_block(law, 9, 3).alice_settings(np.arange(c.m))
     assert not all(np.array_equal(x, y) for x, y in zip(every, other_block))
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = json.loads((REPO / "perfbench" / "workloads.json").read_text())
+# The benchmark's four laws, and a small block in which the vacuum
+# intensity never clicks (mu_V = 0 and no dark counts), so that the inner
+# cut point of the intensity law given a click is exactly 1.0 and a block
+# may have no click at all.
+TWIN_LAWS = {
+    name: (load_constants(spec["constants"]), load_channel(spec["channel"]))
+    for name, spec in WORKLOADS.items()
+} | {
+    "never-clicks": (
+        constants(m=200, mu={"S": 0.5, "D": 0.1, "V": 0.0}),
+        ChannelModel(eta_ch=0.2, e_mis=0.03, p_dark=0.0, eta_det=0.4),
+    ),
+}
+
+
+def test_never_clicking_intensity_puts_a_cut_point_at_one():
+    law = click_law(*TWIN_LAWS["never-clicks"])
+    assert law.omega_cuts_click[1] == 1.0
+    assert law.omega_cuts_none[1] < 1.0
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_LAWS))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), j=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampler_matches_choice_reference(name, seed, j, data):
+    # The sampler draws the intensity against two stored cut points and
+    # reads the cells from two flat tables; the reference draws with
+    # Generator.choice and one (24, 2) table. Same streams, same columns.
+    c, ch = TWIN_LAWS[name]
+    block = sample_block(click_law(c, ch), seed, j)
+    twin = reference.sample_block(reference.choice_click_law(c, ch), seed, j)
+    for field in ("beta", "clicked", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
+        ours, theirs = getattr(block, field), getattr(twin, field)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field
+
+    def some(rounds):
+        """A few of ``rounds``, in ascending order."""
+        if not len(rounds):
+            return rounds
+        picks = data.draw(st.sets(st.integers(0, len(rounds) - 1), max_size=6))
+        return rounds[sorted(picks)]
+
+    # Alice's settings on the clicked rounds, on some unclicked rounds, and
+    # on a mix of the two.
+    unclicked = np.flatnonzero(~twin.clicked)
+    mixed = np.union1d(some(twin.offsets), some(unclicked))
+    for offs in (twin.offsets, some(unclicked), mixed):
+        for ours, theirs in zip(block.alice_settings(offs), twin.alice_settings(offs)):
+            assert np.array_equal(ours, theirs)

@@ -641,3 +641,32 @@ def test_report_key_paths_are_pinned(config_files, tmp_path, command):
     report = json.loads(path.read_text())
     assert report["schema_version"] == 1
     assert key_paths(report) == REPORT_KEYS[command]
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, code",
+    [
+        ("keyrate", "small", [], 0),
+        ("keyrate", "fiber", [], 1),
+        ("simulate", "small", ["--seed", "7"], 0),
+        ("simulate", "fiber", ["--seed", "7"], 1),
+        ("scan", "small", ["--param", "mu_S", "--values", "0.6,0.8"], 0),
+        ("verify-bounds", None, ["--n", "1000", "--trials", "2000"], 0),
+    ],
+    ids=["keyrate", "keyrate-abort", "simulate", "simulate-abort", "scan",
+         "verify-bounds"],
+)
+def test_json_to_stdout_leaves_stdout_to_the_report(
+    config_files, capsys, command, config, extra, code
+):
+    # With --json - the report is all of stdout, so that it parses as one
+    # JSON document; the lines for a reader go to stderr instead.
+    if config is not None:
+        extra = extra + [
+            "--constants", config_files[f"{config}_constants"],
+            "--channel", config_files[f"{config}_channel"],
+        ]
+    assert main([command, *extra, "--json", "-"]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["command"] == command
+    assert captured.err.strip()

@@ -764,12 +764,15 @@ def test_reply_to_a_disclosure_naming_unclicked_rounds():
 
 
 def test_session_memory_is_one_block():
-    # A lossy-long session holds one sampled block at a time, so four
-    # times the blocks must not take much more memory at peak. The
-    # messages are handed over without a transcript, which is the one
-    # part of run_protocol that grows with the number of blocks. A
-    # one-block session runs first so that one-time allocations count in
-    # neither peak.
+    # A lossy-long session holds one sampled block at a time, so the 30
+    # blocks that a 40-block session adds to a 10-block one may raise the
+    # peak only by what a session keeps of every block: its sifted key
+    # part, a few hundred bytes. A source that kept every block, about
+    # 2 kB each at this shape, would add some 60 kB; the bound of 1 kB per
+    # added block lies between the two. The messages are handed over
+    # without a transcript, which is the one part of run_protocol that
+    # grows faster with the number of blocks. A one-block session runs
+    # first so that one-time allocations count in neither peak.
     peaks = []
     for n_block in (1, 10, 40):
         constants = dataclasses.replace(LOSSY_LONG, n_block=n_block)
@@ -781,7 +784,7 @@ def test_session_memory_is_one_block():
         finally:
             tracemalloc.stop()
         assert alice.result.n_sift > 0
-    assert peaks[2] < 1.5 * peaks[1], peaks
+    assert peaks[2] - peaks[1] < 30 * 1000, peaks
 
 
 def test_outcome_hands_over_the_transport_buffer(monkeypatch):
