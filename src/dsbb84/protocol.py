@@ -17,6 +17,11 @@ leaves the machine as it was. Both apply one tally rule
 ``judge_length``, and end in one ``_finish`` that builds the
 ``KeyMaterial`` record.
 
+A message's own shape is ``wire``'s job: a malformed message can be
+neither built nor decoded. A machine raises ``ProtocolError`` only for what
+a message cannot know of itself: the block order, the session's ``m``, the
+receiver's own counts and its state.
+
 A session that aborts names one of ABORT_REASONS.
 
 Both sides recompute the security accounting from the same pre-agreed
@@ -52,8 +57,6 @@ from .wire import (
     Syndrome,
     VerifyHash,
     VerifyResult,
-    WireError,
-    clicked_offsets,
     encode_message,
     decode_message,
 )
@@ -65,7 +68,7 @@ ABORT_REASONS = frozenset({ABORT_LENGTH, ABORT_VERIFY})
 
 
 class ProtocolError(RuntimeError):
-    """Out-of-order, malformed or inconsistent message."""
+    """Out-of-order message, or one inconsistent with the session."""
 
 
 def judge_length(
@@ -216,25 +219,15 @@ class AliceMachine(_Party):
             raise ProtocolError(f"expected block {self._next_block}, got {msg.j}")
         if msg.m != self.constants.m:
             raise ProtocolError("block disclosure has wrong round count")
-        try:
-            offs = clicked_offsets(msg.offsets, msg.m)
-        except WireError as exc:
-            raise ProtocolError(f"block disclosure: {exc}") from None
-        if len(msg.basis) != len(offs):
-            raise ProtocolError("basis must cover exactly the clicked rounds")
-        beta_c = msg.basis.to_array()
         # Bob's X outcomes cover his clicked X-basis rounds in order.
-        bob_x = beta_c.view(bool).nonzero()[0]
-        if len(msg.x_outcomes) != len(bob_x):
-            raise ProtocolError("x outcome count does not match clicked X rounds")
-        omega_c, alpha_c, a_c = self.blocks(msg.j).alice_settings(offs)
+        bob_x = msg.basis.view(bool).nonzero()[0]
+        omega_c, alpha_c, a_c = self.blocks(msg.j).alice_settings(msg.offsets)
         alice_x = alpha_c.take(bob_x).view(bool)
-        bob_matched_x = msg.x_outcomes.to_array()[alice_x]
-        self._acc.add_block(omega_c, alpha_c, beta_c, a_c, bob_matched_x)
+        self._acc.add_block(omega_c, alpha_c, msg.basis, a_c, msg.x_outcomes[alice_x])
 
         matched_x = bob_x[alice_x]
         self.outbox.append(
-            AliceBlockDisclosure.from_columns(msg.j, omega_c, alpha_c, a_c.take(matched_x))
+            AliceBlockDisclosure(msg.j, omega_c, alpha_c, a_c.take(matched_x))
         )
         self._next_block += 1
         if self._next_block == self.constants.n_block:
@@ -299,26 +292,18 @@ class BobMachine(_Party):
     def _emit_disclosure(self, j: int) -> None:
         data = self.blocks(j)
         self.outbox.append(
-            BobBlockDisclosure(
-                j,
-                len(data),
-                data.offsets,
-                BitString.from_array(data.beta),
-                BitString.from_array(data.b[data.beta.view(bool)]),
-            )
+            BobBlockDisclosure(j, len(data), data.offsets, data.beta, data.b[data.beta.view(bool)])
         )
 
     def _handle_block_reply(self, msg: AliceBlockDisclosure) -> None:
         if msg.j != self._next_block:
             raise ProtocolError(f"expected reply for block {self._next_block}")
         data = self.blocks(msg.j)
-        k = len(data.offsets)
-        if len(msg.omega) != k or len(msg.alpha) != k:
+        if len(msg.alpha) != len(data.offsets):
             raise ProtocolError("reply must cover exactly the clicked rounds")
-        alpha_c = msg.alpha.to_array()
-        if len(msg.value) != np.count_nonzero(alpha_c.view(bool) & data.beta.view(bool)):
+        if len(msg.value) != np.count_nonzero(msg.alpha.view(bool) & data.beta.view(bool)):
             raise ProtocolError("reply must disclose the bits of the matched X rounds")
-        self._acc.add_block(msg.omega, alpha_c, data.beta, data.b, msg.value.to_array())
+        self._acc.add_block(msg.omega, msg.alpha, data.beta, data.b, msg.value)
 
         self._next_block += 1
         if self._next_block < self.constants.n_block:
@@ -370,14 +355,12 @@ class BobMachine(_Party):
     def _handle_end(self, msg: End) -> None:
         self._finish(*self._ending, **self._ec)
 
-    # End is also taken wherever Alice may close the session before the
-    # nominal next message.
     HANDLERS = {
         "blocks": {AliceBlockDisclosure: _handle_block_reply},
-        "sift": {SiftAnnounce: _handle_sift, End: _handle_end},
-        "syndrome": {Syndrome: _handle_syndrome, End: _handle_end},
+        "sift": {SiftAnnounce: _handle_sift},
+        "syndrome": {Syndrome: _handle_syndrome},
         "verify": {VerifyHash: _handle_verify},
-        "pa": {PaSeed: _handle_pa, End: _handle_end},
+        "pa": {PaSeed: _handle_pa},
         "end": {End: _handle_end},
     }
 

@@ -19,6 +19,15 @@ on the clicked X rounds; Alice's reply gives intensity and basis per
 named round and her bit on matched X rounds only. Every column of a block
 message is a bit column packed LSB-first and padded with zero bits to a
 whole byte, and carries no length of its own: the fixed fields imply it.
+
+A block message holds each column as a read-only numpy array of its own,
+and its constructor is the one check of its shape: values in range,
+offsets ascending inside the block, column lengths that agree. It refuses
+a malformed message with ``WireError``. So encode only packs, and decode
+checks only what bytes alone can get wrong (lengths, padding, the high
+part's bit count, trailing bytes) before it builds the message through
+that constructor.
+
 Every encoding is canonical: a decoder refuses any form the encoder would
 not have produced, so a frame that decodes re-encodes to its own bytes.
 
@@ -103,12 +112,12 @@ def decode_frame(buf: bytes, offset: int = 0) -> tuple:
 
 
 def clicked_offsets(offsets, m: int) -> np.ndarray:
-    """``offsets`` as int64 after checking that they are strictly ascending
-    rounds of a block of ``m``; ``WireError`` otherwise."""
+    """A copy of ``offsets`` as int64 after checking that they are strictly
+    ascending rounds of a block of ``m``; ``WireError`` otherwise."""
     offsets = np.asarray(offsets)
     if offsets.ndim != 1 or (offsets.size and offsets.dtype.kind not in "iu"):
         raise WireError("offsets must be a 1-d integer array")
-    offsets = offsets.astype(np.int64, copy=False)
+    offsets = offsets.astype(np.int64)
     if offsets.size and (offsets[0] < 0 or offsets[-1] >= m):
         raise WireError("clicked offset outside the block")
     if (offsets[1:] <= offsets[:-1]).any():
@@ -121,8 +130,28 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _column(name: str, column, top: int) -> np.ndarray:
+    """A copy of a 1-d column of integers in [0, top] as uint8; ``WireError``
+    otherwise."""
+    column = np.asarray(column)
+    if column.ndim != 1:
+        raise WireError(f"{name} column must be 1-d")
+    if column.size and (
+        column.dtype.kind not in "biu"
+        # Viewed as unsigned, a negative value lies above top as well.
+        or column.view(f"u{column.itemsize}").max() > top
+    ):
+        raise WireError(f"{name} column out of range")
+    return column.astype(np.uint8)
+
+
 class _Block:
     """A block message; two are equal when their frames are."""
+
+    def _own(self, **columns: np.ndarray) -> None:
+        """Store checked columns, which the message alone holds, read-only."""
+        for name, column in columns.items():
+            object.__setattr__(self, name, _read_only(column))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -159,28 +188,36 @@ class BobBlockDisclosure(_Block):
     ``offsets`` are the clicked rounds, strictly ascending and below ``m``.
     ``basis`` holds Bob's basis bit on each of them (1 means X) and
     ``x_outcomes`` his bit on each clicked X round, both in round order.
+    The constructor takes any 1-d integer columns and refuses with
+    ``WireError`` a message that breaks one of these rules.
 
     Layout: ``<III`` j, m and the clicked count k, then four bit columns.
     The first two are the clicked set in Elias-Fano form, whose layout
     follows from (m, k) alone (see ``_clicked_layout``): L low-bit planes
     of k bits each, plane p holding bit p of every offset, then the high
     part, with bit ``(offsets[i] >> L) + i`` set for each i. Then come
-    ``basis`` (k bits) and ``x_outcomes`` (``basis.weight()`` bits).
+    ``basis`` (k bits) and ``x_outcomes`` (one bit per 1 in ``basis``).
     """
 
     TAG: ClassVar[int] = 1
     j: int
     m: int
     offsets: np.ndarray
-    basis: BitString
-    x_outcomes: BitString
+    basis: np.ndarray
+    x_outcomes: np.ndarray
+
+    def __post_init__(self) -> None:
+        offsets = clicked_offsets(self.offsets, self.m)
+        basis = _column("basis", self.basis, 1)
+        if len(basis) != len(offsets):
+            raise WireError("basis must cover exactly the clicked rounds")
+        x_outcomes = _column("x outcome", self.x_outcomes, 1)
+        if len(x_outcomes) != np.count_nonzero(basis):
+            raise WireError("x outcome count does not match clicked X rounds")
+        self._own(offsets=offsets, basis=basis, x_outcomes=x_outcomes)
 
     def encode(self) -> bytes:
-        offsets = clicked_offsets(self.offsets, self.m)
-        if len(self.basis) != len(offsets):
-            raise WireError("basis must cover exactly the clicked rounds")
-        if len(self.x_outcomes) != self.basis.weight():
-            raise WireError("x outcome count does not match clicked X rounds")
+        offsets = self.offsets
         k = len(offsets)
         # Packed first, so that an m beyond u32 is refused before the high
         # part, about m >> L bits, is allocated.
@@ -193,8 +230,8 @@ class BobBlockDisclosure(_Block):
             header,
             _packed((low >> shifts) & 1),
             _packed(high),
-            self.basis.to_bytes(),
-            self.x_outcomes.to_bytes(),
+            _packed(self.basis),
+            _packed(self.x_outcomes),
         ))
 
     @classmethod
@@ -211,12 +248,11 @@ class BobBlockDisclosure(_Block):
         basis_at = _column_end(payload, high_at, high_len)
         x_at = _column_end(payload, basis_at, k)
         # One unpack for the whole payload; each column is a view of it.
-        bits = BitString.from_bytes(payload, 8 * len(payload))
-        basis = bits[8 * basis_at : 8 * basis_at + k]
-        n_x = basis.weight()
+        raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
+        basis = raw[8 * basis_at : 8 * basis_at + k]
+        n_x = np.count_nonzero(basis)
         if _column_end(payload, x_at, n_x) != len(payload):
             raise WireError("trailing bytes in block disclosure")
-        raw = bits.to_array()
         # 0/1 bytes viewed as bool: nonzero search is faster on bool.
         ones = raw[8 * high_at : 8 * high_at + high_len].view(bool).nonzero()[0]
         if len(ones) != k:
@@ -224,22 +260,7 @@ class BobBlockDisclosure(_Block):
         low = raw[96 : 96 + low_bits * k].reshape(low_bits, k)
         planes = np.left_shift(low, shifts, dtype=shifts.dtype)
         offsets = (ones - np.arange(k)) << low_bits | np.bitwise_or.reduce(planes, axis=0)
-        x_outcomes = bits[8 * x_at : 8 * x_at + n_x]
-        return cls(j, m, _read_only(clicked_offsets(offsets, m)), basis, x_outcomes)
-
-
-def _column(name: str, column, top: int) -> np.ndarray:
-    """A 1-d column of integers in [0, top] as uint8; ``WireError`` otherwise."""
-    column = np.asarray(column)
-    if column.ndim != 1:
-        raise WireError(f"{name} column must be 1-d")
-    if column.size and (
-        column.dtype.kind not in "biu"
-        # Viewed as unsigned, a negative value lies above top as well.
-        or column.view(f"u{column.itemsize}").max() > top
-    ):
-        raise WireError(f"{name} column out of range")
-    return column.astype(np.uint8)
+        return cls(j, m, offsets, basis, raw[8 * x_at : 8 * x_at + n_x])
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +271,9 @@ class AliceBlockDisclosure(_Block):
     the named rounds in ascending round order; ``value`` holds Alice's bit
     on the matched X rounds only, whose bits feed the public error tally.
     Which rounds those are follows from ``alpha`` and Bob's own bases, so
-    the reply carries no offsets. Build it with :meth:`from_columns`,
-    which refuses values that do not fit their field.
+    the reply carries no offsets. The constructor takes any 1-d integer
+    columns and refuses with ``WireError`` a value that does not fit its
+    field or an ``alpha`` whose length differs from ``omega``'s.
 
     Layout: ``<III`` j, the record count and the number of value bits,
     then three bit columns: ``omega`` as two bits per record (bit 2i is the
@@ -263,33 +285,26 @@ class AliceBlockDisclosure(_Block):
     TAG: ClassVar[int] = 2
     j: int
     omega: np.ndarray
-    alpha: BitString
-    value: BitString
+    alpha: np.ndarray
+    value: np.ndarray
 
-    @classmethod
-    def from_columns(cls, j: int, omega, alpha, value) -> "AliceBlockDisclosure":
-        """Check three columns and wrap them into a reply."""
-        omega = _column("omega", omega, 2)
-        alpha = _column("alpha", alpha, 1)
+    def __post_init__(self) -> None:
+        omega = _column("intensity index", self.omega, 2)
+        alpha = _column("alpha", self.alpha, 1)
         if len(omega) != len(alpha):
             raise WireError("omega and alpha must cover the same rounds")
-        value = _column("value", value, 1)
-        return cls(
-            j, _read_only(omega), BitString.from_array(alpha), BitString.from_array(value)
-        )
+        self._own(omega=omega, alpha=alpha, value=_column("value", self.value, 1))
 
     def encode(self) -> bytes:
-        omega = _column("omega", self.omega, 2)
-        if len(self.alpha) != len(omega):
-            raise WireError("omega and alpha must cover the same rounds")
+        omega = self.omega
         omega_bits = np.empty((len(omega), 2), dtype=np.uint8)
         omega_bits[:, 0] = omega & 1
         omega_bits[:, 1] = omega >> 1
         return b"".join((
             _pack("<III", self.j, len(omega), len(self.value)),
             _packed(omega_bits),
-            self.alpha.to_bytes(),
-            self.value.to_bytes(),
+            _packed(self.alpha),
+            _packed(self.value),
         ))
 
     @classmethod
@@ -303,14 +318,14 @@ class AliceBlockDisclosure(_Block):
         alpha_at = _column_end(payload, 12, 2 * count)
         value_at = _column_end(payload, alpha_at, count)
         _column_end(payload, value_at, n_values)
-        bits = BitString.from_bytes(payload, 8 * len(payload))
-        pairs = bits.to_array()[96 : 96 + 2 * count].reshape(count, 2)
-        omega = pairs[:, 0] + 2 * pairs[:, 1]
-        if omega.max(initial=0) > 2:
-            raise WireError("intensity index out of range")
-        alpha = bits[8 * alpha_at : 8 * alpha_at + count]
-        value = bits[8 * value_at : 8 * value_at + n_values]
-        return cls(j, _read_only(omega), alpha, value)
+        raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
+        pairs = raw[96 : 96 + 2 * count].reshape(count, 2)
+        return cls(
+            j,
+            pairs[:, 0] + 2 * pairs[:, 1],
+            raw[8 * alpha_at : 8 * alpha_at + count],
+            raw[8 * value_at : 8 * value_at + n_values],
+        )
 
 
 class _Scalar:

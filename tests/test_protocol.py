@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsbb84.channel
+import dsbb84.protocol
+import dsbb84.wire
 from dsbb84.bounds import expected_observables
 from dsbb84.channel import (
     BlockSource,
@@ -311,14 +313,11 @@ def test_alice_rejects_out_of_order_messages():
 
 @pytest.mark.parametrize("field", ["basis", "x_outcomes"])
 def test_alice_rejects_disclosure_one_bit_short(field):
-    """A misshapen disclosure fails closed and leaves Alice's tally as it was."""
+    """A misshapen disclosure cannot be built, so Alice never sees one."""
     alice, bob = build_machines(SMALL, CLEAN, seed=1)
     disclosure = bob.outbox.pop(0)
-    short = dataclasses.replace(
-        disclosure, **{field: getattr(disclosure, field)[:-1]}
-    )
-    with pytest.raises(ProtocolError):
-        alice.handle(short)
+    with pytest.raises(WireError):
+        dataclasses.replace(disclosure, **{field: getattr(disclosure, field)[:-1]})
     assert not alice.outbox
     alice.handle(disclosure)
     assert len(alice.outbox) == 1
@@ -339,10 +338,15 @@ def test_alice_rejects_misshapen_clicked_set(change):
     alice, bob = build_machines(SMALL, CLEAN, seed=1)
     disclosure = bob.outbox.pop(0)
     if "offsets" in change:
+        # The message itself cannot hold such a set; the session's m is
+        # what only Alice knows.
         n = change["offsets"].size
-        change = dict(change, basis=BitString.zeros(n), x_outcomes=BitString.zeros(0))
-    with pytest.raises(ProtocolError):
-        alice.handle(dataclasses.replace(disclosure, **change))
+        change = dict(change, basis=np.zeros(n, dtype=np.uint8), x_outcomes=[])
+        with pytest.raises(WireError):
+            dataclasses.replace(disclosure, **change)
+    else:
+        with pytest.raises(ProtocolError):
+            alice.handle(dataclasses.replace(disclosure, **change))
     assert not alice.outbox
     alice.handle(disclosure)
     assert len(alice.outbox) == 1
@@ -356,16 +360,16 @@ def test_bob_rejects_out_of_order_messages():
         bob.handle(SiftAnnounce(n_sift=100, proceed=True))
 
 
-# The message types each state of a keyed session accepts. Bob also takes
-# End wherever Alice may end the session early.
+# The message types each state of a keyed session accepts. Alice sends End
+# only after a message that leaves Bob in "end", so no other state takes it.
 ACCEPTED = {
     ("alice", "blocks"): {BobBlockDisclosure},
     ("alice", "verify"): {VerifyResult},
     ("bob", "blocks"): {AliceBlockDisclosure},
-    ("bob", "sift"): {SiftAnnounce, End},
-    ("bob", "syndrome"): {Syndrome, End},
+    ("bob", "sift"): {SiftAnnounce},
+    ("bob", "syndrome"): {Syndrome},
     ("bob", "verify"): {VerifyHash},
-    ("bob", "pa"): {PaSeed, End},
+    ("bob", "pa"): {PaSeed},
     ("bob", "end"): {End},
 }
 
@@ -407,6 +411,25 @@ def test_every_state_refuses_every_message_it_does_not_accept():
         + bob.result.key.to_bytes()
     )
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SESSION_DIGEST
+
+
+@pytest.mark.parametrize("state", ["syndrome", "pa"])
+def test_bob_refuses_end_before_the_session_ends(state):
+    """An End that comes before Bob reaches "end" is refused and leaves him
+    as he was, so the session still ends with equal keys."""
+    alice, bob = build_machines(SMALL, CLEAN, seed=42)
+    offered = []
+
+    def offer_end(msg):
+        if bob._state == state and not offered:
+            offered.append(state)
+            with pytest.raises(ProtocolError):
+                bob.handle(End())
+            assert bob._state == state and bob.result is None
+
+    pump(alice, bob, offer_end)
+    assert offered
+    assert bob.result.abort_reason is None and bob.result.key == alice.result.key
 
 
 def test_bob_rejects_wrong_sift_announcement():
@@ -517,8 +540,8 @@ def mutate_reply(msg, where, field, value):
     """Rewrite one entry of Alice's reply, drop one record, or drop or add
     one value bit, keeping the reply decodable."""
     omega = msg.omega.astype(np.int64)
-    alpha = msg.alpha.to_array().astype(np.int64)
-    bits = msg.value.to_array().astype(np.int64)
+    alpha = msg.alpha.astype(np.int64)
+    bits = msg.value.astype(np.int64)
     i = int(where * len(omega))
     v = int(where * len(bits))
     if field == "drop":
@@ -531,7 +554,7 @@ def mutate_reply(msg, where, field, value):
         bits[v] = value
     elif field in ("omega", "alpha"):
         {"omega": omega, "alpha": alpha}[field][i] = value
-    mutated = AliceBlockDisclosure.from_columns(msg.j, omega, alpha, bits)
+    mutated = AliceBlockDisclosure(msg.j, omega, alpha, bits)
     return decode_message(encode_message(mutated))[0]
 
 
@@ -716,6 +739,91 @@ def test_honest_session_draws_each_block_once_and_clicks_only(monkeypatch):
     )
 
 
+def test_one_offset_check_per_disclosure(monkeypatch):
+    calls = []
+    real = dsbb84.wire.clicked_offsets
+
+    def counting(offsets, m):
+        calls.append(m)
+        return real(offsets, m)
+
+    # Every module that holds the check under its own name.
+    for module in (dsbb84.wire, dsbb84.protocol):
+        if hasattr(module, "clicked_offsets"):
+            monkeypatch.setattr(module, "clicked_offsets", counting)
+    run_protocol(SMALL, CLEAN, seed=42)
+    # One when Bob builds each disclosure, one when the decoder rebuilds it.
+    assert len(calls) == 2 * SMALL.n_block
+
+
+class FlippedSource(BlockSource):
+    """A session's blocks with Alice's bit flipped on the first matched-Z
+    round, the first round of her sifted key."""
+
+    def __init__(self, constants, channel, seed):
+        super().__init__(constants, channel, seed)
+        for j in range(constants.n_block):
+            block = super().__call__(j)
+            matched_z = np.flatnonzero((block.alpha == 0) & (block.beta == 0))
+            if len(matched_z):
+                self.flip = (j, matched_z[0])
+                break
+
+    def __call__(self, j):
+        block = super().__call__(j)
+        if j != self.flip[0]:
+            return block
+        a = block.a.copy()
+        a[self.flip[1]] ^= 1
+        return dataclasses.replace(block, a=a)
+
+
+def session_frames(constants, channel, seed, blocks):
+    """Alice's judgement and the (message, bytes) of each transcript frame
+    of a session run on the block source ``blocks``."""
+    expected = expected_observables(constants, channel)
+    alice = AliceMachine(constants, blocks, expected, generator(seed, 3))
+    transport = InProcessTransport(alice, BobMachine(constants, blocks, expected))
+    transport.run()
+    frames, offset = [], 0
+    while offset < len(transport.transcript):
+        start = offset
+        msg, offset = decode_message(transport.transcript, offset)
+        frames.append((msg, bytes(transport.transcript[start:offset])))
+    return alice.security, frames
+
+
+@pytest.mark.parametrize(
+    "constants, channel, abort", [(SMALL, CLEAN, False), (LOSSY, FIBER, True)],
+    ids=["keyed", "length-abort"],
+)
+def test_transcript_discloses_what_the_accounting_subtracts(constants, channel, abort):
+    """Two sessions whose Alice differs in one bit of her sifted key send
+    the same frames up to the syndrome. The syndrome and the verification
+    digest then differ only in their bits, which are the n_ec and n_verify
+    bits the final length subtracts; a session that aborts at the length
+    judgement sends no frame that differs."""
+    for seed in range(10):
+        shape = (constants, channel, seed)
+        sec, honest = session_frames(*shape, BlockSource(*shape))
+        _, flipped = session_frames(*shape, FlippedSource(*shape))
+        assert sec.abort == abort
+        if abort:
+            assert [raw for _, raw in flipped] == [raw for _, raw in honest]
+            continue
+        at = next(i for i, (msg, _) in enumerate(honest) if isinstance(msg, Syndrome))
+        assert [raw for _, raw in flipped[:at]] == [raw for _, raw in honest[:at]]
+        (syndrome, _), (digest, _) = honest[at : at + 2]
+        (syndrome2, _), (digest2, _) = flipped[at : at + 2]
+        assert syndrome2.code_seed == syndrome.code_seed and digest2.seed == digest.seed
+        assert syndrome2.bits != syndrome.bits
+        assert len(syndrome2.bits) == len(syndrome.bits) == sec.n_ec
+        assert len(digest2.digest) == len(digest.digest) == constants.n_verify
+        (sift,) = (msg for msg, _ in honest if isinstance(msg, SiftAnnounce))
+        (pa,) = (msg for msg, _ in honest if isinstance(msg, PaSeed))
+        assert pa.n_fin == sift.n_sift - sec.n_pa - len(syndrome.bits) - len(digest.digest)
+
+
 def disclosure_naming(disclosure, block, extra):
     """Bob's disclosure with the unclicked rounds ``extra`` named as well,
     in basis X with outcome 1; the clicked rounds keep Bob's basis and
@@ -725,13 +833,8 @@ def disclosure_naming(disclosure, block, extra):
     basis = np.ones(len(named), dtype=np.uint8)
     basis[real] = block.beta
     outcomes = np.ones(np.count_nonzero(basis), dtype=np.uint8)
-    outcomes[real[basis == 1]] = disclosure.x_outcomes.to_array()
-    forged = dataclasses.replace(
-        disclosure,
-        offsets=named,
-        basis=BitString.from_array(basis),
-        x_outcomes=BitString.from_array(outcomes),
-    )
+    outcomes[real[basis == 1]] = disclosure.x_outcomes
+    forged = dataclasses.replace(disclosure, offsets=named, basis=basis, x_outcomes=outcomes)
     return forged, named, basis
 
 
@@ -747,13 +850,13 @@ def test_reply_to_a_disclosure_naming_unclicked_rounds():
         alice.handle(forged)
         (reply,) = alice.outbox
         replies.append(encode_message(reply))
-        omega, alpha = reply.omega, reply.alpha.to_array()
+        omega, alpha = reply.omega, reply.alpha
         assert len(omega) == len(alpha) == len(named)
         assert omega.max() <= 2
         # Alice's bit goes out on exactly the matched X rounds.
         matched_x = (alpha == 1) & (basis == 1)
         _, _, a = block.alice_settings(named)
-        assert np.array_equal(reply.value.to_array(), a[matched_x])
+        assert np.array_equal(reply.value, a[matched_x])
         real = np.isin(named, block.offsets)
         assert np.array_equal(omega[real], block.omega_idx)
         assert np.array_equal(alpha[real], block.alpha)

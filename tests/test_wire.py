@@ -31,9 +31,7 @@ from dsbb84.wire import (
 
 def bob(j, m, offsets, basis, x_outcomes):
     """Bob's disclosure from plain lists."""
-    return BobBlockDisclosure(
-        j, m, np.array(offsets, dtype=np.int64), BitString(basis), BitString(x_outcomes)
-    )
+    return BobBlockDisclosure(j, m, np.array(offsets, dtype=np.int64), basis, x_outcomes)
 
 
 def roundtrip(msg):
@@ -140,7 +138,8 @@ def clicked_sets(draw):
 
 def clicked_set_bytes(msg):
     """Bytes of the clicked set: the payload less header, basis and outcomes."""
-    return len(msg.encode()) - 12 - len(msg.basis.to_bytes()) - len(msg.x_outcomes.to_bytes())
+    columns = (len(msg.basis) + 7) // 8 + (len(msg.x_outcomes) + 7) // 8
+    return len(msg.encode()) - 12 - columns
 
 
 @given(clicked_sets())
@@ -235,15 +234,15 @@ def test_bob_disclosure_refuses_bad_offsets_on_encode():
         with pytest.raises(WireError):
             bob(0, m, offsets, [0] * len(offsets), []).encode()
     with pytest.raises(WireError):
-        BobBlockDisclosure(0, 10, np.array([0.5]), BitString([0]), BitString([])).encode()
+        BobBlockDisclosure(0, 10, np.array([0.5]), [0], []).encode()
 
 
 def test_alice_disclosure_roundtrip():
-    msg = AliceBlockDisclosure.from_columns(2, [0, 1, 2], [0, 1, 1], [1])
+    msg = AliceBlockDisclosure(2, [0, 1, 2], [0, 1, 1], [1])
     decoded = roundtrip(msg)
     assert decoded.omega.tolist() == [0, 1, 2]
-    assert decoded.alpha == BitString([0, 1, 1])
-    assert decoded.value == BitString([1])
+    assert decoded.alpha.tolist() == [0, 1, 1]
+    assert decoded.value.tolist() == [1]
     assert not decoded.omega.flags.writeable
 
 
@@ -251,14 +250,14 @@ def test_alice_disclosure_byte_layout():
     # <III block index, record count and value-bit count; then omega as
     # two bits per record (low bit first), alpha and the matched-X value
     # bits, each LSB-first and padded with zero bits to a whole byte.
-    msg = AliceBlockDisclosure.from_columns(
+    msg = AliceBlockDisclosure(
         2, [0, 1, 2, 1, 2], [0, 1, 1, 0, 1], [1, 0]
     )
     assert msg.encode() == (
         b"\x02\x00\x00\x00" b"\x05\x00\x00\x00" b"\x02\x00\x00\x00"
         b"\x64\x02" b"\x16" b"\x01"
     )
-    empty = AliceBlockDisclosure.from_columns(7, [], [], [])
+    empty = AliceBlockDisclosure(7, [], [], [])
     assert empty.encode() == b"\x07\x00\x00\x00" + bytes(8)
 
 
@@ -284,11 +283,9 @@ def test_alice_disclosure_validation():
     with pytest.raises(WireError):
         AliceBlockDisclosure.decode(b"\x00" * 9)
     with pytest.raises(WireError):
-        AliceBlockDisclosure(0, np.array([3], dtype=np.uint8), BitString([0]),
-                             BitString([])).encode()
+        AliceBlockDisclosure(0, np.array([3], dtype=np.uint8), [0], []).encode()
     with pytest.raises(WireError):
-        AliceBlockDisclosure(0, np.array([0, 1], dtype=np.uint8), BitString([0]),
-                             BitString([])).encode()
+        AliceBlockDisclosure(0, np.array([0, 1], dtype=np.uint8), [0], []).encode()
 
 
 @pytest.mark.parametrize(
@@ -307,26 +304,59 @@ def test_alice_disclosure_validation():
 )
 def test_alice_columns_refuse_values_that_do_not_fit(columns):
     with pytest.raises(WireError):
-        AliceBlockDisclosure.from_columns(0, *columns)
+        AliceBlockDisclosure(0, *columns)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        ([2, 0], []),
+        ([1, 0], [2]),
+        ([-1, 0], []),
+        ([1, 0], [-1]),
+        ([0.5, 0], []),
+        ([1, 0], [0.5]),
+        ([[0, 0]], []),
+        ([1, 0], [[1]]),
+        ([0], []),
+        ([1, 1], [1]),
+        ([0, 0], [1]),
+    ],
+    ids=["basis-high", "x-high", "basis-negative", "x-negative", "basis-fraction",
+         "x-fraction", "basis-2-d", "x-2-d", "basis-short", "x-short", "x-long"],
+)
+def test_bob_columns_refuse_values_that_do_not_fit(columns):
+    with pytest.raises(WireError):
+        BobBlockDisclosure(0, 10, [0, 3], *columns)
+
+
+def test_block_messages_keep_read_only_copies_of_their_columns():
+    bob_columns = (np.array([1, 4]), np.array([1, 0], dtype=np.int8), np.array([1], np.int8))
+    alice_columns = (np.array([2, 0], dtype=np.int8), np.array([1, 0]), np.array([0], np.uint8))
+    bob_msg = BobBlockDisclosure(0, 10, *bob_columns)
+    alice_msg = AliceBlockDisclosure(0, *alice_columns)
+    kept = (bob_msg.offsets, bob_msg.basis, bob_msg.x_outcomes,
+            alice_msg.omega, alice_msg.alpha, alice_msg.value)
+    for given_column, column in zip(bob_columns + alice_columns, kept):
+        assert given_column.flags.writeable and not column.flags.writeable
+        assert not np.shares_memory(given_column, column)
+        assert np.array_equal(given_column, column)
 
 
 def test_alice_disclosure_refuses_foreign_record_arrays():
     with pytest.raises(WireError):
-        AliceBlockDisclosure(0, np.zeros(2, dtype=np.float64), BitString([0, 0]),
-                             BitString([])).encode()
+        AliceBlockDisclosure(0, np.zeros(2, dtype=np.float64), [0, 0], []).encode()
     square = np.zeros((2, 2), dtype=np.uint8)
     with pytest.raises(WireError):
-        AliceBlockDisclosure(0, square, BitString([0, 0]), BitString([])).encode()
-    with pytest.raises(WireError):
-        AliceBlockDisclosure.from_columns(0, square, [0, 0], [])
+        AliceBlockDisclosure(0, square, [0, 0], []).encode()
 
 
 @pytest.mark.parametrize(
     "msg",
     [
-        BobBlockDisclosure(2**32, 1, np.array([0]), BitString([0]), BitString([])),
-        BobBlockDisclosure(0, 2**32, np.array([0]), BitString([0]), BitString([])),
-        AliceBlockDisclosure.from_columns(-1, [], [], []),
+        BobBlockDisclosure(2**32, 1, np.array([0]), [0], []),
+        BobBlockDisclosure(0, 2**32, np.array([0]), [0], []),
+        AliceBlockDisclosure(-1, [], [], []),
         SiftAnnounce(n_sift=-1, proceed=True),
         Syndrome(BitString([1]), code_seed=2**64),
         VerifyHash(seed=-1, digest=BitString([1])),
@@ -350,7 +380,7 @@ def alice_replies(draw, max_records=40):
     alpha = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     value = draw(st.lists(st.integers(0, 1), max_size=n))
     j = draw(st.integers(0, 2**32 - 1))
-    return AliceBlockDisclosure.from_columns(j, omega, alpha, value)
+    return AliceBlockDisclosure(j, omega, alpha, value)
 
 
 @st.composite
