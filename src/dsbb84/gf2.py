@@ -10,7 +10,7 @@ index 0 first, which :meth:`BitString.to_array` hands out without a copy;
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -19,14 +19,6 @@ class BitString:
     """Immutable bit sequence, index 0 first, packed LSB-first into bytes."""
 
     __slots__ = ("_bits",)
-
-    def __init__(self, bits: Iterable[int] = ()):
-        bits = list(bits)
-        for bit in bits:
-            if bit not in (0, 1):
-                raise ValueError(f"bit values must be 0 or 1, got {bit!r}")
-        self._bits = np.array(bits, dtype=np.uint8)
-        self._bits.flags.writeable = False
 
     @classmethod
     def _wrap(cls, bits: np.ndarray) -> "BitString":

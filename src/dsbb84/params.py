@@ -147,7 +147,8 @@ class ProtocolConstants:
         mu: mean photon number per intensity label, mu_S > mu_D > mu_V >= 0.
         p_basis_alice: sender probability of choosing the Z basis.
         p_basis_bob: receiver probability of choosing the Z basis.
-        n_verify: output length of the error-verification hash, in bits.
+        n_verify: output length of the error-verification hash, in bits,
+            at least 1, so that eps_correct = 2^-n_verify is below one.
         e_bit_assumed: bit-error rate the syndrome length is provisioned for.
         eps_secrecy: secrecy parameter; the concentration budget is split
             across seven events as 4 * eps^2/32 + 3 * eps^2/24 = eps^2/4.
@@ -203,8 +204,8 @@ class ProtocolConstants:
         ):
             if not 0.0 < prob < 1.0:
                 raise ConfigurationError(f"{name} must lie in (0, 1), got {prob}")
-        if self.n_verify < 0:
-            raise ConfigurationError("n_verify must be nonnegative")
+        if self.n_verify < 1:
+            raise ConfigurationError("n_verify must be at least 1")
         if not 0.0 <= self.e_bit_assumed <= 0.5:
             raise ConfigurationError("e_bit_assumed must lie in [0, 1/2]")
         if not 0.0 < self.eps_secrecy < 1.0:

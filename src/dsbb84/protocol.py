@@ -9,20 +9,25 @@ plus her bit on matched X rounds only. After the last block Alice judges
 the final length from the announced counts, and on proceed runs syndrome
 disclosure, verification hashing and privacy amplification.
 
-The two machines share one skeleton, ``_Party``. Each declares a state
-table, ``HANDLERS`` (state -> message type -> handler), and the one
-``handle`` dispatches on it: any other message is a ``ProtocolError`` that
-leaves the machine as it was. Both apply one tally rule
+The two machines share one skeleton, ``_Party``. A party expects one
+message type at a time, ``_expect``, and the one ``handle`` passes that
+type to its handler in ``HANDLERS`` (message type -> handler); any other
+message, or any message once the party is done, is a ``ProtocolError``
+that leaves the machine as it was. Both apply one tally rule
 (``_CountAccumulator.add_block``), reach their verdict with one
 ``judge_length``, and end in one ``_finish`` that builds the
 ``KeyMaterial`` record.
 
+A party finishes on the message that decides its outcome: Alice on
+sending an aborting ``SiftAnnounce`` or ``PaSeed``, or on receiving
+``VerifyResult``; Bob on receiving an aborting ``SiftAnnounce`` or
+``PaSeed``, or on sending a failing ``VerifyResult``. A session that aborts
+names one of ABORT_REASONS.
+
 A message's own shape is ``wire``'s job: a malformed message can be
 neither built nor decoded. A machine raises ``ProtocolError`` only for what
 a message cannot know of itself: the block order, the session's ``m``, the
-receiver's own counts and its state.
-
-A session that aborts names one of ABORT_REASONS.
+receiver's own counts and the type it expects next.
 
 Both sides recompute the security accounting from the same pre-agreed
 expected observables, so a disagreement on any announced quantity is a
@@ -51,7 +56,6 @@ from .params import ProtocolConstants
 from .wire import (
     AliceBlockDisclosure,
     BobBlockDisclosure,
-    End,
     PaSeed,
     SiftAnnounce,
     Syndrome,
@@ -141,12 +145,12 @@ class _CountAccumulator:
 
 
 class _Party:
-    """What both machines share: state-table dispatch, the tally, the
+    """What both machines share: expected-type dispatch, the tally, the
     length judgement and the key record."""
 
     role: str
-    # state -> {message type: handler}. A state not listed, such as
-    # "done", accepts nothing.
+    # message type -> handler, in delivery order: a party starts out
+    # expecting the first.
     HANDLERS: dict
 
     def __init__(
@@ -160,24 +164,26 @@ class _Party:
         self.expected = expected
         self._acc = _CountAccumulator()
         self._next_block = 0
-        self._state = "blocks"
+        # The one message type accepted next; None once the party is done.
+        self._expect: Optional[type] = next(iter(self.HANDLERS))
         self.outbox: list = []
         self.result: Optional[KeyMaterial] = None
         self.security: Optional[SecurityResult] = None
         self._sifted: Optional[BitString] = None
+        # Decoder telemetry, as KeyMaterial's ec_* fields; Bob's alone.
+        self._ec: dict = {}
 
     @property
     def done(self) -> bool:
-        return self._state == "done"
+        return self._expect is None
 
     def handle(self, msg) -> None:
-        handler = self.HANDLERS.get(self._state, {}).get(type(msg))
-        if handler is None:
+        if type(msg) is not self._expect:
+            expects = getattr(self._expect, "__name__", "nothing")
             raise ProtocolError(
-                f"{self.role} in state {self._state} cannot accept "
-                f"{type(msg).__name__}"
+                f"{self.role} expects {expects}, cannot accept {type(msg).__name__}"
             )
-        handler(self, msg)
+        self.HANDLERS[self._expect](self, msg)
 
     def _judge_length(self) -> None:
         """Close the tally: keep the sifted key and judge its final length."""
@@ -186,11 +192,11 @@ class _Party:
             self.constants, self._acc.observables(), self.expected
         )
 
-    def _finish(self, reason: Optional[str], key=None, **ec) -> None:
+    def _finish(self, reason: Optional[str], key=None) -> None:
         self.result = KeyMaterial(
-            self.role, reason, key, self._acc.observables(), self.security, **ec
+            self.role, reason, key, self._acc.observables(), self.security, **self._ec
         )
-        self._state = "done"
+        self._expect = None
 
 
 class AliceMachine(_Party):
@@ -238,7 +244,6 @@ class AliceMachine(_Party):
         sec = self.security
         self.outbox.append(SiftAnnounce(sec.n_sift, proceed=not sec.abort))
         if sec.abort:
-            self.outbox.append(End())
             self._finish(ABORT_LENGTH)
             return
         code_seed = self._draw_seed()
@@ -252,20 +257,19 @@ class AliceMachine(_Party):
         verify_seed = self._draw_seed()
         digest = verify_hash(self._sifted, verify_seed, self.constants.n_verify)
         self.outbox.append(VerifyHash(verify_seed, digest))
-        self._state = "verify"
+        self._expect = VerifyResult
 
     def _handle_verify(self, msg: VerifyResult) -> None:
         if not msg.ok:
-            self.outbox.append(End())
             self._finish(ABORT_VERIFY)
             return
         pa_seed, n_fin = self._draw_seed(), self.security.n_fin
-        self.outbox += (PaSeed(pa_seed, n_fin), End())
+        self.outbox.append(PaSeed(pa_seed, n_fin))
         self._finish(None, pa_hash(self._sifted, pa_seed, n_fin))
 
     HANDLERS = {
-        "blocks": {BobBlockDisclosure: _handle_block},
-        "verify": {VerifyResult: _handle_verify},
+        BobBlockDisclosure: _handle_block,
+        VerifyResult: _handle_verify,
     }
 
 
@@ -283,10 +287,6 @@ class BobMachine(_Party):
     ):
         super().__init__(constants, blocks, expected)
         self._corrected: Optional[BitString] = None
-        # Decoder telemetry, as KeyMaterial's ec_* fields.
-        self._ec: dict = {}
-        # (abort reason, key) that End closes the session with.
-        self._ending: tuple = (ABORT_LENGTH, None)
         self._emit_disclosure(0)
 
     def _emit_disclosure(self, j: int) -> None:
@@ -309,7 +309,7 @@ class BobMachine(_Party):
         if self._next_block < self.constants.n_block:
             self._emit_disclosure(self._next_block)
         else:
-            self._state = "sift"
+            self._expect = SiftAnnounce
 
     def _handle_sift(self, msg: SiftAnnounce) -> None:
         if msg.n_sift != self._acc.observables().n_sift:
@@ -317,7 +317,10 @@ class BobMachine(_Party):
         self._judge_length()
         if msg.proceed == self.security.abort:
             raise ProtocolError("length judgement disagrees with announcement")
-        self._state = "syndrome" if msg.proceed else "end"
+        if msg.proceed:
+            self._expect = Syndrome
+        else:
+            self._finish(ABORT_LENGTH)
 
     def _handle_syndrome(self, msg: Syndrome) -> None:
         sec = self.security
@@ -336,32 +339,28 @@ class BobMachine(_Party):
                 "ec_iterations": iterations,
                 "ec_error_weight": (self._corrected ^ self._sifted).weight(),
             }
-        self._state = "verify"
+        self._expect = VerifyHash
 
     def _handle_verify(self, msg: VerifyHash) -> None:
         own = verify_hash(self._corrected, msg.seed, self.constants.n_verify)
         ok = own == msg.digest
         self.outbox.append(VerifyResult(ok))
-        self._state = "pa" if ok else "end"
-        if not ok:
-            self._ending = (ABORT_VERIFY, None)
+        if ok:
+            self._expect = PaSeed
+        else:
+            self._finish(ABORT_VERIFY)
 
     def _handle_pa(self, msg: PaSeed) -> None:
         if msg.n_fin != self.security.n_fin:
             raise ProtocolError("final length disagrees with own computation")
-        self._ending = (None, pa_hash(self._corrected, msg.seed, msg.n_fin))
-        self._state = "end"
-
-    def _handle_end(self, msg: End) -> None:
-        self._finish(*self._ending, **self._ec)
+        self._finish(None, pa_hash(self._corrected, msg.seed, msg.n_fin))
 
     HANDLERS = {
-        "blocks": {AliceBlockDisclosure: _handle_block_reply},
-        "sift": {SiftAnnounce: _handle_sift},
-        "syndrome": {Syndrome: _handle_syndrome},
-        "verify": {VerifyHash: _handle_verify},
-        "pa": {PaSeed: _handle_pa},
-        "end": {End: _handle_end},
+        AliceBlockDisclosure: _handle_block_reply,
+        SiftAnnounce: _handle_sift,
+        Syndrome: _handle_syndrome,
+        VerifyHash: _handle_verify,
+        PaSeed: _handle_pa,
     }
 
 
@@ -404,10 +403,7 @@ class InProcessTransport:
             raw = encode_message(sender.outbox.pop(0))
             self.transcript += raw
             msg, _ = decode_message(raw)
-            if not receiver.done:
-                receiver.handle(msg)
-            elif not isinstance(msg, End):
-                raise ProtocolError("message to a finished party")
+            receiver.handle(msg)
             moved += 1
         return moved
 

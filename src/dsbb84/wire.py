@@ -6,7 +6,7 @@ covers the version, the tag and the payload. A frame of any other version
 is refused. All integers are little-endian and unsigned; a field that does
 not fit its width raises ``WireError`` on encode, never wraps.
 
-The six scalar messages (``SiftAnnounce`` to ``End``) each declare one
+The five scalar messages (``SiftAnnounce`` to ``PaSeed``) each declare one
 struct format and share one codec: the payload is the fixed-width fields
 in declaration order, then, if the message has one, its bit string as a
 u64 bit length followed by the LSB-first packed bytes.
@@ -32,7 +32,9 @@ Every encoding is canonical: a decoder refuses any form the encoder would
 not have produced, so a frame that decodes re-encodes to its own bytes.
 
 The authenticated classical channel is assumed, not modeled: frames carry
-no MAC. The transcript of a session is the concatenation of its frames.
+no MAC. The transcript of a session is the concatenation of its frames;
+no frame closes it, since each party finishes on the message that decides
+its outcome.
 """
 
 from __future__ import annotations
@@ -409,12 +411,6 @@ class PaSeed(_Scalar):
     n_fin: int
 
 
-@dataclass(frozen=True)
-class End(_Scalar):
-    TAG: ClassVar[int] = 8
-    FORMAT: ClassVar[str] = "<"
-
-
 MESSAGE_TYPES = {
     cls.TAG: cls
     for cls in (
@@ -425,7 +421,6 @@ MESSAGE_TYPES = {
         VerifyHash,
         VerifyResult,
         PaSeed,
-        End,
     )
 }
 

@@ -1,11 +1,12 @@
 """Reference implementations and oracles that the tests check against.
 
-Nothing in ``src`` uses these: a dense GF(2) matrix with integer-bitset
-rows, the explicit matrix of a modified Toeplitz hash, a belief-propagation
-decoder written with one fresh array per step, the intensity and
-photon-number probabilities written out one value at a time, a chi-square
-check, a generator of random length-computation scenarios, the Fock-state
-click oracle, the ground-truth scoring of the single-photon floor and
+Nothing in ``src`` uses these: ``bits``, which builds a test bit string
+from a list, a dense GF(2) matrix with integer-bitset rows, the explicit
+matrix of a modified Toeplitz hash, a belief-propagation decoder written
+with one fresh array per step, the intensity and photon-number
+probabilities written out one value at a time, a chi-square check, a
+generator of random length-computation scenarios, the Fock-state click
+oracle, the ground-truth scoring of the single-photon floor and
 phase-error ceiling, a forced-mismatch attack on the verification hash,
 and the click-only sampler as first written, with ``Generator.choice``.
 """
@@ -49,6 +50,11 @@ from dsbb84.params import (
 from dsbb84.protocol import _CountAccumulator
 
 
+def bits(values: Iterable[int]) -> BitString:
+    """A bit string of the 0/1 ``values``, index 0 first."""
+    return BitString.from_array(np.array(list(values), dtype=np.uint8))
+
+
 def word(bits: BitString) -> int:
     """The bits as a non-negative integer, bit ``j`` being index ``j``."""
     return int.from_bytes(bits.to_bytes(), "little")
@@ -74,7 +80,7 @@ class Gf2Matrix:
         for row in dense:
             if len(row) != n_cols:
                 raise ValueError("ragged rows")
-            rows.append(word(BitString(row)))
+            rows.append(word(bits(row)))
         return cls(rows, n_cols)
 
     @property

@@ -319,6 +319,24 @@ def test_scan_non_integer_value_of_integer_field_is_config_error(
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_zero_verification_length_is_config_error(config_files, tmp_path, capsys):
+    """n_verify = 0 would make eps_correct 1 and let both sides accept
+    different keys, so a config file or a sweep that sets it exits 2."""
+    path = tmp_path / "no_verify.json"
+    path.write_text(json.dumps(dict(SMALL_CONSTANTS, n_verify=0)))
+    channel = ["--channel", config_files["small_channel"]]
+    for argv in (
+        ["keyrate", "--constants", str(path)],
+        ["simulate", "--constants", str(path), "--seed", "1"],
+        ["scan", "--constants", config_files["small_constants"],
+         "--param", "n_verify", "--values", "0,16"],
+    ):
+        assert main(argv + channel) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: n_verify must be at least 1" in captured.err
+        assert "n_fin" not in captured.out
+
+
 def test_keyrate_computes_expected_observables_once(
     config_files, monkeypatch, capsys
 ):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsbb84.gf2 import BitString
-from reference import Gf2Matrix, word as word_of
+from reference import Gf2Matrix, bits as bits_of, word as word_of
 
 
 def test_bitstring_construction_and_access():
-    b = BitString([1, 0, 1, 1, 0, 0, 1])
+    b = bits_of([1, 0, 1, 1, 0, 0, 1])
     assert len(b) == 7
     assert word_of(b) == 0b1001101
     assert b[0] == 1 and b[1] == 0 and b[-1] == 1
@@ -18,17 +18,15 @@ def test_bitstring_construction_and_access():
 
 def test_bitstring_rejects_bad_input():
     with pytest.raises(ValueError):
-        BitString([0, 2, 1])
-    with pytest.raises(ValueError):
         BitString.from_int(0b100, 2)
     with pytest.raises(ValueError):
         BitString.from_int(-1, 4)
     with pytest.raises(IndexError):
-        BitString([1, 0])[2]
+        bits_of([1, 0])[2]
 
 
 def test_bitstring_bytes_roundtrip_lsb_first():
-    b = BitString([1, 0, 0, 0, 0, 0, 0, 0, 1])
+    b = bits_of([1, 0, 0, 0, 0, 0, 0, 0, 1])
     data = b.to_bytes()
     assert data == bytes([0x01, 0x01])
     assert BitString.from_bytes(data, 9) == b
@@ -39,13 +37,13 @@ def test_bitstring_bytes_roundtrip_lsb_first():
 
 
 def test_bitstring_xor_and_concat():
-    a = BitString([1, 1, 0])
-    b = BitString([0, 1, 1])
+    a = bits_of([1, 1, 0])
+    b = bits_of([0, 1, 1])
     assert list(a ^ b) == [1, 0, 1]
     with pytest.raises(TypeError):
         a + b
     with pytest.raises(ValueError):
-        a ^ BitString([1])
+        a ^ bits_of([1])
 
 
 @given(st.binary(max_size=40), st.integers(min_value=0, max_value=7))
@@ -59,7 +57,7 @@ def test_bitstring_bytes_roundtrip_random(data, drop):
 
 @given(st.lists(st.integers(min_value=0, max_value=1), max_size=200))
 def test_bitstring_array_roundtrip(bits):
-    b = BitString(bits)
+    b = bits_of(bits)
     arr = b.to_array()
     assert arr.dtype == np.uint8 and arr.tolist() == bits
     assert BitString.from_array(arr.astype(bool)) == b
@@ -86,7 +84,7 @@ def test_bitstring_matches_bigint_model(a, other, data):
     assert list(b) == bits
     assert b.weight() == word.bit_count()
     assert b.to_bytes() == word.to_bytes((n + 7) // 8, "little")
-    assert BitString(bits) == BitString.from_array(np.array(bits)) == b
+    assert bits_of(bits) == BitString.from_array(np.array(bits)) == b
     assert repr(b).startswith(f"BitString({n} bits")
     if n:
         i = data.draw(st.integers(min_value=-n, max_value=n - 1))
@@ -156,10 +154,10 @@ def test_matrix_from_dense_and_entry():
 
 def test_matrix_vector_product():
     m = Gf2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
-    x = BitString([1, 0, 1])
+    x = bits_of([1, 0, 1])
     assert list(m.mul_vec(x)) == [1, 1, 0]
     with pytest.raises(ValueError):
-        m.mul_vec(BitString([1, 0]))
+        m.mul_vec(bits_of([1, 0]))
 
 
 def test_rank_small_cases():

@@ -20,7 +20,7 @@ from dsbb84.hashing import (
     pa_hash,
     verify_hash,
 )
-from reference import toeplitz_matrix, word
+from reference import bits as bits_of, toeplitz_matrix, word
 
 # Frozen output of expand_seed(7, b"t", 16); pins the byte layout of the
 # counter-mode expansion so a refactor cannot silently reshuffle seeds.
@@ -268,6 +268,6 @@ def test_hash_bits_labels_and_edges():
     assert pa_hash(x, 42, 4) == hash_bits(x, 42, 4, b"pa")
     assert verify_hash(x, 42, 4) != pa_hash(x, 42, 4)
     assert len(pa_hash(x, 1, 0)) == 0
-    assert len(verify_hash(BitString([1]), 3, 1)) == 1
-    single = BitString([1])
+    assert len(verify_hash(bits_of([1]), 3, 1)) == 1
+    single = bits_of([1])
     assert pa_hash(single, 5, 1) == single

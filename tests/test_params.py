@@ -148,6 +148,7 @@ def test_total_is_derived_not_a_field():
         dict(p_basis_alice=0.0),
         dict(p_basis_bob=1.0),
         dict(n_verify=-1),
+        dict(n_verify=0),
         dict(e_bit_assumed=0.6),
         dict(eps_secrecy=0.0),
         dict(eps_secrecy=1.0),

@@ -33,7 +33,6 @@ from dsbb84.protocol import (
 from dsbb84.wire import (
     AliceBlockDisclosure,
     BobBlockDisclosure,
-    End,
     PaSeed,
     SiftAnnounce,
     Syndrome,
@@ -97,8 +96,7 @@ def pump(alice, bob, tamper=None):
             msg = alice.outbox.pop(0)
             if tamper is not None:
                 msg = tamper(msg) or msg
-            if not bob.done:
-                bob.handle(msg)
+            bob.handle(msg)
             moved += 1
         assert moved, "deadlock"
 
@@ -116,10 +114,10 @@ def test_successful_run_produces_matching_keys():
 
 
 # SHA-256 over transcript || Alice key || Bob key of
-# run_protocol(SMALL, CLEAN, seed=42), taken when Bob's clicked set
-# became one Elias-Fano form (wire version 3).
+# run_protocol(SMALL, CLEAN, seed=42), taken when each party came to finish
+# on the message that decides its outcome, with no closing frame.
 GOLDEN_SESSION_DIGEST = (
-    "f7db9925d2869331b1a546f08282c8677d135c94fac58a0cd1e176f6e7f26a78"
+    "2860cd607adccfdfed7c34accf25d201e2e871f873d365c14f1d2fc6e393c4e1"
 )
 
 
@@ -151,9 +149,10 @@ LOSSY_LONG = ProtocolConstants(
 )
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
-# taken when Bob's clicked set became one Elias-Fano form (wire version 3).
+# taken when each party came to finish on the message that decides its
+# outcome.
 GOLDEN_ABORT_DIGEST = (
-    "a6d55717bce609ceb43b9b180d0f151425ff919a92b998096e65585d33ad76e4"
+    "68dba226b97749b985cabd049791d024c0e95c0b6067a86304f06103ae6b5434"
 )
 
 
@@ -181,10 +180,10 @@ DEMO_X4 = ProtocolConstants(
 DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
 
 # SHA-256 over transcript || Alice key || Bob key of
-# run_protocol(DEMO_X4, DEMO, seed=7), taken when Bob's clicked set
-# became one Elias-Fano form (wire version 3).
+# run_protocol(DEMO_X4, DEMO, seed=7), taken when each party came to finish
+# on the message that decides its outcome.
 GOLDEN_DEMO_DIGEST = (
-    "62f69b5a0623b6fd3b30d2c2645aba67207fef7127098a3cb8a08a1fc09bacfd"
+    "d58f68a14b608552933db0ce745ae7e32695178e07b269613913bb4fc8f82fc2"
 )
 
 
@@ -278,7 +277,8 @@ def test_transcript_is_a_parseable_frame_stream():
         msg, offset = decode_message(out.transcript, offset)
         msgs.append(msg)
     assert isinstance(msgs[0], BobBlockDisclosure)
-    assert isinstance(msgs[-1], End)
+    # A keyed session ends on the message that decides Bob's key.
+    assert isinstance(msgs[-1], PaSeed)
     assert sum(isinstance(m, BobBlockDisclosure) for m in msgs) == SMALL.n_block
 
 
@@ -360,76 +360,76 @@ def test_bob_rejects_out_of_order_messages():
         bob.handle(SiftAnnounce(n_sift=100, proceed=True))
 
 
-# The message types each state of a keyed session accepts. Alice sends End
-# only after a message that leaves Bob in "end", so no other state takes it.
-ACCEPTED = {
-    ("alice", "blocks"): {BobBlockDisclosure},
-    ("alice", "verify"): {VerifyResult},
-    ("bob", "blocks"): {AliceBlockDisclosure},
-    ("bob", "sift"): {SiftAnnounce},
-    ("bob", "syndrome"): {Syndrome},
-    ("bob", "verify"): {VerifyHash},
-    ("bob", "pa"): {PaSeed},
-    ("bob", "end"): {End},
-}
-
-
-def test_every_state_refuses_every_message_it_does_not_accept():
-    """Before each delivery of a keyed session the receiver is offered one
-    message of every type its state does not accept. Each is refused with
-    ProtocolError and leaves the machine as it was, so the session still
-    ends with the golden keys."""
-    reference = run_protocol(SMALL, CLEAN, seed=42)
+def message_samples():
+    """One message of each type, from the keyed session of seed 42."""
+    transcript = run_protocol(SMALL, CLEAN, seed=42).transcript
     samples, offset = {}, 0
-    while offset < len(reference.transcript):
-        msg, offset = decode_message(reference.transcript, offset)
+    while offset < len(transcript):
+        msg, offset = decode_message(transcript, offset)
         samples.setdefault(type(msg), msg)
-    assert len(samples) == 8
+    return samples
+
+
+def assert_refused(party, msg):
+    """``party`` refuses ``msg`` with ProtocolError and stays as it was."""
+    before = (party._expect, party._next_block, list(party.outbox), party.result)
+    with pytest.raises(ProtocolError):
+        party.handle(msg)
+    assert (party._expect, party._next_block, party.outbox, party.result) == before
+
+
+def test_each_party_accepts_one_message_type_at_a_time():
+    """Before each delivery of a keyed session the receiver is offered one
+    message of every other type, and refuses each. The types delivered are
+    each party's expected sequence, and the session still ends with the
+    golden keys."""
+    samples = message_samples()
+    assert len(samples) == 7
     alice, bob = build_machines(SMALL, CLEAN, seed=42)
-    seen = set()
+    delivered = {"alice": [], "bob": []}
 
     def offer_the_rest(msg):
         from_bob = isinstance(msg, (BobBlockDisclosure, VerifyResult))
-        role, receiver = ("alice", alice) if from_bob else ("bob", bob)
-        if receiver.done:
-            return
-        state = receiver._state
-        seen.add((role, state))
+        receiver = alice if from_bob else bob
+        delivered[receiver.role].append(type(msg))
         for kind, sample in samples.items():
-            if kind in ACCEPTED[role, state]:
-                continue
-            outbox = list(receiver.outbox)
-            with pytest.raises(ProtocolError):
-                receiver.handle(sample)
-            assert receiver._state == state and receiver.outbox == outbox
+            if kind is not type(msg):
+                assert_refused(receiver, sample)
 
     pump(alice, bob, offer_the_rest)
-    assert seen == set(ACCEPTED)
+    n = SMALL.n_block
+    assert delivered == {
+        "alice": [BobBlockDisclosure] * n + [VerifyResult],
+        "bob": [AliceBlockDisclosure] * n + [SiftAnnounce, Syndrome, VerifyHash, PaSeed],
+    }
     blob = (
-        reference.transcript
+        run_protocol(SMALL, CLEAN, seed=42).transcript
         + alice.result.key.to_bytes()
         + bob.result.key.to_bytes()
     )
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SESSION_DIGEST
 
 
-@pytest.mark.parametrize("state", ["syndrome", "pa"])
-def test_bob_refuses_end_before_the_session_ends(state):
-    """An End that comes before Bob reaches "end" is refused and leaves him
-    as he was, so the session still ends with equal keys."""
-    alice, bob = build_machines(SMALL, CLEAN, seed=42)
-    offered = []
-
-    def offer_end(msg):
-        if bob._state == state and not offered:
-            offered.append(state)
-            with pytest.raises(ProtocolError):
-                bob.handle(End())
-            assert bob._state == state and bob.result is None
-
-    pump(alice, bob, offer_end)
-    assert offered
-    assert bob.result.abort_reason is None and bob.result.key == alice.result.key
+@pytest.mark.parametrize(
+    "constants, channel, seed, reason",
+    [
+        (SMALL, CLEAN, 42, None),
+        (LOSSY, FIBER, 9, ABORT_LENGTH),
+        (SMALL, NOISY, 2000, ABORT_VERIFY),
+    ],
+    ids=["keyed", "length-abort", "verify-abort"],
+)
+def test_a_finished_party_refuses_every_message(constants, channel, seed, reason):
+    """Each party finishes on the message that decides its outcome, with
+    nothing left to send, and refuses anything after it."""
+    alice, bob = build_machines(constants, channel, seed)
+    pump(alice, bob)
+    samples = message_samples().values()
+    for party in (alice, bob):
+        assert party.done and not party.outbox
+        assert party.result.abort_reason == reason
+        for sample in samples:
+            assert_refused(party, sample)
 
 
 def test_bob_rejects_wrong_sift_announcement():
@@ -664,11 +664,7 @@ def deliver_reordered(alice, bob, step, op):
         if not in_flight:
             break
         receiver, raw = in_flight.pop(0)
-        msg, _ = decode_message(raw)
-        if not receiver.done:
-            receiver.handle(msg)
-        elif not isinstance(msg, End):
-            raise ProtocolError("message to a finished party")
+        receiver.handle(decode_message(raw)[0])
         collect()
     if not (alice.done and bob.done):
         raise ProtocolError("deadlock")
@@ -756,31 +752,51 @@ def test_one_offset_check_per_disclosure(monkeypatch):
     assert len(calls) == 2 * SMALL.n_block
 
 
-class FlippedSource(BlockSource):
-    """A session's blocks with Alice's bit flipped on the first matched-Z
-    round, the first round of her sifted key."""
+def matched(basis):
+    """The clicked rounds of a block where both parties chose ``basis``
+    (0 for Z, 1 for X)."""
+    return lambda block: (block.alpha == basis) & (block.beta == basis)
 
-    def __init__(self, constants, channel, seed):
+
+# Each flip class: the column of a block whose bit is flipped ("a" is
+# Alice's, "b" Bob's) and the clicked rounds it may be flipped on.
+FLIPS = {
+    "alice-matched-z": ("a", matched(0)),
+    "alice-matched-x-S": ("a", lambda block: matched(1)(block) & (block.omega_idx == 0)),
+    "alice-matched-x-DV": ("a", lambda block: matched(1)(block) & (block.omega_idx > 0)),
+    "alice-mismatched": ("a", lambda block: block.alpha != block.beta),
+    "bob-matched-z": ("b", matched(0)),
+}
+
+
+class FlippedSource(BlockSource):
+    """A session's blocks with one bit flipped: the bit in ``column`` of
+    the first clicked round that ``where`` selects, at (block, index)
+    ``flip``; None, and no bit flipped, if no round qualifies. The first
+    matched-Z round is the first round of the sifted key."""
+
+    def __init__(self, constants, channel, seed, column, where):
         super().__init__(constants, channel, seed)
+        self.column = column
+        self.flip = None
         for j in range(constants.n_block):
-            block = super().__call__(j)
-            matched_z = np.flatnonzero((block.alpha == 0) & (block.beta == 0))
-            if len(matched_z):
-                self.flip = (j, matched_z[0])
+            rounds = np.flatnonzero(where(super().__call__(j)))
+            if len(rounds):
+                self.flip = (j, rounds[0])
                 break
 
     def __call__(self, j):
         block = super().__call__(j)
-        if j != self.flip[0]:
+        if self.flip is None or j != self.flip[0]:
             return block
-        a = block.a.copy()
-        a[self.flip[1]] ^= 1
-        return dataclasses.replace(block, a=a)
+        bits = getattr(block, self.column).copy()
+        bits[self.flip[1]] ^= 1
+        return dataclasses.replace(block, **{self.column: bits})
 
 
 def session_frames(constants, channel, seed, blocks):
-    """Alice's judgement and the (message, bytes) of each transcript frame
-    of a session run on the block source ``blocks``."""
+    """Alice's machine after a session run on the block source ``blocks``,
+    and the (message, bytes) of each transcript frame."""
     expected = expected_observables(constants, channel)
     alice = AliceMachine(constants, blocks, expected, generator(seed, 3))
     transport = InProcessTransport(alice, BobMachine(constants, blocks, expected))
@@ -790,7 +806,15 @@ def session_frames(constants, channel, seed, blocks):
         start = offset
         msg, offset = decode_message(transport.transcript, offset)
         frames.append((msg, bytes(transport.transcript[start:offset])))
-    return alice.security, frames
+    return alice, frames
+
+
+def differing(honest, flipped):
+    """The indices of the frames two transcripts differ in; a frame that
+    only one of them sends counts."""
+    raws = [[raw for _, raw in frames] for frames in (honest, flipped)]
+    n = max(map(len, raws))
+    return [i for i in range(n) if raws[0][i : i + 1] != raws[1][i : i + 1]]
 
 
 @pytest.mark.parametrize(
@@ -802,15 +826,36 @@ def test_transcript_discloses_what_the_accounting_subtracts(constants, channel, 
     the same frames up to the syndrome. The syndrome and the verification
     digest then differ only in their bits, which are the n_ec and n_verify
     bits the final length subtracts; a session that aborts at the length
-    judgement sends no frame that differs."""
+    judgement sends no frame that differs.
+
+    The other flip classes: Alice's bit on a matched-X round goes out in
+    her reply, and on a decoy or vacuum round it also moves the public
+    error tally and so the final length and the key. Her bit on a
+    mismatched round goes out nowhere. Bob's bit on a matched-Z round goes
+    out nowhere unless the decoder misses it, and then only as a failed
+    verification."""
+    verify_aborts = 0
     for seed in range(10):
         shape = (constants, channel, seed)
-        sec, honest = session_frames(*shape, BlockSource(*shape))
-        _, flipped = session_frames(*shape, FlippedSource(*shape))
+        alice, honest = session_frames(*shape, BlockSource(*shape))
+        sec = alice.security
+        sources = {name: FlippedSource(*shape, *FLIPS[name]) for name in FLIPS}
+        runs = {
+            name: session_frames(*shape, source)
+            for name, source in sources.items()
+            if source.flip is not None
+        }
+        _, flipped = runs["alice-matched-z"]
         assert sec.abort == abort
         if abort:
-            assert [raw for _, raw in flipped] == [raw for _, raw in honest]
+            # Too few clicks for every class on every seed; the matched-Z
+            # flips are always there.
+            assert {"alice-matched-z", "bob-matched-z"} <= set(runs)
+            for name in ("alice-matched-z", "alice-mismatched", "bob-matched-z"):
+                if name in runs:
+                    assert differing(honest, runs[name][1]) == [], name
             continue
+        assert set(runs) == set(FLIPS)
         at = next(i for i, (msg, _) in enumerate(honest) if isinstance(msg, Syndrome))
         assert [raw for _, raw in flipped[:at]] == [raw for _, raw in honest[:at]]
         (syndrome, _), (digest, _) = honest[at : at + 2]
@@ -822,6 +867,27 @@ def test_transcript_discloses_what_the_accounting_subtracts(constants, channel, 
         (sift,) = (msg for msg, _ in honest if isinstance(msg, SiftAnnounce))
         (pa,) = (msg for msg, _ in honest if isinstance(msg, PaSeed))
         assert pa.n_fin == sift.n_sift - sec.n_pa - len(syndrome.bits) - len(digest.digest)
+
+        def reply_of(name):
+            """The frame index of the reply to the block flipped in ``name``."""
+            return 2 * sources[name].flip[0] + 1
+
+        alice_s, frames = runs["alice-matched-x-S"]
+        assert differing(honest, frames) == [reply_of("alice-matched-x-S")]
+        assert alice_s.result.key == alice.result.key
+        alice_dv, frames = runs["alice-matched-x-DV"]
+        assert differing(honest, frames) == [reply_of("alice-matched-x-DV"), len(honest) - 1]
+        pa2 = frames[-1][0]
+        assert pa2.seed == pa.seed and pa2.n_fin != pa.n_fin == alice.result.n_fin
+        assert alice_dv.result.key != alice.result.key
+        assert differing(honest, runs["alice-mismatched"][1]) == []
+        frames = runs["bob-matched-z"][1]
+        if differing(honest, frames):
+            verify_aborts += 1
+            at = next(i for i, (msg, _) in enumerate(honest) if isinstance(msg, VerifyResult))
+            assert differing(honest, frames) == list(range(at, len(honest)))
+            assert len(frames) == at + 1 and not frames[at][0].ok
+    assert verify_aborts == (0 if abort else 1)
 
 
 def disclosure_naming(disclosure, block, extra):

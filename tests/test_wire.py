@@ -12,7 +12,6 @@ from dsbb84.wire import (
     WIRE_VERSION,
     AliceBlockDisclosure,
     BobBlockDisclosure,
-    End,
     MESSAGE_TYPES,
     PaSeed,
     SiftAnnounce,
@@ -27,6 +26,7 @@ from dsbb84.wire import (
     pack_bits,
     unpack_bits,
 )
+from reference import bits as bits_of
 
 
 def bob(j, m, offsets, basis, x_outcomes):
@@ -80,7 +80,7 @@ def test_pack_bits_roundtrip(data, drop):
 
 
 def test_unpack_bits_rejects_truncation_and_padding():
-    bits = BitString([1, 0, 1])
+    bits = bits_of([1, 0, 1])
     buf = pack_bits(bits)
     with pytest.raises(WireError):
         unpack_bits(buf[:-1], 0)
@@ -358,8 +358,8 @@ def test_alice_disclosure_refuses_foreign_record_arrays():
         BobBlockDisclosure(0, 2**32, np.array([0]), [0], []),
         AliceBlockDisclosure(-1, [], [], []),
         SiftAnnounce(n_sift=-1, proceed=True),
-        Syndrome(BitString([1]), code_seed=2**64),
-        VerifyHash(seed=-1, digest=BitString([1])),
+        Syndrome(bits_of([1]), code_seed=2**64),
+        VerifyHash(seed=-1, digest=bits_of([1])),
         PaSeed(seed=2**64, n_fin=1),
     ],
     ids=["BobBlockDisclosure", "BobBlockDisclosure-m", "AliceBlockDisclosure",
@@ -469,16 +469,15 @@ def test_length_mutated_bob_frames_fail_closed(msg, data):
     decode_or_wire_error(rewrite_u32(encode_message(msg), data, [0, 10, 14]))
 
 
-SCALAR_TYPES = (SiftAnnounce, Syndrome, VerifyHash, VerifyResult, PaSeed, End)
+SCALAR_TYPES = (SiftAnnounce, Syndrome, VerifyHash, VerifyResult, PaSeed)
 U64 = st.integers(0, 2**64 - 1)
-BITS = st.lists(st.integers(0, 1), max_size=80).map(BitString)
+BITS = st.lists(st.integers(0, 1), max_size=80).map(bits_of)
 scalar_messages = st.one_of(
     st.builds(SiftAnnounce, U64, st.booleans()),
     st.builds(Syndrome, BITS, U64),
     st.builds(VerifyHash, U64, BITS),
     st.builds(VerifyResult, st.booleans()),
     st.builds(PaSeed, U64, U64),
-    st.just(End()),
 )
 
 
@@ -521,13 +520,12 @@ def test_length_extended_scalar_frames_fail_closed(msg, extra):
 def test_scalar_messages_roundtrip():
     roundtrip(SiftAnnounce(n_sift=123456789, proceed=True))
     roundtrip(SiftAnnounce(n_sift=0, proceed=False))
-    roundtrip(Syndrome(BitString([1, 1, 0, 1]), code_seed=2**63 + 5))
-    roundtrip(VerifyHash(seed=99, digest=BitString([0, 1])))
+    roundtrip(Syndrome(bits_of([1, 1, 0, 1]), code_seed=2**63 + 5))
+    roundtrip(VerifyHash(seed=99, digest=bits_of([0, 1])))
     roundtrip(VerifyHash(seed=0, digest=BitString.zeros(0)))
     roundtrip(VerifyResult(ok=True))
     roundtrip(VerifyResult(ok=False))
     roundtrip(PaSeed(seed=17, n_fin=622))
-    roundtrip(End())
 
 
 def test_scalar_message_validation():
@@ -540,19 +538,20 @@ def test_scalar_message_validation():
     with pytest.raises(WireError):
         PaSeed.decode(b"\x00" * 15)
     with pytest.raises(WireError):
-        End.decode(b"x")
-    with pytest.raises(WireError):
         Syndrome.decode(b"\x00" * 7)
 
 
 def test_tags_are_unique_and_stable():
-    assert sorted(MESSAGE_TYPES) == list(range(1, 9))
+    assert sorted(MESSAGE_TYPES) == list(range(1, 8))
     assert MESSAGE_TYPES[1] is BobBlockDisclosure
-    assert MESSAGE_TYPES[8] is End
+    assert MESSAGE_TYPES[7] is PaSeed
+    # Tag 8 closed a session in earlier versions; no message carries it.
+    with pytest.raises(WireError, match="unknown tag 8"):
+        decode_message(encode_frame(8, b""))
 
 
 def test_stream_of_frames_decodes_sequentially():
-    msgs = [SiftAnnounce(10, True), VerifyResult(True), End()]
+    msgs = [SiftAnnounce(10, True), VerifyResult(True), PaSeed(3, 5)]
     stream = b"".join(encode_message(m) for m in msgs)
     offset = 0
     out = []
