@@ -17,18 +17,21 @@ The sampler draws only the rounds that clicked: whether a round clicks
 depends on its intensity alone, so a block draws its click count and
 positions first and then each click's settings, Bob's basis and the
 detector cell from the laws conditioned on the click (see sample_block).
-Drawing a sparse block costs little more than its three generator builds:
-the intensity is one uniform draw against two cut points and the cell
-two ``take``s from two flat tables, all stored once per session in the
-ClickLaw; each column is a bool comparison viewed as int8; and no array
-is as long as the block, since the click mask BlockSample.clicked is
-derived from the offsets only when it is read.
+Drawing a sparse block costs little more than setting the counters of
+its three streams, each keyed once per session (BlockStreams): the
+intensity is one uniform draw against two cut points and the cell two
+``take``s from two flat tables, all stored in the ClickLaw, which is
+built once per (constants, channel); each column is a bool comparison
+viewed as int8; and no array is as long as the block, since the click
+mask BlockSample.clicked is derived from the offsets only when it is
+read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +52,7 @@ __all__ = [
     "ChannelModel",
     "BlockSample",
     "BlockSource",
+    "BlockStreams",
     "ClickLaw",
     "SETTINGS",
     "load_channel",
@@ -170,7 +174,13 @@ def click_probabilities(
     """
     if omega not in INTENSITIES:
         raise DomainError(f"unknown intensity label {omega!r}")
-    mu = constants.mu[omega]
+    return _cell_probabilities(channel, constants.mu[omega], alpha, a_bit, beta)
+
+
+def _cell_probabilities(
+    channel: ChannelModel, mu: float, alpha: str, a_bit: int, beta: str
+) -> tuple[float, float, float, float]:
+    """click_probabilities at mean photon number mu."""
     eta = eta_total(channel)
     q0 = routing_fraction(channel, _relative_phase(a_bit, alpha, beta))
     load0 = mu * eta * q0
@@ -230,10 +240,11 @@ def single_photon_error_x(channel: ChannelModel) -> float:
 
 @enum.unique
 class StreamKey(enum.IntEnum):
-    """The first spawn key of each stream drawn from a seed.
+    """The role of each stream drawn from a seed: its Philox key.
 
-    A per-block stream is generator(seed, key, j), any other one
-    generator(seed, key); no two uses share a key.
+    A per-block stream is block j's counter range on the role's key
+    (BlockStreams); any other one is generator(seed, role), the same key
+    from counter 0. No two uses share a role.
     """
 
     ALICE = 0  # Alice's settings on the clicked rounds of a block
@@ -247,17 +258,65 @@ class StreamKey(enum.IntEnum):
     VERIFY_BOUNDS = 0x7A11  # the verify-bounds Monte Carlo (oracles)
 
 
-def generator(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic counter-based generator for a seed and spawn key.
+# Block indices whose counter range fits the top counter word as j + 1.
+MAX_BLOCKS = 2**64 - 1
 
-    Philox keeps the bit stream stable across platforms, and distinct keys
-    give independent streams. The sampler keys one stream per (seed, role,
-    block), so block j of a session depends on (seed, j) alone: drawn by
-    itself it equals block j drawn inside the session.
+
+def generator(seed: int, role: int) -> np.random.Generator:
+    """Deterministic counter-based generator for a seed and a role.
+
+    Philox keeps the bit stream stable across platforms. Its key is
+    SeedSequence(seed, spawn_key=(role,)).generate_state(2, uint64), so
+    distinct (seed, role) pairs give independent streams. This stream
+    starts at counter 0.
+
+    A per-block stream (BlockStreams) keeps the role's key and sets the
+    256-bit counter (four 64-bit words, lowest first) to (0, 0, 0, j + 1)
+    for block j: the top word holds j + 1 and the three lower words count
+    the block's own draws from zero. Philox adds one to the lowest word
+    before each four-word output and carries upward, so a stream changes
+    its top word only after 2**192 outputs. No block's range therefore
+    meets another block's, nor this counter-0 stream, whose top word
+    stays 0.
     """
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(role,)))
     )
+
+
+class BlockStreams:
+    """One session's per-block streams: each role keyed once.
+
+    ``streams(role, j)`` is the stream of ``role`` for block j, on block
+    j's counter range of generator(seed, role)'s key (see generator). The
+    first call for a role keys its Philox; every call sets the counter,
+    and with it the whole bit-generator state, to the start of block j's
+    range, so nothing drawn for one block carries into another and block
+    j depends on (seed, j) alone. The generator returned is shared by all
+    blocks of the role and valid until the role's next call.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._keyed: dict[int, tuple[np.random.Generator, np.ndarray]] = {}
+
+    def __call__(self, role: int, j: int) -> np.random.Generator:
+        if not 0 <= j < MAX_BLOCKS:
+            raise ValueError(f"block index must lie in [0, 2**64 - 1), got {j}")
+        keyed = self._keyed.get(role)
+        if keyed is None:
+            rng = generator(self.seed, role)
+            keyed = self._keyed[role] = (rng, rng.bit_generator.state["state"]["key"])
+        rng, key = keyed
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, 0, j + 1], dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
 
 
 # Every (omega, alpha, a, beta) setting combination, in setting_index order.
@@ -277,7 +336,7 @@ def setting_index(omega_idx, alpha, a, beta):
 
 @dataclass(frozen=True)
 class ClickLaw:
-    """Tables of the click-only sampler, built once per session.
+    """Tables of the click-only sampler, built once per (constants, channel).
 
     omega_cuts_click and omega_cuts_none are the two inner cut points of
     the intensity law given a click and given none: the cumulative sum of
@@ -290,7 +349,7 @@ class ClickLaw:
     cell_only0[c] holds P(only 0 | click) and cell_not_both[c] holds
     1 - P(both | click) for the setting combination SETTINGS[c], two flat
     tables read with ``take``; a cell whose probability is exactly zero is
-    never drawn.
+    never drawn. Both are read-only, since sessions share one law.
     """
 
     m: int
@@ -325,24 +384,49 @@ def click_law(constants: ProtocolConstants, channel: ChannelModel) -> ClickLaw:
     (click_probability_total), not on alpha, a or beta, so the clicks of
     a block are binomial with the average p_click, and given a click the
     intensity follows P(omega | click) while alpha and a keep their priors.
+
+    The law depends on the values it is built from alone, so sessions of
+    one configuration share it: it is kept for the last few distinct
+    (m, priors, intensities, channel) it was asked for.
     """
-    p_omega = np.array([constants.p_intensity[w] for w in INTENSITIES])
-    click = np.array(
-        [click_probability_total(channel, constants.mu[w]) for w in INTENSITIES]
+    return _click_law(
+        constants.m,
+        constants.p_basis_alice,
+        constants.p_basis_bob,
+        tuple(constants.p_intensity[w] for w in INTENSITIES),
+        tuple(constants.mu[w] for w in INTENSITIES),
+        channel,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _click_law(
+    m: int,
+    p_basis_alice: float,
+    p_basis_bob: float,
+    p_intensity: tuple,
+    mu: tuple,
+    channel: ChannelModel,
+) -> ClickLaw:
+    p_omega = np.array(p_intensity)
+    click = np.array([click_probability_total(channel, x) for x in mu])
+    mu_of = dict(zip(INTENSITIES, mu))
     cells = _conditional(np.array([
-        click_probabilities(constants, channel, *settings)[:3]
-        for settings in SETTINGS
+        _cell_probabilities(channel, mu_of[omega], alpha, a_bit, beta)[:3]
+        for omega, alpha, a_bit, beta in SETTINGS
     ]))
+    cell_only0 = cells[:, 0]
+    cell_not_both = 1.0 - cells[:, 2]
+    cell_only0.flags.writeable = cell_not_both.flags.writeable = False
     return ClickLaw(
-        m=constants.m,
-        p_basis_alice=constants.p_basis_alice,
-        p_basis_bob=constants.p_basis_bob,
+        m=m,
+        p_basis_alice=p_basis_alice,
+        p_basis_bob=p_basis_bob,
         p_click=float(p_omega @ click),
         omega_cuts_click=_cuts(_conditional(p_omega * click)),
         omega_cuts_none=_cuts(_conditional(p_omega * (1.0 - click))),
-        cell_only0=cells[:, 0],
-        cell_not_both=1.0 - cells[:, 2],
+        cell_only0=cell_only0,
+        cell_not_both=cell_not_both,
     )
 
 
@@ -374,7 +458,7 @@ class BlockSample:
     """
 
     law: ClickLaw
-    seed: int
+    streams: BlockStreams
     j: int
     beta: np.ndarray
     offsets: np.ndarray
@@ -400,17 +484,16 @@ class BlockSample:
         Clicked rounds read the block's columns. Unclicked rounds, which an
         honest disclosure never names, are drawn on demand: every unclicked
         round of the block gets its settings from P(omega | no click) and
-        the priors, in round order, on the stream
-        generator(seed, StreamKey.ALICE_UNCLICKED, j). A round's settings
-        thus depend on (seed, j) alone, not on which rounds a disclosure
-        names.
+        the priors, in round order, on the session's block-j stream of
+        StreamKey.ALICE_UNCLICKED (BlockStreams). A round's settings thus
+        depend on (seed, j) alone, not on which rounds a disclosure names.
         """
         columns = (self.omega_idx, self.alpha, self.a)
         if np.array_equal(offs, self.offsets):
             return columns
         unclicked = np.flatnonzero(~self.clicked)
         drawn = _draw_alice_settings(
-            generator(self.seed, StreamKey.ALICE_UNCLICKED, self.j),
+            self.streams(StreamKey.ALICE_UNCLICKED, self.j),
             self.law.omega_cuts_none,
             self.law.p_basis_alice,
             len(unclicked),
@@ -424,30 +507,31 @@ class BlockSample:
         return tuple(out)
 
 
-def sample_block(law: ClickLaw, seed: int, j: int) -> BlockSample:
-    """Draw block j of the session with this seed, clicked rounds only.
+def sample_block(law: ClickLaw, streams: BlockStreams, j: int) -> BlockSample:
+    """Draw block j of the session whose streams these are, clicked rounds only.
 
-    Each role draws from its own stream generator(seed, key, j) (the
-    StreamKey ALICE, BOB and CHANNEL), so the block depends on (seed, j)
-    alone and not on any block drawn before it. The click count is binomial(m,
-    p_click) and the clicked rounds a uniform subset. Each clicked round
-    then draws, in this order: its intensity from P(omega | click); alpha
-    and a from their priors; Bob's basis from its prior, with one
-    random(k) on Bob's stream, since a click is independent of beta; the
-    detector cell from click_probabilities conditioned on the click; and,
-    for a double click only, the fair coin. Neither party's settings of
-    unclicked rounds are drawn here: no message carries Bob's, and Alice's
-    are drawn only on demand (see BlockSample.alice_settings).
+    Each role (the StreamKey ALICE, BOB and CHANNEL) draws from its own
+    block-j stream, streams(role, j), so the block depends on (seed, j)
+    alone and not on any block drawn before it. The click count is
+    binomial(m, p_click) and the clicked rounds a uniform subset. Each
+    clicked round then draws, in this order: its intensity from
+    P(omega | click); alpha and a from their priors; Bob's basis from its
+    prior, with one random(k) on Bob's stream, since a click is
+    independent of beta; the detector cell from click_probabilities
+    conditioned on the click; and, for a double click only, the fair coin.
+    Neither party's settings of unclicked rounds are drawn here: no
+    message carries Bob's, and Alice's are drawn only on demand (see
+    BlockSample.alice_settings).
     """
     m = law.m
-    noise = generator(seed, StreamKey.CHANNEL, j)
+    noise = streams(StreamKey.CHANNEL, j)
     k = int(noise.binomial(m, law.p_click))
     offsets = noise.choice(m, k, replace=False, shuffle=False)
     offsets.sort()
     omega_idx, alpha, a = _draw_alice_settings(
-        generator(seed, StreamKey.ALICE, j), law.omega_cuts_click, law.p_basis_alice, k
+        streams(StreamKey.ALICE, j), law.omega_cuts_click, law.p_basis_alice, k
     )
-    beta = (generator(seed, StreamKey.BOB, j).random(k) >= law.p_basis_bob).view(np.int8)
+    beta = (streams(StreamKey.BOB, j).random(k) >= law.p_basis_bob).view(np.int8)
     u = noise.random(k)
     setting = setting_index(omega_idx, alpha, a, beta)
     cell = (u >= law.cell_only0.take(setting)).view(np.int8) + (
@@ -461,7 +545,7 @@ def sample_block(law: ClickLaw, seed: int, j: int) -> BlockSample:
         b[both] = noise.integers(0, 2, size=len(both), dtype=np.int8)
     return BlockSample(
         law=law,
-        seed=seed,
+        streams=streams,
         j=j,
         beta=beta,
         offsets=offsets,
@@ -478,17 +562,19 @@ class BlockSource:
 
     Only the latest block is kept: asking for another index drops it
     before the next one is drawn, so a session holds one block at a time.
+    The click law is shared with every session of the same configuration,
+    and each role's stream is keyed once per session (BlockStreams).
     """
 
     def __init__(
         self, constants: ProtocolConstants, channel: ChannelModel, seed: int
     ):
         self.law = click_law(constants, channel)
-        self.seed = seed
+        self.streams = BlockStreams(seed)
         self._block: BlockSample | None = None
 
     def __call__(self, j: int) -> BlockSample:
         if self._block is None or self._block.j != j:
             self._block = None
-            self._block = sample_block(self.law, self.seed, j)
+            self._block = sample_block(self.law, self.streams, j)
         return self._block

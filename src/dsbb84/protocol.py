@@ -425,10 +425,11 @@ def run_protocol(
 ) -> ProtocolOutcome:
     """Simulate one full session: quantum phase plus post-processing.
 
-    Block j is drawn when Bob opens it, from streams keyed (seed, role, j)
-    (see channel.sample_block), and both machines read that one sample.
-    Alice's post-processing seeds come from the stream
-    StreamKey.POST_PROCESSING.
+    Block j is drawn when Bob opens it, from block j's counter range on
+    streams keyed once per (seed, role) (see channel.sample_block and
+    channel.generator), and both machines read that one sample. Alice's
+    post-processing seeds come from the stream
+    generator(seed, StreamKey.POST_PROCESSING).
     """
     if expected is None:
         expected = expected_observables(constants, channel)

@@ -8,7 +8,8 @@ probabilities written out one value at a time, a chi-square check, a
 generator of random length-computation scenarios, the Fock-state click
 oracle, the ground-truth scoring of the single-photon floor and
 phase-error ceiling, a forced-mismatch attack on the verification hash,
-and the click-only sampler as first written, with ``Generator.choice``.
+and the click-only sampler as first written, with ``Generator.choice``,
+on block streams built from their documented key and counter layout.
 """
 
 from __future__ import annotations
@@ -406,6 +407,15 @@ def choice_click_law(constants: ProtocolConstants, channel: ChannelModel) -> Cho
     )
 
 
+def block_stream(seed: int, role: int, j: int) -> np.random.Generator:
+    """The stream of ``role`` for block j, built from the layout that
+    channel.generator documents, not through channel: the Philox key
+    SeedSequence(seed, spawn_key=(role,)).generate_state(2, uint64) and
+    the 256-bit counter with j + 1 in its top 64-bit word."""
+    key = np.random.SeedSequence(seed, spawn_key=(role,)).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=(j + 1) << 192))
+
+
 def _draw_alice_settings(
     rng: np.random.Generator, p_omega: np.ndarray, p_basis_alice: float, k: int
 ) -> tuple:
@@ -443,7 +453,7 @@ class ChoiceBlock:
         unclicked[self.offsets] = False
         unclicked = np.flatnonzero(unclicked)
         drawn = _draw_alice_settings(
-            generator(self.seed, StreamKey.ALICE_UNCLICKED, self.j),
+            block_stream(self.seed, StreamKey.ALICE_UNCLICKED, self.j),
             self.law.omega_given_none,
             self.law.p_basis_alice,
             len(unclicked),
@@ -459,15 +469,15 @@ class ChoiceBlock:
 
 def sample_block(law: ChoiceLaw, seed: int, j: int) -> ChoiceBlock:
     m = law.m
-    noise = generator(seed, StreamKey.CHANNEL, j)
+    noise = block_stream(seed, StreamKey.CHANNEL, j)
     k = int(noise.binomial(m, law.p_click))
     offsets = np.sort(noise.choice(m, k, replace=False, shuffle=False))
     clicked = np.zeros(m, dtype=bool)
     clicked[offsets] = True
     omega_idx, alpha, a = _draw_alice_settings(
-        generator(seed, StreamKey.ALICE, j), law.omega_given_click, law.p_basis_alice, k
+        block_stream(seed, StreamKey.ALICE, j), law.omega_given_click, law.p_basis_alice, k
     )
-    beta = (generator(seed, StreamKey.BOB, j).random(k) >= law.p_basis_bob).astype(np.int8)
+    beta = (block_stream(seed, StreamKey.BOB, j).random(k) >= law.p_basis_bob).astype(np.int8)
     u = noise.random(k)
     cdf = law.cell_cdf[setting_index(omega_idx, alpha, a, beta)]
     cell = (u >= cdf[:, 0]).astype(np.int8) + (u >= cdf[:, 1])
@@ -570,8 +580,8 @@ def ground_truth_runs(
     depend on the configuration alone, so they are built once for all
     seeds. Blocks come from each session's BlockSource and are tallied by
     the protocol's count accumulator. Each clicked round then draws its
-    hidden photon number from photon_posterior on the stream
-    generator(seed, StreamKey.GROUND_TRUTH, j); the hidden single-photon
+    hidden photon number from photon_posterior on the session's block-j
+    stream of StreamKey.GROUND_TRUTH; the hidden single-photon
     count is the number of matched-Z clicks with one photon. Phase errors
     are not directly simulated, so each hidden single-photon sifted round
     draws an error flag at the exact conditional single-photon X-error
@@ -595,7 +605,7 @@ def ground_truth_runs(
             s = blocks(j)
             matched_x = (s.alpha == 1) & (s.beta == 1)
             acc.add_block(s.omega_idx, s.alpha, s.beta, s.a, s.b[matched_x])
-            rng = generator(seed, StreamKey.GROUND_TRUTH, j)
+            rng = blocks.streams(StreamKey.GROUND_TRUTH, j)
             n_photons = clicked_photon_numbers(photon_cdf, s, rng)
             matched_z = (s.alpha == 0) & (s.beta == 0)
             n1z_true += int(np.count_nonzero(matched_z & (n_photons == 1)))

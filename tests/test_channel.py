@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsbb84.channel import (
+    MAX_BLOCKS,
     SETTINGS,
+    BlockSource,
+    BlockStreams,
     ChannelModel,
     StreamKey,
     click_probabilities,
@@ -15,6 +19,7 @@ from dsbb84.channel import (
     click_law,
     error_probability_x,
     eta_total,
+    generator,
     load_channel,
     routing_fraction,
     sample_block,
@@ -219,7 +224,7 @@ def test_routing_fraction_limits():
 
 
 def _block(c, ch, seed, j=0):
-    return sample_block(click_law(c, ch), seed, j)
+    return sample_block(click_law(c, ch), BlockStreams(seed), j)
 
 
 def test_sample_block_is_deterministic():
@@ -248,10 +253,101 @@ def test_stream_keys_are_pinned():
     }
 
 
+# The first three 64-bit words of the one-key streams generator(seed,
+# role), which seed the LDPC codes, Alice's post-processing and the
+# verify-bounds check. Per-block streams reuse these keys at other
+# counters, so these words must never move.
+ONE_KEY_STREAMS = {
+    (42, StreamKey.POST_PROCESSING): (
+        12404917998224440681, 6918449135087662725, 9003281883469010665
+    ),
+    (7, StreamKey.LDPC): (
+        6227596217006364814, 13629604987356939236, 10386938384452751009
+    ),
+    (0, StreamKey.VERIFY_BOUNDS): (
+        7605971737573252114, 18065895369629380073, 7438519292190080742
+    ),
+    (2**64 - 1, StreamKey.GROUND_TRUTH): (
+        4487025073392222821, 12244646616055251536, 1385445001978849086
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, role", sorted(ONE_KEY_STREAMS))
+def test_one_key_streams_are_unchanged(seed, role):
+    words = generator(seed, role).integers(0, 2**64, size=3, dtype=np.uint64)
+    assert tuple(int(w) for w in words) == ONE_KEY_STREAMS[seed, role]
+    keyed = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(role,)))
+    assert generator(seed, role).bytes(80) == np.random.Generator(keyed).bytes(80)
+
+
+def test_block_streams_take_their_own_counter_ranges():
+    # Block j is the role's key with j + 1 in the top counter word; the
+    # counter-0 stream and other blocks start elsewhere.
+    streams = BlockStreams(5)
+    for j in (0, 1, 2**32, MAX_BLOCKS - 1):
+        ours = streams(StreamKey.CHANNEL, j).bytes(40)
+        assert ours == reference.block_stream(5, StreamKey.CHANNEL, j).bytes(40)
+    firsts = {
+        streams(StreamKey.CHANNEL, j).bytes(32) for j in range(4)
+    } | {generator(5, StreamKey.CHANNEL).bytes(32)}
+    assert len(firsts) == 5
+    for j in (-1, MAX_BLOCKS):
+        with pytest.raises(ValueError):
+            streams(StreamKey.ALICE, j)
+
+
+BLOCK_FIELDS = ("beta", "clicked", "offsets", "omega_idx", "alpha", "a", "cell", "b")
+
+
+def assert_same_block(ours, theirs):
+    assert (ours.j, len(ours)) == (theirs.j, len(theirs))
+    for field in BLOCK_FIELDS:
+        x, y = getattr(ours, field), getattr(theirs, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    calls=st.lists(
+        st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=12
+    ),
+)
+def test_blocks_do_not_depend_on_draw_order(seed, calls):
+    # One source draws blocks in any order, with repeats, and between them
+    # reads Alice's settings on unclicked rounds from another stream; every
+    # block, and every setting read, equals the same one drawn alone.
+    c = constants(m=3000)
+    source = BlockSource(c, CH, seed)
+    for j, unclicked in calls:
+        block = source(j)
+        alone = BlockSource(c, CH, seed)(j)
+        assert_same_block(block, alone)
+        if unclicked:
+            rounds = np.flatnonzero(~alone.clicked)[::97]
+            rounds = np.union1d(rounds, alone.offsets[:3])
+            for x, y in zip(block.alice_settings(rounds), alone.alice_settings(rounds)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_click_law_is_shared_by_equal_configurations_only():
+    law = click_law(constants(), CH)
+    assert click_law(constants(), ChannelModel(**CH.as_dict())) is law
+    assert not law.cell_only0.flags.writeable
+    assert not law.cell_not_both.flags.writeable
+    other = click_law(constants(mu={"S": 0.6, "D": 0.1, "V": 0.001}), CH)
+    assert other is not law and other.p_click != law.p_click
+    other = click_law(constants(), dataclasses.replace(CH, e_mis=0.04))
+    assert other is not law and not np.array_equal(other.cell_only0, law.cell_only0)
+    assert click_law(constants(m=6000), CH).m == 6000
+
+
 def test_blocks_of_one_session_differ():
     c = constants(m=20000)
     law = click_law(c, CH)
-    first, second = sample_block(law, 42, 0), sample_block(law, 42, 1)
+    streams = BlockStreams(42)
+    first, second = sample_block(law, streams, 0), sample_block(law, streams, 1)
     assert (first.j, second.j) == (0, 1)
     assert not np.array_equal(first.clicked, second.clicked)
     assert not np.array_equal(first.beta, second.beta)
@@ -346,7 +442,7 @@ def test_cell_counts_match_click_probabilities(point):
     observed = np.zeros((24, 3))
     observed_none = np.zeros(12)
     for j in range(n_blocks):
-        block = sample_block(law, 1000 + j, j)
+        block = sample_block(law, BlockStreams(1000 + j), j)
         combo = setting_index(block.omega_idx, block.alpha, block.a, block.beta)
         np.add.at(observed, (combo, block.cell), 1)
         omega_idx, alpha, a = block.alice_settings(np.flatnonzero(~block.clicked))
@@ -375,11 +471,11 @@ def test_cell_counts_match_click_probabilities(point):
 def test_alice_settings_of_unclicked_rounds_are_keyed_by_block():
     c = constants(m=20000)
     law = click_law(c, CH)
-    block = sample_block(law, 9, 2)
+    block = sample_block(law, BlockStreams(9), 2)
     unclicked = np.flatnonzero(~block.clicked)
     named = np.sort(np.concatenate([block.offsets[:3], unclicked[[0, 5, 9]]]))
     first = block.alice_settings(named)
-    again = sample_block(law, 9, 2).alice_settings(named)
+    again = sample_block(law, BlockStreams(9), 2).alice_settings(named)
     every = block.alice_settings(np.arange(c.m))
     for col, col2, full in zip(first, again, every):
         assert np.array_equal(col, col2)
@@ -387,7 +483,7 @@ def test_alice_settings_of_unclicked_rounds_are_keyed_by_block():
     pos = np.searchsorted(block.offsets, block.offsets[:3])
     clicked_part = np.isin(named, block.offsets)
     assert np.array_equal(first[0][clicked_part], block.omega_idx[pos])
-    other_block = sample_block(law, 9, 3).alice_settings(np.arange(c.m))
+    other_block = sample_block(law, BlockStreams(9), 3).alice_settings(np.arange(c.m))
     assert not all(np.array_equal(x, y) for x, y in zip(every, other_block))
 
 
@@ -420,13 +516,12 @@ def test_never_clicking_intensity_puts_a_cut_point_at_one():
 def test_sampler_matches_choice_reference(name, seed, j, data):
     # The sampler draws the intensity against two stored cut points and
     # reads the cells from two flat tables; the reference draws with
-    # Generator.choice and one (24, 2) table. Same streams, same columns.
+    # Generator.choice and one (24, 2) table, on streams it builds from the
+    # documented key and counter layout. Same streams, same columns.
     c, ch = TWIN_LAWS[name]
-    block = sample_block(click_law(c, ch), seed, j)
+    block = sample_block(click_law(c, ch), BlockStreams(seed), j)
     twin = reference.sample_block(reference.choice_click_law(c, ch), seed, j)
-    for field in ("beta", "clicked", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
-        ours, theirs = getattr(block, field), getattr(twin, field)
-        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field
+    assert_same_block(block, twin)
 
     def some(rounds):
         """A few of ``rounds``, in ascending order."""

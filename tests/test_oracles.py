@@ -5,10 +5,11 @@ import pytest
 
 from dsbb84.channel import (
     SETTINGS,
+    BlockStreams,
     ChannelModel,
+    StreamKey,
     click_law,
     click_probabilities,
-    generator,
     sample_block,
     setting_index,
 )
@@ -151,9 +152,10 @@ def test_clicked_photon_numbers_follow_the_fock_posterior():
                     )
     observed = np.zeros((3, 5))
     expected = np.zeros((3, 5))
+    streams = BlockStreams(77)
     for j in range(c.n_block):
-        block = sample_block(law, 77, j)
-        n = clicked_photon_numbers(cdf, block, generator(77, 4, j))
+        block = sample_block(law, streams, j)
+        n = clicked_photon_numbers(cdf, block, streams(StreamKey.GROUND_TRUTH, j))
         combo = setting_index(block.omega_idx, block.alpha, block.a, block.beta)
         np.add.at(observed, (block.omega_idx, np.minimum(n, 4)), 1)
         np.add.at(expected, block.omega_idx, posterior[combo, block.cell])

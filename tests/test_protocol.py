@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import itertools
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -13,13 +15,15 @@ import dsbb84.wire
 from dsbb84.bounds import expected_observables
 from dsbb84.channel import (
     BlockSource,
+    BlockStreams,
     ChannelModel,
+    load_channel,
     click_law,
     generator,
     sample_block,
 )
 from dsbb84.gf2 import BitString
-from dsbb84.params import ProtocolConstants
+from dsbb84.params import ProtocolConstants, load_constants
 from dsbb84.protocol import (
     ABORT_LENGTH,
     ABORT_REASONS,
@@ -42,6 +46,7 @@ from dsbb84.wire import (
     decode_message,
     encode_message,
 )
+import reference
 
 SMALL = ProtocolConstants(
     n_block=5,
@@ -115,9 +120,10 @@ def test_successful_run_produces_matching_keys():
 
 # SHA-256 over transcript || Alice key || Bob key of
 # run_protocol(SMALL, CLEAN, seed=42), taken when each party came to finish
-# on the message that decides its outcome, with no closing frame.
+# on the message that decides its outcome, with no closing frame, and each
+# block drawn from its counter range on the session's per-role streams.
 GOLDEN_SESSION_DIGEST = (
-    "2860cd607adccfdfed7c34accf25d201e2e871f873d365c14f1d2fc6e393c4e1"
+    "7c7b45d49bdfe7f80a838b0197c0265a30317ca001e95326537b0f4100779cce"
 )
 
 
@@ -150,9 +156,9 @@ LOSSY_LONG = ProtocolConstants(
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
 # taken when each party came to finish on the message that decides its
-# outcome.
+# outcome, with per-block counter-range streams.
 GOLDEN_ABORT_DIGEST = (
-    "68dba226b97749b985cabd049791d024c0e95c0b6067a86304f06103ae6b5434"
+    "96a3159dcca60a2c70a7c4f7b359a218e9d22d95b71095e2b540eeb9257c7d35"
 )
 
 
@@ -181,26 +187,27 @@ DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
 
 # SHA-256 over transcript || Alice key || Bob key of
 # run_protocol(DEMO_X4, DEMO, seed=7), taken when each party came to finish
-# on the message that decides its outcome.
+# on the message that decides its outcome, with per-block counter-range
+# streams.
 GOLDEN_DEMO_DIGEST = (
-    "d58f68a14b608552933db0ce745ae7e32695178e07b269613913bb4fc8f82fc2"
+    "5f453df60934ac7d26bdabc2b40458f2860a11574a2e411b45512313b6de8334"
 )
 
 
 def test_demo_scale_session_is_byte_identical_to_golden_digest():
     out = run_protocol(DEMO_X4, DEMO, seed=7)
-    assert (out.alice.n_sift, out.alice.n_fin) == (245841, 73770)
+    assert (out.alice.n_sift, out.alice.n_fin) == (244553, 74531)
     blob = out.transcript + out.alice.key.to_bytes() + out.bob.key.to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEMO_DIGEST
 
 
 # SHA-256 over repr of Bob's [(ec_converged, ec_iterations, ec_error_weight)]
 # for run_protocol(SMALL, CLEAN, seed) at seeds 1-4 and (SMALL, NOISY, 1),
-# whose decode stalls: [(True, 3, 10), (True, 3, 17), (True, 3, 19),
-# (True, 3, 16), (False, 60, 23)]. The transcript digests do not cover the
+# whose decode stalls: [(True, 4, 19), (True, 3, 14), (True, 5, 24),
+# (True, 3, 15), (False, 60, 14)]. The transcript digests do not cover the
 # decoder's own telemetry.
 GOLDEN_DECODER_TELEMETRY_DIGEST = (
-    "630fe2a53d6ff1bab867b593c2739c6ba7ae7e87d562989916a0d9d83c58810c"
+    "c5e8df393f8bf3436d7518cee21717ec874531901266f15a60c0642d1d1d48a7"
 )
 
 
@@ -224,9 +231,10 @@ KEY_MATERIAL_FIELDS = (
 # SHA-256 over "name=repr;" for each of KEY_MATERIAL_FIELDS of Alice, then
 # Bob (the key as hex), for the keyed run (SMALL, CLEAN, 42), the length
 # abort (LOSSY_LONG, FIBER, 9) and the verification abort (SMALL, NOISY,
-# 2000), taken before KeyMaterial derived aborted, n_fin and n_sift.
+# 2000), taken before KeyMaterial derived aborted, n_fin and n_sift, and
+# re-taken with per-block counter-range streams.
 GOLDEN_KEY_MATERIAL_DIGEST = (
-    "d9202763aafd10459a3f2bef2427bd65459645de537ea3bad882bcb6923036f4"
+    "b38c0dd9a13452f0a68e04d3899b4aa206a437eb5519ef08046a6de3eefee458"
 )
 
 
@@ -257,6 +265,81 @@ def test_key_material_is_pinned_on_every_end_path():
             assert party.n_fin == (0 if party.key is None else len(party.key))
             assert party.n_sift == party.observables.n_sift
     assert key_material_digest(outcomes) == GOLDEN_KEY_MATERIAL_DIGEST
+
+
+WORKLOADS = json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json")
+    .read_text(encoding="utf-8")
+)
+# The 181 reference sessions: the benchmark's laws at these seeds.
+CHAIN_SESSIONS = (
+    ("clean-short", range(150)),
+    ("noisy-short", range(20)),
+    ("lossy-long", range(10)),
+    ("demo-x4", (7,)),
+)
+
+# SHA-256 over sha256(transcript).hexdigest() + key_material_digest([out])
+# of each reference session in CHAIN_SESSIONS order, fed as one ASCII
+# stream; 149 of the 181 sessions key.
+GOLDEN_CHAIN_DIGEST = (
+    "612f58593c49f4e888bc37d84174efe2adca9e829ce7a5e5f43eb18d86ed261c"
+)
+CHAIN_KEYED = 149
+
+
+def test_reference_sessions_chain_to_golden_digest():
+    """Transcripts, keys and every KeyMaterial field of 181 sessions across
+    the benchmark's four laws are pinned by one chained digest."""
+    chain = hashlib.sha256()
+    keyed = 0
+    for name, seeds in CHAIN_SESSIONS:
+        constants = load_constants(WORKLOADS[name]["constants"])
+        channel = load_channel(WORKLOADS[name]["channel"])
+        expected = expected_observables(constants, channel)
+        for seed in seeds:
+            out = run_protocol(constants, channel, seed, expected)
+            keyed += not out.aborted
+            session = hashlib.sha256(out.transcript).hexdigest()
+            chain.update((session + key_material_digest([out])).encode())
+    assert keyed == CHAIN_KEYED
+    assert chain.hexdigest() == GOLDEN_CHAIN_DIGEST
+
+
+def test_sessions_of_interleaved_configurations_equal_sessions_alone():
+    """Sessions of several configurations run in turn in one process equal
+    the same sessions run alone: no click law or stream state of one
+    configuration reaches another. Two of them differ only in what the
+    click law does not read, so they share one law."""
+    configs = [
+        (SMALL, CLEAN),
+        (SMALL, NOISY),
+        (LOSSY, FIBER),
+        (dataclasses.replace(SMALL, n_block=3, eps_secrecy=0.1), CLEAN),
+    ]
+
+    def fingerprint(out):
+        return bytes(out.transcript), key_material_digest([out])
+
+    alone = {}
+    for i, (constants, channel) in enumerate(configs):
+        for seed in (0, 1):
+            dsbb84.channel._click_law.cache_clear()
+            alone[i, seed] = fingerprint(run_protocol(constants, channel, seed))
+    dsbb84.channel._click_law.cache_clear()
+    for seed in (0, 1):
+        for i, (constants, channel) in enumerate(configs):
+            assert fingerprint(run_protocol(constants, channel, seed)) == alone[i, seed]
+            # The law a session reads is the one its own configuration
+            # defines, whatever ran before it.
+            law = click_law(constants, channel)
+            twin = reference.choice_click_law(constants, channel)
+            assert (law.m, law.p_basis_alice, law.p_basis_bob, law.p_click) == (
+                twin.m, twin.p_basis_alice, twin.p_basis_bob, twin.p_click
+            )
+            assert np.array_equal(law.cell_only0, twin.cell_cdf[:, 0])
+            assert np.array_equal(law.cell_not_both, twin.cell_cdf[:, 1])
+    assert dsbb84.channel._click_law.cache_info().currsize == 3
 
 
 def test_run_is_deterministic_in_seed():
@@ -361,8 +444,13 @@ def test_bob_rejects_out_of_order_messages():
 
 
 def message_samples():
-    """One message of each type, from the keyed session of seed 42."""
-    transcript = run_protocol(SMALL, CLEAN, seed=42).transcript
+    """One message of each type, from the first keyed SMALL session on the
+    clean channel."""
+    transcript = next(
+        out.transcript
+        for out in (run_protocol(SMALL, CLEAN, seed) for seed in itertools.count())
+        if not out.aborted
+    )
     samples, offset = {}, 0
     while offset < len(transcript):
         msg, offset = decode_message(transcript, offset)
@@ -711,7 +799,7 @@ def test_block_drawn_alone_equals_block_in_session():
     assert sorted(blocks.seen) == list(range(SMALL.n_block))
     law = click_law(SMALL, CLEAN)
     for j in reversed(range(SMALL.n_block)):
-        alone = sample_block(law, 42, j)
+        alone = sample_block(law, BlockStreams(42), j)
         inside = blocks.seen[j]
         for name in ("beta", "clicked", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
             assert np.array_equal(getattr(alone, name), getattr(inside, name)), name
@@ -719,18 +807,26 @@ def test_block_drawn_alone_equals_block_in_session():
 
 
 def test_honest_session_draws_each_block_once_and_clicks_only(monkeypatch):
-    keys = []
-    real = dsbb84.channel.generator
+    keyed, positioned = [], []
+    real_generator = dsbb84.channel.generator
+    real_call = BlockStreams.__call__
 
-    def recording(seed, *key):
-        keys.append(key)
-        return real(seed, *key)
+    def keying(seed, role):
+        keyed.append(role)
+        return real_generator(seed, role)
 
-    monkeypatch.setattr(dsbb84.channel, "generator", recording)
+    def positioning(self, role, j):
+        positioned.append((role, j))
+        return real_call(self, role, j)
+
+    monkeypatch.setattr(dsbb84.channel, "generator", keying)
+    monkeypatch.setattr(BlockStreams, "__call__", positioning)
     run_protocol(SMALL, CLEAN, seed=42)
-    # Alice, Bob and channel streams once per block; never the stream of
-    # Alice's settings for unclicked rounds.
-    assert sorted(keys) == sorted(
+    # The Alice, Bob and channel streams keyed once per session and set to
+    # each block's counter range once; never the stream of Alice's settings
+    # for unclicked rounds.
+    assert sorted(keyed) == [0, 1, 2]
+    assert sorted(positioned) == sorted(
         (role, j) for role in (0, 1, 2) for j in range(SMALL.n_block)
     )
 
@@ -817,11 +913,31 @@ def differing(honest, flipped):
     return [i for i in range(n) if raws[0][i : i + 1] != raws[1][i : i + 1]]
 
 
-@pytest.mark.parametrize(
-    "constants, channel, abort", [(SMALL, CLEAN, False), (LOSSY, FIBER, True)],
-    ids=["keyed", "length-abort"],
-)
-def test_transcript_discloses_what_the_accounting_subtracts(constants, channel, abort):
+# Per seed 0-9 of each shape: the honest session's abort reason, and the
+# flip classes that find a round to flip.
+MATCHED_Z_MISMATCHED = {"alice-matched-z", "alice-mismatched", "bob-matched-z"}
+MATCHED_Z = {"alice-matched-z", "bob-matched-z"}
+TRANSCRIPT_SEEDS = {
+    "keyed": (
+        SMALL,
+        CLEAN,
+        [None] * 5 + [ABORT_VERIFY] + [None] * 4,
+        [set(FLIPS)] * 10,
+    ),
+    "length-abort": (
+        LOSSY,
+        FIBER,
+        [ABORT_LENGTH] * 10,
+        [MATCHED_Z_MISMATCHED, MATCHED_Z, MATCHED_Z_MISMATCHED, MATCHED_Z]
+        + [MATCHED_Z_MISMATCHED] * 2
+        + [{"alice-mismatched"}]
+        + [MATCHED_Z_MISMATCHED] * 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSCRIPT_SEEDS))
+def test_transcript_discloses_what_the_accounting_subtracts(case):
     """Two sessions whose Alice differs in one bit of her sifted key send
     the same frames up to the syndrome. The syndrome and the verification
     digest then differ only in their bits, which are the n_ec and n_verify
@@ -830,10 +946,11 @@ def test_transcript_discloses_what_the_accounting_subtracts(constants, channel, 
 
     The other flip classes: Alice's bit on a matched-X round goes out in
     her reply, and on a decoy or vacuum round it also moves the public
-    error tally and so the final length and the key. Her bit on a
-    mismatched round goes out nowhere. Bob's bit on a matched-Z round goes
-    out nowhere unless the decoder misses it, and then only as a failed
-    verification."""
+    error tally and so the final length and, in a keyed session, the key.
+    Her bit on a mismatched round goes out nowhere. Bob's bit on a
+    matched-Z round goes out nowhere unless the decoder misses it, and
+    then only as a failed verification."""
+    constants, channel, reasons, classes = TRANSCRIPT_SEEDS[case]
     verify_aborts = 0
     for seed in range(10):
         shape = (constants, channel, seed)
@@ -845,17 +962,15 @@ def test_transcript_discloses_what_the_accounting_subtracts(constants, channel, 
             for name, source in sources.items()
             if source.flip is not None
         }
-        _, flipped = runs["alice-matched-z"]
-        assert sec.abort == abort
-        if abort:
-            # Too few clicks for every class on every seed; the matched-Z
-            # flips are always there.
-            assert {"alice-matched-z", "bob-matched-z"} <= set(runs)
-            for name in ("alice-matched-z", "alice-mismatched", "bob-matched-z"):
-                if name in runs:
-                    assert differing(honest, runs[name][1]) == [], name
+        assert alice.result.abort_reason == reasons[seed]
+        assert set(runs) == classes[seed]
+        if sec.abort:
+            assert reasons[seed] == ABORT_LENGTH
+            for name in runs:
+                assert differing(honest, runs[name][1]) == [], name
             continue
-        assert set(runs) == set(FLIPS)
+        keyed = reasons[seed] is None
+        _, flipped = runs["alice-matched-z"]
         at = next(i for i, (msg, _) in enumerate(honest) if isinstance(msg, Syndrome))
         assert [raw for _, raw in flipped[:at]] == [raw for _, raw in honest[:at]]
         (syndrome, _), (digest, _) = honest[at : at + 2]
@@ -865,8 +980,15 @@ def test_transcript_discloses_what_the_accounting_subtracts(constants, channel, 
         assert len(syndrome2.bits) == len(syndrome.bits) == sec.n_ec
         assert len(digest2.digest) == len(digest.digest) == constants.n_verify
         (sift,) = (msg for msg, _ in honest if isinstance(msg, SiftAnnounce))
-        (pa,) = (msg for msg, _ in honest if isinstance(msg, PaSeed))
-        assert pa.n_fin == sift.n_sift - sec.n_pa - len(syndrome.bits) - len(digest.digest)
+        n_fin = sift.n_sift - sec.n_pa - len(syndrome.bits) - len(digest.digest)
+        assert sec.n_fin == n_fin
+        pas = [msg for msg, _ in honest if isinstance(msg, PaSeed)]
+        assert len(pas) == keyed
+        if keyed:
+            assert pas[0].n_fin == n_fin
+        else:
+            (verdict,) = (msg for msg, _ in honest if isinstance(msg, VerifyResult))
+            assert not verdict.ok and honest[-1][0] is verdict
 
         def reply_of(name):
             """The frame index of the reply to the block flipped in ``name``."""
@@ -876,10 +998,15 @@ def test_transcript_discloses_what_the_accounting_subtracts(constants, channel, 
         assert differing(honest, frames) == [reply_of("alice-matched-x-S")]
         assert alice_s.result.key == alice.result.key
         alice_dv, frames = runs["alice-matched-x-DV"]
-        assert differing(honest, frames) == [reply_of("alice-matched-x-DV"), len(honest) - 1]
-        pa2 = frames[-1][0]
-        assert pa2.seed == pa.seed and pa2.n_fin != pa.n_fin == alice.result.n_fin
-        assert alice_dv.result.key != alice.result.key
+        assert alice_dv.security.n_fin != n_fin == alice.security.n_fin
+        if keyed:
+            assert differing(honest, frames) == [reply_of("alice-matched-x-DV"), len(honest) - 1]
+            pa2 = frames[-1][0]
+            assert pa2.seed == pas[0].seed and pa2.n_fin != pas[0].n_fin == alice.result.n_fin
+            assert alice_dv.result.key != alice.result.key
+        else:
+            assert differing(honest, frames) == [reply_of("alice-matched-x-DV")]
+            assert alice_dv.result.key is None and alice.result.key is None
         assert differing(honest, runs["alice-mismatched"][1]) == []
         frames = runs["bob-matched-z"][1]
         if differing(honest, frames):
@@ -887,7 +1014,8 @@ def test_transcript_discloses_what_the_accounting_subtracts(constants, channel, 
             at = next(i for i, (msg, _) in enumerate(honest) if isinstance(msg, VerifyResult))
             assert differing(honest, frames) == list(range(at, len(honest)))
             assert len(frames) == at + 1 and not frames[at][0].ok
-    assert verify_aborts == (0 if abort else 1)
+    # The decoder corrects Bob's one flipped bit on every seed here.
+    assert verify_aborts == 0
 
 
 def disclosure_naming(disclosure, block, extra):
