@@ -453,8 +453,8 @@ class BlockSample:
     and 1 for X; cell is 0 (only detector 0 fired), 1 (only detector 1) or
     2 (both); b is Bob's bit, a fair coin on a double click. No column is
     as long as the block: the length-m click mask ``clicked`` is derived
-    from offsets on each read, for observers outside the package, and
-    nothing here reads it on the honest path.
+    from offsets on each read, for observers outside the package; nothing
+    in the package reads it.
     """
 
     law: ClickLaw
@@ -491,7 +491,9 @@ class BlockSample:
         columns = (self.omega_idx, self.alpha, self.a)
         if np.array_equal(offs, self.offsets):
             return columns
-        unclicked = np.flatnonzero(~self.clicked)
+        unclicked = np.ones(len(self), dtype=bool)
+        unclicked[self.offsets] = False
+        unclicked = np.flatnonzero(unclicked)
         drawn = _draw_alice_settings(
             self.streams(StreamKey.ALICE_UNCLICKED, self.j),
             self.law.omega_cuts_none,

@@ -31,10 +31,18 @@ decoder, certifies the key.
 
 The disclosed length is ``N_EC = ceil(1.16 * N_sift * h(e_bit))``, a fixed
 rate overhead over the Shannon limit for the assumed bit error rate.
+
+Both parties use the code of the seed Alice announces, so they take it
+from :func:`code_for_seed`, a one-entry memo keyed on (n_bits, n_rows,
+seed): Bob, keyed on his own counts and the seed he received, reuses the
+code Alice built when the two agree. A code is read-only once built, so a
+hit returns exactly what a rebuild would. ``run_protocol`` empties the
+memo when a session ends.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -74,20 +82,25 @@ class LdpcCode:
         self.n_rows = n_rows
         rng = generator(seed, StreamKey.LDPC)
         weight = min(COLUMN_WEIGHT, n_rows)
+        # Each entry is drawn as int32 and bumped in place in ``rows``. For
+        # a range below 2**32 numpy takes the same 32-bit bounded draws
+        # whatever the integer type, so the draw is the int64 one's.
         rows = np.empty((weight, n_bits), dtype=np.int32)
-        first = rng.integers(0, n_rows, size=n_bits)
-        rows[0] = first
+        rows[0] = rng.integers(0, n_rows, size=n_bits, dtype=np.int32)
+        first = rows[0]
         if weight >= 2:
-            second = rng.integers(0, n_rows - 1, size=n_bits)
+            rows[1] = rng.integers(0, n_rows - 1, size=n_bits, dtype=np.int32)
+            second = rows[1]
             second += second >= first
-            rows[1] = second
         if weight >= 3:
             # Rejection-free draw of a third distinct row: bump past the
             # two already chosen in ascending order.
-            third = rng.integers(0, n_rows - 2, size=n_bits)
-            third += third >= np.minimum(first, second)
-            third += third >= np.maximum(first, second)
-            rows[2] = third
+            rows[2] = rng.integers(0, n_rows - 2, size=n_bits, dtype=np.int32)
+            third = rows[2]
+            chosen = np.minimum(first, second)
+            third += third >= chosen
+            np.maximum(first, second, out=chosen)
+            third += third >= chosen
         rows.flags.writeable = False
         self.rows = rows
 
@@ -156,6 +169,17 @@ class LdpcCode:
             np.clip(msg, -LLR_CLIP, LLR_CLIP, out=msg)
 
         return BitString.from_array(hard), False, MAX_ITERATIONS
+
+
+@functools.lru_cache(maxsize=1)
+def code_for_seed(n_bits: int, n_rows: int, seed: int) -> LdpcCode:
+    """The code ``seed`` draws for these dimensions.
+
+    The last code built is kept, so the party that uses an announced code
+    second reuses the first party's. Empty it with
+    ``code_for_seed.cache_clear()``.
+    """
+    return LdpcCode(n_bits, n_rows, seed)
 
 
 def correct(

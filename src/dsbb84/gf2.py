@@ -45,11 +45,19 @@ class BitString:
         """Copy a 1-D array of 0/1 or bool values, index 0 first.
 
         As with ``packbits``, any value that is nonzero as ``uint8`` is a 1.
+        The copy is the one array made: a one-byte integer or bool input is
+        compared through a ``uint8`` view, and any other is cast to a new
+        ``uint8`` array that is compared in place.
         """
-        nonzero = np.asarray(arr, dtype=np.uint8) != 0
-        if nonzero.ndim != 1:
+        arr = np.asarray(arr)
+        if arr.ndim != 1:
             raise ValueError("bits must be a 1-D array")
-        return cls._wrap(nonzero.view(np.uint8))
+        if arr.dtype.kind in "biu" and arr.itemsize == 1:
+            bits = np.not_equal(arr.view(np.uint8), 0).view(np.uint8)
+        else:
+            bits = arr.astype(np.uint8)
+            np.not_equal(bits, 0, out=bits.view(bool))
+        return cls._wrap(bits)
 
     @classmethod
     def from_bytes(cls, data: bytes, n: int) -> "BitString":

@@ -16,19 +16,30 @@ which costs less for the shape:
   with the reversed ``x_left``, ``w = n_in - n_out``, on bytes packed
   eight bits each. It is integer arithmetic throughout, with no float and
   no BLAS call;
-* by one real FFT convolution in O(n log n) (privacy amplification).
-  Its rounding errors are not bounded a priori, so an exactness guard
-  raises instead of returning a hash whenever a sum is not within 0.25 of
-  an integer.
+* by one real FFT convolution in O(n log n) (privacy amplification),
+  taken with one-row transforms: the diagonal bits' spectrum is computed
+  once, when the member is built, and kept read-only, so an apply
+  transforms ``x_left`` alone and takes one inverse transform of the
+  product. Its rounding errors are not bounded a priori, so an exactness
+  guard raises instead of returning a hash whenever a sum is not within
+  0.25 of an integer.
 
 Seeds are 64-bit integers expanded into diagonal bits with SHA-256 in
 counter mode. The expansion is a pseudorandom convenience for driving the
 family from a compact announced seed; the security statements treat the
 diagonal bits as the actual hash choice.
+
+Both parties hash under the seed Alice announces, so ``hash_bits`` takes
+its member from :func:`toeplitz_for_seed`, a one-entry memo keyed on
+(label, seed, n_in, n_out): the second party's hash under a seed reuses
+the member the first one built. A member is never changed after it is
+built, so a hit returns exactly what a rebuild would. ``run_protocol``
+empties the memo when a session ends.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -109,7 +120,15 @@ class ModifiedToeplitz:
         self.n_in = n_in
         self.n_out = n_out
         self.width = n_in - n_out
-        self._diagonals = diagonals.to_array()
+        # The FFT path reads the diagonals' spectrum only, the direct path
+        # the bits only.
+        self._diagonals = self._spectrum = None
+        if self.width and n_out and _uses_fft(n_in, n_out):
+            spectrum = rfft(diagonals.to_array(), _fft_length(n_in - 1))
+            spectrum.flags.writeable = False
+            self._spectrum = spectrum
+        else:
+            self._diagonals = diagonals.to_array()
 
     def apply(self, x: BitString) -> BitString:
         """Hash ``x``; O(n log n) in ``n_in`` at worst.
@@ -121,10 +140,11 @@ class ModifiedToeplitz:
         parity of a packed window (:func:`_window_parities`). Otherwise it
         comes from a circular FFT convolution of length :func:`_fft_length`
         ``(n_in - 1)``, which agrees with the linear one on that window
-        because wrapped terms only reach indices ``>= N + w - 1``. Its sums
-        are rounded to integers, and the call raises ``FloatingPointError``
-        rather than return a hash when any sum is 0.25 or further from an
-        integer.
+        because wrapped terms only reach indices ``>= N + w - 1``: the
+        stored diagonal spectrum times the spectrum of ``x_left``, zero
+        padded, taken back with one inverse transform. Its sums are rounded
+        to integers, and the call raises ``FloatingPointError`` rather than
+        return a hash when any sum is 0.25 or further from an integer.
         """
         if len(x) != self.n_in:
             raise ValueError(f"expected {self.n_in} input bits, got {len(x)}")
@@ -132,13 +152,11 @@ class ModifiedToeplitz:
         if w == 0 or n_out == 0:
             return x[w:]
         bits = x.to_array()
-        if _uses_fft(self.n_in, n_out):
+        if self._spectrum is not None:
             size = _fft_length(self.n_in - 1)
-            rows = np.zeros((2, size))
-            rows[0, : self.n_in - 1] = self._diagonals
-            rows[1, :w] = bits[:w]
-            spectra = rfft(rows)
-            conv = irfft(spectra[0] * spectra[1], size)[w - 1 : w - 1 + n_out]
+            product = rfft(bits[:w], size)
+            product *= self._spectrum
+            conv = irfft(product, size)[w - 1 : w - 1 + n_out]
             counts = np.rint(conv)
             if np.abs(conv - counts).max() >= 0.25:
                 raise FloatingPointError("FFT convolution is not exact enough")
@@ -172,9 +190,21 @@ def _window_parities(diagonals: np.ndarray, x_rev: np.ndarray, n_out: int):
     return _BYTE_PARITY.take(acc).reshape(-1)[:n_out]
 
 
+@functools.lru_cache(maxsize=1)
+def toeplitz_for_seed(
+    label: bytes, seed: int, n_in: int, n_out: int
+) -> ModifiedToeplitz:
+    """The family member that ``seed`` expands to under ``label``.
+
+    The last member built is kept, so the party that hashes second under
+    an announced seed reuses the first party's. Empty it with
+    ``toeplitz_for_seed.cache_clear()``.
+    """
+    return ModifiedToeplitz(expand_seed(seed, label, max(n_in - 1, 0)), n_in, n_out)
+
+
 def hash_bits(x: BitString, seed: int, n_out: int, label: bytes) -> BitString:
-    d = expand_seed(seed, label, max(len(x) - 1, 0))
-    return ModifiedToeplitz(d, len(x), n_out).apply(x)
+    return toeplitz_for_seed(bytes(label), seed, len(x), n_out).apply(x)
 
 
 def verify_hash(x: BitString, seed: int, n_out: int) -> BitString:

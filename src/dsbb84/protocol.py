@@ -32,6 +32,14 @@ receiver's own counts and the type it expects next.
 Both sides recompute the security accounting from the same pre-agreed
 expected observables, so a disagreement on any announced quantity is a
 protocol error rather than a silent divergence.
+
+The code and the two hashes are public objects fixed by a seed Alice
+announces, and each is built once per seed in a session: both parties
+take them from one-entry memos (``ecc.code_for_seed``,
+``hashing.toeplitz_for_seed``), Bob keyed on his own counts and the seeds
+he decoded from the wire, so a tampered seed gets him the code or hash of
+the seed he received. ``run_protocol`` empties both memos when the session
+ends, however it ends, so nothing built for one session outlives it.
 """
 
 from __future__ import annotations
@@ -49,9 +57,9 @@ from .bounds import (
     security_result,
 )
 from .channel import BlockSample, BlockSource, ChannelModel, StreamKey, generator
-from .ecc import LdpcCode, correct, syndrome_length
+from .ecc import code_for_seed, correct, syndrome_length
 from .gf2 import BitString
-from .hashing import pa_hash, verify_hash
+from .hashing import pa_hash, toeplitz_for_seed, verify_hash
 from .params import ProtocolConstants
 from .wire import (
     AliceBlockDisclosure,
@@ -252,7 +260,8 @@ class AliceMachine(_Party):
             # still guards actual mismatches.
             syndrome = BitString.zeros(0)
         else:
-            syndrome = LdpcCode(sec.n_sift, sec.n_ec, code_seed).syndrome(self._sifted)
+            code = code_for_seed(sec.n_sift, sec.n_ec, code_seed)
+            syndrome = code.syndrome(self._sifted)
         self.outbox.append(Syndrome(syndrome, code_seed))
         verify_seed = self._draw_seed()
         digest = verify_hash(self._sifted, verify_seed, self.constants.n_verify)
@@ -330,7 +339,7 @@ class BobMachine(_Party):
             self._corrected = self._sifted
             self._ec = {"ec_converged": True, "ec_iterations": 0}
         else:
-            code = LdpcCode(sec.n_sift, sec.n_ec, msg.code_seed)
+            code = code_for_seed(sec.n_sift, sec.n_ec, msg.code_seed)
             self._corrected, converged, iterations = correct(
                 self._sifted, msg.bits, code, self.constants.e_bit_assumed
             )
@@ -429,7 +438,8 @@ def run_protocol(
     streams keyed once per (seed, role) (see channel.sample_block and
     channel.generator), and both machines read that one sample. Alice's
     post-processing seeds come from the stream
-    generator(seed, StreamKey.POST_PROCESSING).
+    generator(seed, StreamKey.POST_PROCESSING). The code and hashes built
+    for the session's seeds are released when it returns or raises.
     """
     if expected is None:
         expected = expected_observables(constants, channel)
@@ -437,5 +447,9 @@ def run_protocol(
     alice = AliceMachine(constants, blocks, expected, generator(seed, StreamKey.POST_PROCESSING))
     bob = BobMachine(constants, blocks, expected)
     transport = InProcessTransport(alice, bob)
-    transport.run()
+    try:
+        transport.run()
+    finally:
+        code_for_seed.cache_clear()
+        toeplitz_for_seed.cache_clear()
     return ProtocolOutcome(alice.result, bob.result, transport.transcript)

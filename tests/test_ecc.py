@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dsbb84.channel import generator
+from dsbb84.channel import StreamKey, generator
 from dsbb84.ecc import (
     MAX_ITERATIONS,
     LdpcCode,
+    code_for_seed,
     correct,
     syndrome_length,
 )
@@ -249,3 +250,44 @@ def test_decoder_matches_reference_decoder(case):
     )
     if converged:
         assert code.syndrome(estimate) == target
+
+
+def test_code_for_seed_keeps_the_last_code_built():
+    code_for_seed.cache_clear()
+    try:
+        code = code_for_seed(300, 60, 5)
+        assert code_for_seed(300, 60, 5) is code
+        assert np.array_equal(code.rows, LdpcCode(300, 60, seed=5).rows)
+        assert not code.rows.flags.writeable
+        for key in ((300, 60, 6), (300, 61, 5), (301, 60, 5)):
+            other = code_for_seed(*key)
+            assert (other.n_bits, other.n_rows) == key[:2]
+            assert not np.array_equal(other.rows[:, :300], code.rows)
+        assert code_for_seed(300, 60, 5) is not code
+        assert code_for_seed.cache_info().currsize == 1
+    finally:
+        code_for_seed.cache_clear()
+
+
+@pytest.mark.parametrize("n_bits,n_rows,seed", [
+    (1, 1, 0), (7, 2, 1), (50, 3, 2), (600, 100, 3), (245_841, 32_101, 7),
+])
+def test_code_rows_are_the_int64_draw(n_bits, n_rows, seed):
+    # The rows as first drawn: int64 draws bumped past the rows already
+    # chosen. The int32 draw the build makes must take the same values.
+    rng = generator(seed, StreamKey.LDPC)
+    weight = min(3, n_rows)
+    first = rng.integers(0, n_rows, size=n_bits)
+    expected = [first]
+    if weight >= 2:
+        second = rng.integers(0, n_rows - 1, size=n_bits)
+        second += second >= first
+        expected.append(second)
+    if weight >= 3:
+        third = rng.integers(0, n_rows - 2, size=n_bits)
+        third += third >= np.minimum(first, second)
+        third += third >= np.maximum(first, second)
+        expected.append(third)
+    rows = LdpcCode(n_bits, n_rows, seed).rows
+    assert rows.dtype == np.int32 and not rows.flags.writeable
+    assert np.array_equal(rows, np.array(expected))

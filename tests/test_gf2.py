@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -62,6 +64,28 @@ def test_bitstring_array_roundtrip(bits):
     assert arr.dtype == np.uint8 and arr.tolist() == bits
     assert BitString.from_array(arr.astype(bool)) == b
     assert BitString.from_array(np.array(bits, dtype=np.int64)) == b
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.uint16])
+def test_from_array_copies_once(dtype):
+    # A value that is nonzero as uint8 is a 1: 256 wraps to 0, -1 to 255.
+    values = np.array([0, 1, 2, 0, 255, 256, -1, 3, 0, 1] * 10_000)
+    arr = (values != 0) if dtype is bool else values.astype(dtype)
+    expected = (arr.astype(np.uint8) != 0).astype(np.uint8)
+    kept = arr.copy()
+    tracemalloc.start()
+    try:
+        b = BitString.from_array(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bits = b.to_array()
+    assert bits.dtype == np.uint8 and np.array_equal(bits, expected)
+    assert not bits.flags.writeable
+    assert not np.shares_memory(bits, arr)
+    assert np.array_equal(arr, kept) and arr.flags.writeable
+    # One byte per bit is made, and nothing more.
+    assert peak < 1.25 * len(arr)
 
 
 @st.composite

@@ -18,6 +18,7 @@ from dsbb84.hashing import (
     expand_seed,
     hash_bits,
     pa_hash,
+    toeplitz_for_seed,
     verify_hash,
 )
 from reference import bits as bits_of, toeplitz_matrix, word
@@ -225,6 +226,47 @@ def test_apply_raises_when_convolution_is_inexact(monkeypatch):
     with pytest.raises(FloatingPointError):
         mt.apply(expand_seed(4, b"x", n_in))
     assert len(calls) == 1
+
+
+def test_stored_spectrum_carries_no_state():
+    n_in, n_out = 4000, 2000
+    assert hashing._uses_fft(n_in, n_out)
+    d = expand_seed(21, b"t", n_in - 1)
+    mt = ModifiedToeplitz(d, n_in, n_out)
+    spectrum = mt._spectrum
+    assert not spectrum.flags.writeable
+    before = spectrum.copy()
+    x1, x2 = expand_seed(22, b"x", n_in), expand_seed(23, b"x", n_in)
+    for x in (x1, x2, x1):
+        assert mt.apply(x) == bigint_apply(d, n_in, n_out, x)
+    assert mt._spectrum is spectrum and np.array_equal(spectrum, before)
+
+
+def test_hash_bits_builds_one_member_per_key(monkeypatch):
+    expansions = []
+    real_expand = hashing.expand_seed
+
+    def counting(seed, label, n_bits):
+        expansions.append((label, seed, n_bits))
+        return real_expand(seed, label, n_bits)
+
+    monkeypatch.setattr(hashing, "expand_seed", counting)
+    toeplitz_for_seed.cache_clear()
+    try:
+        x = expand_seed(8, b"x", 3000)
+        key = pa_hash(x, 9, 700)
+        assert pa_hash(x, 9, 700) == key
+        assert len(expansions) == 1
+        # Any change of label, seed or shape is a new member.
+        assert verify_hash(x, 9, 700) != key
+        assert pa_hash(x, 10, 700) != key
+        assert pa_hash(x, 9, 699) != key[:699]
+        assert pa_hash(x, 9, 700) == key
+        assert len(expansions) == 5
+        d = real_expand(9, b"pa", 2999)
+        assert key == ModifiedToeplitz(d, 3000, 700).apply(x)
+    finally:
+        toeplitz_for_seed.cache_clear()
 
 
 def test_linear_in_input():

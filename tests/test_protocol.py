@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsbb84.channel
+import dsbb84.hashing
 import dsbb84.protocol
 import dsbb84.wire
 from dsbb84.bounds import expected_observables
@@ -22,7 +23,9 @@ from dsbb84.channel import (
     generator,
     sample_block,
 )
+from dsbb84.ecc import LdpcCode, code_for_seed
 from dsbb84.gf2 import BitString
+from dsbb84.hashing import toeplitz_for_seed
 from dsbb84.params import ProtocolConstants, load_constants
 from dsbb84.protocol import (
     ABORT_LENGTH,
@@ -1106,3 +1109,95 @@ def test_abort_reasons_form_a_closed_set():
     stalled = run_protocol(SMALL, NOISY, seed=2000)
     for out, reason in ((length, ABORT_LENGTH), (stalled, ABORT_VERIFY)):
         assert out.alice.abort_reason == out.bob.abort_reason == reason
+
+
+def memo_sizes():
+    """Entries held by the code memo and the hash memo."""
+    return code_for_seed.cache_info().currsize, toeplitz_for_seed.cache_info().currsize
+
+
+def test_bob_decodes_under_the_code_seed_he_received(monkeypatch):
+    alice, bob = build_machines(SMALL, CLEAN, seed=42)
+    codes = []
+    real_correct = dsbb84.protocol.correct
+
+    def recording(bob_key, alice_syndrome, code, e_bit):
+        codes.append(code)
+        return real_correct(bob_key, alice_syndrome, code, e_bit)
+
+    monkeypatch.setattr(dsbb84.protocol, "correct", recording)
+    seeds = []
+
+    def tamper(msg):
+        if isinstance(msg, Syndrome):
+            seeds.append(msg.code_seed)
+            return Syndrome(msg.bits, msg.code_seed ^ 1)
+
+    try:
+        pump(alice, bob, tamper)
+    finally:
+        code_for_seed.cache_clear()
+        toeplitz_for_seed.cache_clear()
+    (sent,) = seeds
+    (code,) = codes
+    sec = bob.security
+    assert (code.n_bits, code.n_rows) == (sec.n_sift, sec.n_ec)
+    assert np.array_equal(code.rows, LdpcCode(sec.n_sift, sec.n_ec, sent ^ 1).rows)
+    assert not np.array_equal(code.rows, LdpcCode(sec.n_sift, sec.n_ec, sent).rows)
+    assert alice.result.abort_reason == bob.result.abort_reason == ABORT_VERIFY
+    assert alice.result.key is None and bob.result.key is None
+
+
+class DecoderFault(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("case", ["keyed", "length abort", "raises"])
+def test_run_protocol_releases_the_code_and_hash_memos(case, monkeypatch):
+    # Entries left by an earlier hand-driven session are released too.
+    code_for_seed(40, 8, 1)
+    toeplitz_for_seed(b"pa", 1, 40, 8)
+    assert memo_sizes() == (1, 1)
+    if case == "keyed":
+        assert not run_protocol(SMALL, CLEAN, seed=42).aborted
+    elif case == "length abort":
+        out = run_protocol(LOSSY, FIBER, seed=9)
+        assert out.alice.abort_reason == ABORT_LENGTH
+    else:
+        held = []
+
+        def failing(*args):
+            held.append(memo_sizes())
+            raise DecoderFault
+
+        monkeypatch.setattr(dsbb84.protocol, "correct", failing)
+        with pytest.raises(DecoderFault):
+            run_protocol(SMALL, CLEAN, seed=42)
+        # The fault came while Alice's code and verification hash were held.
+        assert held == [(1, 1)]
+    assert memo_sizes() == (0, 0)
+
+
+def test_honest_session_builds_each_public_object_once(monkeypatch):
+    builds, expansions = [], []
+    real_init = LdpcCode.__init__
+    real_expand = dsbb84.hashing.expand_seed
+
+    def counting_init(self, n_bits, n_rows, seed):
+        builds.append((n_bits, n_rows, seed))
+        real_init(self, n_bits, n_rows, seed)
+
+    def counting_expand(seed, label, n_bits):
+        expansions.append((label, seed))
+        return real_expand(seed, label, n_bits)
+
+    monkeypatch.setattr(LdpcCode, "__init__", counting_init)
+    monkeypatch.setattr(dsbb84.hashing, "expand_seed", counting_expand)
+    # A hand-driven session of this seed may have left its objects behind.
+    code_for_seed.cache_clear()
+    toeplitz_for_seed.cache_clear()
+    out = run_protocol(SMALL, CLEAN, seed=42)
+    assert not out.aborted and out.keys_match
+    assert len(builds) == 1
+    assert sorted(label for label, _ in expansions) == [b"pa", b"verify"]
+    assert len(set(expansions)) == 2
