@@ -298,7 +298,7 @@ class BlockStreams:
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._keyed: dict[int, tuple[np.random.Generator, np.ndarray]] = {}
+        self._keyed: dict[int, tuple[np.random.Generator, dict]] = {}
 
     def __call__(self, role: int, j: int) -> np.random.Generator:
         if not 0 <= j < MAX_BLOCKS:
@@ -306,16 +306,24 @@ class BlockStreams:
         keyed = self._keyed.get(role)
         if keyed is None:
             rng = generator(self.seed, role)
-            keyed = self._keyed[role] = (rng, rng.bit_generator.state["state"]["key"])
-        rng, key = keyed
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([0, 0, 0, j + 1], dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+            # One state per role, reused for every block: the setter copies
+            # its values, so only the counter's top word changes between
+            # sets, and the empty buffer is never written.
+            state = {
+                "bit_generator": "Philox",
+                "state": {
+                    "counter": np.zeros(4, dtype=np.uint64),
+                    "key": rng.bit_generator.state["state"]["key"],
+                },
+                "buffer": np.zeros(4, dtype=np.uint64),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            keyed = self._keyed[role] = (rng, state)
+        rng, state = keyed
+        state["state"]["counter"][3] = j + 1
+        rng.bit_generator.state = state
         return rng
 
 

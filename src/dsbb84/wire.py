@@ -3,30 +3,35 @@
 Every message travels as one frame: a little-endian u32 byte count, one
 version byte (``WIRE_VERSION``), one tag byte, then the payload; the count
 covers the version, the tag and the payload. A frame of any other version
-is refused. All integers are little-endian and unsigned; a field that does
-not fit its width raises ``WireError`` on encode, never wraps.
+is refused. Every integer field is unsigned, and one that does not fit its
+width raises ``WireError`` on encode, never wraps.
 
 The five scalar messages (``SiftAnnounce`` to ``PaSeed``) each declare one
-struct format and share one codec: the payload is the fixed-width fields
-in declaration order, then, if the message has one, its bit string as a
-u64 bit length followed by the LSB-first packed bytes.
+struct format and share one codec: the payload is the fixed-width
+little-endian fields in declaration order, then, if the message has one,
+its bit string as a u64 bit length followed by the LSB-first packed bytes.
 
-The two block messages announce only what the other side lacks. Bob's
-disclosure names the clicked rounds of a block in one Elias-Fano form
-(Elias 1974; Fano 1971), whose layout follows from the block size and
-the click count alone, then gives his basis on those rounds and his bit
-on the clicked X rounds; Alice's reply gives intensity and basis per
-named round and her bit on matched X rounds only. Every column of a block
-message is a bit column packed LSB-first and padded with zero bits to a
-whole byte, and carries no length of its own: the fixed fields imply it.
+The two block messages announce only what the other side lacks, and their
+three header fields are minimal unsigned LEB128 varints below 2**32: seven
+bits a byte, low group first, the high bit set on every byte but the last.
+Bob's disclosure names the clicked rounds of a block in one Elias-Fano form
+(Elias 1974; Fano 1971), whose layout follows from the block size and the
+click count alone, then gives his basis on those rounds and his bit on the
+clicked X rounds; Alice's reply gives intensity and basis per named round
+and her bit on matched X rounds only. Her intensity column is a prefix code
+(Huffman 1952) that spends one bit on S, the most common intensity among
+clicks, and two on D or V. Every column of a block message is a bit column
+packed LSB-first and padded with zero bits to a whole byte, and carries no
+length of its own: the header and the columns before it imply it.
 
 A block message holds each column as a read-only numpy array of its own,
 and its constructor is the one check of its shape: values in range,
 offsets ascending inside the block, column lengths that agree. It refuses
 a malformed message with ``WireError``. So encode only packs, and decode
-checks only what bytes alone can get wrong (lengths, padding, the high
-part's bit count, trailing bytes) before it builds the message through
-that constructor.
+checks only what bytes alone can get wrong (truncation, padding, varints
+that are over-long, not minimal or 2**32 or more, the high part's bit
+count, trailing bytes) before it builds the message through that
+constructor.
 
 Every encoding is canonical: a decoder refuses any form the encoder would
 not have produced, so a frame that decodes re-encodes to its own bytes.
@@ -50,7 +55,7 @@ import numpy as np
 
 from .gf2 import BitString
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 
 class WireError(ValueError):
@@ -63,6 +68,51 @@ def _pack(fmt: str, *values) -> bytes:
         return struct.pack(fmt, *values)
     except struct.error as exc:
         raise WireError(f"field out of range for {fmt!r}: {exc}") from None
+
+
+def _uvarints(*values) -> bytes:
+    """Each value as a minimal unsigned LEB128 varint; ``WireError`` for a
+    value that is not an integer in [0, 2**32)."""
+    out = []
+    try:
+        for value in values:
+            if not 0 <= value < 1 << 32:
+                raise WireError(f"field {value} out of range for a u32 varint")
+            while value > 0x7F:
+                out.append(value & 0x7F | 0x80)
+                value >>= 7
+            out.append(value)
+        return bytes(out)
+    except TypeError:
+        raise WireError(f"varint fields must be integers, got {values}") from None
+
+
+def _read_uvarints(buf: bytes, count: int) -> list:
+    """The first ``count`` varints of ``buf``, then the offset after them. A
+    varint that is truncated, over five bytes long, not minimal (it ends in
+    a zero byte) or 2**32 or more is refused."""
+    values = []
+    at = 0
+    for _ in range(count):
+        value = shift = 0
+        while True:
+            if at == len(buf):
+                raise WireError("truncated varint")
+            byte = buf[at]
+            at += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+            if shift == 35:
+                raise WireError("over-long varint")
+        if byte == 0 and shift:
+            raise WireError("varint not in minimal form")
+        if value >> 32:
+            raise WireError("varint of 2**32 or more")
+        values.append(value)
+    values.append(at)
+    return values
 
 
 def pack_bits(bits: BitString) -> bytes:
@@ -134,12 +184,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _column(name: str, column, top: int) -> np.ndarray:
     """A copy of a 1-d column of integers in [0, top] as uint8; ``WireError``
-    otherwise."""
+    otherwise. A bool column is in range whatever it holds, so it is copied
+    unchecked: the decoders hand over their bit columns as bool views."""
     column = np.asarray(column)
     if column.ndim != 1:
         raise WireError(f"{name} column must be 1-d")
-    if column.size and (
-        column.dtype.kind not in "biu"
+    if column.size and column.dtype != bool and (
+        column.dtype.kind not in "iu"
         # Viewed as unsigned, a negative value lies above top as well.
         or column.view(f"u{column.itemsize}").max() > top
     ):
@@ -193,7 +244,7 @@ class BobBlockDisclosure(_Block):
     The constructor takes any 1-d integer columns and refuses with
     ``WireError`` a message that breaks one of these rules.
 
-    Layout: ``<III`` j, m and the clicked count k, then four bit columns.
+    Layout: j, m and the clicked count k as varints, then four bit columns.
     The first two are the clicked set in Elias-Fano form, whose layout
     follows from (m, k) alone (see ``_clicked_layout``): L low-bit planes
     of k bits each, plane p holding bit p of every offset, then the high
@@ -223,7 +274,7 @@ class BobBlockDisclosure(_Block):
         k = len(offsets)
         # Packed first, so that an m beyond u32 is refused before the high
         # part, about m >> L bits, is allocated.
-        header = _pack("<III", self.j, self.m, k)
+        header = _uvarints(self.j, self.m, k)
         low_bits, high_len, shifts = _clicked_layout(self.m, k)
         low = (offsets & ((1 << low_bits) - 1)).astype(shifts.dtype)
         high = np.zeros(high_len, dtype=np.uint8)
@@ -238,31 +289,30 @@ class BobBlockDisclosure(_Block):
 
     @classmethod
     def decode(cls, payload: bytes) -> "BobBlockDisclosure":
-        if len(payload) < 12:
-            raise WireError("short block disclosure")
-        j, m, k = struct.unpack_from("<III", payload, 0)
+        j, m, k, low_at = _read_uvarints(payload, 3)
         if k > m:
             raise WireError("more clicked rounds than the block has")
         low_bits, high_len, shifts = _clicked_layout(m, k)
         # Every column is checked against the payload before any bit is
         # unpacked, so a count the payload cannot hold allocates nothing.
-        high_at = _column_end(payload, 12, low_bits * k)
+        high_at = _column_end(payload, low_at, low_bits * k)
         basis_at = _column_end(payload, high_at, high_len)
         x_at = _column_end(payload, basis_at, k)
         # One unpack for the whole payload; each column is a view of it.
         raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
-        basis = raw[8 * basis_at : 8 * basis_at + k]
+        # 0/1 bytes viewed as bool: nonzero search is faster on bool, and
+        # the constructor copies a bool column without a range check.
+        basis = raw[8 * basis_at : 8 * basis_at + k].view(bool)
         n_x = np.count_nonzero(basis)
         if _column_end(payload, x_at, n_x) != len(payload):
             raise WireError("trailing bytes in block disclosure")
-        # 0/1 bytes viewed as bool: nonzero search is faster on bool.
         ones = raw[8 * high_at : 8 * high_at + high_len].view(bool).nonzero()[0]
         if len(ones) != k:
             raise WireError("high part must hold one set bit per clicked round")
-        low = raw[96 : 96 + low_bits * k].reshape(low_bits, k)
+        low = raw[8 * low_at : 8 * low_at + low_bits * k].reshape(low_bits, k)
         planes = np.left_shift(low, shifts, dtype=shifts.dtype)
         offsets = (ones - np.arange(k)) << low_bits | np.bitwise_or.reduce(planes, axis=0)
-        return cls(j, m, offsets, basis, raw[8 * x_at : 8 * x_at + n_x])
+        return cls(j, m, offsets, basis, raw[8 * x_at : 8 * x_at + n_x].view(bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,11 +327,13 @@ class AliceBlockDisclosure(_Block):
     columns and refuses with ``WireError`` a value that does not fit its
     field or an ``alpha`` whose length differs from ``omega``'s.
 
-    Layout: ``<III`` j, the record count and the number of value bits,
-    then three bit columns: ``omega`` as two bits per record (bit 2i is the
-    low bit of record i, bit 2i + 1 its high bit), ``alpha`` and
-    ``value``, each packed LSB-first and padded with zero bits to a whole
-    byte.
+    Layout: j, the record count and the number of value bits as varints,
+    then three bit columns. The intensity column is a prefix code: one bit
+    per record, set for D or V, then one bit per set record, in record
+    order, set for V. So S costs one bit and D or V two, and every bit
+    pattern decodes to an intensity index of 0-2. Then come ``alpha`` and
+    ``value``. Each column is packed LSB-first and padded with zero bits to
+    a whole byte.
     """
 
     TAG: ClassVar[int] = 2
@@ -299,34 +351,34 @@ class AliceBlockDisclosure(_Block):
 
     def encode(self) -> bytes:
         omega = self.omega
-        omega_bits = np.empty((len(omega), 2), dtype=np.uint8)
-        omega_bits[:, 0] = omega & 1
-        omega_bits[:, 1] = omega >> 1
+        d_or_v = omega > 0
         return b"".join((
-            _pack("<III", self.j, len(omega), len(self.value)),
-            _packed(omega_bits),
+            _uvarints(self.j, len(omega), len(self.value)),
+            _packed(np.concatenate((d_or_v, omega.compress(d_or_v) > 1))),
             _packed(self.alpha),
             _packed(self.value),
         ))
 
     @classmethod
     def decode(cls, payload: bytes) -> "AliceBlockDisclosure":
-        if len(payload) < 12:
-            raise WireError("short block reply")
-        j, count, n_values = struct.unpack_from("<III", payload, 0)
-        expected = 12 + (2 * count + 7) // 8 + (count + 7) // 8 + (n_values + 7) // 8
-        if len(payload) != expected:
-            raise WireError("block reply length mismatch")
-        alpha_at = _column_end(payload, 12, 2 * count)
-        value_at = _column_end(payload, alpha_at, count)
-        _column_end(payload, value_at, n_values)
+        j, count, n_values, at = _read_uvarints(payload, 3)
+        # The D-or-V bits say how many V bits follow them, so the intensity
+        # column's length is known once they are read. A count beyond the
+        # payload leaves the column short whatever the V bits are.
         raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
-        pairs = raw[96 : 96 + 2 * count].reshape(count, 2)
+        omega = raw[8 * at : 8 * at + count]
+        n_omega = count + np.count_nonzero(omega)
+        alpha_at = _column_end(payload, at, n_omega)
+        value_at = _column_end(payload, alpha_at, count)
+        if _column_end(payload, value_at, n_values) != len(payload):
+            raise WireError("trailing bytes in block reply")
+        # Each D-or-V record becomes 1 + its V bit, in place: raw is ours.
+        omega[omega.view(bool).nonzero()[0]] += raw[8 * at + count : 8 * at + n_omega]
         return cls(
             j,
-            pairs[:, 0] + 2 * pairs[:, 1],
-            raw[8 * alpha_at : 8 * alpha_at + count],
-            raw[8 * value_at : 8 * value_at + n_values],
+            omega,
+            raw[8 * alpha_at : 8 * alpha_at + count].view(bool),
+            raw[8 * value_at : 8 * value_at + n_values].view(bool),
         )
 
 

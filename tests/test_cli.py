@@ -524,6 +524,34 @@ def test_simulate_report_carries_reconciliation_estimates(tmp_path):
     }
 
 
+def test_simulate_report_counts_frames_and_bytes_per_message_type(tmp_path):
+    code, report = simulate_report(SMALL_CONSTANTS, SMALL_CHANNEL, 42, tmp_path)
+    assert code == 0
+    messages = report["messages"]
+    assert {name: counts["frames"] for name, counts in messages.items()} == {
+        "BobBlockDisclosure": 5, "AliceBlockDisclosure": 5, "SiftAnnounce": 1,
+        "Syndrome": 1, "VerifyHash": 1, "VerifyResult": 1, "PaSeed": 1,
+    }
+    assert sum(counts["bytes"] for counts in messages.values()) == report["transcript_bytes"]
+    # A frame is its 6-byte header and payload: u64 n_sift and a flag, one
+    # flag, two u64s, a u64 seed and the 16-bit digest with its u64 length,
+    # a u64 code seed and the n_ec syndrome bits with their u64 length.
+    n_ec = report["result"]["n_ec"]
+    assert [messages[name]["bytes"] for name in (
+        "SiftAnnounce", "VerifyResult", "PaSeed", "VerifyHash", "Syndrome"
+    )] == [6 + 9, 6 + 1, 6 + 16, 6 + 16 + 2, 6 + 16 + (n_ec + 7) // 8]
+    # A length abort sends the block exchange and the sift announcement.
+    code, report = simulate_report(FIBER_CONSTANTS, FIBER_CHANNEL, 1, tmp_path)
+    assert code == 1
+    messages = report["messages"]
+    assert {name: counts["frames"] for name, counts in messages.items()} == {
+        "BobBlockDisclosure": 10, "AliceBlockDisclosure": 10, "SiftAnnounce": 1,
+        "Syndrome": 0, "VerifyHash": 0, "VerifyResult": 0, "PaSeed": 0,
+    }
+    assert sum(counts["bytes"] for counts in messages.values()) == report["transcript_bytes"]
+    assert all(counts["bytes"] == 0 for counts in messages.values() if not counts["frames"])
+
+
 def test_simulate_refuses_an_abort_reason_outside_the_closed_set(
     config_files, monkeypatch, capsys
 ):
@@ -616,8 +644,16 @@ REPORT_KEYS = {
     "simulate": {
         "schema_version", "command", "seed", "result", "aborted",
         "abort_reason", "keys_match", "transcript_bytes", "ec_converged",
-        "ec_iterations", "qber_est", "ec_efficiency",
-    } | CONSTANTS_KEYS | CHANNEL_KEYS | {f"result.{k}" for k in RESULT_KEYS},
+        "ec_iterations", "qber_est", "ec_efficiency", "messages",
+    } | CONSTANTS_KEYS | CHANNEL_KEYS | {f"result.{k}" for k in RESULT_KEYS}
+    | {
+        f"messages.{name}{field}"
+        for name in (
+            "AliceBlockDisclosure", "BobBlockDisclosure", "PaSeed",
+            "SiftAnnounce", "Syndrome", "VerifyHash", "VerifyResult",
+        )
+        for field in ("", ".bytes", ".frames")
+    },
     "scan": {"schema_version", "command", "param", "rows", "rows[].value",
              "rows[].result"}
     | CONSTANTS_KEYS | CHANNEL_KEYS | {f"rows[].result.{k}" for k in RESULT_KEYS},

@@ -124,9 +124,11 @@ def test_successful_run_produces_matching_keys():
 # SHA-256 over transcript || Alice key || Bob key of
 # run_protocol(SMALL, CLEAN, seed=42), taken when each party came to finish
 # on the message that decides its outcome, with no closing frame, and each
-# block drawn from its counter range on the session's per-role streams.
+# block drawn from its counter range on the session's per-role streams;
+# re-taken for wire version 4 (varint block headers, prefix-coded
+# intensities).
 GOLDEN_SESSION_DIGEST = (
-    "7c7b45d49bdfe7f80a838b0197c0265a30317ca001e95326537b0f4100779cce"
+    "e30cfb3e5196f72f354ac7261113b6bd31497460af8854fb44a4ef134956c60d"
 )
 
 
@@ -159,9 +161,9 @@ LOSSY_LONG = ProtocolConstants(
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
 # taken when each party came to finish on the message that decides its
-# outcome, with per-block counter-range streams.
+# outcome, with per-block counter-range streams and wire version 4.
 GOLDEN_ABORT_DIGEST = (
-    "96a3159dcca60a2c70a7c4f7b359a218e9d22d95b71095e2b540eeb9257c7d35"
+    "907e47eda55f9ca610790507823e0cc84479a4be28a613ad70d67647daeceb9c"
 )
 
 
@@ -191,9 +193,9 @@ DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
 # SHA-256 over transcript || Alice key || Bob key of
 # run_protocol(DEMO_X4, DEMO, seed=7), taken when each party came to finish
 # on the message that decides its outcome, with per-block counter-range
-# streams.
+# streams and wire version 4.
 GOLDEN_DEMO_DIGEST = (
-    "5f453df60934ac7d26bdabc2b40458f2860a11574a2e411b45512313b6de8334"
+    "3202e7fc2fe76cfaa77aec3807f42f32442268dfa7ba896e7a71fd5ffac91b7c"
 )
 
 
@@ -274,6 +276,14 @@ WORKLOADS = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json")
     .read_text(encoding="utf-8")
 )
+
+
+def workload_law(name):
+    """(constants, channel) of a benchmark workload."""
+    return (load_constants(WORKLOADS[name]["constants"]),
+            load_channel(WORKLOADS[name]["channel"]))
+
+
 # The 181 reference sessions: the benchmark's laws at these seeds.
 CHAIN_SESSIONS = (
     ("clean-short", range(150)),
@@ -284,9 +294,9 @@ CHAIN_SESSIONS = (
 
 # SHA-256 over sha256(transcript).hexdigest() + key_material_digest([out])
 # of each reference session in CHAIN_SESSIONS order, fed as one ASCII
-# stream; 149 of the 181 sessions key.
+# stream, with wire version 4; 149 of the 181 sessions key.
 GOLDEN_CHAIN_DIGEST = (
-    "612f58593c49f4e888bc37d84174efe2adca9e829ce7a5e5f43eb18d86ed261c"
+    "143f6e29a73184d554cb167b22ad1f81fca1870036026309c2d089a4c8930cfa"
 )
 CHAIN_KEYED = 149
 
@@ -297,8 +307,7 @@ def test_reference_sessions_chain_to_golden_digest():
     chain = hashlib.sha256()
     keyed = 0
     for name, seeds in CHAIN_SESSIONS:
-        constants = load_constants(WORKLOADS[name]["constants"])
-        channel = load_channel(WORKLOADS[name]["channel"])
+        constants, channel = workload_law(name)
         expected = expected_observables(constants, channel)
         for seed in seeds:
             out = run_protocol(constants, channel, seed, expected)
@@ -869,20 +878,24 @@ FLIPS = {
 
 
 class FlippedSource(BlockSource):
-    """A session's blocks with one bit flipped: the bit in ``column`` of
-    the first clicked round that ``where`` selects, at (block, index)
-    ``flip``; None, and no bit flipped, if no round qualifies. The first
-    matched-Z round is the first round of the sifted key."""
+    """A session's blocks with one bit flipped: the bit in ``column`` of a
+    clicked round that ``where`` selects, at (block, index) ``flip``; None,
+    and no bit flipped, if no round qualifies. ``pick`` chooses one of a
+    list of options: first a block among those with a qualifying round,
+    then a round of that block."""
 
-    def __init__(self, constants, channel, seed, column, where):
+    def __init__(self, constants, channel, seed, column, where, pick):
         super().__init__(constants, channel, seed)
         self.column = column
         self.flip = None
+        candidates = {}
         for j in range(constants.n_block):
             rounds = np.flatnonzero(where(super().__call__(j)))
             if len(rounds):
-                self.flip = (j, rounds[0])
-                break
+                candidates[j] = rounds.tolist()
+        if candidates:
+            j = pick(sorted(candidates))
+            self.flip = (j, pick(candidates[j]))
 
     def __call__(self, j):
         block = super().__call__(j)
@@ -916,50 +929,59 @@ def differing(honest, flipped):
     return [i for i in range(n) if raws[0][i : i + 1] != raws[1][i : i + 1]]
 
 
-# Per seed 0-9 of each shape: the honest session's abort reason, and the
-# flip classes that find a round to flip.
-MATCHED_Z_MISMATCHED = {"alice-matched-z", "alice-mismatched", "bob-matched-z"}
-MATCHED_Z = {"alice-matched-z", "bob-matched-z"}
+# Per seed 0-9 of each benchmark law: the honest session's abort reason,
+# and the flip classes that find a round to flip.
+NO_MATCHED_X_DV = set(FLIPS) - {"alice-matched-x-DV"}
 TRANSCRIPT_SEEDS = {
     "keyed": (
-        SMALL,
-        CLEAN,
+        *workload_law("clean-short"),
         [None] * 5 + [ABORT_VERIFY] + [None] * 4,
         [set(FLIPS)] * 10,
     ),
     "length-abort": (
-        LOSSY,
-        FIBER,
+        *workload_law("lossy-long"),
         [ABORT_LENGTH] * 10,
-        [MATCHED_Z_MISMATCHED, MATCHED_Z, MATCHED_Z_MISMATCHED, MATCHED_Z]
-        + [MATCHED_Z_MISMATCHED] * 2
-        + [{"alice-mismatched"}]
-        + [MATCHED_Z_MISMATCHED] * 3,
+        [NO_MATCHED_X_DV, set(FLIPS)] * 2
+        + [NO_MATCHED_X_DV]
+        + [set(FLIPS)] * 2
+        + [NO_MATCHED_X_DV]
+        + [set(FLIPS)] * 2,
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TRANSCRIPT_SEEDS))
-def test_transcript_discloses_what_the_accounting_subtracts(case):
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_transcript_discloses_what_the_accounting_subtracts(case, data):
     """Two sessions whose Alice differs in one bit of her sifted key send
     the same frames up to the syndrome. The syndrome and the verification
     digest then differ only in their bits, which are the n_ec and n_verify
     bits the final length subtracts; a session that aborts at the length
-    judgement sends no frame that differs.
+    judgement sends no frame that differs but Alice's reply to a flipped
+    matched-X round.
 
     The other flip classes: Alice's bit on a matched-X round goes out in
     her reply, and on a decoy or vacuum round it also moves the public
     error tally and so the final length and, in a keyed session, the key.
     Her bit on a mismatched round goes out nowhere. Bob's bit on a
     matched-Z round goes out nowhere unless the decoder misses it, and
-    then only as a failed verification."""
+    then only as a failed verification. So the reply carries intensity,
+    basis and matched-X bits and nothing else.
+
+    Each flip class flips a block and round drawn at random among those
+    that qualify."""
     constants, channel, reasons, classes = TRANSCRIPT_SEEDS[case]
+
+    def pick(options):
+        return data.draw(st.sampled_from(options))
+
     verify_aborts = 0
     for seed in range(10):
         shape = (constants, channel, seed)
         alice, honest = session_frames(*shape, BlockSource(*shape))
         sec = alice.security
-        sources = {name: FlippedSource(*shape, *FLIPS[name]) for name in FLIPS}
+        sources = {name: FlippedSource(*shape, *FLIPS[name], pick) for name in FLIPS}
         runs = {
             name: session_frames(*shape, source)
             for name, source in sources.items()
@@ -967,10 +989,28 @@ def test_transcript_discloses_what_the_accounting_subtracts(case):
         }
         assert alice.result.abort_reason == reasons[seed]
         assert set(runs) == classes[seed]
+
+        def reply_of(name):
+            """The frame index of the reply to the block flipped in ``name``."""
+            return 2 * sources[name].flip[0] + 1
+
+        def assert_value_bit_differs(name, frames):
+            """The flipped reply differs from the honest one in one value
+            bit, and in no intensity or basis."""
+            honest_reply, flipped_reply = honest[reply_of(name)][0], frames[reply_of(name)][0]
+            assert np.array_equal(flipped_reply.omega, honest_reply.omega)
+            assert np.array_equal(flipped_reply.alpha, honest_reply.alpha)
+            assert np.count_nonzero(flipped_reply.value != honest_reply.value) == 1
+
         if sec.abort:
             assert reasons[seed] == ABORT_LENGTH
-            for name in runs:
-                assert differing(honest, runs[name][1]) == [], name
+            for name, (flipped_alice, frames) in runs.items():
+                assert flipped_alice.result.abort_reason == ABORT_LENGTH, name
+                if name.startswith("alice-matched-x"):
+                    assert differing(honest, frames) == [reply_of(name)], name
+                    assert_value_bit_differs(name, frames)
+                else:
+                    assert differing(honest, frames) == [], name
             continue
         keyed = reasons[seed] is None
         _, flipped = runs["alice-matched-z"]
@@ -993,14 +1033,12 @@ def test_transcript_discloses_what_the_accounting_subtracts(case):
             (verdict,) = (msg for msg, _ in honest if isinstance(msg, VerifyResult))
             assert not verdict.ok and honest[-1][0] is verdict
 
-        def reply_of(name):
-            """The frame index of the reply to the block flipped in ``name``."""
-            return 2 * sources[name].flip[0] + 1
-
         alice_s, frames = runs["alice-matched-x-S"]
         assert differing(honest, frames) == [reply_of("alice-matched-x-S")]
+        assert_value_bit_differs("alice-matched-x-S", frames)
         assert alice_s.result.key == alice.result.key
         alice_dv, frames = runs["alice-matched-x-DV"]
+        assert_value_bit_differs("alice-matched-x-DV", frames)
         assert alice_dv.security.n_fin != n_fin == alice.security.n_fin
         if keyed:
             assert differing(honest, frames) == [reply_of("alice-matched-x-DV"), len(honest) - 1]

@@ -1,10 +1,11 @@
+import itertools
 import pathlib
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import dsbb84.wire
 from dsbb84.channel import click_law, load_channel
 from dsbb84.gf2 import BitString
 from dsbb84.params import load_constants
@@ -29,6 +30,30 @@ from dsbb84.wire import (
 from reference import bits as bits_of
 
 
+def leb128(*values):
+    """Each value as a minimal unsigned LEB128 varint, low group first."""
+    out = bytearray()
+    for value in values:
+        while True:
+            out.append(value & 0x7F | (0x80 if value > 0x7F else 0))
+            value >>= 7
+            if not value:
+                break
+    return bytes(out)
+
+
+def leb128_spans(payload, count):
+    """(start, end) of each of the first ``count`` varints of ``payload``."""
+    spans, at = [], 0
+    for _ in range(count):
+        end = at
+        while payload[end] & 0x80:
+            end += 1
+        spans.append((at, end + 1))
+        at = end + 1
+    return spans
+
+
 def bob(j, m, offsets, basis, x_outcomes):
     """Bob's disclosure from plain lists."""
     return BobBlockDisclosure(j, m, np.array(offsets, dtype=np.int64), basis, x_outcomes)
@@ -43,9 +68,9 @@ def roundtrip(msg):
 
 def test_frame_layout():
     # <IBB byte count (covering version, tag and payload), version, tag.
-    assert WIRE_VERSION == 3
+    assert WIRE_VERSION == 4
     raw = encode_frame(7, b"abc")
-    assert raw == b"\x05\x00\x00\x00\x03\x07abc"
+    assert raw == b"\x05\x00\x00\x00\x04\x07abc"
     tag, payload, end = decode_frame(raw)
     assert (tag, payload, end) == (7, b"abc", len(raw))
 
@@ -55,14 +80,15 @@ def test_frame_errors():
         decode_frame(b"\x01\x00\x00")
     with pytest.raises(WireError):
         decode_frame(b"\x00\x00\x00\x00\x05")
-    with pytest.raises(WireError):
-        decode_frame(b"\x01\x00\x00\x00\x03\x05")
-    with pytest.raises(WireError):
-        decode_frame(b"\x09\x00\x00\x00\x03\x05abc")
+    with pytest.raises(WireError, match="cover"):
+        decode_frame(b"\x01\x00\x00\x00\x04\x05")
+    with pytest.raises(WireError, match="truncated"):
+        decode_frame(b"\x09\x00\x00\x00\x04\x05abc")
     with pytest.raises(WireError):
         decode_message(encode_frame(200, b""))
-    # Any other version is refused, today's predecessor included.
-    for version in (0, 1, 2, 255):
+    # Any other version is refused, today's predecessor (fixed-width block
+    # headers, a 2-bit intensity column) included.
+    for version in (0, 1, 2, 3, 5, 255):
         with pytest.raises(WireError, match="version"):
             decode_frame(b"\x05\x00\x00\x00" + bytes([version]) + b"\x07abc")
     with pytest.raises(WireError):
@@ -113,17 +139,21 @@ def test_bob_disclosure_validates_x_count():
 
 
 def test_bob_disclosure_byte_layout():
-    # <III block index, round count m = 10 and click count k = 3. The
-    # clicked set [0, 3, 9] sends L = floor(log2(10/3)) = 1 low-bit plane
+    # Varints of the block index, round count m = 10 and click count k = 3.
+    # The clicked set [0, 3, 9] sends L = floor(log2(10/3)) = 1 low-bit plane
     # (bit 0 of each offset: 0, 1, 1) and a high part of 3 + (9 >> 1) = 7
     # bits with bits (o >> 1) + i = 0, 2 and 6 set. Bob's basis and X
     # outcomes follow; each column is LSB-first and padded to a byte.
     msg = bob(2, 10, [0, 3, 9], [1, 0, 1], [0, 1])
-    assert msg.encode() == bytes.fromhex("02000000" "0a000000" "03000000" "06" "45" "05" "02")
+    assert msg.encode() == bytes.fromhex("02" "0a" "03" "06" "45" "05" "02")
     roundtrip(msg)
-    assert len(WIDE) == 12 + 5 + 6 + 3 + 3
+    assert len(WIDE) == 3 + 5 + 6 + 3 + 3
     # An empty set sends no clicked-set bits at all.
-    assert bob(1, 10, [], [], []).encode() == bytes.fromhex("01000000" "0a000000" "00000000")
+    assert bob(1, 10, [], [], []).encode() == bytes.fromhex("01" "0a" "00")
+    # A varint holds seven bits a byte, low group first: m = 100,000 takes
+    # three bytes and j = 2**32 - 1 five.
+    wide = bob(2**32 - 1, 100_000, [], [], []).encode()
+    assert wide == bytes.fromhex("ffffffff0f" "a08d06" "00")
 
 
 @st.composite
@@ -139,7 +169,7 @@ def clicked_sets(draw):
 def clicked_set_bytes(msg):
     """Bytes of the clicked set: the payload less header, basis and outcomes."""
     columns = (len(msg.basis) + 7) // 8 + (len(msg.x_outcomes) + 7) // 8
-    return len(msg.encode()) - 12 - columns
+    return len(msg.encode()) - len(leb128(msg.j, msg.m, len(msg.offsets))) - columns
 
 
 @given(clicked_sets())
@@ -180,7 +210,7 @@ def test_shipped_configs_click_sparsely_enough_for_the_size_bound():
 
 
 def bob_payload(j, m, k, *columns):
-    return struct.pack("<III", j, m, k) + b"".join(columns)
+    return leb128(j, m, k) + b"".join(columns)
 
 
 # m = 100 with every fifth round clicked and in X: L = 2, so a 40-bit low
@@ -210,14 +240,14 @@ WIDE = bob(0, 100, list(range(0, 100, 5)), [1] * 20, [1, 0] * 10).encode()
         (bob_payload(0, 10, 3, b"\x06", b"\x45", b"\x05", b"\x06"), "padding"),
         # A payload that ends inside the low part, the high part, the basis
         # or the X outcomes; a count whose columns the payload cannot hold.
-        (WIDE[: 12 + 2], "truncated"),
-        (WIDE[: 12 + 5 + 3], "truncated"),
-        (WIDE[: 12 + 11 + 1], "truncated"),
-        (WIDE[: 12 + 14 + 1], "truncated"),
+        (WIDE[: 3 + 2], "truncated"),
+        (WIDE[: 3 + 5 + 3], "truncated"),
+        (WIDE[: 3 + 11 + 1], "truncated"),
+        (WIDE[: 3 + 14 + 1], "truncated"),
         (bob_payload(0, 2**32 - 1, 2**31), "truncated"),
-        # Trailing byte; short header.
+        # Trailing byte; a header that ends before its third varint.
         (bob_payload(0, 10, 3, b"\x06", b"\x45", b"\x05", b"\x02", b"\x00"), "trailing"),
-        (b"\x00" * 8, "short"),
+        (leb128(0, 10), "truncated varint"),
     ],
     ids=["k-above-m", "missing-one", "extra-one", "zero-gap", "descending",
          "offset-beyond-m", "low-padding", "high-padding", "basis-padding",
@@ -247,45 +277,123 @@ def test_alice_disclosure_roundtrip():
 
 
 def test_alice_disclosure_byte_layout():
-    # <III block index, record count and value-bit count; then omega as
-    # two bits per record (low bit first), alpha and the matched-X value
-    # bits, each LSB-first and padded with zero bits to a whole byte.
+    # Varints of the block index, record count and value-bit count; then the
+    # intensity column (a D-or-V bit per record, then a V bit per D-or-V
+    # record), alpha and the matched-X value bits, each LSB-first and
+    # padded with zero bits to a whole byte.
     msg = AliceBlockDisclosure(
         2, [0, 1, 2, 1, 2], [0, 1, 1, 0, 1], [1, 0]
     )
-    assert msg.encode() == (
-        b"\x02\x00\x00\x00" b"\x05\x00\x00\x00" b"\x02\x00\x00\x00"
-        b"\x64\x02" b"\x16" b"\x01"
-    )
+    # Intensity bits 0 1 1 1 1 | 0 1 0 1: 0x5e, then 0x01.
+    assert msg.encode() == b"\x02\x05\x02" b"\x5e\x01" b"\x16" b"\x01"
     empty = AliceBlockDisclosure(7, [], [], [])
-    assert empty.encode() == b"\x07\x00\x00\x00" + bytes(8)
+    assert empty.encode() == b"\x07\x00\x00"
+    # S costs one bit a record, D or V two, so an all-S reply of 16 records
+    # sends two intensity bytes and an all-V one four.
+    assert len(AliceBlockDisclosure(0, [0] * 16, [0] * 16, []).encode()) == 3 + 2 + 2
+    assert len(AliceBlockDisclosure(0, [2] * 16, [0] * 16, []).encode()) == 3 + 4 + 2
+
+
+def alice_payload(count, n_values, body):
+    return leb128(0, count, n_values) + body
 
 
 def test_alice_disclosure_validation():
-    def payload(count, n_values, body):
-        return b"\x00" * 4 + count.to_bytes(4, "little") + n_values.to_bytes(4, "little") + body
-
-    # omega 3 in the second slot.
-    with pytest.raises(WireError, match="intensity"):
-        AliceBlockDisclosure.decode(payload(2, 0, b"\x0c\x00"))
-    # Padding bits set: omega, alpha, value.
-    with pytest.raises(WireError):
-        AliceBlockDisclosure.decode(payload(2, 0, b"\x10\x00"))
-    with pytest.raises(WireError):
-        AliceBlockDisclosure.decode(payload(2, 0, b"\x00\x04"))
-    with pytest.raises(WireError):
-        AliceBlockDisclosure.decode(payload(2, 1, b"\x00\x00\x02"))
-    # Length disagreeing with the counts, and a short header.
-    with pytest.raises(WireError, match="length"):
-        AliceBlockDisclosure.decode(payload(2, 0, b"\x00\x00\x00"))
-    with pytest.raises(WireError, match="length"):
-        AliceBlockDisclosure.decode(payload(2**32 - 1, 0, b"\x00\x00"))
-    with pytest.raises(WireError):
-        AliceBlockDisclosure.decode(b"\x00" * 9)
+    # Padding bits set: intensity (two S records fill two bits), alpha,
+    # value.
+    for body, n_values in ((b"\x04\x00", 0), (b"\x00\x04", 0), (b"\x00\x00\x02", 1)):
+        with pytest.raises(WireError, match="padding"):
+            AliceBlockDisclosure.decode(alice_payload(2, n_values, body))
+    # Two D-or-V bits announce two V bits after them, so the intensity
+    # column takes four bits; the alpha byte is then missing.
+    with pytest.raises(WireError, match="truncated"):
+        AliceBlockDisclosure.decode(alice_payload(2, 0, b"\x03"))
+    with pytest.raises(WireError, match="truncated"):
+        AliceBlockDisclosure.decode(alice_payload(2**32 - 1, 0, b"\x00\x00"))
+    with pytest.raises(WireError, match="trailing"):
+        AliceBlockDisclosure.decode(alice_payload(2, 0, b"\x00\x00\x00"))
+    # A header that ends before its third varint.
+    with pytest.raises(WireError, match="truncated varint"):
+        AliceBlockDisclosure.decode(leb128(0, 2))
     with pytest.raises(WireError):
         AliceBlockDisclosure(0, np.array([3], dtype=np.uint8), [0], []).encode()
     with pytest.raises(WireError):
         AliceBlockDisclosure(0, np.array([0, 1], dtype=np.uint8), [0], []).encode()
+
+
+def test_every_intensity_column_decodes_and_reencodes():
+    # Every bit pattern of the intensity column of up to 6 records, with
+    # each record's alpha bit set, decodes to indices in 0-2, D-or-V bit
+    # plus V bit, and re-encodes to its own bytes. No code point is left
+    # over to refuse.
+    for count in range(7):
+        for d_or_v in itertools.product((0, 1), repeat=count):
+            for v in itertools.product((0, 1), repeat=sum(d_or_v)):
+                column = np.packbits(np.array(d_or_v + v, dtype=np.uint8), bitorder="little")
+                alpha = np.packbits(np.ones(count, dtype=np.uint8), bitorder="little")
+                payload = alice_payload(count, 0, column.tobytes() + alpha.tobytes())
+                msg = AliceBlockDisclosure.decode(payload)
+                expected = np.array(d_or_v, dtype=np.uint8)
+                expected[expected == 1] += np.array(v, dtype=np.uint8)
+                assert msg.omega.tolist() == expected.tolist()
+                assert msg.encode() == payload
+
+
+# Header varints a decoder refuses, each in the place of one header field.
+BAD_VARINTS = [
+    (b"\x80\x00", "minimal"),
+    (b"\x8a\x80\x00", "minimal"),
+    (b"\x80\x80\x80\x80\x10", "2\\*\\*32"),
+    (b"\xff\xff\xff\xff\x7f", "2\\*\\*32"),
+    (b"\x80\x80\x80\x80\x80\x00", "over-long"),
+    (b"\xff\xff\xff\xff\xff\xff\x01", "over-long"),
+]
+
+
+@pytest.mark.parametrize("cls, header", [(BobBlockDisclosure, (0, 10, 0)),
+                                         (AliceBlockDisclosure, (0, 0, 0))],
+                         ids=["bob", "alice"])
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_block_headers_refuse_non_canonical_varints(cls, header, field):
+    fields = [leb128(value) for value in header]
+    assert cls.decode(b"".join(fields)).encode() == b"".join(fields)
+    for bad, match in BAD_VARINTS:
+        payload = b"".join(fields[:field] + [bad] + fields[field + 1 :])
+        with pytest.raises(WireError, match=match):
+            cls.decode(payload)
+    # A varint cut inside, and a header cut before the field.
+    for cut in (b"\x80", b"\xff\xff", b""):
+        with pytest.raises(WireError, match="truncated varint"):
+            cls.decode(b"".join(fields[:field]) + cut)
+
+
+def test_largest_header_varint_roundtrips():
+    assert roundtrip(bob(2**32 - 1, 2**32 - 1, [], [], [])).m == 2**32 - 1
+    assert roundtrip(AliceBlockDisclosure(2**32 - 1, [], [], [])).j == 2**32 - 1
+
+
+def test_decoders_hand_over_bit_columns_as_bool(monkeypatch):
+    # A bool column is in range by its type, so the constructor copies it
+    # without a range check; the decoders' 0/1 columns come as bool views.
+    seen = []
+    real = dsbb84.wire._column
+
+    def spy(name, column, top):
+        seen.append((name, np.asarray(column).dtype))
+        return real(name, column, top)
+
+    monkeypatch.setattr(dsbb84.wire, "_column", spy)
+    bob_raw = bob(2, 10, [0, 3, 9], [1, 0, 1], [0, 1]).encode()
+    alice_raw = AliceBlockDisclosure(2, [0, 1, 2], [0, 1, 1], [1]).encode()
+    seen.clear()
+    BobBlockDisclosure.decode(bob_raw)
+    assert seen == [("basis", np.dtype(bool)), ("x outcome", np.dtype(bool))]
+    seen.clear()
+    msg = AliceBlockDisclosure.decode(alice_raw)
+    assert seen == [("intensity index", np.dtype(np.uint8)), ("alpha", np.dtype(bool)),
+                    ("value", np.dtype(bool))]
+    for column in (msg.omega, msg.alpha, msg.value):
+        assert column.dtype == np.uint8 and not column.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -331,8 +439,8 @@ def test_bob_columns_refuse_values_that_do_not_fit(columns):
 
 
 def test_block_messages_keep_read_only_copies_of_their_columns():
-    bob_columns = (np.array([1, 4]), np.array([1, 0], dtype=np.int8), np.array([1], np.int8))
-    alice_columns = (np.array([2, 0], dtype=np.int8), np.array([1, 0]), np.array([0], np.uint8))
+    bob_columns = (np.array([1, 4]), np.array([1, 0], dtype=np.int8), np.array([True]))
+    alice_columns = (np.array([2, 0], dtype=np.int8), np.array([True, False]), np.array([0], np.uint8))
     bob_msg = BobBlockDisclosure(0, 10, *bob_columns)
     alice_msg = AliceBlockDisclosure(0, *alice_columns)
     kept = (bob_msg.offsets, bob_msg.basis, bob_msg.x_outcomes,
@@ -341,6 +449,7 @@ def test_block_messages_keep_read_only_copies_of_their_columns():
         assert given_column.flags.writeable and not column.flags.writeable
         assert not np.shares_memory(given_column, column)
         assert np.array_equal(given_column, column)
+        assert column.dtype == (np.int64 if column is bob_msg.offsets else np.uint8)
 
 
 def test_alice_disclosure_refuses_foreign_record_arrays():
@@ -357,13 +466,15 @@ def test_alice_disclosure_refuses_foreign_record_arrays():
         BobBlockDisclosure(2**32, 1, np.array([0]), [0], []),
         BobBlockDisclosure(0, 2**32, np.array([0]), [0], []),
         AliceBlockDisclosure(-1, [], [], []),
+        AliceBlockDisclosure(2**32, [], [], []),
+        AliceBlockDisclosure(0.5, [], [], []),
         SiftAnnounce(n_sift=-1, proceed=True),
         Syndrome(bits_of([1]), code_seed=2**64),
         VerifyHash(seed=-1, digest=bits_of([1])),
         PaSeed(seed=2**64, n_fin=1),
     ],
     ids=["BobBlockDisclosure", "BobBlockDisclosure-m", "AliceBlockDisclosure",
-         "SiftAnnounce", "Syndrome", "VerifyHash", "PaSeed"],
+         "AliceBlockDisclosure-u32", "AliceBlockDisclosure-fraction", "SiftAnnounce", "Syndrome", "VerifyHash", "PaSeed"],
 )
 def test_encode_out_of_range_field_raises_wire_error(msg):
     with pytest.raises(WireError):
@@ -428,12 +539,18 @@ def flip_bits(raw, data):
     return bytes(raw)
 
 
-def rewrite_u32(raw, data, fields):
-    """Overwrite one u32 count field and append random bytes."""
-    raw = bytearray(raw)
-    at = data.draw(st.sampled_from(fields))
-    raw[at : at + 4] = data.draw(st.integers(0, 2**32 - 1)).to_bytes(4, "little")
-    return bytes(raw) + data.draw(st.binary(max_size=16))
+def rewrite_count(raw, data):
+    """Overwrite the frame length, or one header varint of a block frame
+    and frame the payload anew, and append random bytes: to the frame in
+    the first case, to the payload in the second."""
+    count = data.draw(st.integers(0, 2**32 - 1))
+    extra = data.draw(st.binary(max_size=16))
+    field = data.draw(st.sampled_from([None, 0, 1, 2]))
+    if field is None:
+        return count.to_bytes(4, "little") + raw[4:] + extra
+    tag, payload, _ = decode_frame(raw)
+    start, end = leb128_spans(payload, 3)[field]
+    return encode_frame(tag, payload[:start] + leb128(count) + payload[end:] + extra)
 
 
 @given(alice_replies(), st.data())
@@ -448,9 +565,9 @@ def test_bit_flipped_alice_frames_fail_closed(msg, data):
 
 @given(alice_replies(), st.data())
 def test_length_mutated_alice_frames_fail_closed(msg, data):
-    # The frame length (byte 0), the record count (10) or the value-bit
-    # count (14).
-    decode_or_wire_error(rewrite_u32(encode_message(msg), data, [0, 10, 14]))
+    # The frame length, the block index, the record count or the value-bit
+    # count.
+    decode_or_wire_error(rewrite_count(encode_message(msg), data))
 
 
 @given(bob_disclosures(), st.data())
@@ -465,8 +582,8 @@ def test_bit_flipped_bob_frames_fail_closed(msg, data):
 
 @given(bob_disclosures(), st.data())
 def test_length_mutated_bob_frames_fail_closed(msg, data):
-    # The frame length (byte 0), m (10) or the clicked count (14).
-    decode_or_wire_error(rewrite_u32(encode_message(msg), data, [0, 10, 14]))
+    # The frame length, the block index, m or the clicked count.
+    decode_or_wire_error(rewrite_count(encode_message(msg), data))
 
 
 SCALAR_TYPES = (SiftAnnounce, Syndrome, VerifyHash, VerifyResult, PaSeed)
