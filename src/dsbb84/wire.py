@@ -1,35 +1,40 @@
 """Classical-channel message formats.
 
-Every message travels as one frame: a little-endian u32 byte count, one
-version byte (``WIRE_VERSION``), one tag byte, then the payload; the count
-covers the version, the tag and the payload. A frame of any other version
-is refused. Every integer field is unsigned, and one that does not fit its
-width raises ``WireError`` on encode, never wraps.
+Every message travels as one frame: its byte count, one version byte
+(``WIRE_VERSION``), one tag byte, then the payload; the count covers the
+version, the tag and the payload. A frame of any other version is refused.
 
-The five scalar messages (``SiftAnnounce`` to ``PaSeed``) each declare one
-struct format and share one codec: the payload is the fixed-width
-little-endian fields in declaration order, then, if the message has one,
-its bit string as a u64 bit length followed by the LSB-first packed bytes.
+There is one encoding of an integer and one of a bit string. Every integer,
+the frame's byte count included, is an unsigned minimal LEB128 varint:
+seven bits a byte, low group first, the high bit set on every byte but the
+last. It is below 2**32 in a frame count or a block header, which keeps the
+block decoders' int64 offset arithmetic exact, and below 2**64 in a scalar
+message, whose seeds are u64; one that does not fit raises ``WireError`` on
+encode, never wraps. Every bit string is a column packed LSB-first and
+padded with zero bits to a whole byte, and carries no length of its own: a
+varint or the columns before it imply it.
+
+The five scalar messages (``SiftAnnounce`` to ``PaSeed``) state their
+fields once, as dataclass fields annotated ``int``, ``bool`` or
+``BitString``, and share one codec: one varint per field in declaration
+order (a flag's is 0 or 1, a bit string's its bit count), then the columns
+of the bit strings in the same order.
 
 The two block messages announce only what the other side lacks, and their
-three header fields are minimal unsigned LEB128 varints below 2**32: seven
-bits a byte, low group first, the high bit set on every byte but the last.
-Bob's disclosure names the clicked rounds of a block in one Elias-Fano form
-(Elias 1974; Fano 1971), whose layout follows from the block size and the
-click count alone, then gives his basis on those rounds and his bit on the
-clicked X rounds; Alice's reply gives intensity and basis per named round
-and her bit on matched X rounds only. Her intensity column is a prefix code
-(Huffman 1952) that spends one bit on S, the most common intensity among
-clicks, and two on D or V. Every column of a block message is a bit column
-packed LSB-first and padded with zero bits to a whole byte, and carries no
-length of its own: the header and the columns before it imply it.
+three header fields are varints. Bob's disclosure names the clicked rounds
+of a block in one Elias-Fano form (Elias 1974; Fano 1971), whose layout
+follows from the block size and the click count alone, then gives his
+basis on those rounds and his bit on the clicked X rounds; Alice's reply
+gives intensity and basis per named round and her bit on matched X rounds
+only. Her intensity column is a prefix code (Huffman 1952) that spends one
+bit on S, the most common intensity among clicks, and two on D or V.
 
 A block message holds each column as a read-only numpy array of its own,
 and its constructor is the one check of its shape: values in range,
 offsets ascending inside the block, column lengths that agree. It refuses
 a malformed message with ``WireError``. So encode only packs, and decode
 checks only what bytes alone can get wrong (truncation, padding, varints
-that are over-long, not minimal or 2**32 or more, the high part's bit
+that are over-long, not minimal or out of range, the high part's bit
 count, trailing bytes) before it builds the message through that
 constructor.
 
@@ -46,7 +51,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import struct
 import typing
 from dataclasses import dataclass
 from typing import ClassVar
@@ -55,29 +59,21 @@ import numpy as np
 
 from .gf2 import BitString
 
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 
 class WireError(ValueError):
     """Malformed frame or payload."""
 
 
-def _pack(fmt: str, *values) -> bytes:
-    """``struct.pack`` that reports a field out of range as ``WireError``."""
-    try:
-        return struct.pack(fmt, *values)
-    except struct.error as exc:
-        raise WireError(f"field out of range for {fmt!r}: {exc}") from None
-
-
-def _uvarints(*values) -> bytes:
+def _uvarints(*values, width: int = 32) -> bytes:
     """Each value as a minimal unsigned LEB128 varint; ``WireError`` for a
-    value that is not an integer in [0, 2**32)."""
+    value that is not an integer in [0, 2**width)."""
     out = []
     try:
         for value in values:
-            if not 0 <= value < 1 << 32:
-                raise WireError(f"field {value} out of range for a u32 varint")
+            if not 0 <= value < 1 << width:
+                raise WireError(f"field {value} out of range for a u{width} varint")
             while value > 0x7F:
                 out.append(value & 0x7F | 0x80)
                 value >>= 7
@@ -87,12 +83,12 @@ def _uvarints(*values) -> bytes:
         raise WireError(f"varint fields must be integers, got {values}") from None
 
 
-def _read_uvarints(buf: bytes, count: int) -> list:
-    """The first ``count`` varints of ``buf``, then the offset after them. A
-    varint that is truncated, over five bytes long, not minimal (it ends in
-    a zero byte) or 2**32 or more is refused."""
+def _read_uvarints(buf: bytes, count: int, at: int = 0, width: int = 32) -> list:
+    """The ``count`` varints of ``buf`` from offset ``at``, then the offset
+    after them. A varint that is truncated, longer than a value below
+    2**width needs, not minimal (it ends in a zero byte) or 2**width or
+    more is refused."""
     values = []
-    at = 0
     for _ in range(count):
         value = shift = 0
         while True:
@@ -104,19 +100,15 @@ def _read_uvarints(buf: bytes, count: int) -> list:
             if byte < 0x80:
                 break
             shift += 7
-            if shift == 35:
+            if shift >= width:
                 raise WireError("over-long varint")
         if byte == 0 and shift:
             raise WireError("varint not in minimal form")
-        if value >> 32:
-            raise WireError("varint of 2**32 or more")
+        if value >> width:
+            raise WireError(f"varint of 2**{width} or more")
         values.append(value)
     values.append(at)
     return values
-
-
-def pack_bits(bits: BitString) -> bytes:
-    return _pack("<Q", len(bits)) + bits.to_bytes()
 
 
 def _column_end(buf: bytes, offset: int, n: int) -> int:
@@ -135,32 +127,23 @@ def _packed(bits: np.ndarray) -> bytes:
     return np.packbits(bits, bitorder="little").tobytes()
 
 
-def unpack_bits(buf: bytes, offset: int) -> tuple:
-    if offset + 8 > len(buf):
-        raise WireError("truncated bit-string header")
-    (n,) = struct.unpack_from("<Q", buf, offset)
-    start = offset + 8
-    end = _column_end(buf, start, n)
-    return BitString.from_bytes(buf[start:end], n), end
-
-
 def encode_frame(tag: int, payload: bytes) -> bytes:
-    return _pack("<IBB", len(payload) + 2, WIRE_VERSION, tag) + payload
+    return _uvarints(len(payload) + 2) + bytes((WIRE_VERSION, tag)) + payload
 
 
 def decode_frame(buf: bytes, offset: int = 0) -> tuple:
     """Return (tag, payload, next offset) for the frame at ``offset``."""
-    if offset + 6 > len(buf):
+    length, at = _read_uvarints(buf, 1, offset)
+    if at + 2 > len(buf):
         raise WireError("truncated frame header")
-    length, version, tag = struct.unpack_from("<IBB", buf, offset)
-    if version != WIRE_VERSION:
-        raise WireError(f"wire version {version}, expected {WIRE_VERSION}")
+    if buf[at] != WIRE_VERSION:
+        raise WireError(f"wire version {buf[at]}, expected {WIRE_VERSION}")
     if length < 2:
         raise WireError("frame length must cover the version and tag bytes")
-    end = offset + 4 + length
+    end = at + length
     if end > len(buf):
         raise WireError("truncated frame payload")
-    return tag, buf[offset + 6 : end], end
+    return buf[at + 1], buf[at + 2 : end], end
 
 
 def clicked_offsets(offsets, m: int) -> np.ndarray:
@@ -383,41 +366,47 @@ class AliceBlockDisclosure(_Block):
 
 
 class _Scalar:
-    """A message of fixed-width fields and at most one bit string.
+    """A message of integers, flags and bit strings, each field stated once
+    by its annotation (``int``, ``bool`` or ``BitString``).
 
-    ``FORMAT`` is the struct format of the fields other than the bit
-    string, in declaration order; the bit string, if any, follows them as a
-    u64 bit length and its packed bytes (``pack_bits``). A payload that
-    does not re-encode to itself, such as one with trailing bytes or a flag
-    byte above 1, is refused.
+    The payload is one u64 varint per field in declaration order, a flag's
+    0 or 1 and a bit string's its bit count, then the packed column of each
+    bit string in the same order. Decode converts each value to its
+    field's type, so a payload that does not re-encode to itself, such as
+    one with trailing bytes or a flag of 2, is refused.
     """
 
     TAG: ClassVar[int]
-    FORMAT: ClassVar[str]
 
     @classmethod
     @functools.cache
-    def _layout(cls) -> tuple:
-        """(names of the fixed fields, name of the bit-string field or None)."""
+    def _fields(cls) -> tuple:
+        """(name, type) of each field, in declaration order."""
         types = typing.get_type_hints(cls)
-        names = [f.name for f in dataclasses.fields(cls)]
-        fixed = tuple(name for name in names if types[name] is not BitString)
-        return fixed, next((name for name in names if types[name] is BitString), None)
+        return tuple((f.name, types[f.name]) for f in dataclasses.fields(cls))
 
     def encode(self) -> bytes:
-        fixed, bits = self._layout()
-        payload = _pack(self.FORMAT, *(getattr(self, name) for name in fixed))
-        return payload if bits is None else payload + pack_bits(getattr(self, bits))
+        header, columns = [], []
+        for name, kind in self._fields():
+            value = getattr(self, name)
+            if kind is BitString:
+                columns.append(_packed(value.to_array()))
+                value = len(value)
+            header.append(value)
+        return _uvarints(*header, width=64) + b"".join(columns)
 
     @classmethod
     def decode(cls, payload: bytes) -> "_Scalar":
-        fixed, bits = cls._layout()
-        size = struct.calcsize(cls.FORMAT)
-        if len(payload) < size:
-            raise WireError(f"short {cls.__name__} payload")
-        values = dict(zip(fixed, struct.unpack_from(cls.FORMAT, payload)))
-        if bits is not None:
-            values[bits], _ = unpack_bits(payload, size)
+        fields = cls._fields()
+        *header, at = _read_uvarints(payload, len(fields), width=64)
+        values = {}
+        for (name, kind), value in zip(fields, header):
+            if kind is BitString:
+                end = _column_end(payload, at, value)
+                values[name] = BitString.from_bytes(payload[at:end], value)
+                at = end
+            else:
+                values[name] = kind(value)
         msg = cls(**values)
         if msg.encode() != payload:
             raise WireError(f"{cls.__name__} payload not in canonical form")
@@ -427,7 +416,6 @@ class _Scalar:
 @dataclass(frozen=True)
 class SiftAnnounce(_Scalar):
     TAG: ClassVar[int] = 3
-    FORMAT: ClassVar[str] = "<Q?"
     n_sift: int
     proceed: bool
 
@@ -435,7 +423,6 @@ class SiftAnnounce(_Scalar):
 @dataclass(frozen=True)
 class Syndrome(_Scalar):
     TAG: ClassVar[int] = 4
-    FORMAT: ClassVar[str] = "<Q"
     bits: BitString
     code_seed: int
 
@@ -443,7 +430,6 @@ class Syndrome(_Scalar):
 @dataclass(frozen=True)
 class VerifyHash(_Scalar):
     TAG: ClassVar[int] = 5
-    FORMAT: ClassVar[str] = "<Q"
     seed: int
     digest: BitString
 
@@ -451,14 +437,12 @@ class VerifyHash(_Scalar):
 @dataclass(frozen=True)
 class VerifyResult(_Scalar):
     TAG: ClassVar[int] = 6
-    FORMAT: ClassVar[str] = "<?"
     ok: bool
 
 
 @dataclass(frozen=True)
 class PaSeed(_Scalar):
     TAG: ClassVar[int] = 7
-    FORMAT: ClassVar[str] = "<QQ"
     seed: int
     n_fin: int
 

@@ -231,10 +231,10 @@ def test_sample_block_is_deterministic():
     c = constants()
     first = _block(c, CH, 42)
     second = _block(c, CH, 42)
-    for name in ("beta", "clicked", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
+    for name in ("beta", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
     third = _block(c, CH, 43)
-    assert not np.array_equal(first.clicked, third.clicked)
+    assert not np.array_equal(first.offsets, third.offsets)
 
 
 def test_stream_keys_are_pinned():
@@ -297,7 +297,7 @@ def test_block_streams_take_their_own_counter_ranges():
             streams(StreamKey.ALICE, j)
 
 
-BLOCK_FIELDS = ("beta", "clicked", "offsets", "omega_idx", "alpha", "a", "cell", "b")
+BLOCK_FIELDS = ("beta", "offsets", "omega_idx", "alpha", "a", "cell", "b")
 
 
 def assert_same_block(ours, theirs):
@@ -325,7 +325,7 @@ def test_blocks_do_not_depend_on_draw_order(seed, calls):
         alone = BlockSource(c, CH, seed)(j)
         assert_same_block(block, alone)
         if unclicked:
-            rounds = np.flatnonzero(~alone.clicked)[::97]
+            rounds = np.setdiff1d(np.arange(len(alone)), alone.offsets)[::97]
             rounds = np.union1d(rounds, alone.offsets[:3])
             for x, y in zip(block.alice_settings(rounds), alone.alice_settings(rounds)):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -349,17 +349,20 @@ def test_blocks_of_one_session_differ():
     streams = BlockStreams(42)
     first, second = sample_block(law, streams, 0), sample_block(law, streams, 1)
     assert (first.j, second.j) == (0, 1)
-    assert not np.array_equal(first.clicked, second.clicked)
+    assert not np.array_equal(first.offsets, second.offsets)
     assert not np.array_equal(first.beta, second.beta)
 
 
 def test_sample_block_internal_consistency():
     c = constants(m=20000)
     block = _block(c, CH, 7)
-    assert len(block) == 20000 and len(block.clicked) == 20000
-    k = int(block.clicked.sum())
+    assert len(block) == 20000
+    clicked = np.zeros(len(block), dtype=bool)
+    clicked[block.offsets] = True
+    k = int(clicked.sum())
     assert k > 0
-    assert np.array_equal(block.offsets, np.flatnonzero(block.clicked))
+    # The offsets are the clicked rounds, ascending, each named once.
+    assert np.array_equal(block.offsets, np.flatnonzero(clicked))
     for name in ("omega_idx", "alpha", "beta", "a", "cell", "b"):
         assert len(getattr(block, name)) == k
     assert set(np.unique(block.omega_idx)) <= {0, 1, 2}
@@ -387,12 +390,13 @@ def test_sample_block_click_rate_matches_closed_form():
     ch = ChannelModel(eta_ch=0.5, e_mis=0.02, p_dark=1e-4, eta_det=0.8)
     block = _block(c, ch, 3)
     omega_idx, alpha, _ = block.alice_settings(np.arange(len(block)))
+    clicked = np.isin(np.arange(len(block)), block.offsets)
     for idx, omega in enumerate(INTENSITIES):
         mask = omega_idx == idx
         share = mask.mean()
         sigma = math.sqrt(c.p_intensity[omega] * (1 - c.p_intensity[omega]) / len(block))
         assert abs(share - c.p_intensity[omega]) < 6 * sigma
-        rate = block.clicked[mask].mean()
+        rate = clicked[mask].mean()
         expected = click_probability_total(ch, c.mu[omega])
         sigma = math.sqrt(expected * (1 - expected) / mask.sum())
         assert abs(rate - expected) < 6 * sigma + 1e-9
@@ -445,7 +449,7 @@ def test_cell_counts_match_click_probabilities(point):
         block = sample_block(law, BlockStreams(1000 + j), j)
         combo = setting_index(block.omega_idx, block.alpha, block.a, block.beta)
         np.add.at(observed, (combo, block.cell), 1)
-        omega_idx, alpha, a = block.alice_settings(np.flatnonzero(~block.clicked))
+        omega_idx, alpha, a = block.alice_settings(np.setdiff1d(np.arange(c.m), block.offsets))
         np.add.at(observed_none, setting_index(omega_idx, alpha, a, 0) // 2, 1)
     expected = np.zeros((24, 3))
     expected_none = np.zeros(12)
@@ -472,7 +476,7 @@ def test_alice_settings_of_unclicked_rounds_are_keyed_by_block():
     c = constants(m=20000)
     law = click_law(c, CH)
     block = sample_block(law, BlockStreams(9), 2)
-    unclicked = np.flatnonzero(~block.clicked)
+    unclicked = np.setdiff1d(np.arange(c.m), block.offsets)
     named = np.sort(np.concatenate([block.offsets[:3], unclicked[[0, 5, 9]]]))
     first = block.alice_settings(named)
     again = sample_block(law, BlockStreams(9), 2).alice_settings(named)
@@ -532,7 +536,7 @@ def test_sampler_matches_choice_reference(name, seed, j, data):
 
     # Alice's settings on the clicked rounds, on some unclicked rounds, and
     # on a mix of the two.
-    unclicked = np.flatnonzero(~twin.clicked)
+    unclicked = np.setdiff1d(np.arange(len(twin)), twin.offsets)
     mixed = np.union1d(some(twin.offsets), some(unclicked))
     for offs in (twin.offsets, some(unclicked), mixed):
         for ours, theirs in zip(block.alice_settings(offs), twin.alice_settings(offs)):

@@ -4,10 +4,12 @@ import pathlib
 import shlex
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import dsbb84.cli
 import dsbb84.protocol
+from dsbb84.channel import StreamKey, generator
 from dsbb84.cli import main
 from dsbb84.hashing import ModifiedToeplitz
 from dsbb84.wire import WireError
@@ -533,13 +535,31 @@ def test_simulate_report_counts_frames_and_bytes_per_message_type(tmp_path):
         "Syndrome": 1, "VerifyHash": 1, "VerifyResult": 1, "PaSeed": 1,
     }
     assert sum(counts["bytes"] for counts in messages.values()) == report["transcript_bytes"]
-    # A frame is its 6-byte header and payload: u64 n_sift and a flag, one
-    # flag, two u64s, a u64 seed and the 16-bit digest with its u64 length,
-    # a u64 code seed and the n_ec syndrome bits with their u64 length.
-    n_ec = report["result"]["n_ec"]
+    # A frame is its byte count (a varint), a version and a tag byte, then
+    # the payload: one varint per field, a bit string's being its bit
+    # count, then the bit strings packed. Alice draws the code, verify and
+    # PA seeds in that order from the session's post-processing stream.
+    def varint(value):
+        return max(1, -(-value.bit_length() // 7))
+
+    def frame(payload):
+        return varint(payload + 2) + 2 + payload
+
+    rng = generator(42, StreamKey.POST_PROCESSING)
+    code_seed, verify_seed, pa_seed = (
+        int(rng.integers(0, 2**64, dtype=np.uint64)) for _ in range(3)
+    )
+    result = report["result"]
+    n_ec, n_verify = result["n_ec"], SMALL_CONSTANTS["n_verify"]
     assert [messages[name]["bytes"] for name in (
         "SiftAnnounce", "VerifyResult", "PaSeed", "VerifyHash", "Syndrome"
-    )] == [6 + 9, 6 + 1, 6 + 16, 6 + 16 + 2, 6 + 16 + (n_ec + 7) // 8]
+    )] == [
+        frame(varint(result["n_sift"]) + 1),
+        frame(1),
+        frame(varint(pa_seed) + varint(result["n_fin"])),
+        frame(varint(verify_seed) + varint(n_verify) + (n_verify + 7) // 8),
+        frame(varint(n_ec) + varint(code_seed) + (n_ec + 7) // 8),
+    ]
     # A length abort sends the block exchange and the sift announcement.
     code, report = simulate_report(FIBER_CONSTANTS, FIBER_CHANNEL, 1, tmp_path)
     assert code == 1

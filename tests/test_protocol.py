@@ -125,10 +125,9 @@ def test_successful_run_produces_matching_keys():
 # run_protocol(SMALL, CLEAN, seed=42), taken when each party came to finish
 # on the message that decides its outcome, with no closing frame, and each
 # block drawn from its counter range on the session's per-role streams;
-# re-taken for wire version 4 (varint block headers, prefix-coded
-# intensities).
+# re-taken for wire version 5 (varint frame counts and scalar fields).
 GOLDEN_SESSION_DIGEST = (
-    "e30cfb3e5196f72f354ac7261113b6bd31497460af8854fb44a4ef134956c60d"
+    "1257594e131109dd7add93ce6cc4ff316c4c18e3b7d61d01c58973eb725f4518"
 )
 
 
@@ -161,9 +160,9 @@ LOSSY_LONG = ProtocolConstants(
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
 # taken when each party came to finish on the message that decides its
-# outcome, with per-block counter-range streams and wire version 4.
+# outcome, with per-block counter-range streams and wire version 5.
 GOLDEN_ABORT_DIGEST = (
-    "907e47eda55f9ca610790507823e0cc84479a4be28a613ad70d67647daeceb9c"
+    "49eb033850f8efee5f02f144d92261def959d38637a03bef1b3117567e672e6c"
 )
 
 
@@ -193,9 +192,9 @@ DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
 # SHA-256 over transcript || Alice key || Bob key of
 # run_protocol(DEMO_X4, DEMO, seed=7), taken when each party came to finish
 # on the message that decides its outcome, with per-block counter-range
-# streams and wire version 4.
+# streams and wire version 5.
 GOLDEN_DEMO_DIGEST = (
-    "3202e7fc2fe76cfaa77aec3807f42f32442268dfa7ba896e7a71fd5ffac91b7c"
+    "c455b31c2240dc9549434733af483ca428a0a0f9f9ceeedb09fa3f314e5a18d9"
 )
 
 
@@ -294,9 +293,9 @@ CHAIN_SESSIONS = (
 
 # SHA-256 over sha256(transcript).hexdigest() + key_material_digest([out])
 # of each reference session in CHAIN_SESSIONS order, fed as one ASCII
-# stream, with wire version 4; 149 of the 181 sessions key.
+# stream, with wire version 5; 149 of the 181 sessions key.
 GOLDEN_CHAIN_DIGEST = (
-    "143f6e29a73184d554cb167b22ad1f81fca1870036026309c2d089a4c8930cfa"
+    "3d2f7e7d260ab5e2a1db3a678cfd910ae838eaaac150f2254af53611abe8794b"
 )
 CHAIN_KEYED = 149
 
@@ -813,9 +812,9 @@ def test_block_drawn_alone_equals_block_in_session():
     for j in reversed(range(SMALL.n_block)):
         alone = sample_block(law, BlockStreams(42), j)
         inside = blocks.seen[j]
-        for name in ("beta", "clicked", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
+        for name in ("beta", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
             assert np.array_equal(getattr(alone, name), getattr(inside, name)), name
-    assert not np.array_equal(blocks.seen[0].clicked, blocks.seen[1].clicked)
+    assert not np.array_equal(blocks.seen[0].offsets, blocks.seen[1].offsets)
 
 
 def test_honest_session_draws_each_block_once_and_clicks_only(monkeypatch):
@@ -1079,7 +1078,7 @@ def test_reply_to_a_disclosure_naming_unclicked_rounds():
         alice, bob = build_machines(SMALL, CLEAN, seed=8)
         honest = bob.outbox.pop(0)
         block = bob.blocks(0)
-        unclicked = np.flatnonzero(~block.clicked)
+        unclicked = np.setdiff1d(np.arange(len(block)), block.offsets)
         extra = unclicked[[0, 7, 100, len(unclicked) - 1]]
         forged, named, basis = disclosure_naming(honest, block, extra)
         alice.handle(forged)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pathlib
 
@@ -24,8 +25,6 @@ from dsbb84.wire import (
     decode_message,
     encode_frame,
     encode_message,
-    pack_bits,
-    unpack_bits,
 )
 from reference import bits as bits_of
 
@@ -67,54 +66,61 @@ def roundtrip(msg):
 
 
 def test_frame_layout():
-    # <IBB byte count (covering version, tag and payload), version, tag.
-    assert WIRE_VERSION == 4
+    # Varint byte count (covering version, tag and payload), version, tag.
+    assert WIRE_VERSION == 5
     raw = encode_frame(7, b"abc")
-    assert raw == b"\x05\x00\x00\x00\x04\x07abc"
+    assert raw == b"\x05\x05\x07abc"
     tag, payload, end = decode_frame(raw)
     assert (tag, payload, end) == (7, b"abc", len(raw))
+    # A count of 128 or more takes a second byte.
+    raw = encode_frame(7, bytes(126))
+    assert raw[:4] == b"\x80\x01\x05\x07" and decode_frame(raw)[1:] == (bytes(126), 130)
 
 
 def test_frame_errors():
-    with pytest.raises(WireError):
-        decode_frame(b"\x01\x00\x00")
-    with pytest.raises(WireError):
-        decode_frame(b"\x00\x00\x00\x00\x05")
+    with pytest.raises(WireError, match="truncated varint"):
+        decode_frame(b"\x81")
+    with pytest.raises(WireError, match="truncated frame header"):
+        decode_frame(b"\x02\x05")
     with pytest.raises(WireError, match="cover"):
-        decode_frame(b"\x01\x00\x00\x00\x04\x05")
+        decode_frame(b"\x01\x05\x05")
     with pytest.raises(WireError, match="truncated"):
-        decode_frame(b"\x09\x00\x00\x00\x04\x05abc")
+        decode_frame(b"\x09\x05\x05abc")
     with pytest.raises(WireError):
         decode_message(encode_frame(200, b""))
-    # Any other version is refused, today's predecessor (fixed-width block
-    # headers, a 2-bit intensity column) included.
-    for version in (0, 1, 2, 3, 5, 255):
+    # Any other version is refused, today's predecessor (a fixed-width frame
+    # header and scalar fields) included.
+    for version in (0, 1, 2, 3, 4, 6, 255):
         with pytest.raises(WireError, match="version"):
-            decode_frame(b"\x05\x00\x00\x00" + bytes([version]) + b"\x07abc")
+            decode_frame(b"\x05" + bytes([version]) + b"\x07abc")
+    # A frame of version 4 reads as a count of 5 and a version byte of 0.
+    with pytest.raises(WireError, match="version 0"):
+        decode_frame(b"\x05\x00\x00\x00\x04\x07abc")
     with pytest.raises(WireError):
-        decode_message(b"\x01\x00\x00\x00\x08")
+        decode_message(b"\x01\x05\x08")
 
 
 @given(st.binary(max_size=30), st.integers(min_value=0, max_value=7))
 def test_pack_bits_roundtrip(data, drop):
+    # A bit-string field is its bit count among the varints, then its bits
+    # packed LSB-first, padded with zero bits to a whole byte.
     n = max(len(data) * 8 - drop, 0)
     word = int.from_bytes(data, "little") & ((1 << n) - 1)
     bits = BitString.from_int(word, n)
-    buf = pack_bits(bits)
-    out, off = unpack_bits(buf, 0)
-    assert out == bits and off == len(buf)
+    buf = VerifyHash(seed=0, digest=bits).encode()
+    assert buf == leb128(0, n) + word.to_bytes((n + 7) // 8, "little")
+    assert VerifyHash.decode(buf).digest == bits
 
 
 def test_unpack_bits_rejects_truncation_and_padding():
-    bits = bits_of([1, 0, 1])
-    buf = pack_bits(bits)
-    with pytest.raises(WireError):
-        unpack_bits(buf[:-1], 0)
-    with pytest.raises(WireError):
-        unpack_bits(buf[:4], 0)
-    bad = buf[:8] + bytes([0xFF])
-    with pytest.raises(WireError):
-        unpack_bits(bad, 0)
+    buf = VerifyHash(seed=0, digest=bits_of([1, 0, 1])).encode()
+    assert buf == b"\x00\x03\x05"
+    with pytest.raises(WireError, match="truncated bit-string"):
+        VerifyHash.decode(buf[:-1])
+    with pytest.raises(WireError, match="truncated varint"):
+        VerifyHash.decode(buf[:1])
+    with pytest.raises(WireError, match="padding"):
+        VerifyHash.decode(buf[:2] + bytes([0xFF]))
 
 
 def test_bob_disclosure_roundtrip():
@@ -339,32 +345,66 @@ def test_every_intensity_column_decodes_and_reencodes():
                 assert msg.encode() == payload
 
 
-# Header varints a decoder refuses, each in the place of one header field.
-BAD_VARINTS = [
-    (b"\x80\x00", "minimal"),
-    (b"\x8a\x80\x00", "minimal"),
-    (b"\x80\x80\x80\x80\x10", "2\\*\\*32"),
-    (b"\xff\xff\xff\xff\x7f", "2\\*\\*32"),
-    (b"\x80\x80\x80\x80\x80\x00", "over-long"),
-    (b"\xff\xff\xff\xff\xff\xff\x01", "over-long"),
-]
+def bad_varints(width):
+    """Varints that a decoder refuses in a field below 2**width, each with
+    the error it raises: not minimal, 2**width or more, over-long."""
+    longest = (width + 6) // 7
+    top = f"2\\*\\*{width}"
+    return [
+        (b"\x80\x00", "minimal"),
+        (b"\x8a\x80\x00", "minimal"),
+        (leb128(2**width), top),
+        (b"\xff" * (longest - 1) + b"\x7f", top),
+        (b"\x80" * longest + b"\x00", "over-long"),
+        (b"\xff" * (longest + 1) + b"\x01", "over-long"),
+    ]
 
 
-@pytest.mark.parametrize("cls, header", [(BobBlockDisclosure, (0, 10, 0)),
-                                         (AliceBlockDisclosure, (0, 0, 0))],
-                         ids=["bob", "alice"])
-@pytest.mark.parametrize("field", [0, 1, 2])
-def test_block_headers_refuse_non_canonical_varints(cls, header, field):
-    fields = [leb128(value) for value in header]
-    assert cls.decode(b"".join(fields)).encode() == b"".join(fields)
-    for bad, match in BAD_VARINTS:
-        payload = b"".join(fields[:field] + [bad] + fields[field + 1 :])
+def reencoded_frame(raw):
+    tag, payload, _ = decode_frame(raw)
+    return encode_frame(tag, payload)
+
+
+# The varint fields of the frame and of each message: (decode and encode
+# again, width, valid field values, the bytes after the varints).
+VARINT_FIELDS = {
+    "frame": (reencoded_frame, 32, (5,), b"\x05\x07abc"),
+    "bob": (lambda raw: BobBlockDisclosure.decode(raw).encode(), 32, (0, 10, 0), b""),
+    "alice": (lambda raw: AliceBlockDisclosure.decode(raw).encode(), 32, (0, 0, 0), b""),
+    **{
+        cls.__name__: (lambda raw, cls=cls: cls.decode(raw).encode(), 64, values, rest)
+        for cls, values, rest in (
+            (SiftAnnounce, (300, 1), b""),
+            (Syndrome, (4, 2**64 - 1), b"\x0b"),
+            (VerifyHash, (2**63, 2), b"\x01"),
+            (VerifyResult, (1,), b""),
+            (PaSeed, (17, 622), b""),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [(field, name) for name, (_, _, values, _) in VARINT_FIELDS.items()
+     for field in range(len(values))],
+)
+def test_block_headers_refuse_non_canonical_varints(field, name):
+    # Every varint field, the frame's byte count and each scalar message's
+    # fields and bit counts included, is read by one reader whose only
+    # parameter is the width: 32 bits for frames and block headers, 64 for
+    # scalar messages.
+    reencode, width, values, rest = VARINT_FIELDS[name]
+    fields = [leb128(value) for value in values]
+    valid = b"".join(fields) + rest
+    assert reencode(valid) == valid
+    for bad, match in bad_varints(width):
         with pytest.raises(WireError, match=match):
-            cls.decode(payload)
+            reencode(b"".join(fields[:field] + [bad] + fields[field + 1 :]) + rest)
     # A varint cut inside, and a header cut before the field.
     for cut in (b"\x80", b"\xff\xff", b""):
         with pytest.raises(WireError, match="truncated varint"):
-            cls.decode(b"".join(fields[:field]) + cut)
+            reencode(b"".join(fields[:field]) + cut)
 
 
 def test_largest_header_varint_roundtrips():
@@ -539,18 +579,20 @@ def flip_bits(raw, data):
     return bytes(raw)
 
 
-def rewrite_count(raw, data):
-    """Overwrite the frame length, or one header varint of a block frame
-    and frame the payload anew, and append random bytes: to the frame in
-    the first case, to the payload in the second."""
-    count = data.draw(st.integers(0, 2**32 - 1))
+def rewrite_count(raw, data, n_fields=3, width=32):
+    """Overwrite the frame's byte count, or one of the ``n_fields`` varints
+    that open the payload and frame the payload anew, with any value below
+    2**width, and append random bytes: to the frame in the first case, to
+    the payload in the second."""
     extra = data.draw(st.binary(max_size=16))
-    field = data.draw(st.sampled_from([None, 0, 1, 2]))
+    field = data.draw(st.sampled_from([None, *range(n_fields)]))
     if field is None:
-        return count.to_bytes(4, "little") + raw[4:] + extra
+        (_, end), = leb128_spans(raw, 1)
+        return leb128(data.draw(st.integers(0, 2**32 - 1))) + raw[end:] + extra
     tag, payload, _ = decode_frame(raw)
-    start, end = leb128_spans(payload, 3)[field]
-    return encode_frame(tag, payload[:start] + leb128(count) + payload[end:] + extra)
+    start, end = leb128_spans(payload, n_fields)[field]
+    count = leb128(data.draw(st.integers(0, 2**width - 1)))
+    return encode_frame(tag, payload[:start] + count + payload[end:] + extra)
 
 
 @given(alice_replies(), st.data())
@@ -599,8 +641,23 @@ scalar_messages = st.one_of(
 
 
 def test_scalar_messages_share_one_codec():
+    # Each scalar message states its fields once, as annotations.
     for cls in SCALAR_TYPES:
         assert "encode" not in vars(cls) and "decode" not in vars(cls)
+        assert not hasattr(cls, "FORMAT")
+
+
+def test_scalar_message_byte_layout():
+    # One varint per field in declaration order, a flag's 0 or 1 and a bit
+    # string's its bit count, then the bit strings' packed columns.
+    assert SiftAnnounce(n_sift=300, proceed=True).encode() == b"\xac\x02" b"\x01"
+    assert VerifyResult(ok=False).encode() == b"\x00"
+    assert PaSeed(seed=2**64 - 1, n_fin=0).encode() == b"\xff" * 9 + b"\x01" b"\x00"
+    # The four syndrome bits 1, 1, 0, 1 are the column 0x0b after both
+    # varints, the code seed's included.
+    syndrome = Syndrome(bits_of([1, 1, 0, 1]), code_seed=128)
+    assert syndrome.encode() == b"\x04" b"\x80\x01" b"\x0b"
+    assert VerifyHash(seed=5, digest=BitString.zeros(0)).encode() == b"\x05\x00"
 
 
 @given(scalar_messages, st.data())
@@ -616,16 +673,10 @@ def test_bit_flipped_scalar_frames_fail_closed(msg, data):
 
 @given(scalar_messages, st.data())
 def test_length_mutated_scalar_frames_fail_closed(msg, data):
-    # The frame length (byte 0) or, in a message with a bit string, its u64
-    # bit length (byte 14), then random appended bytes.
-    raw = bytearray(encode_message(msg))
-    fields = [(0, 4)]
-    if isinstance(msg, (Syndrome, VerifyHash)):
-        fields.append((14, 8))
-    at, width = data.draw(st.sampled_from(fields))
-    count = data.draw(st.integers(0, 256**width - 1))
-    raw[at : at + width] = count.to_bytes(width, "little")
-    decode_or_wire_error(bytes(raw) + data.draw(st.binary(max_size=16)))
+    # The frame's byte count or one field varint, a bit string's bit count
+    # included, then random appended bytes.
+    n_fields = len(dataclasses.fields(msg))
+    decode_or_wire_error(rewrite_count(encode_message(msg), data, n_fields, 64))
 
 
 @given(scalar_messages, st.binary(min_size=1, max_size=16))
@@ -640,22 +691,30 @@ def test_scalar_messages_roundtrip():
     roundtrip(Syndrome(bits_of([1, 1, 0, 1]), code_seed=2**63 + 5))
     roundtrip(VerifyHash(seed=99, digest=bits_of([0, 1])))
     roundtrip(VerifyHash(seed=0, digest=BitString.zeros(0)))
-    roundtrip(VerifyResult(ok=True))
-    roundtrip(VerifyResult(ok=False))
+    # A decoded flag is a bool, as its field is annotated.
+    assert roundtrip(VerifyResult(ok=True)).ok is True
+    assert roundtrip(VerifyResult(ok=False)).ok is False
     roundtrip(PaSeed(seed=17, n_fin=622))
+    roundtrip(PaSeed(seed=2**64 - 1, n_fin=2**64 - 1))
 
 
 def test_scalar_message_validation():
-    with pytest.raises(WireError):
-        SiftAnnounce.decode(b"\x00" * 8)
-    with pytest.raises(WireError):
-        SiftAnnounce.decode(b"\x00" * 8 + b"\x02")
-    with pytest.raises(WireError):
+    with pytest.raises(WireError, match="truncated varint"):
+        SiftAnnounce.decode(b"\x00")
+    # A flag is the varint 0 or 1; 2 decodes to True, which re-encodes as 1.
+    with pytest.raises(WireError, match="canonical"):
+        SiftAnnounce.decode(b"\x00\x02")
+    with pytest.raises(WireError, match="canonical"):
         VerifyResult.decode(b"\x02")
-    with pytest.raises(WireError):
-        PaSeed.decode(b"\x00" * 15)
-    with pytest.raises(WireError):
-        Syndrome.decode(b"\x00" * 7)
+    with pytest.raises(WireError, match="canonical"):
+        PaSeed.decode(b"\x00\x00\x00")
+    with pytest.raises(WireError, match="truncated varint"):
+        Syndrome.decode(b"\x09")
+    # Bit counts that run past the payload, the largest allocating nothing.
+    with pytest.raises(WireError, match="truncated bit-string"):
+        Syndrome.decode(b"\x09\x00\x01")
+    with pytest.raises(WireError, match="truncated bit-string"):
+        VerifyHash.decode(leb128(0, 2**64 - 1) + b"\x01")
 
 
 def test_tags_are_unique_and_stable():
