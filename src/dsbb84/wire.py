@@ -12,7 +12,7 @@ block decoders' int64 offset arithmetic exact, and below 2**64 in a scalar
 message, whose seeds are u64; one that does not fit raises ``WireError`` on
 encode, never wraps. Every bit string is a column packed LSB-first and
 padded with zero bits to a whole byte, and carries no length of its own: a
-varint or the columns before it imply it.
+varint, the columns before it or the frame's end imply it.
 
 The five scalar messages (``SiftAnnounce`` to ``PaSeed``) state their
 fields once, as dataclass fields annotated ``int``, ``bool`` or
@@ -20,23 +20,23 @@ fields once, as dataclass fields annotated ``int``, ``bool`` or
 order (a flag's is 0 or 1, a bit string's its bit count), then the columns
 of the bit strings in the same order.
 
-The two block messages announce only what the other side lacks, and their
-three header fields are varints. Bob's disclosure names the clicked rounds
-of a block in one Elias-Fano form (Elias 1974; Fano 1971), whose layout
-follows from the block size and the click count alone, then gives his
-basis on those rounds and his bit on the clicked X rounds; Alice's reply
-gives intensity and basis per named round and her bit on matched X rounds
-only. Her intensity column is a prefix code (Huffman 1952) that spends one
-bit on S, the most common intensity among clicks, and two on D or V.
+The two block messages announce only what the other side lacks, in
+varint headers and bit columns, and each ends in a sparse set of k
+positions out of n (Bob's clicked rounds, Alice's V records) in one subset
+form: the gaps (position - previous - 1, the first from -1) Rice-coded
+(Golomb 1966; Rice 1979), as L low-bit planes (plane p holds bit p of every
+gap), then a unary part of (gap >> L) zeros and a one per element, which
+ends at the frame's last set bit. L = floor(log2(n/k)) when n >= 4k and 0
+otherwise, in integers, so every platform lays out the same frame.
 
 A block message holds each column as a read-only numpy array of its own,
 and its constructor is the one check of its shape: values in range,
 offsets ascending inside the block, column lengths that agree. It refuses
 a malformed message with ``WireError``. So encode only packs, and decode
 checks only what bytes alone can get wrong (truncation, padding, varints
-that are over-long, not minimal or out of range, the high part's bit
-count, trailing bytes) before it builds the message through that
-constructor.
+that are over-long, not minimal or out of range, unary parts that do not
+end the frame at their k-th set bit, positions out of range) before it
+builds the message through that constructor.
 
 Every encoding is canonical: a decoder refuses any form the encoder would
 not have produced, so a frame that decodes re-encodes to its own bytes.
@@ -59,7 +59,7 @@ import numpy as np
 
 from .gf2 import BitString
 
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 
 class WireError(ValueError):
@@ -198,23 +198,55 @@ class _Block:
         return hash(self.encode())
 
 
-@functools.cache
-def _plane_shifts(low_bits: int) -> np.ndarray:
-    """The shifts 0, ..., L - 1 as a read-only column in the narrowest
-    unsigned type that holds L bits, so that the L x k planes take no wider
-    type. A u32 block size allows at most 33 values of L."""
-    dtype = np.min_scalar_type((1 << low_bits) - 1)
-    return _read_only(np.arange(low_bits, dtype=dtype)[:, None])
+# For each L, the shifts 0..L-1 in the narrowest type of L bits, so the L x k planes stay narrow.
+_PLANE_SHIFTS = [_read_only(np.arange(b, dtype=np.min_scalar_type((1 << b) - 1))[:, None])
+                 for b in range(33)]
 
 
-def _clicked_layout(m: int, k: int) -> tuple:
-    """(L, high-part bits, plane shifts) of the Elias-Fano form of k clicked
-    rounds out of m. Each offset sends its L = floor(log2(m/k)) low bits,
-    and the high part has k + ((m - 1) >> L) bits; an empty set sends no
-    bits."""
-    low_bits = (m // k).bit_length() - 1 if k else 0
-    high_len = k + ((m - 1) >> low_bits) if k else 0
-    return low_bits, high_len, _plane_shifts(low_bits)
+def _subset_layout(n: int, k: int) -> tuple:
+    """(L, plane shifts) of the subset form of k positions out of n."""
+    low_bits = (n // k).bit_length() - 1 if n >= 4 * k > 0 else 0
+    return low_bits, _PLANE_SHIFTS[low_bits]
+
+
+def _subset_bits(positions: np.ndarray, n: int) -> np.ndarray:
+    """The subset form of strictly ascending ``positions`` below ``n`` as a
+    0/1 column: L low-bit planes of the gaps, then the unary part."""
+    k = len(positions)
+    low_bits, shifts = _subset_layout(n, k)
+    gaps = positions.copy()
+    gaps[1:] -= positions[:-1] + 1
+    # The one of element i follows the zeros of gaps 0, ..., i and i ones.
+    ones = np.cumsum((gaps >> low_bits) + 1) + (low_bits * k - 1)
+    column = np.zeros(ones[-1] + 1 if k else 0, np.uint8)
+    low = (gaps & ((1 << low_bits) - 1)).astype(shifts.dtype)
+    column[: low_bits * k] = ((low >> shifts) & 1).ravel()
+    column[ones] = 1
+    return column
+
+
+def _read_subset(raw: np.ndarray, start: int, n: int, k: int) -> np.ndarray:
+    """The k positions out of n of the subset form at bit ``start`` of the
+    unpacked payload ``raw``, whose last k set bits must be the unary part,
+    ending in its last byte, with every position below n (so k <= n)."""
+    low_bits, shifts = _subset_layout(n, k)
+    unary_at = start + low_bits * k
+    ones = raw[unary_at:].view(bool).nonzero()[0]
+    if len(ones) != k:
+        raise WireError("unary part must hold one set bit per element")
+    if (unary_at + (int(ones[-1]) + 1 if k else 0) + 7) // 8 != len(raw) // 8:
+        raise WireError("trailing or missing bytes after the last column")
+    if not k:
+        return ones
+    low = raw[start:unary_at].reshape(low_bits, k)
+    low = np.bitwise_or.reduce(np.left_shift(low, shifts, dtype=shifts.dtype), axis=0)
+    total_low = np.cumsum(low, dtype=np.int64)
+    # Checked in Python integers first, so that a unary part of many zeros
+    # cannot wrap the int64 shift below.
+    if ((int(ones[-1]) - k + 1) << low_bits) + int(total_low[-1]) + k - 1 >= n:
+        raise WireError("subset position outside its range")
+    i = np.arange(k)
+    return ((ones - i) << low_bits) + total_low + i
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,12 +259,9 @@ class BobBlockDisclosure(_Block):
     The constructor takes any 1-d integer columns and refuses with
     ``WireError`` a message that breaks one of these rules.
 
-    Layout: j, m and the clicked count k as varints, then four bit columns.
-    The first two are the clicked set in Elias-Fano form, whose layout
-    follows from (m, k) alone (see ``_clicked_layout``): L low-bit planes
-    of k bits each, plane p holding bit p of every offset, then the high
-    part, with bit ``(offsets[i] >> L) + i`` set for each i. Then come
-    ``basis`` (k bits) and ``x_outcomes`` (one bit per 1 in ``basis``).
+    Layout: j, m and the clicked count k as varints, then ``basis`` (k
+    bits), ``x_outcomes`` (one bit per 1 in ``basis``) and the clicked set
+    in the subset form with n = m.
     """
 
     TAG: ClassVar[int] = 1
@@ -253,33 +282,16 @@ class BobBlockDisclosure(_Block):
         self._own(offsets=offsets, basis=basis, x_outcomes=x_outcomes)
 
     def encode(self) -> bytes:
-        offsets = self.offsets
-        k = len(offsets)
-        # Packed first, so that an m beyond u32 is refused before the high
-        # part, about m >> L bits, is allocated.
-        header = _uvarints(self.j, self.m, k)
-        low_bits, high_len, shifts = _clicked_layout(self.m, k)
-        low = (offsets & ((1 << low_bits) - 1)).astype(shifts.dtype)
-        high = np.zeros(high_len, dtype=np.uint8)
-        high[(offsets >> low_bits) + np.arange(k)] = 1
         return b"".join((
-            header,
-            _packed((low >> shifts) & 1),
-            _packed(high),
+            _uvarints(self.j, self.m, len(self.offsets)),
             _packed(self.basis),
             _packed(self.x_outcomes),
+            _packed(_subset_bits(self.offsets, self.m)),
         ))
 
     @classmethod
     def decode(cls, payload: bytes) -> "BobBlockDisclosure":
-        j, m, k, low_at = _read_uvarints(payload, 3)
-        if k > m:
-            raise WireError("more clicked rounds than the block has")
-        low_bits, high_len, shifts = _clicked_layout(m, k)
-        # Every column is checked against the payload before any bit is
-        # unpacked, so a count the payload cannot hold allocates nothing.
-        high_at = _column_end(payload, low_at, low_bits * k)
-        basis_at = _column_end(payload, high_at, high_len)
+        j, m, k, basis_at = _read_uvarints(payload, 3)
         x_at = _column_end(payload, basis_at, k)
         # One unpack for the whole payload; each column is a view of it.
         raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
@@ -287,14 +299,7 @@ class BobBlockDisclosure(_Block):
         # the constructor copies a bool column without a range check.
         basis = raw[8 * basis_at : 8 * basis_at + k].view(bool)
         n_x = np.count_nonzero(basis)
-        if _column_end(payload, x_at, n_x) != len(payload):
-            raise WireError("trailing bytes in block disclosure")
-        ones = raw[8 * high_at : 8 * high_at + high_len].view(bool).nonzero()[0]
-        if len(ones) != k:
-            raise WireError("high part must hold one set bit per clicked round")
-        low = raw[8 * low_at : 8 * low_at + low_bits * k].reshape(low_bits, k)
-        planes = np.left_shift(low, shifts, dtype=shifts.dtype)
-        offsets = (ones - np.arange(k)) << low_bits | np.bitwise_or.reduce(planes, axis=0)
+        offsets = _read_subset(raw, 8 * _column_end(payload, x_at, n_x), m, k)
         return cls(j, m, offsets, basis, raw[8 * x_at : 8 * x_at + n_x].view(bool))
 
 
@@ -310,13 +315,10 @@ class AliceBlockDisclosure(_Block):
     columns and refuses with ``WireError`` a value that does not fit its
     field or an ``alpha`` whose length differs from ``omega``'s.
 
-    Layout: j, the record count and the number of value bits as varints,
-    then three bit columns. The intensity column is a prefix code: one bit
-    per record, set for D or V, then one bit per set record, in record
-    order, set for V. So S costs one bit and D or V two, and every bit
-    pattern decodes to an intensity index of 0-2. Then come ``alpha`` and
-    ``value``. Each column is packed LSB-first and padded with zero bits to
-    a whole byte.
+    Layout: j, the record count, the number of value bits and the number
+    of V records as varints, then ``alpha``, ``value`` and the intensity
+    column: one bit per record, set for D or V, then which of the set
+    records are V in the subset form, with n the number of set records.
     """
 
     TAG: ClassVar[int] = 2
@@ -333,30 +335,28 @@ class AliceBlockDisclosure(_Block):
         self._own(omega=omega, alpha=alpha, value=_column("value", self.value, 1))
 
     def encode(self) -> bytes:
-        omega = self.omega
-        d_or_v = omega > 0
+        column = d_or_v = self.omega > 0
+        v = (self.omega.compress(d_or_v) > 1).nonzero()[0]
+        if len(v):  # Most replies have no V record; their column is d_or_v alone.
+            column = np.concatenate((d_or_v, _subset_bits(v, int(np.count_nonzero(d_or_v)))))
         return b"".join((
-            _uvarints(self.j, len(omega), len(self.value)),
-            _packed(np.concatenate((d_or_v, omega.compress(d_or_v) > 1))),
+            _uvarints(self.j, len(d_or_v), len(self.value), len(v)),
             _packed(self.alpha),
             _packed(self.value),
+            _packed(column),
         ))
 
     @classmethod
     def decode(cls, payload: bytes) -> "AliceBlockDisclosure":
-        j, count, n_values, at = _read_uvarints(payload, 3)
-        # The D-or-V bits say how many V bits follow them, so the intensity
-        # column's length is known once they are read. A count beyond the
-        # payload leaves the column short whatever the V bits are.
-        raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
-        omega = raw[8 * at : 8 * at + count]
-        n_omega = count + np.count_nonzero(omega)
-        alpha_at = _column_end(payload, at, n_omega)
+        j, count, n_values, n_v, alpha_at = _read_uvarints(payload, 4)
         value_at = _column_end(payload, alpha_at, count)
-        if _column_end(payload, value_at, n_values) != len(payload):
-            raise WireError("trailing bytes in block reply")
-        # Each D-or-V record becomes 1 + its V bit, in place: raw is ours.
-        omega[omega.view(bool).nonzero()[0]] += raw[8 * at + count : 8 * at + n_omega]
+        omega_at = _column_end(payload, value_at, n_values)
+        raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
+        omega = raw[8 * omega_at : 8 * omega_at + count]
+        d_or_v = omega.view(bool).nonzero()[0] if n_v else np.zeros(0, np.int64)
+        v = _read_subset(raw, 8 * omega_at + count, len(d_or_v), n_v)
+        # Each V record's D-or-V bit becomes 2, in place: raw is ours.
+        omega[d_or_v[v]] = 2
         return cls(
             j,
             omega,

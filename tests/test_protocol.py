@@ -125,9 +125,9 @@ def test_successful_run_produces_matching_keys():
 # run_protocol(SMALL, CLEAN, seed=42), taken when each party came to finish
 # on the message that decides its outcome, with no closing frame, and each
 # block drawn from its counter range on the session's per-role streams;
-# re-taken for wire version 5 (varint frame counts and scalar fields).
+# re-taken for wire version 6 (Rice-coded clicked sets and V records).
 GOLDEN_SESSION_DIGEST = (
-    "1257594e131109dd7add93ce6cc4ff316c4c18e3b7d61d01c58973eb725f4518"
+    "ebfc84872d9247c336aab94cffde2d13478f5f1dfab0bc3d29f006dd4939c062"
 )
 
 
@@ -160,9 +160,9 @@ LOSSY_LONG = ProtocolConstants(
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
 # taken when each party came to finish on the message that decides its
-# outcome, with per-block counter-range streams and wire version 5.
+# outcome, with per-block counter-range streams and wire version 6.
 GOLDEN_ABORT_DIGEST = (
-    "49eb033850f8efee5f02f144d92261def959d38637a03bef1b3117567e672e6c"
+    "bad44e14f7c12cc1fa0f8ce85e508505013dc7ed6436cd0461ec51d5eaf2c7f6"
 )
 
 
@@ -192,9 +192,9 @@ DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
 # SHA-256 over transcript || Alice key || Bob key of
 # run_protocol(DEMO_X4, DEMO, seed=7), taken when each party came to finish
 # on the message that decides its outcome, with per-block counter-range
-# streams and wire version 5.
+# streams and wire version 6.
 GOLDEN_DEMO_DIGEST = (
-    "c455b31c2240dc9549434733af483ca428a0a0f9f9ceeedb09fa3f314e5a18d9"
+    "939ba995c982a1585dc313fd1aa3997cf3e23411cf70a0feee260ddcff61fd57"
 )
 
 
@@ -293,17 +293,41 @@ CHAIN_SESSIONS = (
 
 # SHA-256 over sha256(transcript).hexdigest() + key_material_digest([out])
 # of each reference session in CHAIN_SESSIONS order, fed as one ASCII
-# stream, with wire version 5; 149 of the 181 sessions key.
+# stream, with wire version 6; 149 of the 181 sessions key.
 GOLDEN_CHAIN_DIGEST = (
-    "3d2f7e7d260ab5e2a1db3a678cfd910ae838eaaac150f2254af53611abe8794b"
+    "0d85c356ab2eb110144eec1492823c1466ec76db0f14fe859a9da4fd277058d2"
 )
 CHAIN_KEYED = 149
+
+# SHA-256 over message_fields of every message decoded from the reference
+# sessions' transcripts, in CHAIN_SESSIONS order. It reads no byte of the
+# wire layout, so a change of wire format that keeps every decoded message
+# leaves it as it is; taken at wire version 5.
+GOLDEN_MESSAGE_DIGEST = (
+    "b95a89372b5eee1bbcbdfb5f0440365af0657e1e5d40fa9746e37e245f83bdbc"
+)
+
+
+def message_fields(msg) -> str:
+    """The message's type and each field as "name=value;": an array as its
+    list of values, a bit string as its bit count and packed bytes."""
+    parts = [type(msg).__name__]
+    for field in dataclasses.fields(msg):
+        value = getattr(msg, field.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, BitString):
+            value = (len(value), value.to_bytes().hex())
+        parts.append(f"{field.name}={value!r}")
+    return ";".join(parts) + "\n"
 
 
 def test_reference_sessions_chain_to_golden_digest():
     """Transcripts, keys and every KeyMaterial field of 181 sessions across
-    the benchmark's four laws are pinned by one chained digest."""
+    the benchmark's four laws are pinned by one chained digest, and every
+    message decoded from their transcripts by a second one."""
     chain = hashlib.sha256()
+    messages = hashlib.sha256()
     keyed = 0
     for name, seeds in CHAIN_SESSIONS:
         constants, channel = workload_law(name)
@@ -313,7 +337,12 @@ def test_reference_sessions_chain_to_golden_digest():
             keyed += not out.aborted
             session = hashlib.sha256(out.transcript).hexdigest()
             chain.update((session + key_material_digest([out])).encode())
+            offset = 0
+            while offset < len(out.transcript):
+                msg, offset = decode_message(out.transcript, offset)
+                messages.update(message_fields(msg).encode())
     assert keyed == CHAIN_KEYED
+    assert messages.hexdigest() == GOLDEN_MESSAGE_DIGEST
     assert chain.hexdigest() == GOLDEN_CHAIN_DIGEST
 
 

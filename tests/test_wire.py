@@ -1,15 +1,12 @@
 import dataclasses
 import itertools
-import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import dsbb84.wire
-from dsbb84.channel import click_law, load_channel
 from dsbb84.gf2 import BitString
-from dsbb84.params import load_constants
 from dsbb84.wire import (
     WIRE_VERSION,
     AliceBlockDisclosure,
@@ -53,6 +50,28 @@ def leb128_spans(payload, count):
     return spans
 
 
+def rice_bits(positions, n):
+    """The subset form of ``positions`` out of ``n`` as a list of bits, in
+    plain Python: L low-bit planes of the gaps, then a unary part of
+    (gap >> L) zeros and a one per position, with L the largest integer
+    such that k * 2**L <= n, and 0 when n < 4k."""
+    k = len(positions)
+    low_bits = 0
+    while n >= 4 * k > 0 and k << (low_bits + 1) <= n:
+        low_bits += 1
+    gaps = [b - a - 1 for a, b in zip([-1] + positions, positions)]
+    bits = [gap >> p & 1 for p in range(low_bits) for gap in gaps]
+    for gap in gaps:
+        bits += [0] * (gap >> low_bits) + [1]
+    return bits
+
+
+def packed(bits):
+    """Bits packed LSB-first, padded with zero bits to a whole byte."""
+    return bytes(sum(bit << i for i, bit in enumerate(bits[at : at + 8]))
+                 for at in range(0, len(bits), 8))
+
+
 def bob(j, m, offsets, basis, x_outcomes):
     """Bob's disclosure from plain lists."""
     return BobBlockDisclosure(j, m, np.array(offsets, dtype=np.int64), basis, x_outcomes)
@@ -67,14 +86,14 @@ def roundtrip(msg):
 
 def test_frame_layout():
     # Varint byte count (covering version, tag and payload), version, tag.
-    assert WIRE_VERSION == 5
+    assert WIRE_VERSION == 6
     raw = encode_frame(7, b"abc")
-    assert raw == b"\x05\x05\x07abc"
+    assert raw == b"\x05\x06\x07abc"
     tag, payload, end = decode_frame(raw)
     assert (tag, payload, end) == (7, b"abc", len(raw))
     # A count of 128 or more takes a second byte.
     raw = encode_frame(7, bytes(126))
-    assert raw[:4] == b"\x80\x01\x05\x07" and decode_frame(raw)[1:] == (bytes(126), 130)
+    assert raw[:4] == b"\x80\x01\x06\x07" and decode_frame(raw)[1:] == (bytes(126), 130)
 
 
 def test_frame_errors():
@@ -83,14 +102,14 @@ def test_frame_errors():
     with pytest.raises(WireError, match="truncated frame header"):
         decode_frame(b"\x02\x05")
     with pytest.raises(WireError, match="cover"):
-        decode_frame(b"\x01\x05\x05")
+        decode_frame(b"\x01\x06\x05")
     with pytest.raises(WireError, match="truncated"):
-        decode_frame(b"\x09\x05\x05abc")
+        decode_frame(b"\x09\x06\x05abc")
     with pytest.raises(WireError):
         decode_message(encode_frame(200, b""))
-    # Any other version is refused, today's predecessor (a fixed-width frame
-    # header and scalar fields) included.
-    for version in (0, 1, 2, 3, 4, 6, 255):
+    # Any other version is refused, today's predecessor (an Elias-Fano
+    # clicked set and a V bit per D-or-V record) included.
+    for version in (0, 1, 2, 3, 4, 5, 7, 255):
         with pytest.raises(WireError, match="version"):
             decode_frame(b"\x05" + bytes([version]) + b"\x07abc")
     # A frame of version 4 reads as a count of 5 and a version byte of 0.
@@ -145,15 +164,21 @@ def test_bob_disclosure_validates_x_count():
 
 
 def test_bob_disclosure_byte_layout():
-    # Varints of the block index, round count m = 10 and click count k = 3.
-    # The clicked set [0, 3, 9] sends L = floor(log2(10/3)) = 1 low-bit plane
-    # (bit 0 of each offset: 0, 1, 1) and a high part of 3 + (9 >> 1) = 7
-    # bits with bits (o >> 1) + i = 0, 2 and 6 set. Bob's basis and X
-    # outcomes follow; each column is LSB-first and padded to a byte.
-    msg = bob(2, 10, [0, 3, 9], [1, 0, 1], [0, 1])
-    assert msg.encode() == bytes.fromhex("02" "0a" "03" "06" "45" "05" "02")
+    # Varints of the block index, round count m = 100 and click count k = 3,
+    # then Bob's basis 0, 1, 1 and X outcomes 1, 0, each column LSB-first
+    # and padded to a byte. The clicked set [5, 6, 70] has gaps 5, 0 and 63
+    # and L = floor(log2(100/3)) = 5: planes 0-4 of the gaps are 101 001 101
+    # 001 001, and the unary part of the high parts 0, 0, 1 is 1 1 01. The
+    # 19 bits pack to 0x65 0xc9 0x05.
+    msg = bob(2, 100, [5, 6, 70], [0, 1, 1], [1, 0])
+    assert msg.encode() == bytes.fromhex("02" "64" "03" "06" "01" "65c905")
     roundtrip(msg)
-    assert len(WIDE) == 3 + 5 + 6 + 3 + 3
+    # Below m = 4k, L is 0 and the clicked set is its gaps in unary: [0, 3,
+    # 9] out of 10 has gaps 0, 2, 5, so 1 001 000001, 0x09 0x02.
+    msg = bob(2, 10, [0, 3, 9], [1, 0, 1], [0, 1])
+    assert msg.encode() == bytes.fromhex("02" "0a" "03" "05" "02" "0902")
+    roundtrip(msg)
+    assert len(WIDE) == 3 + 3 + 3 + 5 + 5
     # An empty set sends no clicked-set bits at all.
     assert bob(1, 10, [], [], []).encode() == bytes.fromhex("01" "0a" "00")
     # A varint holds seven bits a byte, low group first: m = 100,000 takes
@@ -190,75 +215,106 @@ def test_clicked_set_roundtrips(clicked):
     assert decoded.m == m and decoded.offsets.tolist() == offsets
 
 
+def clicked_set_bits(msg):
+    """Bits of the clicked set: the frame's last column, up to its last set
+    bit."""
+    column = msg.encode()[-clicked_set_bytes(msg):] if msg.offsets.size else b""
+    return 8 * len(column) - 8 + column[-1].bit_length() if column else 0
+
+
+# Clustered sets: every click at the start of the block, every click at its
+# end, and at the densities where L changes.
+CLUSTERED = [
+    (m, list(range(start, start + k)))
+    for m, k in ((1000, 10), (4000, 1000), (4000, 1001), (4000, 2000), (2**32 - 1, 60))
+    for start in (0, m - k)
+]
+
+
+def clustered_examples(test):
+    for clicked in CLUSTERED:
+        test = example(clicked)(test)
+    return test
+
+
 @given(clicked_sets())
+@clustered_examples
 @example((8, [0, 4]))
 @example((4000, list(range(0, 4000, 4))))
+@example((100, list(range(100))))
 def test_sparse_clicked_set_is_no_longer_than_a_bitmap(clicked):
-    # While at most a quarter of the rounds click, the Elias-Fano form
-    # costs at most 4 bytes more than an m-bit bitmap would.
+    # Whatever share of the rounds click, the subset form is no longer than
+    # an m-bit bitmap: below m = 4k it is m bits at most, and from there on
+    # the L low bits and the unary part of each click fit in its share.
     m, offsets = clicked
-    if len(offsets) <= m / 4:
-        msg = bob(0, m, offsets, [0] * len(offsets), [])
-        assert clicked_set_bytes(msg) <= (m + 7) // 8 + 4
+    msg = bob(0, m, offsets, [0] * len(offsets), [])
+    assert clicked_set_bytes(msg) <= (m + 7) // 8
 
 
-def test_shipped_configs_click_sparsely_enough_for_the_size_bound():
-    # The bound above holds while at most a quarter of a block's rounds
-    # click; a mean click ratio below 0.2 leaves room for the spread of
-    # one block's click count.
-    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
-    for stem in ("demo", "fiber", "small"):
-        law = click_law(
-            load_constants(configs / f"{stem}_constants.json"),
-            load_channel(configs / f"{stem}_channel.json"),
-        )
-        assert law.p_click < 0.2, stem
+@given(clicked_sets())
+@clustered_examples
+@example((10, [0, 3, 9]))
+@example((3, [0, 1, 2]))
+def test_clicked_set_is_no_longer_than_elias_fano(clicked):
+    # Never more bits than the Elias-Fano form of wire version 5, which
+    # took L = floor(log2(m/k)) low bits a click and a high part of k +
+    # ((m - 1) >> L) bits, with any gaps.
+    m, offsets = clicked
+    msg = bob(0, m, offsets, [0] * len(offsets), [])
+    k = len(offsets)
+    low_bits = (m // k).bit_length() - 1 if k else 0
+    elias_fano = low_bits * k + k + ((m - 1) >> low_bits) if k else 0
+    assert clicked_set_bits(msg) == len(rice_bits(offsets, m)) <= elias_fano
 
 
 def bob_payload(j, m, k, *columns):
     return leb128(j, m, k) + b"".join(columns)
 
 
-# m = 100 with every fifth round clicked and in X: L = 2, so a 40-bit low
-# part (5 bytes), a 20 + 24 = 44-bit high part (6), then 20 basis bits (3)
-# and 20 X outcomes (3). Each cut ends the payload inside one column.
+# m = 100 with every fifth round clicked and in X: 20 basis bits (3 bytes)
+# and 20 X outcomes (3), then the clicked set with L = 2, gaps 0 and then
+# 4: a 40-bit low part (5 bytes, all zero) and a 1 + 19 * 2 = 39-bit unary
+# part (5). Each cut ends the payload inside one column.
 WIDE = bob(0, 100, list(range(0, 100, 5)), [1] * 20, [1, 0] * 10).encode()
 
 
+# The clicked set [1, 6, 11] out of m = 12, with basis 1, 0, 1 and X
+# outcomes 0, 1 (0x05 and 0x02): L = 2, gaps 1, 4, 4, so the planes are
+# 100 000 and the unary part of the high parts 0, 1, 1 is 1 01 01, 0x41
+# 0x05. A repeated or descending offset has no form to refuse: a gap is
+# never negative.
 @pytest.mark.parametrize(
     "payload, match",
     [
-        # More clicks than rounds.
-        (bob_payload(0, 2, 3, b"\x06", b"\x45", b"\x05", b"\x02"), "more clicked"),
-        # The 7-bit high part of [0, 3, 9] in m = 10 with one set bit too
-        # few (bits 0, 2) and one too many (bits 0, 1, 2, 6).
-        (bob_payload(0, 10, 3, b"\x06", b"\x05", b"\x05", b"\x02"), "high part"),
-        (bob_payload(0, 10, 3, b"\x06", b"\x47", b"\x05", b"\x02"), "high part"),
-        # Offsets [3, 3, 9] and [3, 2, 9].
-        (bob_payload(0, 10, 3, b"\x07", b"\x46", b"\x05", b"\x02"), "ascending"),
-        (bob_payload(0, 10, 3, b"\x05", b"\x46", b"\x05", b"\x02"), "ascending"),
-        # Offsets [0, 3, 9] in a block of m = 9.
-        (bob_payload(0, 9, 3, b"\x06", b"\x45", b"\x05", b"\x02"), "outside the block"),
-        # Padding bits set: low part, high part, basis, X outcomes.
-        (bob_payload(0, 10, 3, b"\x0e", b"\x45", b"\x05", b"\x02"), "padding"),
-        (bob_payload(0, 10, 3, b"\x06", b"\xc5", b"\x05", b"\x02"), "padding"),
-        (bob_payload(0, 10, 3, b"\x06", b"\x45", b"\x0d", b"\x02"), "padding"),
-        (bob_payload(0, 10, 3, b"\x06", b"\x45", b"\x05", b"\x06"), "padding"),
-        # A payload that ends inside the low part, the high part, the basis
-        # or the X outcomes; a count whose columns the payload cannot hold.
+        # The unary part one 1 short (1 01 0) and one 1 too many (1 01 1 1).
+        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x41\x01"), "unary part"),
+        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x41\x07"), "unary part"),
+        # A zero byte after the last 1, beyond its padding.
+        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x41\x05\x00"), "trailing"),
+        # Gaps 1, 4, 5 reach offset 12 of a block of 12; three clicks in a
+        # block of two read as offsets [0, 1, 2].
+        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x45\x05"), "outside"),
+        (bob_payload(0, 2, 3, b"\x05", b"\x02", b"\x07"), "outside"),
+        # Padding bits set: basis, X outcomes, the clicked set, whose set
+        # padding bit reads as one 1 too many.
+        (bob_payload(0, 12, 3, b"\x0d", b"\x02", b"\x41\x05"), "padding"),
+        (bob_payload(0, 12, 3, b"\x05", b"\x06", b"\x41\x05"), "padding"),
+        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x41\x25"), "unary part"),
+        # A payload that ends inside the basis, the X outcomes, the low
+        # planes or the unary part; a count whose columns the payload
+        # cannot hold.
         (WIDE[: 3 + 2], "truncated"),
-        (WIDE[: 3 + 5 + 3], "truncated"),
-        (WIDE[: 3 + 11 + 1], "truncated"),
-        (WIDE[: 3 + 14 + 1], "truncated"),
+        (WIDE[: 3 + 3 + 2], "truncated"),
+        (WIDE[: 3 + 6 + 3], "unary part"),
+        (WIDE[: 3 + 6 + 8], "unary part"),
         (bob_payload(0, 2**32 - 1, 2**31), "truncated"),
-        # Trailing byte; a header that ends before its third varint.
-        (bob_payload(0, 10, 3, b"\x06", b"\x45", b"\x05", b"\x02", b"\x00"), "trailing"),
+        # A header that ends before its third varint.
         (leb128(0, 10), "truncated varint"),
     ],
-    ids=["k-above-m", "missing-one", "extra-one", "zero-gap", "descending",
-         "offset-beyond-m", "low-padding", "high-padding", "basis-padding",
-         "x-padding", "truncated-low", "truncated-high", "truncated-basis",
-         "truncated-x", "count-beyond-payload", "trailing", "short"],
+    ids=["missing-one", "extra-one", "trailing", "offset-beyond-m", "k-above-m",
+         "basis-padding", "x-padding", "high-padding", "truncated-basis",
+         "truncated-x", "truncated-low", "truncated-high", "count-beyond-payload",
+         "short"],
 )
 def test_bob_disclosure_refuses_non_canonical_forms(payload, match):
     with pytest.raises(WireError, match=match):
@@ -283,44 +339,59 @@ def test_alice_disclosure_roundtrip():
 
 
 def test_alice_disclosure_byte_layout():
-    # Varints of the block index, record count and value-bit count; then the
-    # intensity column (a D-or-V bit per record, then a V bit per D-or-V
-    # record), alpha and the matched-X value bits, each LSB-first and
-    # padded with zero bits to a whole byte.
+    # Varints of the block index, record count, value-bit count and V count;
+    # then alpha, the matched-X value bits and the intensity column (a
+    # D-or-V bit per record, then which D-or-V records are V in the subset
+    # form), each LSB-first and padded with zero bits to a whole byte.
     msg = AliceBlockDisclosure(
         2, [0, 1, 2, 1, 2], [0, 1, 1, 0, 1], [1, 0]
     )
-    # Intensity bits 0 1 1 1 1 | 0 1 0 1: 0x5e, then 0x01.
-    assert msg.encode() == b"\x02\x05\x02" b"\x5e\x01" b"\x16" b"\x01"
+    # D-or-V bits 0 1 1 1 1; V records 1 and 3 of the 4 D-or-V ones, so L
+    # is 0 and the gaps 1, 1 are 01 01: 0x5e, then 0x01.
+    assert msg.encode() == b"\x02\x05\x02\x02" b"\x16" b"\x01" b"\x5e\x01"
     empty = AliceBlockDisclosure(7, [], [], [])
-    assert empty.encode() == b"\x07\x00\x00"
-    # S costs one bit a record, D or V two, so an all-S reply of 16 records
-    # sends two intensity bytes and an all-V one four.
-    assert len(AliceBlockDisclosure(0, [0] * 16, [0] * 16, []).encode()) == 3 + 2 + 2
-    assert len(AliceBlockDisclosure(0, [2] * 16, [0] * 16, []).encode()) == 3 + 4 + 2
+    assert empty.encode() == b"\x07\x00\x00\x00"
+    # Record 7 of 8 D-or-V records is V: L = 3 and the gap 7 is 111 1.
+    msg = AliceBlockDisclosure(0, [1] * 7 + [2], [0] * 8, [])
+    assert msg.encode() == b"\x00\x08\x00\x01" b"\x00" b"\xff\x0f"
+    # With no V record, S, D and V all cost one intensity bit, so all-S and
+    # all-D replies of 16 records send two intensity bytes. An all-V one
+    # sends four: its 16 gaps of 0 are 16 ones.
+    for omega, size in (([0] * 16, 2), ([1] * 16, 2), ([2] * 16, 4)):
+        assert len(AliceBlockDisclosure(0, omega, [0] * 16, []).encode()) == 4 + 2 + size
 
 
-def alice_payload(count, n_values, body):
-    return leb128(0, count, n_values) + body
+def alice_payload(count, n_values, n_v, body):
+    return leb128(0, count, n_values, n_v) + body
 
 
 def test_alice_disclosure_validation():
-    # Padding bits set: intensity (two S records fill two bits), alpha,
-    # value.
-    for body, n_values in ((b"\x04\x00", 0), (b"\x00\x04", 0), (b"\x00\x00\x02", 1)):
+    # Padding bits set: alpha, value (two records fill two alpha bits and
+    # one value bit); the intensity column's, which with no V record leaves
+    # a set bit that no unary part takes.
+    for body, n_values in ((b"\x04\x00", 0), (b"\x00\x02\x00", 1)):
         with pytest.raises(WireError, match="padding"):
-            AliceBlockDisclosure.decode(alice_payload(2, n_values, body))
-    # Two D-or-V bits announce two V bits after them, so the intensity
-    # column takes four bits; the alpha byte is then missing.
+            AliceBlockDisclosure.decode(alice_payload(2, n_values, 0, body))
+    with pytest.raises(WireError, match="unary part"):
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00\x04"))
+    # The intensity column missing, or with a V record but no unary part.
+    with pytest.raises(WireError, match="missing"):
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00"))
+    with pytest.raises(WireError, match="unary part"):
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 1, b"\x00\x01"))
     with pytest.raises(WireError, match="truncated"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, b"\x03"))
-    with pytest.raises(WireError, match="truncated"):
-        AliceBlockDisclosure.decode(alice_payload(2**32 - 1, 0, b"\x00\x00"))
+        AliceBlockDisclosure.decode(alice_payload(2**32 - 1, 0, 0, b"\x00\x00"))
     with pytest.raises(WireError, match="trailing"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, b"\x00\x00\x00"))
-    # A header that ends before its third varint.
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00\x00\x00"))
+    # More V records than D-or-V records: one D-or-V record, two ones.
+    with pytest.raises(WireError, match="outside"):
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 2, b"\x00\x0d"))
+    # A V record at gap 2, beyond the one D-or-V record.
+    with pytest.raises(WireError, match="outside"):
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 1, b"\x00\x11"))
+    # A header that ends before its fourth varint.
     with pytest.raises(WireError, match="truncated varint"):
-        AliceBlockDisclosure.decode(leb128(0, 2))
+        AliceBlockDisclosure.decode(leb128(0, 2, 0))
     with pytest.raises(WireError):
         AliceBlockDisclosure(0, np.array([3], dtype=np.uint8), [0], []).encode()
     with pytest.raises(WireError):
@@ -328,20 +399,22 @@ def test_alice_disclosure_validation():
 
 
 def test_every_intensity_column_decodes_and_reencodes():
-    # Every bit pattern of the intensity column of up to 6 records, with
-    # each record's alpha bit set, decodes to indices in 0-2, D-or-V bit
-    # plus V bit, and re-encodes to its own bytes. No code point is left
-    # over to refuse.
+    # Every D-or-V pattern of up to 6 records and every subset of its set
+    # records as V, laid out by the plain reference above with each
+    # record's alpha bit set, decodes to its indices and re-encodes to its
+    # own bytes.
     for count in range(7):
         for d_or_v in itertools.product((0, 1), repeat=count):
-            for v in itertools.product((0, 1), repeat=sum(d_or_v)):
-                column = np.packbits(np.array(d_or_v + v, dtype=np.uint8), bitorder="little")
-                alpha = np.packbits(np.ones(count, dtype=np.uint8), bitorder="little")
-                payload = alice_payload(count, 0, column.tobytes() + alpha.tobytes())
+            named = [r for r, bit in enumerate(d_or_v) if bit]
+            for v_bits in itertools.product((0, 1), repeat=len(named)):
+                v = [i for i, bit in enumerate(v_bits) if bit]
+                column = packed(list(d_or_v) + rice_bits(v, len(named)))
+                payload = alice_payload(count, 0, len(v), packed([1] * count) + column)
                 msg = AliceBlockDisclosure.decode(payload)
-                expected = np.array(d_or_v, dtype=np.uint8)
-                expected[expected == 1] += np.array(v, dtype=np.uint8)
-                assert msg.omega.tolist() == expected.tolist()
+                expected = list(d_or_v)
+                for i in v:
+                    expected[named[i]] = 2
+                assert msg.omega.tolist() == expected
                 assert msg.encode() == payload
 
 
@@ -368,9 +441,9 @@ def reencoded_frame(raw):
 # The varint fields of the frame and of each message: (decode and encode
 # again, width, valid field values, the bytes after the varints).
 VARINT_FIELDS = {
-    "frame": (reencoded_frame, 32, (5,), b"\x05\x07abc"),
+    "frame": (reencoded_frame, 32, (5,), b"\x06\x07abc"),
     "bob": (lambda raw: BobBlockDisclosure.decode(raw).encode(), 32, (0, 10, 0), b""),
-    "alice": (lambda raw: AliceBlockDisclosure.decode(raw).encode(), 32, (0, 0, 0), b""),
+    "alice": (lambda raw: AliceBlockDisclosure.decode(raw).encode(), 32, (0, 0, 0, 0), b""),
     **{
         cls.__name__: (lambda raw, cls=cls: cls.decode(raw).encode(), 64, values, rest)
         for cls, values, rest in (
@@ -544,6 +617,26 @@ def bob_disclosures(draw):
 
 
 @given(alice_replies())
+@example(AliceBlockDisclosure(0, [2] * 40, [0] * 40, []))
+@example(AliceBlockDisclosure(0, [2] * 5 + [1] * 35, [0] * 40, []))
+@example(AliceBlockDisclosure(0, [1] * 35 + [2] * 5, [0] * 40, []))
+@example(AliceBlockDisclosure(0, [2] * 200, [0] * 200, []))
+def test_alice_reply_grows_by_at_most_its_v_count_varint(msg):
+    # Wire version 5 had three header varints and sent the intensity column
+    # as a D-or-V bit per record, then a V bit per D-or-V record. The V
+    # subset never takes more bits than those V bits, so a reply is longer
+    # by at most the V count's varint: one byte while fewer than 128
+    # records are V, as in every reply of up to 40 records.
+    omega = msg.omega.tolist()
+    n_dv, n_v = sum(w > 0 for w in omega), omega.count(2)
+    columns = [len(omega) + n_dv, len(omega), len(msg.value)]
+    version_5 = len(leb128(msg.j, len(omega), len(msg.value))) + sum((n + 7) // 8 for n in columns)
+    assert len(msg.encode()) <= version_5 + len(leb128(n_v))
+    if n_v < 128:
+        assert len(msg.encode()) <= version_5 + 1
+
+
+@given(alice_replies())
 def test_alice_disclosure_roundtrips_random_records(msg):
     decoded = roundtrip(msg)
     assert decoded.j == msg.j
@@ -607,9 +700,9 @@ def test_bit_flipped_alice_frames_fail_closed(msg, data):
 
 @given(alice_replies(), st.data())
 def test_length_mutated_alice_frames_fail_closed(msg, data):
-    # The frame length, the block index, the record count or the value-bit
-    # count.
-    decode_or_wire_error(rewrite_count(encode_message(msg), data))
+    # The frame length, the block index, the record count, the value-bit
+    # count or the V count.
+    decode_or_wire_error(rewrite_count(encode_message(msg), data, n_fields=4))
 
 
 @given(bob_disclosures(), st.data())
