@@ -14,12 +14,17 @@ Bob's of his own key) counts the rows of the set bits straight from it,
 so Alice builds nothing else. Propagation keeps its messages in that same
 column-major shape, one per edge: a column's total is a sum over the
 first axis. There is no row layout. ``np.multiply.at`` takes each row's
-product straight from ``rows``, over the row's edges in ascending edge
-order, and a ``take`` through ``rows`` carries it back to the edges. The
+product straight from the rows, over the row's edges in ascending edge
+order, and a ``take`` through the rows carries it back to the edges. The
 float32 twin in ``tests/reference.py`` fixes that order, so it is what
 guards it. ``ufunc.at`` has a fast path from numpy 1.25 on; before that
-it is many times slower. Propagation reuses two preallocated edge
-buffers across iterations.
+it is many times slower.
+
+The rows are held once, as the ``intp`` that ``take`` and ``multiply.at``
+index with, in a private writeable array behind the read-only ``rows``
+view: ``np.take`` copies a read-only index array on every call. Propagation
+reuses one float32 edge buffer, so a decode holds 36 B per code bit on its
+edges: the rows' 24 and the buffer's 12.
 
 Messages are float32. The tanh-domain factors keep ``MARGIN`` = 1e-7 from
 0 and from +-1 (1 - 1e-12 would round to 1.0). Convergence is decided by
@@ -36,8 +41,8 @@ Both parties use the code of the seed Alice announces, so they take it
 from :func:`code_for_seed`, a one-entry memo keyed on (n_bits, n_rows,
 seed): Bob, keyed on his own counts and the seed he received, reuses the
 code Alice built when the two agree. A code is read-only once built, so a
-hit returns exactly what a rebuild would. ``run_protocol`` empties the
-memo when a session ends.
+hit returns exactly what a rebuild would. Bob empties the memo once he
+has decoded, and ``run_protocol`` empties it when a session ends.
 """
 
 from __future__ import annotations
@@ -76,33 +81,32 @@ class LdpcCode:
     def __init__(self, n_bits: int, n_rows: int, seed: int):
         if n_bits <= 0 or n_rows <= 0:
             raise ValueError("code dimensions must be positive")
-        if n_rows > 2**31:
-            raise ValueError("at most 2**31 rows, so a row index fits in int32")
         self.n_bits = n_bits
         self.n_rows = n_rows
         rng = generator(seed, StreamKey.LDPC)
         weight = min(COLUMN_WEIGHT, n_rows)
-        # Each entry is drawn as int32 and bumped in place in ``rows``. For
+        # Each entry is drawn as intp and bumped in place in ``_rows``. For
         # a range below 2**32 numpy takes the same 32-bit bounded draws
         # whatever the integer type, so the draw is the int64 one's.
-        rows = np.empty((weight, n_bits), dtype=np.int32)
-        rows[0] = rng.integers(0, n_rows, size=n_bits, dtype=np.int32)
+        rows = np.empty((weight, n_bits), dtype=np.intp)
+        rows[0] = rng.integers(0, n_rows, size=n_bits, dtype=np.intp)
         first = rows[0]
         if weight >= 2:
-            rows[1] = rng.integers(0, n_rows - 1, size=n_bits, dtype=np.int32)
+            rows[1] = rng.integers(0, n_rows - 1, size=n_bits, dtype=np.intp)
             second = rows[1]
             second += second >= first
         if weight >= 3:
             # Rejection-free draw of a third distinct row: bump past the
             # two already chosen in ascending order.
-            rows[2] = rng.integers(0, n_rows - 2, size=n_bits, dtype=np.int32)
+            rows[2] = rng.integers(0, n_rows - 2, size=n_bits, dtype=np.intp)
             third = rows[2]
             chosen = np.minimum(first, second)
             third += third >= chosen
             np.maximum(first, second, out=chosen)
             third += third >= chosen
-        rows.flags.writeable = False
-        self.rows = rows
+        self._rows = rows
+        self.rows = rows.view()
+        self.rows.flags.writeable = False
 
     def _parity(self, bits: np.ndarray) -> np.ndarray:
         """The syndrome of the boolean word ``bits``, exactly, as 0/1 per row."""
@@ -131,32 +135,36 @@ class LdpcCode:
         # A check with target 1 negates its outgoing messages; each row's
         # product starts from that sign. An empty row keeps it, unread.
         sign = np.where(t_arr, -1.0, 1.0).astype(np.float32)
-        # The row of each edge, flat and as ``intp``: ``ufunc.at`` takes its
-        # fast path on 1-D operands only, and take would otherwise convert
-        # int32 indices on every call.
-        edge_rows = self.rows.astype(np.intp).ravel()
+        # The row of each edge, flat, as ``ufunc.at``'s fast path wants it;
+        # ``_rows`` is intp and writeable, so no call converts or copies it.
+        rows = self._rows
+        edge_rows = rows.reshape(-1)
 
-        # Two edge buffers in ``rows``' shape. ``msg`` holds the
-        # variable-to-check messages at the top of an iteration and then
-        # the check-to-variable messages; ``half`` holds tanh(msg / 2).
-        # ``mode="clip"`` lets take write straight into ``msg``.
-        msg = np.full(self.rows.shape, llr0, dtype=np.float32)
-        half = np.empty_like(msg)
+        # One edge buffer in ``rows``' shape. ``msg`` holds the
+        # variable-to-check messages at the top of an iteration, then
+        # their factors tanh(msg / 2), then the check-to-variable messages.
+        # Until the column sums, ``totals`` is scratch for one entry row.
+        msg = np.full(rows.shape, llr0, dtype=np.float32)
         prod = np.empty(self.n_rows, dtype=np.float32)
         totals = np.empty(self.n_bits, dtype=np.float32)
         hard = np.empty(self.n_bits, dtype=bool)
         for iteration in range(1, MAX_ITERATIONS + 1):
-            np.multiply(msg, 0.5, out=half)
-            np.tanh(half, out=half)
+            np.multiply(msg, 0.5, out=msg)
+            np.tanh(msg, out=msg)
             # Keep each factor at least MARGIN from zero, sign unchanged.
-            np.abs(half, out=msg)
-            if msg.min() < MARGIN:
-                np.maximum(msg, MARGIN, out=msg)
-                np.copysign(msg, half, out=half)
+            for half in msg:
+                np.abs(half, out=totals)
+                if totals.min() < MARGIN:
+                    np.maximum(totals, MARGIN, out=totals)
+                    np.copysign(totals, half, out=half)
             np.copyto(prod, sign)
-            np.multiply.at(prod, edge_rows, half.reshape(-1))
-            np.take(prod, edge_rows, out=msg.reshape(-1), mode="clip")
-            np.divide(msg, half, out=msg)
+            np.multiply.at(prod, edge_rows, msg.reshape(-1))
+            # Each factor becomes its row's product over the other edges.
+            # Every index is in range; ``mode="clip"`` only spares take the
+            # buffered copy of ``out`` that ``mode="raise"`` makes.
+            for half, entry_rows in zip(msg, rows):
+                np.take(prod, entry_rows, out=totals, mode="clip")
+                np.divide(totals, half, out=half)
             np.clip(msg, -1.0 + MARGIN, 1.0 - MARGIN, out=msg)
             np.arctanh(msg, out=msg)
             msg *= 2.0

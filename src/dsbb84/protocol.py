@@ -38,8 +38,10 @@ announces, and each is built once per seed in a session: both parties
 take them from one-entry memos (``ecc.code_for_seed``,
 ``hashing.toeplitz_for_seed``), Bob keyed on his own counts and the seeds
 he decoded from the wire, so a tampered seed gets him the code or hash of
-the seed he received. ``run_protocol`` empties both memos when the session
-ends, however it ends, so nothing built for one session outlives it.
+the seed he received. Bob empties the code's memo once he has decoded, so
+no privacy amplification runs beside the code. ``run_protocol`` empties
+both memos when the session ends, however it ends, so nothing built for
+one session outlives it.
 """
 
 from __future__ import annotations
@@ -149,7 +151,8 @@ class _CountAccumulator:
         return Observables(*map(int, (*self.sift, *self.err[1:])))
 
     def sifted_key(self) -> BitString:
-        return BitString.from_array(np.concatenate(self.key_parts))
+        parts, self.key_parts = self.key_parts, []
+        return BitString.from_array(np.concatenate(parts))
 
 
 class _Party:
@@ -343,6 +346,8 @@ class BobMachine(_Party):
             self._corrected, converged, iterations = correct(
                 self._sifted, msg.bits, code, self.constants.e_bit_assumed
             )
+            # Bob is the code's last user: release it before the PA apply.
+            code_for_seed.cache_clear()
             self._ec = {
                 "ec_converged": converged,
                 "ec_iterations": iterations,

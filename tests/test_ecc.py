@@ -271,10 +271,13 @@ def test_code_for_seed_keeps_the_last_code_built():
 
 @pytest.mark.parametrize("n_bits,n_rows,seed", [
     (1, 1, 0), (7, 2, 1), (50, 3, 2), (600, 100, 3), (245_841, 32_101, 7),
+    # More rows than int32 holds: the code is only built, since a decode
+    # would allocate an 8 GB row product.
+    (1, 2**31 + 1, 0),
 ])
 def test_code_rows_are_the_int64_draw(n_bits, n_rows, seed):
     # The rows as first drawn: int64 draws bumped past the rows already
-    # chosen. The int32 draw the build makes must take the same values.
+    # chosen. The intp draw the build makes must take the same values.
     rng = generator(seed, StreamKey.LDPC)
     weight = min(3, n_rows)
     first = rng.integers(0, n_rows, size=n_bits)
@@ -289,5 +292,5 @@ def test_code_rows_are_the_int64_draw(n_bits, n_rows, seed):
         third += third >= np.maximum(first, second)
         expected.append(third)
     rows = LdpcCode(n_bits, n_rows, seed).rows
-    assert rows.dtype == np.int32 and not rows.flags.writeable
+    assert rows.dtype == np.intp and not rows.flags.writeable
     assert np.array_equal(rows, np.array(expected))

@@ -1153,6 +1153,28 @@ def test_session_memory_is_one_block():
     assert peaks[2] - peaks[1] < 30 * 1000, peaks
 
 
+def test_demo_session_peak_is_under_65_bytes_per_sifted_bit():
+    # A keyed session of the demo config at m x 1 (about 61.5k sifted
+    # bits) peaks in belief propagation. Measured at seeds 7-9: 77.2-77.6 B
+    # per sifted bit while a decode held the int32 rows, an intp copy of
+    # them and two float32 edge buffers; 51.1-51.3 B with the intp rows
+    # held once, one edge buffer, and the block parts of the sifted key
+    # dropped once it is built. A session runs first so that one-time
+    # allocations do not count.
+    constants = dataclasses.replace(DEMO_X4, m=100_000)
+    expected = expected_observables(constants, DEMO)
+    run_protocol(constants, DEMO, seed=6, expected=expected)
+    for seed in (7, 8, 9):
+        tracemalloc.start()
+        try:
+            out = run_protocol(constants, DEMO, seed=seed, expected=expected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not out.aborted and out.keys_match
+        assert peak < 65 * out.alice.n_sift, (seed, peak, out.alice.n_sift)
+
+
 def test_outcome_hands_over_the_transport_buffer(monkeypatch):
     transports = []
     real_run = InProcessTransport.run
@@ -1225,7 +1247,18 @@ def test_run_protocol_releases_the_code_and_hash_memos(case, monkeypatch):
     toeplitz_for_seed(b"pa", 1, 40, 8)
     assert memo_sizes() == (1, 1)
     if case == "keyed":
+        # Bob releases the code once he has decoded, so neither party's
+        # privacy amplification runs while the code is held.
+        codes_held = []
+        real_pa_hash = dsbb84.protocol.pa_hash
+
+        def recording(*args):
+            codes_held.append(memo_sizes()[0])
+            return real_pa_hash(*args)
+
+        monkeypatch.setattr(dsbb84.protocol, "pa_hash", recording)
         assert not run_protocol(SMALL, CLEAN, seed=42).aborted
+        assert codes_held == [0, 0]
     elif case == "length abort":
         out = run_protocol(LOSSY, FIBER, seed=9)
         assert out.alice.abort_reason == ABORT_LENGTH
