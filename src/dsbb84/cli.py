@@ -28,7 +28,6 @@ from .channel import load_channel
 from .oracles import kato_tail_mc
 from .params import ConfigurationError, DomainError, entropy_h, load_constants
 from .protocol import ABORT_REASONS, ProtocolError, judge_length, run_protocol
-from .wire import MESSAGE_TYPES, decode_message
 
 SCHEMA_VERSION = 1
 
@@ -112,20 +111,6 @@ def _reconciliation_report(outcome) -> dict:
     }
 
 
-def _message_report(transcript) -> dict:
-    """Frames and bytes, frame headers included, of each message type in a
-    transcript, read back frame by frame; a type not sent reads 0."""
-    report = {cls.__name__: {"frames": 0, "bytes": 0} for cls in MESSAGE_TYPES.values()}
-    offset = 0
-    while offset < len(transcript):
-        msg, end = decode_message(transcript, offset)
-        counts = report[type(msg).__name__]
-        counts["frames"] += 1
-        counts["bytes"] += end - offset
-        offset = end
-    return report
-
-
 def cmd_simulate(args) -> int:
     constants, channel = _load_config(args)
     outcome = run_protocol(constants, channel, args.seed)
@@ -137,7 +122,7 @@ def cmd_simulate(args) -> int:
     report["abort_reason"] = outcome.alice.abort_reason
     report["keys_match"] = outcome.keys_match
     report["transcript_bytes"] = len(outcome.transcript)
-    report["messages"] = _message_report(outcome.transcript)
+    report["messages"] = outcome.messages
     report["ec_converged"] = outcome.bob.ec_converged
     report["ec_iterations"] = outcome.bob.ec_iterations
     report.update(_reconciliation_report(outcome))

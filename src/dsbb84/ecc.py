@@ -37,17 +37,12 @@ decoder, certifies the key.
 The disclosed length is ``N_EC = ceil(1.16 * N_sift * h(e_bit))``, a fixed
 rate overhead over the Shannon limit for the assumed bit error rate.
 
-Both parties use the code of the seed Alice announces, so they take it
-from :func:`code_for_seed`, a one-entry memo keyed on (n_bits, n_rows,
-seed): Bob, keyed on his own counts and the seed he received, reuses the
-code Alice built when the two agree. A code is read-only once built, so a
-hit returns exactly what a rebuild would. Bob empties the memo once he
-has decoded, and ``run_protocol`` empties it when a session ends.
+A code is read-only once built, so the two parties of a session can share
+the one built for the seed Alice announces.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -177,17 +172,6 @@ class LdpcCode:
             np.clip(msg, -LLR_CLIP, LLR_CLIP, out=msg)
 
         return BitString.from_array(hard), False, MAX_ITERATIONS
-
-
-@functools.lru_cache(maxsize=1)
-def code_for_seed(n_bits: int, n_rows: int, seed: int) -> LdpcCode:
-    """The code ``seed`` draws for these dimensions.
-
-    The last code built is kept, so the party that uses an announced code
-    second reuses the first party's. Empty it with
-    ``code_for_seed.cache_clear()``.
-    """
-    return LdpcCode(n_bits, n_rows, seed)
 
 
 def correct(

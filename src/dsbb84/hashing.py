@@ -28,18 +28,10 @@ Seeds are 64-bit integers expanded into diagonal bits with SHA-256 in
 counter mode. The expansion is a pseudorandom convenience for driving the
 family from a compact announced seed; the security statements treat the
 diagonal bits as the actual hash choice.
-
-Both parties hash under the seed Alice announces, so ``hash_bits`` takes
-its member from :func:`toeplitz_for_seed`, a one-entry memo keyed on
-(label, seed, n_in, n_out): the second party's hash under a seed reuses
-the member the first one built. A member is never changed after it is
-built, so a hit returns exactly what a rebuild would. ``run_protocol``
-empties the memo when a session ends.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 
@@ -190,28 +182,8 @@ def _window_parities(diagonals: np.ndarray, x_rev: np.ndarray, n_out: int):
     return _BYTE_PARITY.take(acc).reshape(-1)[:n_out]
 
 
-@functools.lru_cache(maxsize=1)
 def toeplitz_for_seed(
     label: bytes, seed: int, n_in: int, n_out: int
 ) -> ModifiedToeplitz:
-    """The family member that ``seed`` expands to under ``label``.
-
-    The last member built is kept, so the party that hashes second under
-    an announced seed reuses the first party's. Empty it with
-    ``toeplitz_for_seed.cache_clear()``.
-    """
+    """The family member that ``seed`` expands to under ``label``."""
     return ModifiedToeplitz(expand_seed(seed, label, max(n_in - 1, 0)), n_in, n_out)
-
-
-def hash_bits(x: BitString, seed: int, n_out: int, label: bytes) -> BitString:
-    return toeplitz_for_seed(bytes(label), seed, len(x), n_out).apply(x)
-
-
-def verify_hash(x: BitString, seed: int, n_out: int) -> BitString:
-    """Correctness-check digest exchanged after error correction."""
-    return hash_bits(x, seed, n_out, VERIFY_LABEL)
-
-
-def pa_hash(x: BitString, seed: int, n_out: int) -> BitString:
-    """Final key extraction by privacy amplification."""
-    return hash_bits(x, seed, n_out, PA_LABEL)

@@ -34,14 +34,12 @@ expected observables, so a disagreement on any announced quantity is a
 protocol error rather than a silent divergence.
 
 The code and the two hashes are public objects fixed by a seed Alice
-announces, and each is built once per seed in a session: both parties
-take them from one-entry memos (``ecc.code_for_seed``,
-``hashing.toeplitz_for_seed``), Bob keyed on his own counts and the seeds
-he decoded from the wire, so a tampered seed gets him the code or hash of
-the seed he received. Bob empties the code's memo once he has decoded, so
-no privacy amplification runs beside the code. ``run_protocol`` empties
-both memos when the session ends, however it ends, so nothing built for
-one session outlives it.
+announces. Both machines take them from the one ``PublicObjects`` store of
+their session, which builds each once: Bob asks with his own counts and
+the seeds he decoded from the wire, so a tampered seed gets him the code or
+hash of the seed he received. Bob drops the code once he has decoded, so
+no privacy amplification runs beside it, and the store dies with the
+session's machines.
 """
 
 from __future__ import annotations
@@ -59,11 +57,12 @@ from .bounds import (
     security_result,
 )
 from .channel import BlockSample, BlockSource, ChannelModel, StreamKey, generator
-from .ecc import code_for_seed, correct, syndrome_length
+from .ecc import LdpcCode, correct, syndrome_length
 from .gf2 import BitString
-from .hashing import pa_hash, toeplitz_for_seed, verify_hash
+from .hashing import PA_LABEL, VERIFY_LABEL, toeplitz_for_seed
 from .params import ProtocolConstants
 from .wire import (
+    MESSAGE_TYPES,
     AliceBlockDisclosure,
     BobBlockDisclosure,
     PaSeed,
@@ -120,6 +119,29 @@ class KeyMaterial:
         return self.observables.n_sift
 
 
+class PublicObjects:
+    """The public objects of one session, each kept under the arguments
+    it was built from: the latest object of each builder.
+
+    A party that asks with the arguments of the object held gets that
+    object; any other arguments build a new one in its place.
+    """
+
+    def __init__(self) -> None:
+        # builder -> (arguments, object)
+        self._held: dict = {}
+
+    def get(self, build: Callable, *args):
+        held = self._held.get(build)
+        if held is None or held[0] != args:
+            self._held.pop(build, None)
+            held = self._held[build] = (args, build(*args))
+        return held[1]
+
+    def drop(self, build: Callable) -> None:
+        self._held.pop(build, None)
+
+
 class _CountAccumulator:
     """The one tally rule both parties apply while blocks stream in.
 
@@ -168,10 +190,12 @@ class _Party:
         self,
         constants: ProtocolConstants,
         blocks: Callable[[int], BlockSample],
+        public: PublicObjects,
         expected: ExpectedObservables,
     ):
         self.constants = constants
         self.blocks = blocks
+        self.public = public
         self.expected = expected
         self._acc = _CountAccumulator()
         self._next_block = 0
@@ -195,6 +219,9 @@ class _Party:
                 f"{self.role} expects {expects}, cannot accept {type(msg).__name__}"
             )
         self.HANDLERS[self._expect](self, msg)
+
+    def _hash(self, label: bytes, seed: int, x: BitString, n_out: int) -> BitString:
+        return self.public.get(toeplitz_for_seed, label, seed, len(x), n_out).apply(x)
 
     def _judge_length(self) -> None:
         """Close the tally: keep the sifted key and judge its final length."""
@@ -222,10 +249,11 @@ class AliceMachine(_Party):
         self,
         constants: ProtocolConstants,
         blocks: Callable[[int], BlockSample],
+        public: PublicObjects,
         expected: ExpectedObservables,
         rng: np.random.Generator,
     ):
-        super().__init__(constants, blocks, expected)
+        super().__init__(constants, blocks, public, expected)
         self._rng = rng
 
     def _draw_seed(self) -> int:
@@ -263,11 +291,11 @@ class AliceMachine(_Party):
             # still guards actual mismatches.
             syndrome = BitString.zeros(0)
         else:
-            code = code_for_seed(sec.n_sift, sec.n_ec, code_seed)
+            code = self.public.get(LdpcCode, sec.n_sift, sec.n_ec, code_seed)
             syndrome = code.syndrome(self._sifted)
         self.outbox.append(Syndrome(syndrome, code_seed))
         verify_seed = self._draw_seed()
-        digest = verify_hash(self._sifted, verify_seed, self.constants.n_verify)
+        digest = self._hash(VERIFY_LABEL, verify_seed, self._sifted, self.constants.n_verify)
         self.outbox.append(VerifyHash(verify_seed, digest))
         self._expect = VerifyResult
 
@@ -277,7 +305,7 @@ class AliceMachine(_Party):
             return
         pa_seed, n_fin = self._draw_seed(), self.security.n_fin
         self.outbox.append(PaSeed(pa_seed, n_fin))
-        self._finish(None, pa_hash(self._sifted, pa_seed, n_fin))
+        self._finish(None, self._hash(PA_LABEL, pa_seed, self._sifted, n_fin))
 
     HANDLERS = {
         BobBlockDisclosure: _handle_block,
@@ -295,9 +323,10 @@ class BobMachine(_Party):
         self,
         constants: ProtocolConstants,
         blocks: Callable[[int], BlockSample],
+        public: PublicObjects,
         expected: ExpectedObservables,
     ):
-        super().__init__(constants, blocks, expected)
+        super().__init__(constants, blocks, public, expected)
         self._corrected: Optional[BitString] = None
         self._emit_disclosure(0)
 
@@ -342,12 +371,12 @@ class BobMachine(_Party):
             self._corrected = self._sifted
             self._ec = {"ec_converged": True, "ec_iterations": 0}
         else:
-            code = code_for_seed(sec.n_sift, sec.n_ec, msg.code_seed)
+            code = self.public.get(LdpcCode, sec.n_sift, sec.n_ec, msg.code_seed)
             self._corrected, converged, iterations = correct(
                 self._sifted, msg.bits, code, self.constants.e_bit_assumed
             )
             # Bob is the code's last user: release it before the PA apply.
-            code_for_seed.cache_clear()
+            self.public.drop(LdpcCode)
             self._ec = {
                 "ec_converged": converged,
                 "ec_iterations": iterations,
@@ -356,7 +385,7 @@ class BobMachine(_Party):
         self._expect = VerifyHash
 
     def _handle_verify(self, msg: VerifyHash) -> None:
-        own = verify_hash(self._corrected, msg.seed, self.constants.n_verify)
+        own = self._hash(VERIFY_LABEL, msg.seed, self._corrected, self.constants.n_verify)
         ok = own == msg.digest
         self.outbox.append(VerifyResult(ok))
         if ok:
@@ -367,7 +396,7 @@ class BobMachine(_Party):
     def _handle_pa(self, msg: PaSeed) -> None:
         if msg.n_fin != self.security.n_fin:
             raise ProtocolError("final length disagrees with own computation")
-        self._finish(None, pa_hash(self._corrected, msg.seed, msg.n_fin))
+        self._finish(None, self._hash(PA_LABEL, msg.seed, self._corrected, msg.n_fin))
 
     HANDLERS = {
         AliceBlockDisclosure: _handle_block_reply,
@@ -384,6 +413,9 @@ class ProtocolOutcome:
     bob: KeyMaterial
     # The transport's own buffer, handed over without a copy.
     transcript: bytearray
+    # Frames and bytes, frame headers included, per message type name, as
+    # the transport carried them; a type not sent reads 0.
+    messages: dict
 
     @property
     def security(self) -> Optional[SecurityResult]:
@@ -400,7 +432,8 @@ class ProtocolOutcome:
 
 
 class InProcessTransport:
-    """Shuttles encoded frames between two machines, keeping a transcript.
+    """Shuttles encoded frames between two machines, keeping a transcript
+    and a tally of the frames and bytes of each message type.
 
     Every message is serialized and re-decoded in transit, so each run
     exercises the wire format end to end.
@@ -410,6 +443,9 @@ class InProcessTransport:
         self.alice = alice
         self.bob = bob
         self.transcript = bytearray()
+        self.messages = {
+            cls.__name__: {"frames": 0, "bytes": 0} for cls in MESSAGE_TYPES.values()
+        }
 
     def _drain(self, sender, receiver) -> int:
         moved = 0
@@ -417,6 +453,9 @@ class InProcessTransport:
             raw = encode_message(sender.outbox.pop(0))
             self.transcript += raw
             msg, _ = decode_message(raw)
+            counts = self.messages[type(msg).__name__]
+            counts["frames"] += 1
+            counts["bytes"] += len(raw)
             receiver.handle(msg)
             moved += 1
         return moved
@@ -443,18 +482,18 @@ def run_protocol(
     streams keyed once per (seed, role) (see channel.sample_block and
     channel.generator), and both machines read that one sample. Alice's
     post-processing seeds come from the stream
-    generator(seed, StreamKey.POST_PROCESSING). The code and hashes built
-    for the session's seeds are released when it returns or raises.
+    generator(seed, StreamKey.POST_PROCESSING). Both machines share one
+    ``PublicObjects`` store, which goes with them.
     """
     if expected is None:
         expected = expected_observables(constants, channel)
     blocks = BlockSource(constants, channel, seed)
-    alice = AliceMachine(constants, blocks, expected, generator(seed, StreamKey.POST_PROCESSING))
-    bob = BobMachine(constants, blocks, expected)
+    public = PublicObjects()
+    rng = generator(seed, StreamKey.POST_PROCESSING)
+    alice = AliceMachine(constants, blocks, public, expected, rng)
+    bob = BobMachine(constants, blocks, public, expected)
     transport = InProcessTransport(alice, bob)
-    try:
-        transport.run()
-    finally:
-        code_for_seed.cache_clear()
-        toeplitz_for_seed.cache_clear()
-    return ProtocolOutcome(alice.result, bob.result, transport.transcript)
+    transport.run()
+    return ProtocolOutcome(
+        alice.result, bob.result, transport.transcript, transport.messages
+    )

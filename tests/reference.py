@@ -39,7 +39,7 @@ from dsbb84.channel import (
 )
 from dsbb84.ecc import LLR_CLIP, MARGIN, MAX_ITERATIONS, LdpcCode, syndrome_length
 from dsbb84.gf2 import BitString
-from dsbb84.hashing import verify_hash
+from dsbb84.hashing import VERIFY_LABEL, toeplitz_for_seed
 from dsbb84.params import (
     BASES,
     INTENSITIES,
@@ -669,8 +669,7 @@ def verification_mc(
         k_a = BitString.from_int(key_word, n_bits)
         k_b = BitString.from_int(key_word ^ diff, n_bits)
         hash_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-        if verify_hash(k_a, hash_seed, n_verify) == verify_hash(
-            k_b, hash_seed, n_verify
-        ):
+        member = toeplitz_for_seed(VERIFY_LABEL, hash_seed, n_bits, n_verify)
+        if member.apply(k_a) == member.apply(k_b):
             false_accepts += 1
     return VerificationAttack(trials, false_accepts, n_verify)

@@ -8,7 +8,6 @@ from dsbb84.channel import StreamKey, generator
 from dsbb84.ecc import (
     MAX_ITERATIONS,
     LdpcCode,
-    code_for_seed,
     correct,
     syndrome_length,
 )
@@ -250,23 +249,6 @@ def test_decoder_matches_reference_decoder(case):
     )
     if converged:
         assert code.syndrome(estimate) == target
-
-
-def test_code_for_seed_keeps_the_last_code_built():
-    code_for_seed.cache_clear()
-    try:
-        code = code_for_seed(300, 60, 5)
-        assert code_for_seed(300, 60, 5) is code
-        assert np.array_equal(code.rows, LdpcCode(300, 60, seed=5).rows)
-        assert not code.rows.flags.writeable
-        for key in ((300, 60, 6), (300, 61, 5), (301, 60, 5)):
-            other = code_for_seed(*key)
-            assert (other.n_bits, other.n_rows) == key[:2]
-            assert not np.array_equal(other.rows[:, :300], code.rows)
-        assert code_for_seed(300, 60, 5) is not code
-        assert code_for_seed.cache_info().currsize == 1
-    finally:
-        code_for_seed.cache_clear()
 
 
 @pytest.mark.parametrize("n_bits,n_rows,seed", [

@@ -14,12 +14,11 @@ from hypothesis import given, settings, strategies as st
 from dsbb84 import hashing
 from dsbb84.gf2 import BitString
 from dsbb84.hashing import (
+    PA_LABEL,
+    VERIFY_LABEL,
     ModifiedToeplitz,
     expand_seed,
-    hash_bits,
-    pa_hash,
     toeplitz_for_seed,
-    verify_hash,
 )
 from reference import bits as bits_of, toeplitz_matrix, word
 
@@ -242,7 +241,7 @@ def test_stored_spectrum_carries_no_state():
     assert mt._spectrum is spectrum and np.array_equal(spectrum, before)
 
 
-def test_hash_bits_builds_one_member_per_key(monkeypatch):
+def test_toeplitz_for_seed_builds_the_member_of_its_key(monkeypatch):
     expansions = []
     real_expand = hashing.expand_seed
 
@@ -251,22 +250,18 @@ def test_hash_bits_builds_one_member_per_key(monkeypatch):
         return real_expand(seed, label, n_bits)
 
     monkeypatch.setattr(hashing, "expand_seed", counting)
-    toeplitz_for_seed.cache_clear()
-    try:
-        x = expand_seed(8, b"x", 3000)
-        key = pa_hash(x, 9, 700)
-        assert pa_hash(x, 9, 700) == key
-        assert len(expansions) == 1
-        # Any change of label, seed or shape is a new member.
-        assert verify_hash(x, 9, 700) != key
-        assert pa_hash(x, 10, 700) != key
-        assert pa_hash(x, 9, 699) != key[:699]
-        assert pa_hash(x, 9, 700) == key
-        assert len(expansions) == 5
-        d = real_expand(9, b"pa", 2999)
-        assert key == ModifiedToeplitz(d, 3000, 700).apply(x)
-    finally:
-        toeplitz_for_seed.cache_clear()
+    x = expand_seed(8, b"x", 3000)
+    key = toeplitz_for_seed(PA_LABEL, 9, 3000, 700).apply(x)
+    assert expansions == [(PA_LABEL, 9, 2999)]
+    # Any change of label, seed or shape is another member.
+    assert toeplitz_for_seed(VERIFY_LABEL, 9, 3000, 700).apply(x) != key
+    assert toeplitz_for_seed(PA_LABEL, 10, 3000, 700).apply(x) != key
+    assert toeplitz_for_seed(PA_LABEL, 9, 3000, 699).apply(x) != key[:699]
+    # A plain builder: every call expands its seed again.
+    assert toeplitz_for_seed(PA_LABEL, 9, 3000, 700).apply(x) == key
+    assert len(expansions) == 5
+    d = real_expand(9, b"pa", 2999)
+    assert key == ModifiedToeplitz(d, 3000, 700).apply(x)
 
 
 def test_linear_in_input():
@@ -304,12 +299,14 @@ def test_exhaustive_surjectivity():
         assert len(images) == 1 << m
 
 
-def test_hash_bits_labels_and_edges():
+def test_toeplitz_for_seed_labels_and_edges():
+    def digest(x, seed, n_out, label):
+        return toeplitz_for_seed(label, seed, len(x), n_out).apply(x)
+
     x = BitString.from_int(0b1011011101, 10)
-    assert verify_hash(x, 42, 4) == hash_bits(x, 42, 4, b"verify")
-    assert pa_hash(x, 42, 4) == hash_bits(x, 42, 4, b"pa")
-    assert verify_hash(x, 42, 4) != pa_hash(x, 42, 4)
-    assert len(pa_hash(x, 1, 0)) == 0
-    assert len(verify_hash(bits_of([1]), 3, 1)) == 1
+    assert VERIFY_LABEL == b"verify" and PA_LABEL == b"pa"
+    assert digest(x, 42, 4, VERIFY_LABEL) != digest(x, 42, 4, PA_LABEL)
+    assert len(digest(x, 1, 0, PA_LABEL)) == 0
+    assert len(digest(bits_of([1]), 3, 1, VERIFY_LABEL)) == 1
     single = bits_of([1])
-    assert pa_hash(single, 5, 1) == single
+    assert digest(single, 5, 1, PA_LABEL) == single

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import pathlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,9 +25,9 @@ from dsbb84.channel import (
     generator,
     sample_block,
 )
-from dsbb84.ecc import LdpcCode, code_for_seed
+from dsbb84.ecc import LdpcCode
 from dsbb84.gf2 import BitString
-from dsbb84.hashing import toeplitz_for_seed
+from dsbb84.hashing import ModifiedToeplitz, toeplitz_for_seed
 from dsbb84.params import ProtocolConstants, load_constants
 from dsbb84.protocol import (
     ABORT_LENGTH,
@@ -35,9 +37,11 @@ from dsbb84.protocol import (
     BobMachine,
     InProcessTransport,
     ProtocolError,
+    PublicObjects,
     run_protocol,
 )
 from dsbb84.wire import (
+    MESSAGE_TYPES,
     AliceBlockDisclosure,
     BobBlockDisclosure,
     PaSeed,
@@ -85,8 +89,9 @@ FIBER = ChannelModel(
 def build_machines(constants, channel, seed):
     blocks = BlockSource(constants, channel, seed)
     expected = expected_observables(constants, channel)
-    alice = AliceMachine(constants, blocks, expected, generator(seed, 3))
-    bob = BobMachine(constants, blocks, expected)
+    public = PublicObjects()
+    alice = AliceMachine(constants, blocks, public, expected, generator(seed, 3))
+    bob = BobMachine(constants, blocks, public, expected)
     return alice, bob
 
 
@@ -832,8 +837,9 @@ class RecordingSource(BlockSource):
 def test_block_drawn_alone_equals_block_in_session():
     blocks = RecordingSource(SMALL, CLEAN, 42)
     expected = expected_observables(SMALL, CLEAN)
-    alice = AliceMachine(SMALL, blocks, expected, generator(42, 3))
-    bob = BobMachine(SMALL, blocks, expected)
+    public = PublicObjects()
+    alice = AliceMachine(SMALL, blocks, public, expected, generator(42, 3))
+    bob = BobMachine(SMALL, blocks, public, expected)
     pump(alice, bob)
     assert alice.result.key == run_protocol(SMALL, CLEAN, seed=42).alice.key
     assert sorted(blocks.seen) == list(range(SMALL.n_block))
@@ -938,8 +944,9 @@ def session_frames(constants, channel, seed, blocks):
     """Alice's machine after a session run on the block source ``blocks``,
     and the (message, bytes) of each transcript frame."""
     expected = expected_observables(constants, channel)
-    alice = AliceMachine(constants, blocks, expected, generator(seed, 3))
-    transport = InProcessTransport(alice, BobMachine(constants, blocks, expected))
+    public = PublicObjects()
+    alice = AliceMachine(constants, blocks, public, expected, generator(seed, 3))
+    transport = InProcessTransport(alice, BobMachine(constants, blocks, public, expected))
     transport.run()
     frames, offset = [], 0
     while offset < len(transport.transcript):
@@ -1191,6 +1198,26 @@ def test_outcome_hands_over_the_transport_buffer(monkeypatch):
     assert hashlib.sha256(out.transcript).digest() == hashlib.sha256(raw).digest()
 
 
+@pytest.mark.parametrize("constants,channel,seed,reason", [
+    (SMALL, CLEAN, 42, None),
+    (LOSSY, FIBER, 9, ABORT_LENGTH),
+    (SMALL, NOISY, 2000, ABORT_VERIFY),
+])
+def test_message_tally_is_the_transcript_read_back(constants, channel, seed, reason):
+    out = run_protocol(constants, channel, seed)
+    assert out.alice.abort_reason == out.bob.abort_reason == reason
+    read_back = {cls.__name__: {"frames": 0, "bytes": 0} for cls in MESSAGE_TYPES.values()}
+    offset = 0
+    while offset < len(out.transcript):
+        msg, end = decode_message(out.transcript, offset)
+        counts = read_back[type(msg).__name__]
+        counts["frames"] += 1
+        counts["bytes"] += end - offset
+        offset = end
+    assert out.messages == read_back
+    assert list(out.messages) == list(read_back)
+
+
 def test_abort_reasons_form_a_closed_set():
     assert ABORT_REASONS == {ABORT_LENGTH, ABORT_VERIFY}
     length = run_protocol(LOSSY, FIBER, seed=9)
@@ -1199,9 +1226,48 @@ def test_abort_reasons_form_a_closed_set():
         assert out.alice.abort_reason == out.bob.abort_reason == reason
 
 
-def memo_sizes():
-    """Entries held by the code memo and the hash memo."""
-    return code_for_seed.cache_info().currsize, toeplitz_for_seed.cache_info().currsize
+def track_public_objects(monkeypatch):
+    """Weak references to every code and hash member built from here on."""
+    refs = []
+    for cls in (LdpcCode, ModifiedToeplitz):
+
+        def init(self, *args, real_init=cls.__init__, **kwargs):
+            real_init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return refs
+
+
+def alive(refs):
+    """Codes and hash members among ``refs`` that a collection leaves alive."""
+    gc.collect()
+    live = [type(ref()) for ref in refs if ref() is not None]
+    return live.count(LdpcCode), live.count(ModifiedToeplitz)
+
+
+def test_public_objects_keep_the_latest_object_of_each_builder(monkeypatch):
+    refs = track_public_objects(monkeypatch)
+    public = PublicObjects()
+    code = public.get(LdpcCode, 300, 60, 5)
+    assert public.get(LdpcCode, 300, 60, 5) is code
+    assert np.array_equal(code.rows, LdpcCode(300, 60, seed=5).rows)
+    assert not code.rows.flags.writeable
+    member = public.get(toeplitz_for_seed, b"pa", 9, 3000, 700)
+    # Each builder keeps its own latest object.
+    assert public.get(LdpcCode, 300, 60, 5) is code
+    assert public.get(toeplitz_for_seed, b"pa", 9, 3000, 700) is member
+    assert public.get(toeplitz_for_seed, b"verify", 9, 3000, 700) is not member
+    for key in ((300, 60, 6), (300, 61, 5), (301, 60, 5)):
+        other = public.get(LdpcCode, *key)
+        assert (other.n_bits, other.n_rows) == key[:2]
+        assert not np.array_equal(other.rows[:, :300], code.rows)
+    assert public.get(LdpcCode, 300, 60, 5) is not code
+    del code, member, other
+    # One code and one member are held: the latest of each builder.
+    assert alive(refs) == (1, 1)
+    public.drop(LdpcCode)
+    assert alive(refs) == (0, 1)
 
 
 def test_bob_decodes_under_the_code_seed_he_received(monkeypatch):
@@ -1221,11 +1287,7 @@ def test_bob_decodes_under_the_code_seed_he_received(monkeypatch):
             seeds.append(msg.code_seed)
             return Syndrome(msg.bits, msg.code_seed ^ 1)
 
-    try:
-        pump(alice, bob, tamper)
-    finally:
-        code_for_seed.cache_clear()
-        toeplitz_for_seed.cache_clear()
+    pump(alice, bob, tamper)
     (sent,) = seeds
     (code,) = codes
     sec = bob.security
@@ -1240,41 +1302,55 @@ class DecoderFault(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("case", ["keyed", "length abort", "raises"])
+@pytest.mark.parametrize("case", ["keyed", "length abort", "raises", "hand-driven"])
 def test_run_protocol_releases_the_code_and_hash_memos(case, monkeypatch):
-    # Entries left by an earlier hand-driven session are released too.
-    code_for_seed(40, 8, 1)
-    toeplitz_for_seed(b"pa", 1, 40, 8)
-    assert memo_sizes() == (1, 1)
+    # A session's code and hash members live in its own store, so nothing
+    # built for it outlives the session.
+    refs = track_public_objects(monkeypatch)
     if case == "keyed":
-        # Bob releases the code once he has decoded, so neither party's
-        # privacy amplification runs while the code is held.
-        codes_held = []
-        real_pa_hash = dsbb84.protocol.pa_hash
+        # Bob drops the code once he has decoded, so neither party's
+        # privacy amplification runs while a code is alive.
+        at_pa = []
+        real_apply = ModifiedToeplitz.apply
 
-        def recording(*args):
-            codes_held.append(memo_sizes()[0])
-            return real_pa_hash(*args)
+        def recording(self, x):
+            if self.n_out > SMALL.n_verify:
+                at_pa.append(alive(refs)[0])
+            return real_apply(self, x)
 
-        monkeypatch.setattr(dsbb84.protocol, "pa_hash", recording)
-        assert not run_protocol(SMALL, CLEAN, seed=42).aborted
-        assert codes_held == [0, 0]
+        monkeypatch.setattr(ModifiedToeplitz, "apply", recording)
+        out = run_protocol(SMALL, CLEAN, seed=42)
+        assert not out.aborted and out.security.n_fin > SMALL.n_verify
+        assert at_pa == [0, 0]
+        assert len(refs) == 3
     elif case == "length abort":
         out = run_protocol(LOSSY, FIBER, seed=9)
         assert out.alice.abort_reason == ABORT_LENGTH
-    else:
+        assert refs == []
+    elif case == "raises":
         held = []
 
         def failing(*args):
-            held.append(memo_sizes())
+            held.append(alive(refs))
             raise DecoderFault
 
         monkeypatch.setattr(dsbb84.protocol, "correct", failing)
-        with pytest.raises(DecoderFault):
+        with pytest.raises(DecoderFault) as raised:
             run_protocol(SMALL, CLEAN, seed=42)
-        # The fault came while Alice's code and verification hash were held.
+        # The fault came while Alice's code and verification hash were
+        # held, and the exception's frames hold them still.
         assert held == [(1, 1)]
-    assert memo_sizes() == (0, 0)
+        assert alive(refs) == (1, 1)
+        del raised
+    else:
+        alice, bob = build_machines(SMALL, CLEAN, seed=42)
+        pump(alice, bob)
+        assert bob.result.key == alice.result.key
+        # The store keeps the privacy-amplification member until the
+        # machines go.
+        assert alive(refs) == (0, 1)
+        del alice, bob
+    assert alive(refs) == (0, 0)
 
 
 def test_honest_session_builds_each_public_object_once(monkeypatch):
@@ -1292,9 +1368,6 @@ def test_honest_session_builds_each_public_object_once(monkeypatch):
 
     monkeypatch.setattr(LdpcCode, "__init__", counting_init)
     monkeypatch.setattr(dsbb84.hashing, "expand_seed", counting_expand)
-    # A hand-driven session of this seed may have left its objects behind.
-    code_for_seed.cache_clear()
-    toeplitz_for_seed.cache_clear()
     out = run_protocol(SMALL, CLEAN, seed=42)
     assert not out.aborted and out.keys_match
     assert len(builds) == 1
