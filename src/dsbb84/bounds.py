@@ -336,6 +336,22 @@ def nph_upper(
     into a ceiling on single-photon phase errors in the Z sift, with three
     deviation envelopes at tail weight eps_secrecy^2/24 each. Returns a
     real in [0, N]; degenerate envelopes collapse to the trivial N.
+
+    The inversion: write A_n for the sum of conditional expectations of
+    the errors on matched-X rounds of n photons. Given n, the intensity is
+    independent of the channel, so the errors expected at intensity w are
+    E_w = sum_n P(w|n) A_n. Drop D's n >= 2 terms (they are >= 0), solve
+    E_V for A_0 and put it in E_D, with k = P(D|0)/P(V|0):
+
+        A_1 (P(D|1) - k P(V|1)) <= E_D - k E_V + k sum_{n>=2} P(V|n) A_n.
+
+    A round is matched X with n photons with probability pxx P(n) whatever
+    the channel does, so A_n <= N pxx P(n) and the last sum is at most
+    R = N pxx P(V, n >= 2). R is not random, so it needs no envelope. E_D
+    takes its upper envelope and E_V its lower one; the ceiling is
+    (pzz/pxx) A_1, through the phase-error envelope. At mu_V = 0, P(V|1)
+    and R are 0.0, and the expression is the vacuum-only inversion, float
+    for float.
     """
     _check_counts(constants, obs)
     ck = _Checkpoints(slack, perturb, record)
@@ -348,10 +364,23 @@ def nph_upper(
         raise DomainError("phase-error inversion needs mu_D > 0 and p_V > 0")
     # P(omega | n) for the decoy and vacuum settings.
     pd1 = single["D"] / p1
+    pv1 = single["V"] / p1
     pd0 = vacuum["D"] / p0
     pv0 = vacuum["V"] / p0
-    pz_over_px = (constants.p_basis_alice * constants.p_basis_bob) / (
-        (1.0 - constants.p_basis_alice) * (1.0 - constants.p_basis_bob)
+    # P(D|1) - k P(V|1): what is left of A_1 once the V errors are taken off.
+    share1 = pd1 - (pd0 / pv0) * pv1
+    if share1 <= 0.0:
+        raise DomainError(
+            "phase-error inversion needs P(D|1) > P(D|0) P(V|1) / P(V|0), "
+            f"got mu={dict(constants.mu)}"
+        )
+    pzz = constants.p_basis_alice * constants.p_basis_bob
+    pxx = (1.0 - constants.p_basis_alice) * (1.0 - constants.p_basis_bob)
+    pz_over_px = pzz / pxx
+    # R: every matched-X V round of two or more photons counted as an error.
+    mu_v = constants.mu["V"]
+    multi_v = n * pxx * constants.p_intensity["V"] * (
+        -math.expm1(-mu_v) - mu_v * math.exp(-mu_v)
     )
     a_ph, b_ph = kato_pair_prime(n, exp.nph, eps_ev)
     pair_dx = kato_pair(n, exp.n_err_dx, eps_ev)
@@ -363,8 +392,10 @@ def nph_upper(
         return n
     upper_dx = _upper(obs.n_err_dx, pair_dx, rn)
     lower_vx = _lower(obs.n_err_vx, pair_vx, n, rn)
-    term_dx = ck("nph_term_dx", (pz_over_px / pd1) * upper_dx, +1)
-    term_vx = ck("nph_term_vx", -(pz_over_px * pd0 / (pd1 * pv0)) * lower_vx, +1)
+    term_dx = ck("nph_term_dx", (pz_over_px / share1) * upper_dx, +1)
+    term_vx = ck(
+        "nph_term_vx", -(pz_over_px * pd0 / (share1 * pv0)) * (lower_vx - multi_v), +1
+    )
     dev = ck("nph_dev", (b_ph - a_ph) * rn, +1)
     inner = ck("nph_inner", term_dx + term_vx + dev, +1)
     if inner <= 0.0:

@@ -6,16 +6,21 @@ criterion. Every test is deterministic (fixed seeds), states its
 tolerance inline, and asserts its wall-clock budget.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from dsbb84.bounds import (
     CONSERVATIVE_SLACK,
+    ExpectedObservables,
+    Observables,
     decoy_coefficients,
     kato_pair,
     kato_pair_prime,
+    nph_upper,
     security_result,
 )
 from dsbb84.channel import ChannelModel, click_probabilities
@@ -112,13 +117,44 @@ def test_c02_deviation_tail_monte_carlo():
     assert time.perf_counter() - start < 120.0
 
 
+def phase_error_ceiling_ratio(mu_v, err_yields, n_total=10**15):
+    """The engine's phase-error ceiling over the true single-photon phase
+    errors, for a channel whose n-photon matched-X rounds err with
+    probability ``err_yields[n]`` (and never past the list), with every
+    count at its expectation. At N = 1e15 the finite-size terms add about
+    1e-4, so a ratio below 1 is an inversion that undercounts."""
+    c = ProtocolConstants(
+        n_block=n_total // 10**10,
+        m=10**10,
+        p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
+        mu={"S": 0.5, "D": 0.1, "V": mu_v},
+        p_basis_alice=0.8,
+        p_basis_bob=0.8,
+        n_verify=32,
+        e_bit_assumed=0.03,
+        eps_secrecy=1e-6,
+    )
+    pxx = (1 - c.p_basis_alice) * (1 - c.p_basis_bob)
+    pzz = c.p_basis_alice * c.p_basis_bob
+    ns = range(len(err_yields))
+    errors = {
+        w: n_total * pxx * math.fsum(p_int_joint(c, w, n) * err_yields[n] for n in ns)
+        for w in ("D", "V")
+    }
+    p1 = math.fsum(p_int_joint(c, w, 1) for w in INTENSITIES)
+    truth = n_total * pzz * p1 * err_yields[1]
+    obs = Observables(0, 0, 0, round(errors["D"]), round(errors["V"]))
+    exp = ExpectedObservables(0.0, 0.0, 0.0, errors["D"], errors["V"], 0.0, truth)
+    return nph_upper(c, obs, exp) / truth
+
+
 def test_c03_decoy_inversion_soundness():
     # The three-intensity inversion must never overestimate the
     # single-photon part, whatever the per-photon-number behaviour of the
     # channel. 1e4 random yield vectors and 1e4 random error-yield
-    # vectors, zero violations beyond float noise (1e-12 absolute); the
-    # vacuum intensity is exactly zero, which is the regime the
-    # error-side inversion is derived for.
+    # vectors, zero violations beyond float noise (1e-12 absolute). The
+    # error side is checked at a vacuum intensity of exactly zero, then at
+    # mu_V > 0, where V rounds hold photons too, and through the engine.
     start = time.perf_counter()
     c = ProtocolConstants(
         n_block=10,
@@ -153,6 +189,38 @@ def test_c03_decoy_inversion_soundness():
         cond_d[0] / (cond_d[1] * cond_v[0])
     ) * (err_yields @ cond_v)
     assert int(np.sum(upper < err_yields[:, 1] - 1e-12)) == 0
+
+    # At mu_V > 0, per round: the errors of n-photon matched-X rounds are
+    # A_n = P(n) e_n <= P(n), so V's rounds of two or more photons add at
+    # most P(V, n >= 2) to E_V beyond its zero- and one-photon terms.
+    for mu_v in (1e-3, 1e-2, 5e-2):
+        cv = dataclasses.replace(c, mu={**c.mu, "V": mu_v})
+        joint_d = np.array([p_int_joint(cv, "D", n) for n in ns])
+        joint_v = np.array([p_int_joint(cv, "V", n) for n in ns])
+        p_n = np.array([math.fsum(p_int_joint(cv, w, n) for w in INTENSITIES) for n in ns])
+        k = joint_d[0] / joint_v[0]
+        multi_v = math.fsum(joint_v[2:])
+        upper = (err_yields @ joint_d - k * (err_yields @ joint_v) + k * multi_v) / (
+            joint_d[1] / p_n[1] - k * joint_v[1] / p_n[1]
+        )
+        assert int(np.sum(upper < p_n[1] * err_yields[:, 1] - 1e-12)) == 0
+
+    # The engine's ceiling, over mu_V and error-yield vectors. The pinned
+    # vector puts errors on one-photon rounds only; a ceiling that takes
+    # every V round for empty gives 0.990 of the truth for it.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.floats(0.0, 0.05),
+        st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12).filter(
+            lambda e: e[1] > 0.0
+        ),
+    )
+    @example(1e-3, [0.0, 0.02] + [0.0] * 10)
+    @example(1e-2, [0.0, 0.02] + [0.0] * 10)
+    def ceiling_holds(mu_v, err_yields):
+        assert phase_error_ceiling_ratio(mu_v, err_yields) >= 1.0
+
+    ceiling_holds()
 
     # Inversion denominator identity, on the pinned pair and on 200
     # random intensity pairs: denominator * p1 = mu_D (mu_S - mu_D)/mu_S

@@ -269,23 +269,28 @@ def reference_n1z(c, obs, exp):
 
 
 def reference_nph(c, obs, exp):
+    # Stand-alone reassembly of the ceiling. With A_n the errors expected
+    # on matched-X rounds of n photons and E_w = sum_n P(w|n) A_n, dropping
+    # D's terms past n = 1 and solving E_V for A_0 gives
+    # A_1 (P(D|1) - k P(V|1)) <= E_D - k E_V + k sum_{n>=2} P(V|n) A_n,
+    # k = P(D|0)/P(V|0). Each A_n is at most N pxx P(n), so the sum is at
+    # most N pxx P(V, n >= 2), taken here term by term.
     n = float(c.n_total)
     rn = math.sqrt(n)
     eps = c.eps_secrecy**2 / 24.0
-    pd1, pd0, pv0 = p_int_cond(c, "D", 1), p_int_cond(c, "D", 0), p_int_cond(c, "V", 0)
-    ratio = (c.p_basis_alice * c.p_basis_bob) / (
-        (1 - c.p_basis_alice) * (1 - c.p_basis_bob)
-    )
+    pd1, pd0 = p_int_cond(c, "D", 1), p_int_cond(c, "D", 0)
+    pv1, pv0 = p_int_cond(c, "V", 1), p_int_cond(c, "V", 0)
+    k = pd0 / pv0
+    pzz = c.p_basis_alice * c.p_basis_bob
+    pxx = (1 - c.p_basis_alice) * (1 - c.p_basis_bob)
+    multi_v = n * pxx * math.fsum(p_int_joint(c, "V", j) for j in range(2, 40))
     a_ph, b_ph = kato_pair_prime(n, exp.nph, eps)
     a_dx, b_dx = kato_pair(n, exp.n_err_dx, eps)
     a_vx, b_vx = kato_pair_prime(n, exp.n_err_vx, eps)
     upper_dx = obs.n_err_dx * (1 + 2 * a_dx / rn) + (b_dx - a_dx) * rn
     lower_vx = obs.n_err_vx - (b_vx + a_vx * (2 * obs.n_err_vx / n - 1)) * rn
-    inner = (
-        ratio / pd1 * upper_dx
-        - ratio * pd0 / (pd1 * pv0) * lower_vx
-        + (b_ph - a_ph) * rn
-    )
+    one_photon_x = (upper_dx - k * lower_vx + k * multi_v) / (pd1 - k * pv1)
+    inner = pzz / pxx * one_photon_x + (b_ph - a_ph) * rn
     value = inner / (1 - 2 * a_ph / rn)
     return min(max(value, 0.0), n)
 
@@ -334,6 +339,17 @@ def test_nph_degenerate_envelope_returns_total():
     c, obs, exp0 = scenario()
     exp = dataclasses.replace(exp0, nph=0.0)
     assert nph_upper(c, obs, exp) == float(c.n_total)
+
+
+def test_nph_refuses_an_inversion_with_no_one_photon_share():
+    # P(D|1) - k P(V|1) is p_D e^-mu_D (mu_D - mu_V) / P(1): nothing is left
+    # of the one-photon errors once mu_V passes mu_D, which the constants
+    # refuse on their own too.
+    c, obs, exp = scenario()
+    for mu_v in (0.15, 0.3):
+        c.mu["V"] = mu_v
+        with pytest.raises(DomainError, match="phase-error inversion"):
+            nph_upper(c, obs, exp)
 
 
 def test_counts_beyond_total_rejected():
@@ -445,9 +461,11 @@ def test_expected_observables_closed_forms():
 
 
 # SHA-256 over the integer SecurityResult fields of the scenarios below,
-# taken before the engine's formulas were consolidated; a refactor of the
-# engine must leave every key length where it was.
-PINNED_KEY_LENGTHS = "4f8e49ab04768a3ef1ce6c1a005e219bc8795eaac1d1493360f4c8e1cd5cc997"
+# taken before the engine's formulas were consolidated, and re-taken when
+# the phase-error ceiling came to keep V's one-photon share (only the
+# mu_V > 0 scenarios moved); a refactor of the engine must leave every key
+# length where it was.
+PINNED_KEY_LENGTHS = "490a5407bb9027077c7f0914031cd92cdb8f77d38389d6b58145beec4e777d2a"
 
 
 def test_key_lengths_are_pinned():
