@@ -337,21 +337,16 @@ def nph_upper(
     deviation envelopes at tail weight eps_secrecy^2/24 each. Returns a
     real in [0, N]; degenerate envelopes collapse to the trivial N.
 
-    The inversion: write A_n for the sum of conditional expectations of
-    the errors on matched-X rounds of n photons. Given n, the intensity is
-    independent of the channel, so the errors expected at intensity w are
-    E_w = sum_n P(w|n) A_n. Drop D's n >= 2 terms (they are >= 0), solve
-    E_V for A_0 and put it in E_D, with k = P(D|0)/P(V|0):
-
-        A_1 (P(D|1) - k P(V|1)) <= E_D - k E_V + k sum_{n>=2} P(V|n) A_n.
-
+    With A_n the errors expected on matched-X rounds of n photons, the
+    intensity is independent of the channel given n, so intensity w
+    expects E_w = sum_n P(w|n) A_n. Dropping D's terms past n = 1 and
+    solving E_V for A_0 gives, with k = P(D|0)/P(V|0),
+    A_1 (P(D|1) - k P(V|1)) <= E_D - k E_V + k sum_{n>=2} P(V|n) A_n.
     A round is matched X with n photons with probability pxx P(n) whatever
-    the channel does, so A_n <= N pxx P(n) and the last sum is at most
-    R = N pxx P(V, n >= 2). R is not random, so it needs no envelope. E_D
-    takes its upper envelope and E_V its lower one; the ceiling is
-    (pzz/pxx) A_1, through the phase-error envelope. At mu_V = 0, P(V|1)
-    and R are 0.0, and the expression is the vacuum-only inversion, float
-    for float.
+    the channel does, so the sum is at most R = N pxx P(V, n >= 2), which
+    is not random and needs no envelope. E_D takes its upper envelope and
+    E_V its lower one, and the ceiling is (pzz/pxx) A_1. At mu_V = 0,
+    P(V|1) and R are 0.0 and the float operations are the vacuum-only ones.
     """
     _check_counts(constants, obs)
     ck = _Checkpoints(slack, perturb, record)
@@ -360,20 +355,17 @@ def nph_upper(
     eps_ev = constants.eps_secrecy**2 / _NPH_TAIL
     vacuum, p0 = _photon_law(constants, 0)
     single, p1 = _photon_law(constants, 1)
-    if single["D"] <= 0.0 or vacuum["V"] <= 0.0:
-        raise DomainError("phase-error inversion needs mu_D > 0 and p_V > 0")
+    if vacuum["V"] <= 0.0:
+        raise DomainError("phase-error inversion needs p_V > 0")
     # P(omega | n) for the decoy and vacuum settings.
     pd1 = single["D"] / p1
     pv1 = single["V"] / p1
     pd0 = vacuum["D"] / p0
     pv0 = vacuum["V"] / p0
-    # P(D|1) - k P(V|1): what is left of A_1 once the V errors are taken off.
+    # P(D|1) - k P(V|1): A_1's weight once the V errors are taken off.
     share1 = pd1 - (pd0 / pv0) * pv1
     if share1 <= 0.0:
-        raise DomainError(
-            "phase-error inversion needs P(D|1) > P(D|0) P(V|1) / P(V|0), "
-            f"got mu={dict(constants.mu)}"
-        )
+        raise DomainError(f"phase-error inversion needs mu_D > mu_V, got {constants.mu}")
     pzz = constants.p_basis_alice * constants.p_basis_bob
     pxx = (1.0 - constants.p_basis_alice) * (1.0 - constants.p_basis_bob)
     pz_over_px = pzz / pxx

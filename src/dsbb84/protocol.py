@@ -120,16 +120,11 @@ class KeyMaterial:
 
 
 class PublicObjects:
-    """The public objects of one session, each kept under the arguments
-    it was built from: the latest object of each builder.
-
-    A party that asks with the arguments of the object held gets that
-    object; any other arguments build a new one in its place.
-    """
+    """The public objects of one session: the latest object of each
+    builder, which the same arguments get again and others replace."""
 
     def __init__(self) -> None:
-        # builder -> (arguments, object)
-        self._held: dict = {}
+        self._held: dict = {}  # builder -> (arguments, object)
 
     def get(self, build: Callable, *args):
         held = self._held.get(build)
@@ -494,6 +489,4 @@ def run_protocol(
     bob = BobMachine(constants, blocks, public, expected)
     transport = InProcessTransport(alice, bob)
     transport.run()
-    return ProtocolOutcome(
-        alice.result, bob.result, transport.transcript, transport.messages
-    )
+    return ProtocolOutcome(alice.result, bob.result, transport.transcript, transport.messages)

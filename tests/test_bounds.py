@@ -344,10 +344,10 @@ def test_nph_degenerate_envelope_returns_total():
 def test_nph_refuses_an_inversion_with_no_one_photon_share():
     # P(D|1) - k P(V|1) is p_D e^-mu_D (mu_D - mu_V) / P(1): nothing is left
     # of the one-photon errors once mu_V passes mu_D, which the constants
-    # refuse on their own too.
+    # refuse on their own too, so they are set here past that check.
     c, obs, exp = scenario()
     for mu_v in (0.15, 0.3):
-        c.mu["V"] = mu_v
+        object.__setattr__(c, "mu", {**c.mu, "V": mu_v})
         with pytest.raises(DomainError, match="phase-error inversion"):
             nph_upper(c, obs, exp)
 
