@@ -468,9 +468,9 @@ def test_expected_observables_closed_forms():
 PINNED_KEY_LENGTHS = "490a5407bb9027077c7f0914031cd92cdb8f77d38389d6b58145beec4e777d2a"
 
 
-def test_key_lengths_are_pinned():
-    fields = ("n_sift", "n1z_floor", "nph_ceil", "n_pa", "n_ec", "n_fin", "abort")
-    digest = hashlib.sha256()
+def pinned_scenario_results():
+    """security_result over 200 random scenarios, then each shipped config
+    at its rounded expected counts."""
     results = []
     rng = np.random.default_rng(2025)
     for _ in range(200):
@@ -488,7 +488,32 @@ def test_key_lengths_are_pinned():
         )
         n_ec = syndrome_length(obs.n_sift, c.e_bit_assumed)
         results.append(security_result(c, obs, exp, n_ec))
+    return results
+
+
+def test_key_lengths_are_pinned():
+    fields = ("n_sift", "n1z_floor", "nph_ceil", "n_pa", "n_ec", "n_fin", "abort")
+    digest = hashlib.sha256()
+    results = pinned_scenario_results()
     for res in results:
         digest.update(repr(tuple(getattr(res, f) for f in fields)).encode())
     assert 0 < sum(res.abort for res in results) < len(results)
     assert digest.hexdigest() == PINNED_KEY_LENGTHS
+
+
+# SHA-256 over each checkpoint trail (names, values and their order) of the
+# same scenarios, taken before the three engine steps were folded into
+# security_result. The degenerate returns write their trail entries by
+# hand, so the trail pins them where the key lengths do not.
+PINNED_TRAILS = "fa538f87e01340c998f8ad1b739100b819d48ab92f48b7aceedcd1ec551a40e7"
+
+
+def test_checkpoint_trails_are_pinned():
+    digest = hashlib.sha256()
+    results = pinned_scenario_results()
+    for res in results:
+        digest.update(repr(tuple(res.intermediates.items())).encode())
+    trails = [res.intermediates for res in results]
+    assert any(t["n1z_value"] == 0.0 for t in trails)
+    assert any("nph_term_dx" not in t for t in trails)
+    assert digest.hexdigest() == PINNED_TRAILS
