@@ -11,6 +11,14 @@ Three layers live here:
   privacy-amplification length, with directed conservative rounding at
   named checkpoint quantities.
 
+``security_result`` is the one entry point to the assembly. It checks the
+observed counts once and runs the floor, the ceiling and the PA length as
+three steps that share one checkpoint trail: each checkpoint's value after
+slack, in the order the steps reached it, returned as
+``SecurityResult.intermediates``. A step that collapses to its trivial
+value (a floor of 0, a ceiling of 0 or N) writes that value to the trail
+under its ``*_value`` name.
+
 Sign conventions: the unprimed pair bounds a sum of conditional expectations
 from above given the observed count, the primed pair bounds it from below.
 All seven envelope events share the secrecy budget as
@@ -20,7 +28,7 @@ All seven envelope events share the secrecy budget as
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, NamedTuple
 
 from .channel import (
@@ -47,9 +55,6 @@ __all__ = [
     "Observables",
     "ExpectedObservables",
     "expected_observables",
-    "n1z_lower",
-    "nph_upper",
-    "n_pa",
     "SecurityResult",
     "security_result",
     "CONSERVATIVE_SLACK",
@@ -233,7 +238,8 @@ def expected_observables(
 
 
 class _Checkpoints:
-    """Directed slack and audit perturbations at named intermediate values.
+    """Directed slack and audit perturbations at named intermediate values,
+    and the trail of every value it hands back.
 
     Every checkpoint is pushed by `slack` in the direction that makes the
     final bound more conservative. The rounding audit re-enters here with
@@ -241,15 +247,10 @@ class _Checkpoints:
     same-sized perturbation holds up to O(slack^2) residue.
     """
 
-    def __init__(
-        self,
-        slack: float = 0.0,
-        perturb: Mapping[str, float] | None = None,
-        record: dict | None = None,
-    ) -> None:
+    def __init__(self, slack: float, perturb: Mapping[str, float] | None) -> None:
         self.slack = slack
         self.perturb = dict(perturb) if perturb else {}
-        self.record = record
+        self.record: dict[str, float] = {}
 
     def __call__(self, name: str, value: float, direction: int) -> float:
         v = float(value)
@@ -258,8 +259,7 @@ class _Checkpoints:
             v *= 1.0 + shift
         if self.slack:
             v += direction * self.slack * abs(v)
-        if self.record is not None:
-            self.record[name] = v
+        self.record[name] = v
         return v
 
 
@@ -279,14 +279,11 @@ def _check_counts(constants: ProtocolConstants, obs: Observables) -> None:
         raise DomainError("observed counts exceed the total number of rounds")
 
 
-def n1z_lower(
+def _n1z_lower(
     constants: ProtocolConstants,
     obs: Observables,
     exp: ExpectedObservables,
-    *,
-    slack: float = 0.0,
-    perturb: Mapping[str, float] | None = None,
-    record: dict | None = None,
+    ck: _Checkpoints,
 ) -> float:
     """High-probability lower envelope on single-photon matched-Z clicks.
 
@@ -294,8 +291,6 @@ def n1z_lower(
     deviation envelopes, each at tail weight eps_secrecy^2/32. Returns a
     real in [0, N]; degenerate envelopes collapse to the trivial 0.
     """
-    _check_counts(constants, obs)
-    ck = _Checkpoints(slack, perturb, record)
     n = float(constants.n_total)
     rn = math.sqrt(n)
     eps_ev = constants.eps_secrecy**2 / _N1Z_TAIL
@@ -313,22 +308,18 @@ def n1z_lower(
     if den <= 0.0 or inner <= 0.0:
         # The inversion prefactor degenerates (or the inversion already
         # went nonpositive); only the trivial floor survives.
-        if record is not None:
-            record["n1z_value"] = 0.0
+        ck.record["n1z_value"] = 0.0
         return 0.0
     pref = ck("n1z_pref", 1.0 / den, -1)
     value = ck("n1z_value", pref * inner, -1)
     return min(max(value, 0.0), n)
 
 
-def nph_upper(
+def _nph_upper(
     constants: ProtocolConstants,
     obs: Observables,
     exp: ExpectedObservables,
-    *,
-    slack: float = 0.0,
-    perturb: Mapping[str, float] | None = None,
-    record: dict | None = None,
+    ck: _Checkpoints,
 ) -> float:
     """High-probability upper envelope on phase errors of the floor rounds.
 
@@ -348,8 +339,6 @@ def nph_upper(
     E_V its lower one, and the ceiling is (pzz/pxx) A_1. At mu_V = 0,
     P(V|1) and R are 0.0 and the float operations are the vacuum-only ones.
     """
-    _check_counts(constants, obs)
-    ck = _Checkpoints(slack, perturb, record)
     n = float(constants.n_total)
     rn = math.sqrt(n)
     eps_ev = constants.eps_secrecy**2 / _NPH_TAIL
@@ -365,7 +354,9 @@ def nph_upper(
     # P(D|1) - k P(V|1): A_1's weight once the V errors are taken off.
     share1 = pd1 - (pd0 / pv0) * pv1
     if share1 <= 0.0:
-        raise DomainError(f"phase-error inversion needs mu_D > mu_V, got {constants.mu}")
+        raise DomainError(
+            f"phase-error inversion needs mu_D > mu_V, got {dict(constants.mu)}"
+        )
     pzz = constants.p_basis_alice * constants.p_basis_bob
     pxx = (1.0 - constants.p_basis_alice) * (1.0 - constants.p_basis_bob)
     pz_over_px = pzz / pxx
@@ -379,8 +370,7 @@ def nph_upper(
     pair_vx = kato_pair_prime(n, exp.n_err_vx, eps_ev)
     den = 1.0 - 2.0 * a_ph / rn
     if den <= 0.0:
-        if record is not None:
-            record["nph_value"] = n
+        ck.record["nph_value"] = n
         return n
     upper_dx = _upper(obs.n_err_dx, pair_dx, rn)
     lower_vx = _lower(obs.n_err_vx, pair_vx, n, rn)
@@ -391,8 +381,7 @@ def nph_upper(
     dev = ck("nph_dev", (b_ph - a_ph) * rn, +1)
     inner = ck("nph_inner", term_dx + term_vx + dev, +1)
     if inner <= 0.0:
-        if record is not None:
-            record["nph_value"] = 0.0
+        ck.record["nph_value"] = 0.0
         return 0.0
     pref = ck("nph_pref", 1.0 / den, +1)
     value = ck("nph_value", pref * inner, +1)
@@ -404,15 +393,12 @@ def pa_log_term(eps_secrecy: float) -> int:
     return math.ceil(2.0 - 2.0 * math.log2(eps_secrecy))
 
 
-def n_pa(
+def _n_pa(
     constants: ProtocolConstants,
     obs: Observables,
     n1z_floor: int,
     nph_ceil: int,
-    *,
-    slack: float = 0.0,
-    perturb: Mapping[str, float] | None = None,
-    record: dict | None = None,
+    ck: _Checkpoints,
 ) -> int:
     """Number of key bits removed by privacy amplification.
 
@@ -421,7 +407,6 @@ def n_pa(
     """
     if n1z_floor < 0 or nph_ceil < 0:
         raise DomainError("rounded envelope counts must be nonnegative")
-    ck = _Checkpoints(slack, perturb, record)
     log_term = pa_log_term(constants.eps_secrecy)
     if n1z_floor == 0:
         raw = float(obs.n_sift + log_term)
@@ -454,8 +439,8 @@ class SecurityResult:
     eps_secrecy: float
     eps_correct: float
     eps_total: float
-    budget: tuple = ()
-    intermediates: Mapping[str, float] = field(default_factory=dict)
+    budget: tuple
+    intermediates: Mapping[str, float]
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -475,16 +460,18 @@ def security_result(
     The returned budget lists one entry per deviation envelope; the tail
     weights sum to eps_secrecy^2/4, which is what the secrecy parameter
     certifies against. Failure probability of verification is reported
-    separately as eps_correct = 2^-n_verify.
+    separately as eps_correct = 2^-n_verify. The intermediates are the
+    checkpoint trail of the three steps. slack=0.0 gives the unpadded
+    values; perturb maps checkpoint names to relative shifts for the
+    rounding audit.
     """
-    record: dict[str, float] = {}
-    n1_real = n1z_lower(constants, obs, exp, slack=slack, perturb=perturb, record=record)
-    nph_real = nph_upper(constants, obs, exp, slack=slack, perturb=perturb, record=record)
+    _check_counts(constants, obs)
+    ck = _Checkpoints(slack, perturb)
+    n1_real = _n1z_lower(constants, obs, exp, ck)
+    nph_real = _nph_upper(constants, obs, exp, ck)
     n1_floor = math.floor(n1_real)
     nph_ceil = math.ceil(nph_real)
-    pa_bits = n_pa(
-        constants, obs, n1_floor, nph_ceil, slack=slack, perturb=perturb, record=record
-    )
+    pa_bits = _n_pa(constants, obs, n1_floor, nph_ceil, ck)
     n_fin = obs.n_sift - pa_bits - n_ec - constants.n_verify
     abort = n_fin <= 0
     eps2 = constants.eps_secrecy**2
@@ -505,5 +492,5 @@ def security_result(
         eps_correct=eps_correct,
         eps_total=constants.eps_secrecy + eps_correct,
         budget=budget,
-        intermediates=record,
+        intermediates=ck.record,
     )

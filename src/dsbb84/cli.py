@@ -176,7 +176,9 @@ def _swept_constants(base: dict, param: str, value) -> dict:
 
 def cmd_scan(args) -> int:
     constants, channel = _load_config(args)
-    base = dataclasses.asdict(constants)
+    base = constants.as_dict()
+    # n_total is derived: a swept n_block or m must not be checked against it.
+    del base["n_total"]
     parse = int if args.param in ("n_block", "m", "n_verify") else float
     try:
         values = [parse(v) for v in args.values.split(",")]

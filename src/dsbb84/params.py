@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 __all__ = [
@@ -145,6 +146,8 @@ class ProtocolConstants:
         p_intensity: sending probability per intensity label, keys S/D/V,
             each strictly positive, summing to one.
         mu: mean photon number per intensity label, mu_S > mu_D > mu_V >= 0.
+            Both tables are stored as read-only views of private copies,
+            so they stay as validated.
         p_basis_alice: sender probability of choosing the Z basis.
         p_basis_bob: receiver probability of choosing the Z basis.
         n_verify: output length of the error-verification hash, in bits,
@@ -179,10 +182,9 @@ class ProtocolConstants:
                 )
             for w in INTENSITIES:
                 require_real(f"{name}[{w}]", table[w])
+            object.__setattr__(self, name, MappingProxyType(dict(table)))
         for name in ("p_basis_alice", "p_basis_bob", "e_bit_assumed", "eps_secrecy"):
             require_real(name, getattr(self, name))
-        object.__setattr__(self, "p_intensity", dict(self.p_intensity))
-        object.__setattr__(self, "mu", dict(self.mu))
         psum = 0.0
         for w in INTENSITIES:
             pw = float(self.p_intensity[w])
@@ -196,7 +198,7 @@ class ProtocolConstants:
         mu_s, mu_d, mu_v = (float(self.mu[w]) for w in INTENSITIES)
         if not (mu_s > mu_d > mu_v >= 0.0):
             raise ConfigurationError(
-                f"intensities must satisfy mu_S > mu_D > mu_V >= 0, got {self.mu}"
+                f"intensities must satisfy mu_S > mu_D > mu_V >= 0, got {dict(self.mu)}"
             )
         for prob, name in (
             (self.p_basis_alice, "p_basis_alice"),
@@ -216,8 +218,16 @@ class ProtocolConstants:
         return self.n_block * self.m
 
     def as_dict(self) -> dict:
-        """JSON-serialisable view, used by report files."""
-        return {**dataclasses.asdict(self), "n_total": self.n_total}
+        """JSON-serialisable view, used by report files: the fields, with
+        both tables as plain dicts, then ``n_total``."""
+        view = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        view.update(p_intensity=dict(self.p_intensity), mu=dict(self.mu))
+        return {**view, "n_total": self.n_total}
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled: rebuild through the constructor.
+        view = self.as_dict()
+        return type(self), tuple(view[f.name] for f in dataclasses.fields(self))
 
 
 def load_constants(source) -> ProtocolConstants:

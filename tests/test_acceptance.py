@@ -20,7 +20,6 @@ from dsbb84.bounds import (
     decoy_coefficients,
     kato_pair,
     kato_pair_prime,
-    nph_upper,
     security_result,
 )
 from dsbb84.channel import ChannelModel, click_probabilities
@@ -145,7 +144,7 @@ def phase_error_ceiling_ratio(mu_v, err_yields, n_total=10**15):
     truth = n_total * pzz * p1 * err_yields[1]
     obs = Observables(0, 0, 0, round(errors["D"]), round(errors["V"]))
     exp = ExpectedObservables(0.0, 0.0, 0.0, errors["D"], errors["V"], 0.0, truth)
-    return nph_upper(c, obs, exp) / truth
+    return security_result(c, obs, exp, 0, slack=0.0).nph_real / truth
 
 
 def test_c03_decoy_inversion_soundness():

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from dsbb84.bounds import (
     CONSERVATIVE_SLACK,
     Observables,
+    _Checkpoints,
+    _n_pa,
+    _nph_upper,
     decoy_coefficients,
     expected_observables,
     kato_pair,
     kato_pair_prime,
-    n1z_lower,
-    n_pa,
-    nph_upper,
     pa_log_term,
     security_result,
 )
@@ -248,6 +248,17 @@ def scenario():
     return c, obs, exp
 
 
+def unpadded(c, obs, exp):
+    """The engine's result without slack; the floor and the ceiling do not
+    depend on n_ec."""
+    return security_result(c, obs, exp, 0, slack=0.0)
+
+
+def trail():
+    """A fresh checkpoint trail without slack, for a step run on its own."""
+    return _Checkpoints(0.0, None)
+
+
 def reference_n1z(c, obs, exp):
     # Stand-alone reassembly of the floor from the published pieces, kept
     # deliberately separate from the library code path.
@@ -297,31 +308,31 @@ def reference_nph(c, obs, exp):
 
 def test_n1z_matches_reference_assembly():
     c, obs, exp = scenario()
-    assert n1z_lower(c, obs, exp) == pytest.approx(
+    assert unpadded(c, obs, exp).n1z_real == pytest.approx(
         reference_n1z(c, obs, exp), rel=1e-12
     )
 
 
 def test_nph_matches_reference_assembly():
     c, obs, exp = scenario()
-    assert nph_upper(c, obs, exp) == pytest.approx(
+    assert unpadded(c, obs, exp).nph_real == pytest.approx(
         reference_nph(c, obs, exp), rel=1e-12
     )
 
 
 def test_honest_large_run_floor_is_positive_and_below_expectation():
     c, obs, exp = scenario()
-    floor = n1z_lower(c, obs, exp)
-    assert 0.0 < floor < exp.n1z < c.n_total
-    ceiling = nph_upper(c, obs, exp)
-    assert 0.0 < ceiling < c.n_total
+    res = unpadded(c, obs, exp)
+    assert 0.0 < res.n1z_real < exp.n1z < c.n_total
+    assert 0.0 < res.nph_real < c.n_total
 
 
 def test_phase_error_ratio_tracks_misalignment():
     # At large N with low loss the ceiling/floor ratio should sit within a
     # small factor of the physical misalignment rate.
     c, obs, exp = scenario()
-    ratio = nph_upper(c, obs, exp) / n1z_lower(c, obs, exp)
+    res = unpadded(c, obs, exp)
+    ratio = res.nph_real / res.n1z_real
     assert 0.5 * HONEST.e_mis <= ratio <= 5.0 * HONEST.e_mis
 
 
@@ -330,7 +341,9 @@ def test_n1z_degenerate_envelope_returns_zero():
     # its slope below the guard, collapsing the floor to the trivial 0.
     c, obs, exp0 = scenario()
     exp = dataclasses.replace(exp0, n1z=float(c.n_total))
-    assert n1z_lower(c, obs, exp) == 0.0
+    res = unpadded(c, obs, exp)
+    assert res.n1z_real == 0.0
+    assert res.intermediates["n1z_value"] == 0.0
 
 
 def test_nph_degenerate_envelope_returns_total():
@@ -338,7 +351,25 @@ def test_nph_degenerate_envelope_returns_total():
     # collapsing the ceiling to the trivial N.
     c, obs, exp0 = scenario()
     exp = dataclasses.replace(exp0, nph=0.0)
-    assert nph_upper(c, obs, exp) == float(c.n_total)
+    res = unpadded(c, obs, exp)
+    assert res.nph_real == float(c.n_total)
+    assert res.intermediates["nph_value"] == float(c.n_total)
+    assert not any(name.startswith("nph_term_") for name in res.intermediates)
+
+
+def test_nph_nonpositive_inversion_returns_zero():
+    # V errors at their expectation and far above D's leave nothing for the
+    # one-photon phase errors: the ceiling is the trivial 0, recorded as the
+    # trail's last ceiling entry, with no prefactor.
+    c, obs0, exp0 = scenario()
+    exp = dataclasses.replace(exp0, n_err_vx=1e6)
+    obs = dataclasses.replace(obs0, n_err_vx=1_000_000)
+    res = unpadded(c, obs, exp)
+    assert res.nph_real == 0.0
+    assert res.intermediates["nph_inner"] < 0.0
+    trail_names = list(res.intermediates)
+    assert trail_names[-2:] == ["nph_value", "n_pa_value"]
+    assert res.intermediates["nph_value"] == 0.0 and "nph_pref" not in trail_names
 
 
 def test_nph_refuses_an_inversion_with_no_one_photon_share():
@@ -349,7 +380,7 @@ def test_nph_refuses_an_inversion_with_no_one_photon_share():
     for mu_v in (0.15, 0.3):
         object.__setattr__(c, "mu", {**c.mu, "V": mu_v})
         with pytest.raises(DomainError, match="phase-error inversion"):
-            nph_upper(c, obs, exp)
+            _nph_upper(c, obs, exp, trail())
 
 
 def test_counts_beyond_total_rejected():
@@ -357,20 +388,20 @@ def test_counts_beyond_total_rejected():
     bad = Observables(n_sift_s=c.n_total, n_sift_d=1, n_sift_v=0,
                       n_err_dx=0, n_err_vx=0)
     with pytest.raises(DomainError):
-        n1z_lower(c, bad, exp)
+        security_result(c, bad, exp, 0)
 
 
 def test_conservative_slack_directions():
     c, obs, exp = scenario()
-    assert n1z_lower(c, obs, exp, slack=CONSERVATIVE_SLACK) <= n1z_lower(c, obs, exp)
-    assert nph_upper(c, obs, exp, slack=CONSERVATIVE_SLACK) >= nph_upper(c, obs, exp)
+    padded = security_result(c, obs, exp, 0, slack=CONSERVATIVE_SLACK)
+    plain = unpadded(c, obs, exp)
+    assert padded.n1z_real <= plain.n1z_real
+    assert padded.nph_real >= plain.nph_real
 
 
 def test_checkpoint_record_names():
     c, obs, exp = scenario()
-    record = {}
-    n1z_lower(c, obs, exp, record=record)
-    nph_upper(c, obs, exp, record=record)
+    record = unpadded(c, obs, exp).intermediates
     assert {"n1z_term_s", "n1z_term_d", "n1z_term_v", "n1z_dev", "n1z_inner",
             "n1z_pref", "n1z_value", "nph_term_dx", "nph_term_vx", "nph_dev",
             "nph_inner", "nph_pref", "nph_value"} <= set(record)
@@ -386,21 +417,21 @@ def test_n_pa_frozen_example():
     c = constants()
     obs = Observables(n_sift_s=1_000_000, n_sift_d=0, n_sift_v=0,
                       n_err_dx=0, n_err_vx=0)
-    assert n_pa(c, obs, 400_000, 20_000) == 714_628
+    assert _n_pa(c, obs, 400_000, 20_000, trail()) == 714_628
 
 
 def test_n_pa_zero_floor_writes_off_the_sift():
     c = constants()
     obs = Observables(n_sift_s=5_000, n_sift_d=100, n_sift_v=3,
                       n_err_dx=0, n_err_vx=0)
-    assert n_pa(c, obs, 0, 123) == obs.n_sift + pa_log_term(c.eps_secrecy)
+    assert _n_pa(c, obs, 0, 123, trail()) == obs.n_sift + pa_log_term(c.eps_secrecy)
 
 
 def test_n_pa_saturated_ratio_matches_zero_floor_penalty():
     c = constants()
     obs = Observables(n_sift_s=5_000, n_sift_d=0, n_sift_v=0,
                       n_err_dx=0, n_err_vx=0)
-    assert n_pa(c, obs, 1_000, 700) == obs.n_sift + pa_log_term(c.eps_secrecy)
+    assert _n_pa(c, obs, 1_000, 700, trail()) == obs.n_sift + pa_log_term(c.eps_secrecy)
 
 
 @given(
@@ -413,7 +444,9 @@ def test_n_pa_monotone_in_floor(floor, ceil_, extra):
     c = constants()
     obs = Observables(n_sift_s=20_000, n_sift_d=0, n_sift_v=0,
                       n_err_dx=0, n_err_vx=0)
-    assert n_pa(c, obs, floor + extra, ceil_) <= n_pa(c, obs, floor, ceil_)
+    assert _n_pa(c, obs, floor + extra, ceil_, trail()) <= _n_pa(
+        c, obs, floor, ceil_, trail()
+    )
 
 
 def test_security_result_accounting():

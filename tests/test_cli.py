@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -197,6 +198,59 @@ def test_readme_examples_print_what_they_show(monkeypatch, capsys):
     for argv, output in examples:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out.splitlines() == output, argv
+
+
+def readme_library_blocks():
+    """The Python blocks under README.md's "Library" heading, in order."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return [block.split("\n```", 1)[0] for block in section.split("```python\n")[1:]]
+
+
+def test_readme_library_examples_run(monkeypatch, capsys):
+    # The blocks share one namespace, as a reader running them in turn
+    # would: the second reuses the first's constants and channel. The first
+    # prints the session of the simulate example above it; the second
+    # prints what its closing comment shows.
+    monkeypatch.chdir(REPO)
+    blocks = readme_library_blocks()
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    session, engine = capsys.readouterr().out.splitlines()
+    assert session == "661 key bits, 16642 transcript bytes"
+    shown = blocks[1].rstrip().rsplit("# ", 1)[1].rstrip(".")
+    assert shown.startswith("622 False")
+    assert engine.startswith(shown)
+
+
+# SHA-256 over the --json reports of the shipped small and fiber configs,
+# in the order below, taken while the constants' tables were plain dicts.
+PINNED_REPORTS = "eb03491351cc74ebfd2c57f6a6749bcebfd2e621a197065736692399d6494b72"
+
+
+def test_reports_are_pinned(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(REPO)
+    runs = [
+        ("keyrate", "small", [], 0),
+        ("keyrate", "fiber", [], 1),
+        ("simulate", "small", ["--seed", "7"], 0),
+        ("simulate", "fiber", ["--seed", "7"], 1),
+        ("scan", "small", ["--param", "p_S", "--values", "0.4,0.3"], 0),
+        ("scan", "small", ["--param", "mu_V", "--values", "0.0,0.01"], 0),
+    ]
+    digest = hashlib.sha256()
+    for command, config, extra, code in runs:
+        path = tmp_path / "report.json"
+        assert main([
+            command, *extra, "--json", str(path),
+            "--constants", f"configs/{config}_constants.json",
+            "--channel", f"configs/{config}_channel.json",
+        ]) == code
+        digest.update(path.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == PINNED_REPORTS
 
 
 def test_scan_reports_each_value(config_files, tmp_path, capsys):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -164,6 +166,29 @@ def test_total_is_derived_not_a_field():
 def test_constants_rejects_bad_config(overrides):
     with pytest.raises(ConfigurationError):
         ProtocolConstants(**good_config(**overrides))
+
+
+def test_constants_tables_stay_as_validated():
+    # Both tables are read-only copies: neither a write through the
+    # constants nor one to the caller's dict changes what was validated,
+    # and a replaced table is validated again.
+    mu = {"S": 0.5, "D": 0.1, "V": 0.001}
+    c = ProtocolConstants(**good_config(mu=mu))
+    with pytest.raises(TypeError):
+        c.mu["V"] = 0.9
+    with pytest.raises(TypeError):
+        c.p_intensity["S"] = 5.0
+    mu["V"] = 0.9
+    assert c == ProtocolConstants(**good_config())
+    with pytest.raises(ConfigurationError, match="mu_S > mu_D > mu_V"):
+        dataclasses.replace(c, mu={**c.mu, "V": 0.2})
+    vacuum = dataclasses.replace(c, mu={**c.mu, "V": 0.0})
+    assert dict(vacuum.mu) == {"S": 0.5, "D": 0.1, "V": 0.0}
+    assert c.as_dict()["mu"] == {"S": 0.5, "D": 0.1, "V": 0.001}
+    for copied in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert copied == c
+        with pytest.raises(TypeError):
+            copied.mu["V"] = 0.9
 
 
 def test_load_constants_rejects_unknown_and_missing_keys(tmp_path):
