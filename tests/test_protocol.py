@@ -313,6 +313,24 @@ GOLDEN_MESSAGE_DIGEST = (
 )
 
 
+# SHA-256 over sifted_view of every reply in the reference sessions'
+# transcripts, in CHAIN_SESSIONS order: what of Alice's reply the tally
+# reads, whatever the wire carries besides. Taken at wire version 6, where
+# the matched rounds follow from Alice's and Bob's bases.
+GOLDEN_SIFTED_VIEW_DIGEST = (
+    "c91ecc3ae653242b320f6c9ee7d1583e6e892d7b496c4c5355220c07f64f29c7"
+)
+
+
+def sifted_view(disclosure, reply) -> str:
+    """The reply's block, the positions of its matched rounds among the
+    clicked rounds of Bob's ``disclosure``, their intensities and Alice's
+    matched-X bits, as one line."""
+    matched = (reply.alpha == disclosure.basis).nonzero()[0]
+    omega = reply.omega.take(matched)
+    return f"{reply.j};{matched.tolist()};{omega.tolist()};{reply.value.tolist()}\n"
+
+
 def message_fields(msg) -> str:
     """The message's type and each field as "name=value;": an array as its
     list of values, a bit string as its bit count and packed bytes."""
@@ -329,10 +347,12 @@ def message_fields(msg) -> str:
 
 def test_reference_sessions_chain_to_golden_digest():
     """Transcripts, keys and every KeyMaterial field of 181 sessions across
-    the benchmark's four laws are pinned by one chained digest, and every
-    message decoded from their transcripts by a second one."""
+    the benchmark's four laws are pinned by one chained digest, every
+    message decoded from their transcripts by a second one, and what the
+    tally reads of every reply by a third."""
     chain = hashlib.sha256()
     messages = hashlib.sha256()
+    sifted = hashlib.sha256()
     keyed = 0
     for name, seeds in CHAIN_SESSIONS:
         constants, channel = workload_law(name)
@@ -346,7 +366,12 @@ def test_reference_sessions_chain_to_golden_digest():
             while offset < len(out.transcript):
                 msg, offset = decode_message(out.transcript, offset)
                 messages.update(message_fields(msg).encode())
+                if isinstance(msg, BobBlockDisclosure):
+                    disclosure = msg
+                elif isinstance(msg, AliceBlockDisclosure):
+                    sifted.update(sifted_view(disclosure, msg).encode())
     assert keyed == CHAIN_KEYED
+    assert sifted.hexdigest() == GOLDEN_SIFTED_VIEW_DIGEST
     assert messages.hexdigest() == GOLDEN_MESSAGE_DIGEST
     assert chain.hexdigest() == GOLDEN_CHAIN_DIGEST
 
