@@ -4,10 +4,11 @@ Both machines read the simulated quantum phase from one block source
 (j -> BlockSample), which draws block j when Bob opens it; everything
 after that is classical messages over an authenticated channel. Bob opens each
 block by disclosing which rounds clicked, his basis on those rounds and his
-X-basis outcomes; Alice replies with intensity and basis per clicked round
-plus her bit on matched X rounds only. After the last block Alice judges
-the final length from the announced counts, and on proceed runs syndrome
-disclosure, verification hashing and privacy amplification.
+X-basis outcomes; Alice replies with which clicked rounds matched her
+basis, the intensity of each matched round and her bit on matched X rounds
+only. After the last block Alice judges the final length from the announced
+counts, and on proceed runs syndrome disclosure, verification hashing and
+privacy amplification.
 
 The two machines share one skeleton, ``_Party``. A party expects one
 message type at a time, ``_expect``, and the one ``handle`` passes that
@@ -140,9 +141,10 @@ class PublicObjects:
 class _CountAccumulator:
     """The one tally rule both parties apply while blocks stream in.
 
-    Each party feeds it its own columns over a block's clicked rounds, in
-    ascending round order, and the other party's bits on the matched-X
-    rounds among them.
+    Each party feeds it, over a block's clicked rounds in ascending round
+    order, which rounds matched, Bob's bases and its own bits; the
+    intensities of the matched rounds; and the other party's bits on the
+    matched-X rounds.
     """
 
     def __init__(self) -> None:
@@ -150,18 +152,20 @@ class _CountAccumulator:
         self.err = np.zeros(3, dtype=np.int64)
         self.key_parts: list = []
 
-    def add_block(self, omega_idx, alpha, beta, bits, other_x) -> None:
+    def add_block(self, matched, beta, omega, bits, other_x) -> np.ndarray:
         """Count matched-Z rounds per intensity and keep their ``bits``;
         count matched-X rounds per intensity where ``bits`` and ``other_x``
-        differ. ``alpha`` and ``beta`` hold 0 or 1 in one byte each, so
-        they are read as bool without a copy."""
-        alpha, beta = alpha.view(bool), beta.view(bool)
-        z = (~(alpha | beta)).nonzero()[0]
-        x = (alpha & beta).nonzero()[0]
-        self.sift += np.bincount(omega_idx.take(z), minlength=3)
-        differ = x[bits.take(x) != other_x]
-        self.err += np.bincount(omega_idx.take(differ), minlength=3)
-        self.key_parts.append(bits.take(z).astype(np.uint8))
+        differ; return ``bits`` on the matched-X rounds, which Alice
+        announces. ``matched`` and ``beta`` hold 0 or 1 in one byte each,
+        so they are read as bool without a copy."""
+        matched = matched.view(bool)
+        x = beta.compress(matched).view(bool)  # per matched round: basis X
+        own, z = bits.compress(matched), ~x
+        self.sift += np.bincount(omega.compress(z), minlength=3)
+        own_x = own.compress(x)
+        self.err += np.bincount(omega.compress(x).compress(own_x != other_x), minlength=3)
+        self.key_parts.append(own.compress(z).astype(np.uint8))
+        return own_x
 
     def observables(self) -> Observables:
         """Sift counts per intensity, then the decoy and vacuum error counts."""
@@ -259,16 +263,14 @@ class AliceMachine(_Party):
             raise ProtocolError(f"expected block {self._next_block}, got {msg.j}")
         if msg.m != self.constants.m:
             raise ProtocolError("block disclosure has wrong round count")
-        # Bob's X outcomes cover his clicked X-basis rounds in order.
-        bob_x = msg.basis.view(bool).nonzero()[0]
+        basis = msg.basis.view(bool)
         omega_c, alpha_c, a_c = self.blocks(msg.j).alice_settings(msg.offsets)
-        alice_x = alpha_c.take(bob_x).view(bool)
-        self._acc.add_block(omega_c, alpha_c, msg.basis, a_c, msg.x_outcomes[alice_x])
-
-        matched_x = bob_x[alice_x]
-        self.outbox.append(
-            AliceBlockDisclosure(msg.j, omega_c, alpha_c, a_c.take(matched_x))
-        )
+        matched = alpha_c.view(bool) == basis
+        omega = omega_c.compress(matched)
+        # Bob's X outcomes cover his clicked X-basis rounds in order.
+        bob_x = msg.x_outcomes.compress(matched.compress(basis))
+        value = self._acc.add_block(matched, msg.basis, omega, a_c, bob_x)
+        self.outbox.append(AliceBlockDisclosure(msg.j, matched, omega, value))
         self._next_block += 1
         if self._next_block == self.constants.n_block:
             self._judge_and_commit()
@@ -335,11 +337,11 @@ class BobMachine(_Party):
         if msg.j != self._next_block:
             raise ProtocolError(f"expected reply for block {self._next_block}")
         data = self.blocks(msg.j)
-        if len(msg.alpha) != len(data.offsets):
+        if len(msg.matched) != len(data.offsets):
             raise ProtocolError("reply must cover exactly the clicked rounds")
-        if len(msg.value) != np.count_nonzero(msg.alpha.view(bool) & data.beta.view(bool)):
+        if len(msg.value) != np.count_nonzero(msg.matched.view(bool) & data.beta.view(bool)):
             raise ProtocolError("reply must disclose the bits of the matched X rounds")
-        self._acc.add_block(msg.omega, msg.alpha, data.beta, data.b, msg.value)
+        self._acc.add_block(msg.matched, data.beta, msg.omega, data.b, msg.value)
 
         self._next_block += 1
         if self._next_block < self.constants.n_block:

@@ -59,7 +59,7 @@ import numpy as np
 
 from .gf2 import BitString
 
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
 
 class WireError(ValueError):
@@ -305,34 +305,37 @@ class BobBlockDisclosure(_Block):
 
 @dataclass(frozen=True, eq=False)
 class AliceBlockDisclosure(_Block):
-    """Alice's reply for block ``j``: one record per round Bob named.
+    """Alice's reply for block ``j``: the sifting outcome of the rounds Bob
+    named, and what the tally needs of the rounds that survive it.
 
-    ``omega`` (intensity index, at most 2) and ``alpha`` (basis bit) cover
-    the named rounds in ascending round order; ``value`` holds Alice's bit
-    on the matched X rounds only, whose bits feed the public error tally.
-    Which rounds those are follows from ``alpha`` and Bob's own bases, so
-    the reply carries no offsets. The constructor takes any 1-d integer
-    columns and refuses with ``WireError`` a value that does not fit its
-    field or an ``alpha`` whose length differs from ``omega``'s.
+    ``matched`` has one bit per named round, in ascending round order, set
+    where Alice's basis equals the one Bob announced; ``omega`` holds the
+    intensity index (at most 2) of the matched rounds only and ``value``
+    Alice's bit on the matched X rounds only, both in round order. Which
+    rounds those are follows from ``matched`` and Bob's own bases, so the
+    reply carries no offsets. The constructor takes any 1-d integer columns
+    and refuses with ``WireError`` a value that does not fit its field or
+    an ``omega`` whose length is not the number of matched rounds.
 
     Layout: j, the record count, the number of value bits and the number
-    of V records as varints, then ``alpha``, ``value`` and the intensity
-    column: one bit per record, set for D or V, then which of the set
-    records are V in the subset form, with n the number of set records.
+    of V records as varints, then ``matched``, ``value`` and the intensity
+    column over the matched rounds: one bit per matched round, set for D
+    or V, then which of the set records are V in the subset form, with n
+    the number of set records.
     """
 
     TAG: ClassVar[int] = 2
     j: int
+    matched: np.ndarray
     omega: np.ndarray
-    alpha: np.ndarray
     value: np.ndarray
 
     def __post_init__(self) -> None:
+        matched = _column("matched", self.matched, 1)
         omega = _column("intensity index", self.omega, 2)
-        alpha = _column("alpha", self.alpha, 1)
-        if len(omega) != len(alpha):
-            raise WireError("omega and alpha must cover the same rounds")
-        self._own(omega=omega, alpha=alpha, value=_column("value", self.value, 1))
+        if len(omega) != np.count_nonzero(matched):
+            raise WireError("omega must cover exactly the matched rounds")
+        self._own(matched=matched, omega=omega, value=_column("value", self.value, 1))
 
     def encode(self) -> bytes:
         column = d_or_v = self.omega > 0
@@ -340,29 +343,28 @@ class AliceBlockDisclosure(_Block):
         if len(v):  # Most replies have no V record; their column is d_or_v alone.
             column = np.concatenate((d_or_v, _subset_bits(v, int(np.count_nonzero(d_or_v)))))
         return b"".join((
-            _uvarints(self.j, len(d_or_v), len(self.value), len(v)),
-            _packed(self.alpha),
+            _uvarints(self.j, len(self.matched), len(self.value), len(v)),
+            _packed(self.matched),
             _packed(self.value),
             _packed(column),
         ))
 
     @classmethod
     def decode(cls, payload: bytes) -> "AliceBlockDisclosure":
-        j, count, n_values, n_v, alpha_at = _read_uvarints(payload, 4)
-        value_at = _column_end(payload, alpha_at, count)
+        j, count, n_values, n_v, matched_at = _read_uvarints(payload, 4)
+        value_at = _column_end(payload, matched_at, count)
         omega_at = _column_end(payload, value_at, n_values)
         raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
-        omega = raw[8 * omega_at : 8 * omega_at + count]
+        matched = raw[8 * matched_at : 8 * matched_at + count].view(bool)
+        n_matched = np.count_nonzero(matched)
+        # A column that runs past the frame is cut short here; the subset
+        # read below then finds the frame too short.
+        omega = raw[8 * omega_at : 8 * omega_at + n_matched]
         d_or_v = omega.view(bool).nonzero()[0] if n_v else np.zeros(0, np.int64)
-        v = _read_subset(raw, 8 * omega_at + count, len(d_or_v), n_v)
+        v = _read_subset(raw, 8 * omega_at + n_matched, len(d_or_v), n_v)
         # Each V record's D-or-V bit becomes 2, in place: raw is ours.
         omega[d_or_v[v]] = 2
-        return cls(
-            j,
-            omega,
-            raw[8 * alpha_at : 8 * alpha_at + count].view(bool),
-            raw[8 * value_at : 8 * value_at + n_values].view(bool),
-        )
+        return cls(j, matched, omega, raw[8 * value_at : 8 * value_at + n_values].view(bool))
 
 
 class _Scalar:

@@ -603,8 +603,10 @@ def ground_truth_runs(
         n1z_true = 0
         for j in range(constants.n_block):
             s = blocks(j)
-            matched_x = (s.alpha == 1) & (s.beta == 1)
-            acc.add_block(s.omega_idx, s.alpha, s.beta, s.a, s.b[matched_x])
+            matched = s.alpha == s.beta
+            matched_x = matched & (s.beta == 1)
+            omega = s.omega_idx.compress(matched)
+            acc.add_block(matched, s.beta, omega, s.a, s.b.compress(matched_x))
             rng = blocks.streams(StreamKey.GROUND_TRUTH, j)
             n_photons = clicked_photon_numbers(photon_cdf, s, rng)
             matched_z = (s.alpha == 0) & (s.beta == 0)

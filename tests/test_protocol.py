@@ -15,7 +15,7 @@ import dsbb84.channel
 import dsbb84.hashing
 import dsbb84.protocol
 import dsbb84.wire
-from dsbb84.bounds import expected_observables
+from dsbb84.bounds import Observables, expected_observables
 from dsbb84.channel import (
     BlockSource,
     BlockStreams,
@@ -130,9 +130,10 @@ def test_successful_run_produces_matching_keys():
 # run_protocol(SMALL, CLEAN, seed=42), taken when each party came to finish
 # on the message that decides its outcome, with no closing frame, and each
 # block drawn from its counter range on the session's per-role streams;
-# re-taken for wire version 6 (Rice-coded clicked sets and V records).
+# re-taken for wire version 7 (Alice's reply names the matched rounds and
+# gives intensities for those rounds only).
 GOLDEN_SESSION_DIGEST = (
-    "ebfc84872d9247c336aab94cffde2d13478f5f1dfab0bc3d29f006dd4939c062"
+    "dd7b11963b9cefc3f9934f5a16d8ee9cc0649d6397388c9885cf718956b90943"
 )
 
 
@@ -165,9 +166,9 @@ LOSSY_LONG = ProtocolConstants(
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
 # taken when each party came to finish on the message that decides its
-# outcome, with per-block counter-range streams and wire version 6.
+# outcome, with per-block counter-range streams and wire version 7.
 GOLDEN_ABORT_DIGEST = (
-    "bad44e14f7c12cc1fa0f8ce85e508505013dc7ed6436cd0461ec51d5eaf2c7f6"
+    "b793edcfde96878c88fd4e7e3acb0d424aacbc523e0dac791c72fe22c57279d9"
 )
 
 
@@ -197,9 +198,9 @@ DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
 # SHA-256 over transcript || Alice key || Bob key of
 # run_protocol(DEMO_X4, DEMO, seed=7), taken when each party came to finish
 # on the message that decides its outcome, with per-block counter-range
-# streams and wire version 6.
+# streams and wire version 7.
 GOLDEN_DEMO_DIGEST = (
-    "939ba995c982a1585dc313fd1aa3997cf3e23411cf70a0feee260ddcff61fd57"
+    "fd52f63a3e49f6de771075ad8e4a932981ef51e5e2ec3cef60913b187077e069"
 )
 
 
@@ -298,18 +299,19 @@ CHAIN_SESSIONS = (
 
 # SHA-256 over sha256(transcript).hexdigest() + key_material_digest([out])
 # of each reference session in CHAIN_SESSIONS order, fed as one ASCII
-# stream, with wire version 6; 149 of the 181 sessions key.
+# stream, with wire version 7; 149 of the 181 sessions key.
 GOLDEN_CHAIN_DIGEST = (
-    "0d85c356ab2eb110144eec1492823c1466ec76db0f14fe859a9da4fd277058d2"
+    "f6ce76e3de14b5f3cca212b261361e5ffc10b15aa61dd2e48283af509f8228f9"
 )
 CHAIN_KEYED = 149
 
 # SHA-256 over message_fields of every message decoded from the reference
 # sessions' transcripts, in CHAIN_SESSIONS order. It reads no byte of the
 # wire layout, so a change of wire format that keeps every decoded message
-# leaves it as it is; taken at wire version 5.
+# leaves it as it is; re-taken at wire version 7, whose reply holds a match
+# bit in place of Alice's basis and no intensity of a mismatched round.
 GOLDEN_MESSAGE_DIGEST = (
-    "b95a89372b5eee1bbcbdfb5f0440365af0657e1e5d40fa9746e37e245f83bdbc"
+    "e3f3a9b1291b51a7877fb4c9ba084cc8a06eda0711f3c59431496ef39e8cf66d"
 )
 
 
@@ -326,8 +328,8 @@ def sifted_view(disclosure, reply) -> str:
     """The reply's block, the positions of its matched rounds among the
     clicked rounds of Bob's ``disclosure``, their intensities and Alice's
     matched-X bits, as one line."""
-    matched = (reply.alpha == disclosure.basis).nonzero()[0]
-    omega = reply.omega.take(matched)
+    assert len(reply.matched) == len(disclosure.basis)
+    matched, omega = reply.matched.nonzero()[0], reply.omega
     return f"{reply.j};{matched.tolist()};{omega.tolist()};{reply.value.tolist()}\n"
 
 
@@ -683,11 +685,11 @@ def reply_mutations(draw):
     block = draw(st.integers(0, SMALL.n_block - 1))
     where = draw(st.floats(0, 1, exclude_max=True))
     field = draw(st.sampled_from(
-        ["omega", "alpha", "value", "drop", "drop-value", "add-value"]
+        ["matched", "omega", "value", "drop", "drop-value", "add-value"]
     ))
     value = {
+        "matched": st.integers(0, 2),
         "omega": st.integers(0, 2),
-        "alpha": st.integers(0, 1),
         "value": st.integers(0, 1),
         "add-value": st.integers(0, 1),
     }.get(field, st.just(0))
@@ -695,24 +697,31 @@ def reply_mutations(draw):
 
 
 def mutate_reply(msg, where, field, value):
-    """Rewrite one entry of Alice's reply, drop one record, or drop or add
-    one value bit, keeping the reply decodable."""
+    """Flip one match bit (a round that comes to match gets intensity
+    ``value``), rewrite one intensity or value bit, drop one record, or
+    drop or add one value bit, keeping the reply decodable."""
+    matched = msg.matched.astype(np.int64)
     omega = msg.omega.astype(np.int64)
-    alpha = msg.alpha.astype(np.int64)
     bits = msg.value.astype(np.int64)
-    i = int(where * len(omega))
+    i = int(where * len(matched))
+    rank = np.count_nonzero(matched[:i])  # the index in omega of record i
     v = int(where * len(bits))
-    if field == "drop":
-        omega, alpha = np.delete(omega, i), np.delete(alpha, i)
+    if field == "matched":
+        matched[i] ^= 1
+        omega = np.insert(omega, rank, value) if matched[i] else np.delete(omega, rank)
+    elif field == "drop":
+        if matched[i]:
+            omega = np.delete(omega, rank)
+        matched = np.delete(matched, i)
     elif field == "drop-value" and len(bits):
         bits = np.delete(bits, v)
     elif field == "add-value":
         bits = np.insert(bits, int(where * (len(bits) + 1)), value)
     elif field == "value" and len(bits):
         bits[v] = value
-    elif field in ("omega", "alpha"):
-        {"omega": omega, "alpha": alpha}[field][i] = value
-    mutated = AliceBlockDisclosure(msg.j, omega, alpha, bits)
+    elif field == "omega" and len(omega):
+        omega[int(where * len(omega))] = value
+    mutated = AliceBlockDisclosure(msg.j, matched, omega, bits)
     return decode_message(encode_message(mutated))[0]
 
 
@@ -748,6 +757,63 @@ def test_bob_rejects_reply_with_wrong_counts(field, match):
 
     with pytest.raises(ProtocolError, match=match):
         pump(alice, bob, tamper)
+
+
+@dataclasses.dataclass
+class ColumnBlock:
+    """A block given by the columns of its clicked rounds, with what both
+    machines read of a block: its length, the offsets, Bob's basis and
+    bits, and Alice's settings on the clicked rounds."""
+
+    offsets: np.ndarray
+    omega_idx: np.ndarray
+    alpha: np.ndarray
+    a: np.ndarray
+    beta: np.ndarray
+    b: np.ndarray
+
+    def __len__(self):
+        return SMALL.m
+
+    def alice_settings(self, offs):
+        assert np.array_equal(offs, self.offsets)
+        return self.omega_idx, self.alpha, self.a
+
+
+@st.composite
+def column_blocks(draw):
+    """Blocks of up to 60 clicked rounds with any settings and bits."""
+    offsets = sorted(draw(st.sets(st.integers(0, SMALL.m - 1), max_size=60)))
+
+    def column(top):
+        values = st.lists(st.integers(0, top), min_size=len(offsets), max_size=len(offsets))
+        return np.array(draw(values), dtype=np.int8)
+
+    return ColumnBlock(np.array(offsets, dtype=np.int64), column(2), *(column(1) for _ in range(4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_blocks())
+def test_both_tallies_of_a_block_are_the_plain_count(block):
+    """Alice's tally of a block, and Bob's from her decoded reply, are the
+    plain count of matched-Z rounds per intensity and of matched-X rounds
+    whose bits differ at D and at V; each side keeps its own bits of the
+    matched-Z rounds."""
+    expected = expected_observables(SMALL, CLEAN)
+    public = PublicObjects()
+    alice = AliceMachine(SMALL, lambda j: block, public, expected, generator(0, 3))
+    bob = BobMachine(SMALL, lambda j: block, public, expected)
+    alice.handle(decode_message(encode_message(bob.outbox.pop(0)))[0])
+    bob.handle(decode_message(encode_message(alice.outbox.pop(0)))[0])
+    z = (block.alpha == 0) & (block.beta == 0)
+    x_errors = (block.alpha == 1) & (block.beta == 1) & (block.a != block.b)
+    plain = Observables(
+        *(np.count_nonzero(z & (block.omega_idx == w)) for w in range(3)),
+        *(np.count_nonzero(x_errors & (block.omega_idx == w)) for w in (1, 2)),
+    )
+    assert alice._acc.observables() == bob._acc.observables() == plain
+    assert alice._acc.sifted_key() == BitString.from_array(block.a[z])
+    assert bob._acc.sifted_key() == BitString.from_array(block.b[z])
 
 
 @st.composite
@@ -925,27 +991,37 @@ def matched(basis):
     return lambda block: (block.alpha == basis) & (block.beta == basis)
 
 
-# Each flip class: the column of a block whose bit is flipped ("a" is
-# Alice's, "b" Bob's) and the clicked rounds it may be flipped on.
+def mismatched(block):
+    """The clicked rounds of a block where the parties' bases differ."""
+    return block.alpha != block.beta
+
+
+# Each flip class: the column of a block that is changed ("a" is Alice's
+# bit, "b" Bob's, "omega_idx" Alice's intensity index), the number of
+# values the column takes, and the clicked rounds it may be changed on. A
+# change moves the value x to (x + 1) modulo that number.
 FLIPS = {
-    "alice-matched-z": ("a", matched(0)),
-    "alice-matched-x-S": ("a", lambda block: matched(1)(block) & (block.omega_idx == 0)),
-    "alice-matched-x-DV": ("a", lambda block: matched(1)(block) & (block.omega_idx > 0)),
-    "alice-mismatched": ("a", lambda block: block.alpha != block.beta),
-    "bob-matched-z": ("b", matched(0)),
+    "alice-matched-z": ("a", 2, matched(0)),
+    "alice-matched-x-S": ("a", 2, lambda block: matched(1)(block) & (block.omega_idx == 0)),
+    "alice-matched-x-DV": ("a", 2, lambda block: matched(1)(block) & (block.omega_idx > 0)),
+    "alice-mismatched": ("a", 2, mismatched),
+    "alice-mismatched-intensity": ("omega_idx", 3, mismatched),
+    "bob-matched-z": ("b", 2, matched(0)),
 }
 
 
 class FlippedSource(BlockSource):
-    """A session's blocks with one bit flipped: the bit in ``column`` of a
-    clicked round that ``where`` selects, at (block, index) ``flip``; None,
-    and no bit flipped, if no round qualifies. ``pick`` chooses one of a
-    list of options: first a block among those with a qualifying round,
-    then a round of that block."""
+    """A session's blocks with one value changed: the value x in ``column``
+    of a clicked round that ``where`` selects, at (block, index) ``flip``,
+    becomes (x + 1) % ``values``; ``flip`` is None, and nothing changes, if
+    no round qualifies. ``pick`` chooses one of a list of options: first a
+    block among those with a qualifying round, then a round of that
+    block."""
 
-    def __init__(self, constants, channel, seed, column, where, pick):
+    def __init__(self, constants, channel, seed, column, values, where, pick):
         super().__init__(constants, channel, seed)
         self.column = column
+        self.values = values
         self.flip = None
         candidates = {}
         for j in range(constants.n_block):
@@ -960,9 +1036,9 @@ class FlippedSource(BlockSource):
         block = super().__call__(j)
         if self.flip is None or j != self.flip[0]:
             return block
-        bits = getattr(block, self.column).copy()
-        bits[self.flip[1]] ^= 1
-        return dataclasses.replace(block, **{self.column: bits})
+        column = getattr(block, self.column).copy()
+        column[self.flip[1]] = (column[self.flip[1]] + 1) % self.values
+        return dataclasses.replace(block, **{self.column: column})
 
 
 def session_frames(constants, channel, seed, blocks):
@@ -1024,10 +1100,11 @@ def test_transcript_discloses_what_the_accounting_subtracts(case, data):
     The other flip classes: Alice's bit on a matched-X round goes out in
     her reply, and on a decoy or vacuum round it also moves the public
     error tally and so the final length and, in a keyed session, the key.
-    Her bit on a mismatched round goes out nowhere. Bob's bit on a
-    matched-Z round goes out nowhere unless the decoder misses it, and
-    then only as a failed verification. So the reply carries intensity,
-    basis and matched-X bits and nothing else.
+    Her bit and her intensity on a mismatched round go out nowhere. Bob's
+    bit on a matched-Z round goes out nowhere unless the decoder misses
+    it, and then only as a failed verification. So the reply carries which
+    rounds matched, the intensities of those rounds and the matched-X bits,
+    and nothing else.
 
     Each flip class flips a block and round drawn at random among those
     that qualify."""
@@ -1056,10 +1133,10 @@ def test_transcript_discloses_what_the_accounting_subtracts(case, data):
 
         def assert_value_bit_differs(name, frames):
             """The flipped reply differs from the honest one in one value
-            bit, and in no intensity or basis."""
+            bit, and in no match bit or intensity."""
             honest_reply, flipped_reply = honest[reply_of(name)][0], frames[reply_of(name)][0]
+            assert np.array_equal(flipped_reply.matched, honest_reply.matched)
             assert np.array_equal(flipped_reply.omega, honest_reply.omega)
-            assert np.array_equal(flipped_reply.alpha, honest_reply.alpha)
             assert np.count_nonzero(flipped_reply.value != honest_reply.value) == 1
 
         if sec.abort:
@@ -1108,7 +1185,10 @@ def test_transcript_discloses_what_the_accounting_subtracts(case, data):
         else:
             assert differing(honest, frames) == [reply_of("alice-matched-x-DV")]
             assert alice_dv.result.key is None and alice.result.key is None
-        assert differing(honest, runs["alice-mismatched"][1]) == []
+        for name in ("alice-mismatched", "alice-mismatched-intensity"):
+            flipped_alice, frames = runs[name]
+            assert differing(honest, frames) == [], name
+            assert flipped_alice.result.key == alice.result.key, name
         frames = runs["bob-matched-z"][1]
         if differing(honest, frames):
             verify_aborts += 1
@@ -1145,19 +1225,20 @@ def test_reply_to_a_disclosure_naming_unclicked_rounds():
         alice.handle(forged)
         (reply,) = alice.outbox
         replies.append(encode_message(reply))
-        omega, alpha = reply.omega, reply.alpha
-        assert len(omega) == len(alpha) == len(named)
-        assert omega.max() <= 2
-        # Alice's bit goes out on exactly the matched X rounds.
-        matched_x = (alpha == 1) & (basis == 1)
-        _, _, a = block.alice_settings(named)
-        assert np.array_equal(reply.value, a[matched_x])
+        matched = reply.matched.view(bool)
+        assert len(matched) == len(named)
+        # A clicked round keeps the block's settings; an invented one gets
+        # those of its round from the unclicked stream.
         real = np.isin(named, block.offsets)
-        assert np.array_equal(omega[real], block.omega_idx)
-        assert np.array_equal(alpha[real], block.alpha)
-        invented = block.alice_settings(extra)
-        assert np.array_equal(omega[~real], invented[0])
-        assert np.array_equal(alpha[~real], invented[1])
+        omega, alpha = np.empty(len(named), np.int8), np.empty(len(named), np.int8)
+        omega[real], alpha[real] = block.omega_idx, block.alpha
+        omega[~real], alpha[~real], _ = block.alice_settings(extra)
+        assert np.array_equal(matched, alpha == basis)
+        # The intensities go out on exactly the matched rounds, and Alice's
+        # bit on exactly the matched X rounds.
+        assert np.array_equal(reply.omega, omega[matched])
+        _, _, a = block.alice_settings(named)
+        assert np.array_equal(reply.value, a[matched & (basis == 1)])
     assert replies[0] == replies[1]
 
 

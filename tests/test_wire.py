@@ -86,14 +86,14 @@ def roundtrip(msg):
 
 def test_frame_layout():
     # Varint byte count (covering version, tag and payload), version, tag.
-    assert WIRE_VERSION == 6
+    assert WIRE_VERSION == 7
     raw = encode_frame(7, b"abc")
-    assert raw == b"\x05\x06\x07abc"
+    assert raw == b"\x05\x07\x07abc"
     tag, payload, end = decode_frame(raw)
     assert (tag, payload, end) == (7, b"abc", len(raw))
     # A count of 128 or more takes a second byte.
     raw = encode_frame(7, bytes(126))
-    assert raw[:4] == b"\x80\x01\x06\x07" and decode_frame(raw)[1:] == (bytes(126), 130)
+    assert raw[:4] == b"\x80\x01\x07\x07" and decode_frame(raw)[1:] == (bytes(126), 130)
 
 
 def test_frame_errors():
@@ -102,14 +102,14 @@ def test_frame_errors():
     with pytest.raises(WireError, match="truncated frame header"):
         decode_frame(b"\x02\x05")
     with pytest.raises(WireError, match="cover"):
-        decode_frame(b"\x01\x06\x05")
+        decode_frame(b"\x01\x07\x05")
     with pytest.raises(WireError, match="truncated"):
-        decode_frame(b"\x09\x06\x05abc")
+        decode_frame(b"\x09\x07\x05abc")
     with pytest.raises(WireError):
         decode_message(encode_frame(200, b""))
-    # Any other version is refused, today's predecessor (an Elias-Fano
-    # clicked set and a V bit per D-or-V record) included.
-    for version in (0, 1, 2, 3, 4, 5, 7, 255):
+    # Any other version is refused, today's predecessor (Alice's basis and
+    # intensity on every named round) included.
+    for version in (0, 1, 2, 3, 4, 5, 6, 8, 255):
         with pytest.raises(WireError, match="version"):
             decode_frame(b"\x05" + bytes([version]) + b"\x07abc")
     # A frame of version 4 reads as a count of 5 and a version byte of 0.
@@ -330,35 +330,42 @@ def test_bob_disclosure_refuses_bad_offsets_on_encode():
 
 
 def test_alice_disclosure_roundtrip():
-    msg = AliceBlockDisclosure(2, [0, 1, 2], [0, 1, 1], [1])
+    msg = AliceBlockDisclosure(2, [1, 0, 1, 1], [0, 1, 2], [1])
     decoded = roundtrip(msg)
+    assert decoded.matched.tolist() == [1, 0, 1, 1]
     assert decoded.omega.tolist() == [0, 1, 2]
-    assert decoded.alpha.tolist() == [0, 1, 1]
     assert decoded.value.tolist() == [1]
     assert not decoded.omega.flags.writeable
 
 
 def test_alice_disclosure_byte_layout():
     # Varints of the block index, record count, value-bit count and V count;
-    # then alpha, the matched-X value bits and the intensity column (a
-    # D-or-V bit per record, then which D-or-V records are V in the subset
-    # form), each LSB-first and padded with zero bits to a whole byte.
+    # then the match bits, the matched-X value bits and the intensity
+    # column over the matched records (a D-or-V bit per matched record,
+    # then which D-or-V records are V in the subset form), each LSB-first
+    # and padded with zero bits to a whole byte.
     msg = AliceBlockDisclosure(
-        2, [0, 1, 2, 1, 2], [0, 1, 1, 0, 1], [1, 0]
+        2, [1, 1, 1, 0, 1, 1], [0, 1, 2, 1, 2], [1, 0]
     )
-    # D-or-V bits 0 1 1 1 1; V records 1 and 3 of the 4 D-or-V ones, so L
-    # is 0 and the gaps 1, 1 are 01 01: 0x5e, then 0x01.
-    assert msg.encode() == b"\x02\x05\x02\x02" b"\x16" b"\x01" b"\x5e\x01"
+    # Match bits 1 1 1 0 1 1: 0x37. D-or-V bits 0 1 1 1 1; V records 1 and
+    # 3 of the 4 D-or-V ones, so L is 0 and the gaps 1, 1 are 01 01: 0x5e,
+    # then 0x01.
+    assert msg.encode() == b"\x02\x06\x02\x02" b"\x37" b"\x01" b"\x5e\x01"
     empty = AliceBlockDisclosure(7, [], [], [])
     assert empty.encode() == b"\x07\x00\x00\x00"
+    # A reply with no matched record sends its match bits and no intensity.
+    assert AliceBlockDisclosure(7, [0] * 9, [], []).encode() == b"\x07\x09\x00\x00" b"\x00\x00"
     # Record 7 of 8 D-or-V records is V: L = 3 and the gap 7 is 111 1.
-    msg = AliceBlockDisclosure(0, [1] * 7 + [2], [0] * 8, [])
-    assert msg.encode() == b"\x00\x08\x00\x01" b"\x00" b"\xff\x0f"
+    msg = AliceBlockDisclosure(0, [1] * 8, [1] * 7 + [2], [])
+    assert msg.encode() == b"\x00\x08\x00\x01" b"\xff" b"\xff\x0f"
     # With no V record, S, D and V all cost one intensity bit, so all-S and
-    # all-D replies of 16 records send two intensity bytes. An all-V one
-    # sends four: its 16 gaps of 0 are 16 ones.
+    # all-D replies of 16 matched records send two intensity bytes. An
+    # all-V one sends four: its 16 gaps of 0 are 16 ones. Mismatched
+    # records cost their match bit alone.
     for omega, size in (([0] * 16, 2), ([1] * 16, 2), ([2] * 16, 4)):
-        assert len(AliceBlockDisclosure(0, omega, [0] * 16, []).encode()) == 4 + 2 + size
+        assert len(AliceBlockDisclosure(0, [1] * 16, omega, []).encode()) == 4 + 2 + size
+        matched = [1, 0] * 16
+        assert len(AliceBlockDisclosure(0, matched, omega, []).encode()) == 4 + 4 + size
 
 
 def alice_payload(count, n_values, n_v, body):
@@ -366,42 +373,54 @@ def alice_payload(count, n_values, n_v, body):
 
 
 def test_alice_disclosure_validation():
-    # Padding bits set: alpha, value (two records fill two alpha bits and
-    # one value bit); the intensity column's, which with no V record leaves
-    # a set bit that no unary part takes.
+    # Padding bits set: the match bits', the value bits' (two records fill
+    # two match bits and one value bit) and the intensity column's, which
+    # with no V record leaves a set bit that no unary part takes.
     for body, n_values in ((b"\x04\x00", 0), (b"\x00\x02\x00", 1)):
         with pytest.raises(WireError, match="padding"):
             AliceBlockDisclosure.decode(alice_payload(2, n_values, 0, body))
     with pytest.raises(WireError, match="unary part"):
         AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00\x04"))
-    # The intensity column missing, or with a V record but no unary part.
-    with pytest.raises(WireError, match="missing"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00"))
     with pytest.raises(WireError, match="unary part"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 1, b"\x00\x01"))
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x03\x04"))
+    # The intensity column of two matched records missing, or cut short
+    # inside its second byte, or with a V record but no unary part. With
+    # no matched record the column is empty and nothing is missing.
+    with pytest.raises(WireError, match="missing"):
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x03"))
+    assert AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00")).omega.size == 0
+    with pytest.raises(WireError, match="missing"):
+        AliceBlockDisclosure.decode(alice_payload(9, 0, 0, b"\xff\x01\x00"))
+    with pytest.raises(WireError, match="unary part"):
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 1, b"\x03\x01"))
+    # A match column whose count runs past the frame.
     with pytest.raises(WireError, match="truncated"):
         AliceBlockDisclosure.decode(alice_payload(2**32 - 1, 0, 0, b"\x00\x00"))
+    with pytest.raises(WireError, match="truncated"):
+        AliceBlockDisclosure.decode(alice_payload(17, 0, 0, b"\xff\xff"))
     with pytest.raises(WireError, match="trailing"):
         AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00\x00\x00"))
     # More V records than D-or-V records: one D-or-V record, two ones.
     with pytest.raises(WireError, match="outside"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 2, b"\x00\x0d"))
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 2, b"\x03\x0d"))
     # A V record at gap 2, beyond the one D-or-V record.
     with pytest.raises(WireError, match="outside"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 1, b"\x00\x11"))
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 1, b"\x03\x11"))
     # A header that ends before its fourth varint.
     with pytest.raises(WireError, match="truncated varint"):
         AliceBlockDisclosure.decode(leb128(0, 2, 0))
     with pytest.raises(WireError):
-        AliceBlockDisclosure(0, np.array([3], dtype=np.uint8), [0], []).encode()
-    with pytest.raises(WireError):
-        AliceBlockDisclosure(0, np.array([0, 1], dtype=np.uint8), [0], []).encode()
+        AliceBlockDisclosure(0, [1], np.array([3], dtype=np.uint8), []).encode()
+    # An intensity column longer or shorter than the matched records.
+    for matched, omega in (([1], [0, 1]), ([1, 0, 1], [2]), ([0, 0], [0])):
+        with pytest.raises(WireError, match="matched rounds"):
+            AliceBlockDisclosure(0, matched, np.array(omega, dtype=np.uint8), [])
 
 
 def test_every_intensity_column_decodes_and_reencodes():
     # Every D-or-V pattern of up to 6 records and every subset of its set
     # records as V, laid out by the plain reference above with each
-    # record's alpha bit set, decodes to its indices and re-encodes to its
+    # record's match bit set, decodes to its indices and re-encodes to its
     # own bytes.
     for count in range(7):
         for d_or_v in itertools.product((0, 1), repeat=count):
@@ -441,7 +460,7 @@ def reencoded_frame(raw):
 # The varint fields of the frame and of each message: (decode and encode
 # again, width, valid field values, the bytes after the varints).
 VARINT_FIELDS = {
-    "frame": (reencoded_frame, 32, (5,), b"\x06\x07abc"),
+    "frame": (reencoded_frame, 32, (5,), b"\x07\x07abc"),
     "bob": (lambda raw: BobBlockDisclosure.decode(raw).encode(), 32, (0, 10, 0), b""),
     "alice": (lambda raw: AliceBlockDisclosure.decode(raw).encode(), 32, (0, 0, 0, 0), b""),
     **{
@@ -497,31 +516,32 @@ def test_decoders_hand_over_bit_columns_as_bool(monkeypatch):
 
     monkeypatch.setattr(dsbb84.wire, "_column", spy)
     bob_raw = bob(2, 10, [0, 3, 9], [1, 0, 1], [0, 1]).encode()
-    alice_raw = AliceBlockDisclosure(2, [0, 1, 2], [0, 1, 1], [1]).encode()
+    alice_raw = AliceBlockDisclosure(2, [1, 0, 1, 1], [0, 1, 2], [1]).encode()
     seen.clear()
     BobBlockDisclosure.decode(bob_raw)
     assert seen == [("basis", np.dtype(bool)), ("x outcome", np.dtype(bool))]
     seen.clear()
     msg = AliceBlockDisclosure.decode(alice_raw)
-    assert seen == [("intensity index", np.dtype(np.uint8)), ("alpha", np.dtype(bool)),
+    assert seen == [("matched", np.dtype(bool)), ("intensity index", np.dtype(np.uint8)),
                     ("value", np.dtype(bool))]
-    for column in (msg.omega, msg.alpha, msg.value):
+    for column in (msg.matched, msg.omega, msg.value):
         assert column.dtype == np.uint8 and not column.flags.writeable
 
 
 @pytest.mark.parametrize(
     "columns",
     [
-        ([3], [0], []),
-        ([-1], [0], []),
-        ([0], [2], []),
-        ([0], [-1], []),
-        ([0], [1], [2]),
-        ([0], [1], [0.5]),
-        ([0, 1], [0], []),
+        ([1], [3], []),
+        ([1], [-1], []),
+        ([2], [0], []),
+        ([-1], [], []),
+        ([1], [0], [2]),
+        ([1], [0], [0.5]),
+        ([1], [0, 1], []),
+        ([1, 1], [0], []),
     ],
-    ids=["omega-high", "omega-negative", "alpha-high", "alpha-negative",
-         "value-high", "value-fraction", "ragged"],
+    ids=["omega-high", "omega-negative", "matched-high", "matched-negative",
+         "value-high", "value-fraction", "omega-long", "omega-short"],
 )
 def test_alice_columns_refuse_values_that_do_not_fit(columns):
     with pytest.raises(WireError):
@@ -553,11 +573,11 @@ def test_bob_columns_refuse_values_that_do_not_fit(columns):
 
 def test_block_messages_keep_read_only_copies_of_their_columns():
     bob_columns = (np.array([1, 4]), np.array([1, 0], dtype=np.int8), np.array([True]))
-    alice_columns = (np.array([2, 0], dtype=np.int8), np.array([True, False]), np.array([0], np.uint8))
+    alice_columns = (np.array([True, False, True]), np.array([2, 0], dtype=np.int8), np.array([0], np.uint8))
     bob_msg = BobBlockDisclosure(0, 10, *bob_columns)
     alice_msg = AliceBlockDisclosure(0, *alice_columns)
     kept = (bob_msg.offsets, bob_msg.basis, bob_msg.x_outcomes,
-            alice_msg.omega, alice_msg.alpha, alice_msg.value)
+            alice_msg.matched, alice_msg.omega, alice_msg.value)
     for given_column, column in zip(bob_columns + alice_columns, kept):
         assert given_column.flags.writeable and not column.flags.writeable
         assert not np.shares_memory(given_column, column)
@@ -567,10 +587,12 @@ def test_block_messages_keep_read_only_copies_of_their_columns():
 
 def test_alice_disclosure_refuses_foreign_record_arrays():
     with pytest.raises(WireError):
-        AliceBlockDisclosure(0, np.zeros(2, dtype=np.float64), [0, 0], []).encode()
+        AliceBlockDisclosure(0, [1, 1], np.zeros(2, dtype=np.float64), []).encode()
     square = np.zeros((2, 2), dtype=np.uint8)
     with pytest.raises(WireError):
-        AliceBlockDisclosure(0, square, [0, 0], []).encode()
+        AliceBlockDisclosure(0, square, [], []).encode()
+    with pytest.raises(WireError):
+        AliceBlockDisclosure(0, [1, 1], square, []).encode()
 
 
 @pytest.mark.parametrize(
@@ -598,13 +620,15 @@ def test_encode_out_of_range_field_raises_wire_error(msg):
 
 @st.composite
 def alice_replies(draw, max_records=40):
-    """Valid replies: in-range columns, any number of value bits."""
+    """Valid replies: in-range columns, an intensity per matched record,
+    any number of value bits."""
     n = draw(st.integers(0, max_records))
-    omega = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    alpha = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    matched = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    n_matched = sum(matched)
+    omega = draw(st.lists(st.integers(0, 2), min_size=n_matched, max_size=n_matched))
     value = draw(st.lists(st.integers(0, 1), max_size=n))
     j = draw(st.integers(0, 2**32 - 1))
-    return AliceBlockDisclosure(j, omega, alpha, value)
+    return AliceBlockDisclosure(j, matched, omega, value)
 
 
 @st.composite
@@ -617,20 +641,24 @@ def bob_disclosures(draw):
 
 
 @given(alice_replies())
-@example(AliceBlockDisclosure(0, [2] * 40, [0] * 40, []))
-@example(AliceBlockDisclosure(0, [2] * 5 + [1] * 35, [0] * 40, []))
-@example(AliceBlockDisclosure(0, [1] * 35 + [2] * 5, [0] * 40, []))
-@example(AliceBlockDisclosure(0, [2] * 200, [0] * 200, []))
+@example(AliceBlockDisclosure(0, [1] * 40, [2] * 40, []))
+@example(AliceBlockDisclosure(0, [1] * 40, [2] * 5 + [1] * 35, []))
+@example(AliceBlockDisclosure(0, [1] * 40, [1] * 35 + [2] * 5, []))
+@example(AliceBlockDisclosure(0, [1] * 200, [2] * 200, []))
 def test_alice_reply_grows_by_at_most_its_v_count_varint(msg):
     # Wire version 5 had three header varints and sent the intensity column
-    # as a D-or-V bit per record, then a V bit per D-or-V record. The V
-    # subset never takes more bits than those V bits, so a reply is longer
-    # by at most the V count's varint: one byte while fewer than 128
-    # records are V, as in every reply of up to 40 records.
-    omega = msg.omega.tolist()
+    # of every record as a D-or-V bit per record, then a V bit per D-or-V
+    # record; an S record, the cheapest, cost one bit. Version 7 sends the
+    # match bits in place of the basis bits and no intensity of a
+    # mismatched record, and its V subset never takes more bits than those
+    # V bits. So a reply is longer than version 5's, whatever intensities
+    # its mismatched records had, by at most the V count's varint: one byte
+    # while fewer than 128 records are V, as in every reply of up to 40
+    # records.
+    omega, count = msg.omega.tolist(), len(msg.matched)
     n_dv, n_v = sum(w > 0 for w in omega), omega.count(2)
-    columns = [len(omega) + n_dv, len(omega), len(msg.value)]
-    version_5 = len(leb128(msg.j, len(omega), len(msg.value))) + sum((n + 7) // 8 for n in columns)
+    columns = [count + n_dv, count, len(msg.value)]
+    version_5 = len(leb128(msg.j, count, len(msg.value))) + sum((n + 7) // 8 for n in columns)
     assert len(msg.encode()) <= version_5 + len(leb128(n_v))
     if n_v < 128:
         assert len(msg.encode()) <= version_5 + 1
@@ -640,6 +668,7 @@ def test_alice_reply_grows_by_at_most_its_v_count_varint(msg):
 def test_alice_disclosure_roundtrips_random_records(msg):
     decoded = roundtrip(msg)
     assert decoded.j == msg.j
+    assert np.array_equal(decoded.matched, msg.matched)
     assert np.array_equal(decoded.omega, msg.omega)
 
 
