@@ -541,7 +541,7 @@ def test_decoders_hand_over_bit_columns_as_bool(monkeypatch):
         ([1, 1], [0], []),
     ],
     ids=["omega-high", "omega-negative", "matched-high", "matched-negative",
-         "value-high", "value-fraction", "omega-long", "omega-short"],
+         "value-high", "value-fraction", "ragged", "ragged-short"],
 )
 def test_alice_columns_refuse_values_that_do_not_fit(columns):
     with pytest.raises(WireError):
