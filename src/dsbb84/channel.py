@@ -159,28 +159,15 @@ def _relative_phase(a_bit: int, alpha: str, beta: str) -> float:
 
 
 def click_probabilities(
-    constants: ProtocolConstants,
-    channel: ChannelModel,
-    omega: str,
-    alpha: str,
-    a_bit: int,
-    beta: str,
+    channel: ChannelModel, mu: float, alpha: str, a_bit: int, beta: str
 ) -> tuple[float, float, float, float]:
-    """(p_only0, p_only1, p_both, p_none) for one setting combination.
+    """(p_only0, p_only1, p_both, p_none) of one setting at mean photon
+    number mu.
 
     Closed form from independent Poisson detector loads: the surviving
     intensity mu * eta_tot splits by the routing fraction, dark counts are
     independent per detector.
     """
-    if omega not in INTENSITIES:
-        raise DomainError(f"unknown intensity label {omega!r}")
-    return _cell_probabilities(channel, constants.mu[omega], alpha, a_bit, beta)
-
-
-def _cell_probabilities(
-    channel: ChannelModel, mu: float, alpha: str, a_bit: int, beta: str
-) -> tuple[float, float, float, float]:
-    """click_probabilities at mean photon number mu."""
     eta = eta_total(channel)
     q0 = routing_fraction(channel, _relative_phase(a_bit, alpha, beta))
     load0 = mu * eta * q0
@@ -205,14 +192,11 @@ def error_probability_x(channel: ChannelModel, mu: float) -> float:
     """Matched-X-basis bit-error probability for intensity mu.
 
     Counts wrong-detector-only clicks plus half of the double clicks (the
-    fair coin on a double click is wrong half the time).
+    fair coin on a double click is wrong half the time), read from the
+    cells of bit 1, for which detector 0 is the wrong one.
     """
-    eta = eta_total(channel)
-    load_correct = mu * eta * (1.0 - channel.e_mis)
-    load_wrong = mu * eta * channel.e_mis
-    no_correct = (1.0 - channel.p_dark) * math.exp(-load_correct)
-    no_wrong = (1.0 - channel.p_dark) * math.exp(-load_wrong)
-    return (1.0 - no_wrong) * no_correct + 0.5 * (1.0 - no_correct) * (1.0 - no_wrong)
+    wrong_only, _, both, _ = click_probabilities(channel, mu, "X", 1, "X")
+    return wrong_only + 0.5 * both
 
 
 def single_photon_yield(channel: ChannelModel) -> float:
@@ -420,7 +404,7 @@ def _click_law(
     click = np.array([click_probability_total(channel, x) for x in mu])
     mu_of = dict(zip(INTENSITIES, mu))
     cells = _conditional(np.array([
-        _cell_probabilities(channel, mu_of[omega], alpha, a_bit, beta)[:3]
+        click_probabilities(channel, mu_of[omega], alpha, a_bit, beta)[:3]
         for omega, alpha, a_bit, beta in SETTINGS
     ]))
     cell_only0 = cells[:, 0]
@@ -461,8 +445,8 @@ class BlockSample:
     and 1 for X; cell is 0 (only detector 0 fired), 1 (only detector 1) or
     2 (both); b is Bob's bit, a fair coin on a double click. No column is
     as long as the block: the length-m click mask ``clicked`` is derived
-    from offsets on each read, for observers outside the package; nothing
-    in the package reads it.
+    from offsets on each read, and in the package only a read of Alice's
+    settings on unclicked rounds reads it.
     """
 
     law: ClickLaw
@@ -499,9 +483,7 @@ class BlockSample:
         columns = (self.omega_idx, self.alpha, self.a)
         if np.array_equal(offs, self.offsets):
             return columns
-        unclicked = np.ones(len(self), dtype=bool)
-        unclicked[self.offsets] = False
-        unclicked = np.flatnonzero(unclicked)
+        unclicked = np.flatnonzero(~self.clicked)
         drawn = _draw_alice_settings(
             self.streams(StreamKey.ALICE_UNCLICKED, self.j),
             self.law.omega_cuts_none,

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from dsbb84.bounds import Observables, expected_observables, security_result
+from dsbb84.bounds import Observables, expected_observables
 from dsbb84.channel import (
     SETTINGS,
     BlockSample,
@@ -48,7 +48,7 @@ from dsbb84.params import (
     ProtocolConstants,
     poisson_pcs,
 )
-from dsbb84.protocol import _CountAccumulator
+from dsbb84.protocol import _CountAccumulator, judge_length
 
 
 def bits(values: Iterable[int]) -> BitString:
@@ -393,8 +393,8 @@ def choice_click_law(constants: ProtocolConstants, channel: ChannelModel) -> Cho
         [click_probability_total(channel, constants.mu[w]) for w in INTENSITIES]
     )
     cells = _conditional(np.array([
-        click_probabilities(constants, channel, *settings)[:3]
-        for settings in SETTINGS
+        click_probabilities(channel, constants.mu[omega], *settings)[:3]
+        for omega, *settings in SETTINGS
     ]))
     return ChoiceLaw(
         m=constants.m,
@@ -547,7 +547,7 @@ def photon_posterior(
     truncated = 0.0
     for omega, alpha, a_bit, beta in SETTINGS:
         joint = pois[omega][:, None] * fock[(alpha, a_bit, beta)]
-        closed = click_probabilities(constants, channel, omega, alpha, a_bit, beta)
+        closed = click_probabilities(channel, constants.mu[omega], alpha, a_bit, beta)
         for cell in range(3):
             if closed[cell] > 0.0:
                 kept = math.fsum(joint[:, cell]) / closed[cell]
@@ -615,8 +615,7 @@ def ground_truth_runs(
         obs = acc.observables()
         rng = generator(seed, StreamKey.GROUND_TRUTH)
         nph_true = int(rng.binomial(n1z_true, p_err_given_click))
-        n_ec = syndrome_length(obs.n_sift, constants.e_bit_assumed)
-        result = security_result(constants, obs, expected, n_ec)
+        result = judge_length(constants, obs, expected)
         covered = result.abort or (
             result.n1z_floor <= n1z_true and nph_true <= result.nph_ceil
         )

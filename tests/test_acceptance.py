@@ -29,7 +29,6 @@ from dsbb84.params import (
     BASES,
     INTENSITIES,
     THETA,
-    ProtocolConstants,
     poisson_pcs,
 )
 from dsbb84.protocol import ABORT_REASONS, run_protocol
@@ -42,38 +41,7 @@ from reference import (
     toeplitz_matrix,
     verification_mc,
 )
-
-# Reference scenario for the bound-coverage criterion: 10^6 rounds over a
-# 20 dB link with realistic detector parameters.
-LOSSY = ProtocolConstants(
-    n_block=10,
-    m=100_000,
-    p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
-    mu={"S": 0.5, "D": 0.1, "V": 0.001},
-    p_basis_alice=0.8,
-    p_basis_bob=0.8,
-    n_verify=32,
-    e_bit_assumed=0.03,
-    eps_secrecy=1e-6,
-)
-FIBER = ChannelModel(
-    loss_db_per_km=0.2, distance_km=100.0, e_mis=0.01, p_dark=1e-6, eta_det=0.2
-)
-
-# Reference scenario for the end-to-end criterion: 10^5 rounds over a
-# short, clean link where the protocol reliably produces a key.
-SMALL = ProtocolConstants(
-    n_block=5,
-    m=20_000,
-    p_intensity={"S": 0.4, "D": 0.5, "V": 0.1},
-    mu={"S": 0.8, "D": 0.3, "V": 0.0},
-    p_basis_alice=0.7,
-    p_basis_bob=0.7,
-    n_verify=16,
-    e_bit_assumed=0.01,
-    eps_secrecy=0.05,
-)
-CLEAN = ChannelModel(eta_ch=1.0, e_mis=0.002, p_dark=1e-6, eta_det=0.9)
+from scenarios import CLEAN, FIBER, LOSSY_LONG, SMALL
 
 
 def test_c01_deviation_pair_plugback():
@@ -122,16 +90,11 @@ def phase_error_ceiling_ratio(mu_v, err_yields, n_total=10**15):
     probability ``err_yields[n]`` (and never past the list), with every
     count at its expectation. At N = 1e15 the finite-size terms add about
     1e-4, so a ratio below 1 is an inversion that undercounts."""
-    c = ProtocolConstants(
+    c = dataclasses.replace(
+        LOSSY_LONG,
         n_block=n_total // 10**10,
         m=10**10,
-        p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
-        mu={"S": 0.5, "D": 0.1, "V": mu_v},
-        p_basis_alice=0.8,
-        p_basis_bob=0.8,
-        n_verify=32,
-        e_bit_assumed=0.03,
-        eps_secrecy=1e-6,
+        mu={**LOSSY_LONG.mu, "V": mu_v},
     )
     pxx = (1 - c.p_basis_alice) * (1 - c.p_basis_bob)
     pzz = c.p_basis_alice * c.p_basis_bob
@@ -155,17 +118,7 @@ def test_c03_decoy_inversion_soundness():
     # error side is checked at a vacuum intensity of exactly zero, then at
     # mu_V > 0, where V rounds hold photons too, and through the engine.
     start = time.perf_counter()
-    c = ProtocolConstants(
-        n_block=10,
-        m=100_000,
-        p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
-        mu={"S": 0.5, "D": 0.1, "V": 0.0},
-        p_basis_alice=0.8,
-        p_basis_bob=0.8,
-        n_verify=32,
-        e_bit_assumed=0.03,
-        eps_secrecy=1e-6,
-    )
+    c = dataclasses.replace(LOSSY_LONG, mu={**LOSSY_LONG.mu, "V": 0.0})
     coef = decoy_coefficients(c)
     rng = np.random.default_rng(433)
 
@@ -230,17 +183,7 @@ def test_c03_decoy_inversion_soundness():
         for mu_s in rng.uniform(0.2, 1.2, size=200)
     ]
     for mu_s, mu_d in pairs:
-        ci = ProtocolConstants(
-            n_block=10,
-            m=100_000,
-            p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
-            mu={"S": mu_s, "D": mu_d, "V": 0.0},
-            p_basis_alice=0.8,
-            p_basis_bob=0.8,
-            n_verify=32,
-            e_bit_assumed=0.03,
-            eps_secrecy=1e-6,
-        )
+        ci = dataclasses.replace(c, mu={"S": mu_s, "D": mu_d, "V": 0.0})
         p1 = math.fsum(p_int_joint(ci, w, 1) for w in INTENSITIES)
         product = decoy_coefficients(ci).denominator * p1
         target = mu_d * (mu_s - mu_d) / mu_s
@@ -258,7 +201,7 @@ def test_c04_ground_truth_envelope_coverage():
     # regime is covered by the ground-truth unit tests.
     start = time.perf_counter()
     failures = 0
-    for run in ground_truth_runs(LOSSY, FIBER, range(5000)):
+    for run in ground_truth_runs(LOSSY_LONG, FIBER, range(5000)):
         assert run.n_sift > 0
         if run.n1z_true < run.n1z_floor or run.nph_true > run.nph_ceil:
             failures += 1
@@ -340,22 +283,11 @@ def test_c07_fock_oracle_poisson_agreement():
                     channel = ChannelModel(
                         eta_ch=eta, e_mis=e_mis, p_dark=p_dark, eta_det=1.0
                     )
-                    c = ProtocolConstants(
-                        n_block=1,
-                        m=1000,
-                        p_intensity={"S": 0.5, "D": 0.3, "V": 0.2},
-                        mu={"S": mu, "D": mu / 2.0, "V": 0.0},
-                        p_basis_alice=0.5,
-                        p_basis_bob=0.5,
-                        n_verify=16,
-                        e_bit_assumed=0.01,
-                        eps_secrecy=1e-6,
-                    )
                     for alpha in BASES:
                         for a_bit in (0, 1):
                             for beta in BASES:
                                 closed = click_probabilities(
-                                    c, channel, "S", alpha, a_bit, beta
+                                    channel, mu, alpha, a_bit, beta
                                 )
                                 cells = [
                                     fock_click_oracle(

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -20,19 +19,17 @@ from dsbb84.bounds import (
     pa_log_term,
     security_result,
 )
-from dsbb84.channel import ChannelModel, load_channel
+from dsbb84.channel import ChannelModel
 from dsbb84.ecc import syndrome_length
 from dsbb84.params import (
     INTENSITIES,
     DomainError,
     ProtocolConstants,
     entropy_h,
-    load_constants,
     poisson_pcs,
 )
 from reference import p_int_cond, p_int_joint, random_length_scenario
-
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+from scenarios import config
 
 
 def constants(**overrides):
@@ -510,8 +507,8 @@ def pinned_scenario_results():
         c, obs, exp, n_ec = random_length_scenario(rng)
         results.append(security_result(c, obs, exp, n_ec))
     for stem in ("demo", "fiber", "small"):
-        c = load_constants(CONFIGS / f"{stem}_constants.json")
-        exp = expected_observables(c, load_channel(CONFIGS / f"{stem}_channel.json"))
+        c, channel = config(stem)
+        exp = expected_observables(c, channel)
         obs = Observables(
             n_sift_s=round(exp.n_sift_s),
             n_sift_d=round(exp.n_sift_d),

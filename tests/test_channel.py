@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -33,28 +32,11 @@ from dsbb84.params import (
     THETA,
     ConfigurationError,
     DomainError,
-    ProtocolConstants,
-    load_constants,
     poisson_pcs,
 )
 import reference
 from reference import chi2_statistic, chi2_upper, fock_click_oracle
-
-
-def constants(**overrides):
-    cfg = dict(
-        n_block=2,
-        m=5000,
-        p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
-        mu={"S": 0.5, "D": 0.1, "V": 0.001},
-        p_basis_alice=0.8,
-        p_basis_bob=0.8,
-        n_verify=32,
-        e_bit_assumed=0.03,
-        eps_secrecy=1e-6,
-    )
-    cfg.update(overrides)
-    return ProtocolConstants(**cfg)
+from scenarios import LOSSY, WORKLOADS, workload_law
 
 
 CH = ChannelModel(eta_ch=0.2, e_mis=0.03, p_dark=1e-5, eta_det=0.4)
@@ -101,8 +83,6 @@ def test_transmittance_from_fibre_budget():
 
 
 def test_load_channel_rejects_unknown_keys(tmp_path):
-    import json
-
     path = tmp_path / "ch.json"
     path.write_text(json.dumps({"eta_ch": 0.2, "e_mis": 0.0, "p_dark": 0.0,
                                 "eta_det": 1.0, "oops": 3}))
@@ -111,36 +91,35 @@ def test_load_channel_rejects_unknown_keys(tmp_path):
 
 
 def test_click_probabilities_frozen():
-    got = click_probabilities(constants(), CH, "S", "Z", 0, "Z")
+    got = click_probabilities(CH, LOSSY.mu["S"], "Z", 0, "Z")
     for g, e in zip(got, CLICK_ORACLE):
         assert g == pytest.approx(e, rel=1e-12)
 
 
 def test_clean_matched_rounds_have_exact_outcomes():
     ch = ChannelModel(eta_ch=0.5, e_mis=0.0, p_dark=0.0, eta_det=1.0)
-    c = constants()
+    mu = LOSSY.mu["S"]
     for basis in BASES:
-        p0_only0, p0_only1, p0_both, _ = click_probabilities(c, ch, "S", basis, 0, basis)
+        p0_only0, p0_only1, p0_both, _ = click_probabilities(ch, mu, basis, 0, basis)
         assert p0_only1 == 0.0 and p0_both == 0.0 and p0_only0 > 0.0
-        p1_only0, p1_only1, p1_both, _ = click_probabilities(c, ch, "S", basis, 1, basis)
+        p1_only0, p1_only1, p1_both, _ = click_probabilities(ch, mu, basis, 1, basis)
         assert p1_only0 == 0.0 and p1_both == 0.0 and p1_only1 > 0.0
 
 
 def test_mismatched_basis_splits_evenly():
-    c = constants()
     for a_bit in (0, 1):
-        p_only0, p_only1, _, _ = click_probabilities(c, CH, "S", "Z", a_bit, "X")
+        p_only0, p_only1, _, _ = click_probabilities(CH, LOSSY.mu["S"], "Z", a_bit, "X")
         assert p_only0 == pytest.approx(p_only1, rel=1e-9)
 
 
 def test_click_probability_total_is_basis_independent():
-    c = constants()
     for omega in INTENSITIES:
-        expected = click_probability_total(CH, c.mu[omega])
+        mu = LOSSY.mu[omega]
+        expected = click_probability_total(CH, mu)
         for alpha in BASES:
             for beta in BASES:
                 for a_bit in (0, 1):
-                    p = click_probabilities(c, CH, omega, alpha, a_bit, beta)
+                    p = click_probabilities(CH, mu, alpha, a_bit, beta)
                     assert sum(p) == pytest.approx(1.0, abs=1e-12)
                     assert 1.0 - p[3] == pytest.approx(expected, rel=1e-12)
 
@@ -153,8 +132,7 @@ def test_click_probability_total_is_basis_independent():
 )
 def test_click_probabilities_are_a_distribution(mu, eta_ch, e_mis, p_dark):
     ch = ChannelModel(eta_ch=eta_ch, e_mis=e_mis, p_dark=p_dark, eta_det=0.7)
-    c = constants(mu={"S": mu + 0.2, "D": mu * 0.5 + 0.1, "V": 0.0})
-    p = click_probabilities(c, ch, "S", "X", 1, "Z")
+    p = click_probabilities(ch, mu + 0.2, "X", 1, "Z")
     assert all(v >= 0.0 for v in p)
     assert sum(p) == pytest.approx(1.0, abs=1e-12)
 
@@ -188,9 +166,8 @@ def test_fock_single_photon_matches_helpers():
 def test_poisson_mixture_of_fock_matches_closed_form():
     # The oracle enumerates photon splits; mixing it over the Poisson law
     # must land on the independent-detector-load closed form.
-    c = constants()
     for omega in INTENSITIES:
-        mu = c.mu[omega]
+        mu = LOSSY.mu[omega]
         n_top = 12
         for alpha, a_bit, beta in [("Z", 0, "Z"), ("X", 1, "X"), ("Z", 1, "X")]:
             mix = [0.0, 0.0, 0.0, 0.0]
@@ -199,16 +176,15 @@ def test_poisson_mixture_of_fock_matches_closed_form():
                 cell = fock_click_oracle(n, CH, THETA[(a_bit, alpha)], beta)
                 for i in range(4):
                     mix[i] += w * cell[i]
-            closed = click_probabilities(c, CH, omega, alpha, a_bit, beta)
+            closed = click_probabilities(CH, mu, alpha, a_bit, beta)
             for i in range(4):
                 assert mix[i] == pytest.approx(closed[i], abs=1e-7)
 
 
 def test_error_probability_x_matches_mixture():
-    c = constants()
     for omega in ("S", "D"):
-        mu = c.mu[omega]
-        p_only0, p_only1, p_both, _ = click_probabilities(c, CH, omega, "X", 0, "X")
+        mu = LOSSY.mu[omega]
+        p_only0, p_only1, p_both, _ = click_probabilities(CH, mu, "X", 0, "X")
         assert error_probability_x(CH, mu) == pytest.approx(
             p_only1 + 0.5 * p_both, rel=1e-12
         )
@@ -228,12 +204,11 @@ def _block(c, ch, seed, j=0):
 
 
 def test_sample_block_is_deterministic():
-    c = constants()
-    first = _block(c, CH, 42)
-    second = _block(c, CH, 42)
+    first = _block(LOSSY, CH, 42)
+    second = _block(LOSSY, CH, 42)
     for name in ("beta", "offsets", "omega_idx", "alpha", "a", "cell", "b"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
-    third = _block(c, CH, 43)
+    third = _block(LOSSY, CH, 43)
     assert not np.array_equal(first.offsets, third.offsets)
 
 
@@ -318,7 +293,7 @@ def test_blocks_do_not_depend_on_draw_order(seed, calls):
     # One source draws blocks in any order, with repeats, and between them
     # reads Alice's settings on unclicked rounds from another stream; every
     # block, and every setting read, equals the same one drawn alone.
-    c = constants(m=3000)
+    c = dataclasses.replace(LOSSY, m=3000)
     source = BlockSource(c, CH, seed)
     for j, unclicked in calls:
         block = source(j)
@@ -332,19 +307,19 @@ def test_blocks_do_not_depend_on_draw_order(seed, calls):
 
 
 def test_click_law_is_shared_by_equal_configurations_only():
-    law = click_law(constants(), CH)
-    assert click_law(constants(), ChannelModel(**CH.as_dict())) is law
+    law = click_law(LOSSY, CH)
+    assert click_law(LOSSY, ChannelModel(**CH.as_dict())) is law
     assert not law.cell_only0.flags.writeable
     assert not law.cell_not_both.flags.writeable
-    other = click_law(constants(mu={"S": 0.6, "D": 0.1, "V": 0.001}), CH)
+    other = click_law(dataclasses.replace(LOSSY, mu={**LOSSY.mu, "S": 0.6}), CH)
     assert other is not law and other.p_click != law.p_click
-    other = click_law(constants(), dataclasses.replace(CH, e_mis=0.04))
+    other = click_law(LOSSY, dataclasses.replace(CH, e_mis=0.04))
     assert other is not law and not np.array_equal(other.cell_only0, law.cell_only0)
-    assert click_law(constants(m=6000), CH).m == 6000
+    assert click_law(dataclasses.replace(LOSSY, m=6000), CH).m == 6000
 
 
 def test_blocks_of_one_session_differ():
-    c = constants(m=20000)
+    c = dataclasses.replace(LOSSY, m=20000)
     law = click_law(c, CH)
     streams = BlockStreams(42)
     first, second = sample_block(law, streams, 0), sample_block(law, streams, 1)
@@ -354,7 +329,7 @@ def test_blocks_of_one_session_differ():
 
 
 def test_sample_block_internal_consistency():
-    c = constants(m=20000)
+    c = dataclasses.replace(LOSSY, m=20000)
     block = _block(c, CH, 7)
     assert len(block) == 20000
     clicked = np.zeros(len(block), dtype=bool)
@@ -374,7 +349,7 @@ def test_sample_block_internal_consistency():
 
 
 def test_clean_matched_rounds_sample_exact_outcomes():
-    c = constants(m=20000, p_basis_alice=0.5, p_basis_bob=0.5)
+    c = dataclasses.replace(LOSSY, m=20000, p_basis_alice=0.5, p_basis_bob=0.5)
     ch = ChannelModel(eta_ch=0.5, e_mis=0.0, p_dark=0.0, eta_det=1.0)
     block = _block(c, ch, 11)
     matched = block.alpha == block.beta
@@ -386,7 +361,7 @@ def test_clean_matched_rounds_sample_exact_outcomes():
 def test_sample_block_click_rate_matches_closed_form():
     # Alice's settings of the unclicked rounds are drawn on demand, so the
     # per-intensity click rate over all rounds checks both laws.
-    c = constants(m=200_000, mu={"S": 0.5, "D": 0.1, "V": 0.001})
+    c = dataclasses.replace(LOSSY, m=200_000)
     ch = ChannelModel(eta_ch=0.5, e_mis=0.02, p_dark=1e-4, eta_det=0.8)
     block = _block(c, ch, 3)
     omega_idx, alpha, _ = block.alice_settings(np.arange(len(block)))
@@ -405,7 +380,7 @@ def test_sample_block_click_rate_matches_closed_form():
 
 
 def test_sample_block_error_rate_matches_closed_form():
-    c = constants(m=400_000, p_basis_alice=0.5, p_basis_bob=0.5)
+    c = dataclasses.replace(LOSSY, m=400_000, p_basis_alice=0.5, p_basis_bob=0.5)
     ch = ChannelModel(eta_ch=0.5, e_mis=0.05, p_dark=1e-5, eta_det=0.8)
     block = _block(c, ch, 5)
     clicked = (block.alpha == 1) & (block.beta == 1) & (block.omega_idx == 0)
@@ -434,7 +409,8 @@ def test_cell_counts_match_click_probabilities(point):
     # drawn for an unclicked round, so that cell sums over beta.
     mu, eta, e_mis, p_dark = point
     ch = ChannelModel(eta_ch=eta, e_mis=e_mis, p_dark=p_dark, eta_det=1.0)
-    c = constants(
+    c = dataclasses.replace(
+        LOSSY,
         m=20_000,
         p_intensity={"S": 0.5, "D": 0.3, "V": 0.2},
         mu={"S": mu, "D": mu / 2.0, "V": 0.0},
@@ -460,7 +436,7 @@ def test_cell_counts_match_click_probabilities(point):
             * 0.5
             * (c.p_basis_bob if beta == "Z" else 1 - c.p_basis_bob)
         )
-        cells = click_probabilities(c, ch, omega, alpha, a_bit, beta)
+        cells = click_probabilities(ch, c.mu[omega], alpha, a_bit, beta)
         expected[row] = n_blocks * c.m * prior * np.array(cells[:3])
         expected_none[row // 2] += n_blocks * c.m * prior * cells[3]
     # A cell of probability zero is never drawn.
@@ -473,7 +449,7 @@ def test_cell_counts_match_click_probabilities(point):
 
 
 def test_alice_settings_of_unclicked_rounds_are_keyed_by_block():
-    c = constants(m=20000)
+    c = dataclasses.replace(LOSSY, m=20000)
     law = click_law(c, CH)
     block = sample_block(law, BlockStreams(9), 2)
     unclicked = np.setdiff1d(np.arange(c.m), block.offsets)
@@ -491,18 +467,13 @@ def test_alice_settings_of_unclicked_rounds_are_keyed_by_block():
     assert not all(np.array_equal(x, y) for x, y in zip(every, other_block))
 
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
-WORKLOADS = json.loads((REPO / "perfbench" / "workloads.json").read_text())
 # The benchmark's four laws, and a small block in which the vacuum
 # intensity never clicks (mu_V = 0 and no dark counts), so that the inner
 # cut point of the intensity law given a click is exactly 1.0 and a block
 # may have no click at all.
-TWIN_LAWS = {
-    name: (load_constants(spec["constants"]), load_channel(spec["channel"]))
-    for name, spec in WORKLOADS.items()
-} | {
+TWIN_LAWS = {name: workload_law(name) for name in WORKLOADS} | {
     "never-clicks": (
-        constants(m=200, mu={"S": 0.5, "D": 0.1, "V": 0.0}),
+        dataclasses.replace(LOSSY, m=200, mu={**LOSSY.mu, "V": 0.0}),
         ChannelModel(eta_ch=0.2, e_mis=0.03, p_dark=0.0, eta_det=0.4),
     ),
 }

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import pathlib
 import shlex
 from types import SimpleNamespace
 
@@ -14,54 +13,18 @@ from dsbb84.channel import StreamKey, generator
 from dsbb84.cli import main
 from dsbb84.hashing import ModifiedToeplitz
 from dsbb84.wire import WireError
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
-
-SMALL_CONSTANTS = {
-    "n_block": 5,
-    "m": 20000,
-    "p_intensity": {"S": 0.4, "D": 0.5, "V": 0.1},
-    "mu": {"S": 0.8, "D": 0.3, "V": 0.0},
-    "p_basis_alice": 0.7,
-    "p_basis_bob": 0.7,
-    "n_verify": 16,
-    "e_bit_assumed": 0.01,
-    "eps_secrecy": 0.05,
-}
-SMALL_CHANNEL = {"eta_ch": 1.0, "e_mis": 0.002, "p_dark": 1e-6, "eta_det": 0.9}
-FIBER_CONSTANTS = {
-    "n_block": 10,
-    "m": 100000,
-    "p_intensity": {"S": 0.7, "D": 0.2, "V": 0.1},
-    "mu": {"S": 0.5, "D": 0.1, "V": 0.001},
-    "p_basis_alice": 0.8,
-    "p_basis_bob": 0.8,
-    "n_verify": 32,
-    "e_bit_assumed": 0.03,
-    "eps_secrecy": 1e-6,
-}
-FIBER_CHANNEL = {
-    "loss_db_per_km": 0.2,
-    "distance_km": 100.0,
-    "e_mis": 0.01,
-    "p_dark": 1e-6,
-    "eta_det": 0.2,
-}
+from scenarios import CONFIGS, REPO, SMALL
 
 
 @pytest.fixture
-def config_files(tmp_path):
-    paths = {}
-    for name, obj in [
-        ("small_constants", SMALL_CONSTANTS),
-        ("small_channel", SMALL_CHANNEL),
-        ("fiber_constants", FIBER_CONSTANTS),
-        ("fiber_channel", FIBER_CHANNEL),
-    ]:
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(obj))
-        paths[name] = str(path)
-    return paths
+def config_files():
+    """The shipped config files by name, such as ``small_constants``."""
+    return {path.stem: str(path) for path in CONFIGS.glob("*.json")}
+
+
+def shipped(name):
+    """The mapping the shipped config file ``name`` holds, to edit."""
+    return json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
 
 
 def test_keyrate_success(config_files, tmp_path, capsys):
@@ -232,8 +195,7 @@ def test_readme_library_examples_run(monkeypatch, capsys):
 PINNED_REPORTS = "64199f2c03d19f695464b3ac02c17909298660f070718e335d5a89fc5f0742fc"
 
 
-def test_reports_are_pinned(monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(REPO)
+def test_reports_are_pinned(config_files, tmp_path, capsys):
     runs = [
         ("keyrate", "small", [], 0),
         ("keyrate", "fiber", [], 1),
@@ -247,8 +209,8 @@ def test_reports_are_pinned(monkeypatch, tmp_path, capsys):
         path = tmp_path / "report.json"
         assert main([
             command, *extra, "--json", str(path),
-            "--constants", f"configs/{config}_constants.json",
-            "--channel", f"configs/{config}_channel.json",
+            "--constants", config_files[f"{config}_constants"],
+            "--channel", config_files[f"{config}_channel"],
         ]) == code
         digest.update(path.read_bytes())
     capsys.readouterr()
@@ -293,8 +255,9 @@ def test_scan_sending_probability_rescales_the_other_two(
     # The configured value reproduces keyrate; D and V keep their 5:1 ratio.
     assert rows[0]["result"]["n_fin"] == 622
     assert rows[0]["result"] != rows[1]["result"]
-    assert SMALL_CONSTANTS["p_intensity"] == {"S": 0.4, "D": 0.5, "V": 0.1}
-    swept = dsbb84.cli._swept_constants(SMALL_CONSTANTS, "p_S", 0.3)["p_intensity"]
+    small = shipped("small_constants")
+    assert small["p_intensity"] == {"S": 0.4, "D": 0.5, "V": 0.1}
+    swept = dsbb84.cli._swept_constants(small, "p_S", 0.3)["p_intensity"]
     assert swept["S"] == 0.3
     assert swept["D"] == pytest.approx(0.7 * 5 / 6, rel=1e-15)
     assert swept["V"] == pytest.approx(0.7 / 6, rel=1e-15)
@@ -381,7 +344,7 @@ def test_zero_verification_length_is_config_error(config_files, tmp_path, capsys
     """n_verify = 0 would make eps_correct 1 and let both sides accept
     different keys, so a config file or a sweep that sets it exits 2."""
     path = tmp_path / "no_verify.json"
-    path.write_text(json.dumps(dict(SMALL_CONSTANTS, n_verify=0)))
+    path.write_text(json.dumps(dict(shipped("small_constants"), n_verify=0)))
     channel = ["--channel", config_files["small_channel"]]
     for argv in (
         ["keyrate", "--constants", str(path)],
@@ -465,8 +428,8 @@ def test_malformed_json_is_config_error(tmp_path, config_files, capsys):
 
 
 def test_invalid_constants_is_config_error(tmp_path, config_files, capsys):
-    wrong = dict(SMALL_CONSTANTS)
-    wrong["mu"] = {"S": 0.1, "D": 0.3, "V": 0.0}
+    small, small_channel = shipped("small_constants"), shipped("small_channel")
+    wrong = dict(small, mu={"S": 0.1, "D": 0.3, "V": 0.0})
     path = tmp_path / "wrong.json"
     path.write_text(json.dumps(wrong))
     code = main([
@@ -479,13 +442,11 @@ def test_invalid_constants_is_config_error(tmp_path, config_files, capsys):
     # A real-valued field that is not a number is a configuration error
     # too, in the constants and in the channel.
     for constants, channel in (
-        (dict(SMALL_CONSTANTS, p_basis_alice="0.5"), SMALL_CHANNEL),
-        (dict(SMALL_CONSTANTS, p_intensity={"S": "0.4", "D": 0.5, "V": 0.1}),
-         SMALL_CHANNEL),
-        (dict(SMALL_CONSTANTS, eps_secrecy=None), SMALL_CHANNEL),
-        (dict(SMALL_CONSTANTS, mu={"S": "abc", "D": 0.3, "V": 0.0}),
-         SMALL_CHANNEL),
-        (SMALL_CONSTANTS, dict(SMALL_CHANNEL, e_mis="0.01")),
+        (dict(small, p_basis_alice="0.5"), small_channel),
+        (dict(small, p_intensity={"S": "0.4", "D": 0.5, "V": 0.1}), small_channel),
+        (dict(small, eps_secrecy=None), small_channel),
+        (dict(small, mu={"S": "abc", "D": 0.3, "V": 0.0}), small_channel),
+        (small, dict(small_channel, e_mis="0.01")),
     ):
         paths = []
         for name, obj in (("c", constants), ("ch", channel)):
@@ -503,7 +464,7 @@ def test_invalid_constants_is_config_error(tmp_path, config_files, capsys):
 def test_non_integer_field_in_config_file_is_config_error(
     tmp_path, config_files, capsys, field, value
 ):
-    wrong = dict(SMALL_CONSTANTS, **{field: value})
+    wrong = dict(shipped("small_constants"), **{field: value})
     path = tmp_path / "wrong.json"
     path.write_text(json.dumps(wrong))
     for command in ("keyrate", "simulate"):
@@ -545,22 +506,20 @@ def test_simulate_report_carries_decoder_telemetry(config_files, tmp_path, capsy
     assert report["ec_converged"] is None and report["ec_iterations"] is None
 
 
-def simulate_report(constants, channel, seed, tmp_path):
-    paths = []
-    for name, obj in (("c", constants), ("ch", channel)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(obj))
-        paths.append(str(path))
+def simulate_report(config, seed, tmp_path):
+    """The exit code and report of ``simulate`` on the shipped ``config``."""
     report_path = tmp_path / "report.json"
     code = main([
-        "simulate", "--constants", paths[0], "--channel", paths[1],
+        "simulate",
+        "--constants", str(CONFIGS / f"{config}_constants.json"),
+        "--channel", str(CONFIGS / f"{config}_channel.json"),
         "--seed", str(seed), "--json", str(report_path),
     ])
     return code, json.loads(report_path.read_text())
 
 
 def test_simulate_report_carries_reconciliation_estimates(tmp_path):
-    code, report = simulate_report(SMALL_CONSTANTS, SMALL_CHANNEL, 42, tmp_path)
+    code, report = simulate_report("small", 42, tmp_path)
     assert code == 0 and report["schema_version"] == 1
     n_sift, n_ec = report["result"]["n_sift"], report["result"]["n_ec"]
     qber = report["qber_est"]
@@ -569,7 +528,7 @@ def test_simulate_report_carries_reconciliation_estimates(tmp_path):
     h = -qber * math.log2(qber) - (1 - qber) * math.log2(1 - qber)
     assert report["ec_efficiency"] == pytest.approx(n_ec / (n_sift * h), rel=1e-12)
     # No error correction: both null.
-    code, report = simulate_report(FIBER_CONSTANTS, FIBER_CHANNEL, 1, tmp_path)
+    code, report = simulate_report("fiber", 1, tmp_path)
     assert code == 1
     assert report["qber_est"] is None and report["ec_efficiency"] is None
     # A decode that finds no errors: an estimate of 0 and no efficiency.
@@ -583,7 +542,7 @@ def test_simulate_report_carries_reconciliation_estimates(tmp_path):
 
 
 def test_simulate_report_counts_frames_and_bytes_per_message_type(tmp_path):
-    code, report = simulate_report(SMALL_CONSTANTS, SMALL_CHANNEL, 42, tmp_path)
+    code, report = simulate_report("small", 42, tmp_path)
     assert code == 0
     messages = report["messages"]
     assert {name: counts["frames"] for name, counts in messages.items()} == {
@@ -606,7 +565,7 @@ def test_simulate_report_counts_frames_and_bytes_per_message_type(tmp_path):
         int(rng.integers(0, 2**64, dtype=np.uint64)) for _ in range(3)
     )
     result = report["result"]
-    n_ec, n_verify = result["n_ec"], SMALL_CONSTANTS["n_verify"]
+    n_ec, n_verify = result["n_ec"], SMALL.n_verify
     assert [messages[name]["bytes"] for name in (
         "SiftAnnounce", "VerifyResult", "PaSeed", "VerifyHash", "Syndrome"
     )] == [
@@ -617,7 +576,7 @@ def test_simulate_report_counts_frames_and_bytes_per_message_type(tmp_path):
         frame(varint(n_ec) + varint(code_seed) + (n_ec + 7) // 8),
     ]
     # A length abort sends the block exchange and the sift announcement.
-    code, report = simulate_report(FIBER_CONSTANTS, FIBER_CHANNEL, 1, tmp_path)
+    code, report = simulate_report("fiber", 1, tmp_path)
     assert code == 1
     messages = report["messages"]
     assert {name: counts["frames"] for name, counts in messages.items()} == {
@@ -651,7 +610,7 @@ def test_simulate_refuses_an_abort_reason_outside_the_closed_set(
 
 @pytest.mark.parametrize("key", ["e_mis", "p_dark", "eta_det"])
 def test_channel_file_missing_a_key_is_config_error(tmp_path, config_files, capsys, key):
-    channel = dict(SMALL_CHANNEL)
+    channel = shipped("small_channel")
     del channel[key]
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(channel))

@@ -6,7 +6,6 @@ import pytest
 from dsbb84.channel import (
     SETTINGS,
     BlockStreams,
-    ChannelModel,
     StreamKey,
     click_law,
     click_probabilities,
@@ -14,12 +13,7 @@ from dsbb84.channel import (
     setting_index,
 )
 from dsbb84.oracles import kato_tail_mc
-from dsbb84.params import (
-    THETA,
-    DomainError,
-    ProtocolConstants,
-    poisson_pcs,
-)
+from dsbb84.params import THETA, DomainError, poisson_pcs
 from reference import (
     FOCK_MAX_PHOTONS,
     GroundTruthRun,
@@ -31,34 +25,7 @@ from reference import (
     photon_posterior,
     verification_mc,
 )
-
-DEMO = ProtocolConstants(
-    n_block=50,
-    m=100000,
-    p_intensity={"S": 0.4, "D": 0.5, "V": 0.1},
-    mu={"S": 0.6, "D": 0.2, "V": 0.0},
-    p_basis_alice=0.7,
-    p_basis_bob=0.7,
-    n_verify=64,
-    e_bit_assumed=0.015,
-    eps_secrecy=1e-9,
-)
-DEMO_CHANNEL = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
-
-LOSSY = ProtocolConstants(
-    n_block=10,
-    m=100000,
-    p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
-    mu={"S": 0.5, "D": 0.1, "V": 0.001},
-    p_basis_alice=0.8,
-    p_basis_bob=0.8,
-    n_verify=32,
-    e_bit_assumed=0.03,
-    eps_secrecy=1e-6,
-)
-FIBER = ChannelModel(
-    loss_db_per_km=0.2, distance_km=100.0, e_mis=0.01, p_dark=1e-6, eta_det=0.2
-)
+from scenarios import DEMO, DEMO_CHANNEL, FIBER, LOSSY_LONG
 
 
 def test_tail_mc_rates_stay_under_budget():
@@ -92,18 +59,18 @@ def test_ground_truth_nonvacuous_coverage():
 
 
 def test_ground_truth_abort_counts_as_covered():
-    (run,) = ground_truth_runs(LOSSY, FIBER, [3])
+    (run,) = ground_truth_runs(LOSSY_LONG, FIBER, [3])
     assert run.abort
     assert run.covered
     assert run.n1z_floor == 0
 
 
 def test_ground_truth_is_deterministic():
-    a, b = ground_truth_runs(LOSSY, FIBER, [12, 12])
+    a, b = ground_truth_runs(LOSSY_LONG, FIBER, [12, 12])
     assert a == b
     assert isinstance(a, GroundTruthRun)
     # A run depends on its own seed only, not on the seeds batched with it.
-    assert ground_truth_runs(LOSSY, FIBER, [5, 12])[1] == a
+    assert ground_truth_runs(LOSSY_LONG, FIBER, [5, 12])[1] == a
 
 
 def test_verification_attack_rate():
@@ -119,14 +86,14 @@ def test_verification_attack_never_accepts_at_long_digests():
 
 
 def test_photon_posterior_truncation_is_stated():
-    _, truncated = photon_posterior(LOSSY, FIBER)
+    _, truncated = photon_posterior(LOSSY_LONG, FIBER)
     assert 0.0 <= truncated < 1e-10
     _, truncated = photon_posterior(DEMO, DEMO_CHANNEL)
     assert 0.0 <= truncated < 1e-10
 
 
 def test_ground_truth_refuses_heavy_truncation():
-    bright = dataclasses.replace(LOSSY, mu={"S": 3.0, "D": 0.1, "V": 0.001})
+    bright = dataclasses.replace(LOSSY_LONG, mu={"S": 3.0, "D": 0.1, "V": 0.001})
     with pytest.raises(DomainError):
         ground_truth_runs(bright, FIBER, [1])
 
@@ -142,7 +109,7 @@ def test_clicked_photon_numbers_follow_the_fock_posterior():
     cdf, _ = photon_posterior(c, DEMO_CHANNEL)
     posterior = np.zeros((24, 3, 5))
     for row, (omega, alpha, a_bit, beta) in enumerate(SETTINGS):
-        closed = click_probabilities(c, DEMO_CHANNEL, omega, alpha, a_bit, beta)
+        closed = click_probabilities(DEMO_CHANNEL, c.mu[omega], alpha, a_bit, beta)
         for n in range(FOCK_MAX_PHOTONS + 1):
             cells = fock_click_oracle(n, DEMO_CHANNEL, THETA[(a_bit, alpha)], beta)
             for cell in range(3):

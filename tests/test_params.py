@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 
@@ -16,22 +17,14 @@ from dsbb84.params import (
     poisson_pcs,
 )
 from reference import p_int_cond, p_int_joint
+from scenarios import CONFIGS
 
 
 def good_config(**overrides):
-    cfg = dict(
-        n_block=10,
-        m=1000,
-        p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
-        mu={"S": 0.5, "D": 0.1, "V": 0.001},
-        p_basis_alice=0.8,
-        p_basis_bob=0.8,
-        n_verify=32,
-        e_bit_assumed=0.03,
-        eps_secrecy=1e-6,
-    )
-    cfg.update(overrides)
-    return cfg
+    """The shipped fiber constants on blocks of 1000 rounds, with
+    ``overrides``, as the mapping a config file holds."""
+    fiber = json.loads((CONFIGS / "fiber_constants.json").read_text(encoding="utf-8"))
+    return {**fiber, "m": 1000, **overrides}
 
 
 # Frozen with an independent 50-digit evaluation of the closed forms.
@@ -192,8 +185,6 @@ def test_constants_tables_stay_as_validated():
 
 
 def test_load_constants_rejects_unknown_and_missing_keys(tmp_path):
-    import json
-
     path = tmp_path / "c.json"
     cfg = good_config()
     cfg["surprise"] = 1
@@ -207,8 +198,6 @@ def test_load_constants_rejects_unknown_and_missing_keys(tmp_path):
 
 
 def test_load_constants_roundtrip(tmp_path):
-    import json
-
     path = tmp_path / "c.json"
     path.write_text(json.dumps(good_config()))
     c = load_constants(path)

@@ -2,8 +2,6 @@ import dataclasses
 import gc
 import hashlib
 import itertools
-import json
-import pathlib
 import tracemalloc
 import weakref
 
@@ -19,8 +17,7 @@ from dsbb84.bounds import Observables, expected_observables
 from dsbb84.channel import (
     BlockSource,
     BlockStreams,
-    ChannelModel,
-    load_channel,
+    StreamKey,
     click_law,
     generator,
     sample_block,
@@ -28,7 +25,6 @@ from dsbb84.channel import (
 from dsbb84.ecc import LdpcCode
 from dsbb84.gf2 import BitString
 from dsbb84.hashing import ModifiedToeplitz, toeplitz_for_seed
-from dsbb84.params import ProtocolConstants, load_constants
 from dsbb84.protocol import (
     ABORT_LENGTH,
     ABORT_REASONS,
@@ -54,43 +50,32 @@ from dsbb84.wire import (
     encode_message,
 )
 import reference
-
-SMALL = ProtocolConstants(
-    n_block=5,
-    m=20000,
-    p_intensity={"S": 0.4, "D": 0.5, "V": 0.1},
-    mu={"S": 0.8, "D": 0.3, "V": 0.0},
-    p_basis_alice=0.7,
-    p_basis_bob=0.7,
-    n_verify=16,
-    e_bit_assumed=0.01,
-    eps_secrecy=0.05,
-)
-CLEAN = ChannelModel(eta_ch=1.0, e_mis=0.002, p_dark=1e-6, eta_det=0.9)
-# Five times the misalignment the SMALL code is provisioned for.
-NOISY = ChannelModel(eta_ch=1.0, e_mis=0.01, p_dark=1e-6, eta_det=0.9)
-
-LOSSY = ProtocolConstants(
-    n_block=2,
-    m=5000,
-    p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
-    mu={"S": 0.5, "D": 0.1, "V": 0.001},
-    p_basis_alice=0.8,
-    p_basis_bob=0.8,
-    n_verify=32,
-    e_bit_assumed=0.03,
-    eps_secrecy=1e-6,
-)
-FIBER = ChannelModel(
-    loss_db_per_km=0.2, distance_km=100.0, e_mis=0.01, p_dark=1e-6, eta_det=0.2
+from scenarios import (
+    CLEAN,
+    DEMO,
+    DEMO_CHANNEL,
+    DEMO_X4,
+    FIBER,
+    LOSSY,
+    LOSSY_LONG,
+    NOISY,
+    SMALL,
+    WORKLOADS,
+    workload_law,
 )
 
 
-def build_machines(constants, channel, seed):
-    blocks = BlockSource(constants, channel, seed)
+def build_machines(constants, channel, seed, blocks=None):
+    """Alice's and Bob's machines of one session, sharing its public
+    objects, on the block source ``blocks`` (the session's own if None)."""
+    if blocks is None:
+        blocks = BlockSource(constants, channel, seed)
     expected = expected_observables(constants, channel)
     public = PublicObjects()
-    alice = AliceMachine(constants, blocks, public, expected, generator(seed, 3))
+    alice = AliceMachine(
+        constants, blocks, public, expected,
+        generator(seed, StreamKey.POST_PROCESSING),
+    )
     bob = BobMachine(constants, blocks, public, expected)
     return alice, bob
 
@@ -150,20 +135,6 @@ def test_seeded_session_is_byte_identical_to_golden_digest():
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SESSION_DIGEST
 
 
-# The lossy-long shape (c04, 1e6 rounds over 100 km): every session aborts
-# at the length judgement after a full block exchange.
-LOSSY_LONG = ProtocolConstants(
-    n_block=10,
-    m=100_000,
-    p_intensity={"S": 0.7, "D": 0.2, "V": 0.1},
-    mu={"S": 0.5, "D": 0.1, "V": 0.001},
-    p_basis_alice=0.8,
-    p_basis_bob=0.8,
-    n_verify=32,
-    e_bit_assumed=0.03,
-    eps_secrecy=1e-6,
-)
-
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
 # taken when each party came to finish on the message that decides its
 # outcome, with per-block counter-range streams and wire version 7.
@@ -180,32 +151,18 @@ def test_seeded_abort_is_byte_identical_to_golden_digest():
     assert hashlib.sha256(out.transcript).hexdigest() == GOLDEN_ABORT_DIGEST
 
 
-# The demo config at four times the block size (2e7 rounds, about 246k
-# sifted bits): the FFT hashing and LDPC path at scale.
-DEMO_X4 = ProtocolConstants(
-    n_block=50,
-    m=400_000,
-    p_intensity={"S": 0.4, "D": 0.5, "V": 0.1},
-    mu={"S": 0.6, "D": 0.2, "V": 0.0},
-    p_basis_alice=0.7,
-    p_basis_bob=0.7,
-    n_verify=64,
-    e_bit_assumed=0.015,
-    eps_secrecy=1e-9,
-)
-DEMO = ChannelModel(eta_ch=0.5, e_mis=0.005, p_dark=1e-6, eta_det=0.3)
-
 # SHA-256 over transcript || Alice key || Bob key of
-# run_protocol(DEMO_X4, DEMO, seed=7), taken when each party came to finish
-# on the message that decides its outcome, with per-block counter-range
-# streams and wire version 7.
+# run_protocol(DEMO_X4, DEMO_CHANNEL, seed=7) (2e7 rounds, about 246k
+# sifted bits: the FFT hashing and LDPC path at scale), taken when each
+# party came to finish on the message that decides its outcome, with
+# per-block counter-range streams and wire version 7.
 GOLDEN_DEMO_DIGEST = (
     "fd52f63a3e49f6de771075ad8e4a932981ef51e5e2ec3cef60913b187077e069"
 )
 
 
 def test_demo_scale_session_is_byte_identical_to_golden_digest():
-    out = run_protocol(DEMO_X4, DEMO, seed=7)
+    out = run_protocol(DEMO_X4, DEMO_CHANNEL, seed=7)
     assert (out.alice.n_sift, out.alice.n_fin) == (244553, 74531)
     blob = out.transcript + out.alice.key.to_bytes() + out.bob.key.to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEMO_DIGEST
@@ -277,16 +234,16 @@ def test_key_material_is_pinned_on_every_end_path():
     assert key_material_digest(outcomes) == GOLDEN_KEY_MATERIAL_DIGEST
 
 
-WORKLOADS = json.loads(
-    (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json")
-    .read_text(encoding="utf-8")
-)
-
-
-def workload_law(name):
-    """(constants, channel) of a benchmark workload."""
-    return (load_constants(WORKLOADS[name]["constants"]),
-            load_channel(WORKLOADS[name]["channel"]))
+def test_benchmark_workloads_are_the_shipped_configs():
+    """The benchmark's workload table restates the shipped configs: the
+    small one, the small one at five times its misalignment, the fiber
+    one, and the demo one at four times its block size. So its workloads
+    are the scenarios the suite names, and cannot drift from them."""
+    assert sorted(WORKLOADS) == ["clean-short", "demo-x4", "lossy-long", "noisy-short"]
+    assert workload_law("clean-short") == (SMALL, CLEAN)
+    assert workload_law("noisy-short") == (SMALL, dataclasses.replace(CLEAN, e_mis=0.01))
+    assert workload_law("lossy-long") == (LOSSY_LONG, FIBER)
+    assert workload_law("demo-x4") == (DEMO_X4, DEMO_CHANNEL)
 
 
 # The 181 reference sessions: the benchmark's laws at these seeds.
@@ -644,17 +601,7 @@ def test_zero_assumed_error_rate_skips_correction():
     # A zero assumed rate discloses nothing, so Bob's key keeps its real
     # errors and verification is what catches them. The run must still
     # traverse the whole message flow, including the empty syndrome.
-    constants = ProtocolConstants(
-        n_block=5,
-        m=20000,
-        p_intensity={"S": 0.4, "D": 0.5, "V": 0.1},
-        mu={"S": 0.8, "D": 0.3, "V": 0.0},
-        p_basis_alice=0.7,
-        p_basis_bob=0.7,
-        n_verify=16,
-        e_bit_assumed=0.0,
-        eps_secrecy=0.05,
-    )
+    constants = dataclasses.replace(SMALL, e_bit_assumed=0.0)
     out = run_protocol(constants, CLEAN, seed=11)
     assert out.security.n_ec == 0
     assert not out.security.abort
@@ -799,10 +746,7 @@ def test_both_tallies_of_a_block_are_the_plain_count(block):
     plain count of matched-Z rounds per intensity and of matched-X rounds
     whose bits differ at D and at V; each side keeps its own bits of the
     matched-Z rounds."""
-    expected = expected_observables(SMALL, CLEAN)
-    public = PublicObjects()
-    alice = AliceMachine(SMALL, lambda j: block, public, expected, generator(0, 3))
-    bob = BobMachine(SMALL, lambda j: block, public, expected)
+    alice, bob = build_machines(SMALL, CLEAN, 0, lambda j: block)
     alice.handle(decode_message(encode_message(bob.outbox.pop(0)))[0])
     bob.handle(decode_message(encode_message(alice.outbox.pop(0)))[0])
     z = (block.alpha == 0) & (block.beta == 0)
@@ -927,10 +871,7 @@ class RecordingSource(BlockSource):
 
 def test_block_drawn_alone_equals_block_in_session():
     blocks = RecordingSource(SMALL, CLEAN, 42)
-    expected = expected_observables(SMALL, CLEAN)
-    public = PublicObjects()
-    alice = AliceMachine(SMALL, blocks, public, expected, generator(42, 3))
-    bob = BobMachine(SMALL, blocks, public, expected)
+    alice, bob = build_machines(SMALL, CLEAN, 42, blocks)
     pump(alice, bob)
     assert alice.result.key == run_protocol(SMALL, CLEAN, seed=42).alice.key
     assert sorted(blocks.seen) == list(range(SMALL.n_block))
@@ -1044,10 +985,8 @@ class FlippedSource(BlockSource):
 def session_frames(constants, channel, seed, blocks):
     """Alice's machine after a session run on the block source ``blocks``,
     and the (message, bytes) of each transcript frame."""
-    expected = expected_observables(constants, channel)
-    public = PublicObjects()
-    alice = AliceMachine(constants, blocks, public, expected, generator(seed, 3))
-    transport = InProcessTransport(alice, BobMachine(constants, blocks, public, expected))
+    alice, bob = build_machines(constants, channel, seed, blocks)
+    transport = InProcessTransport(alice, bob)
     transport.run()
     frames, offset = [], 0
     while offset < len(transport.transcript):
@@ -1274,13 +1213,12 @@ def test_demo_session_peak_is_under_65_bytes_per_sifted_bit():
     # held once, one edge buffer, and the block parts of the sifted key
     # dropped once it is built. A session runs first so that one-time
     # allocations do not count.
-    constants = dataclasses.replace(DEMO_X4, m=100_000)
-    expected = expected_observables(constants, DEMO)
-    run_protocol(constants, DEMO, seed=6, expected=expected)
+    expected = expected_observables(DEMO, DEMO_CHANNEL)
+    run_protocol(DEMO, DEMO_CHANNEL, seed=6, expected=expected)
     for seed in (7, 8, 9):
         tracemalloc.start()
         try:
-            out = run_protocol(constants, DEMO, seed=seed, expected=expected)
+            out = run_protocol(DEMO, DEMO_CHANNEL, seed=seed, expected=expected)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
