@@ -382,6 +382,8 @@ class BobMachine(_Party):
         self._expect = VerifyHash
 
     def _handle_verify(self, msg: VerifyHash) -> None:
+        if len(msg.digest) != self.constants.n_verify:
+            raise ProtocolError("verification digest length disagrees with n_verify")
         own = self._hash(VERIFY_LABEL, msg.seed, self._corrected, self.constants.n_verify)
         ok = own == msg.digest
         self.outbox.append(VerifyResult(ok))

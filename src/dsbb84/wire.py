@@ -1,8 +1,10 @@
 """Classical-channel message formats.
 
-Every message travels as one frame: its byte count, one version byte
-(``WIRE_VERSION``), one tag byte, then the payload; the count covers the
-version, the tag and the payload. A frame of any other version is refused.
+Every message travels as one frame: its byte count, one header byte, then
+the payload; the count covers the header byte and the payload. The header
+byte is ``WIRE_VERSION << 3 | tag``: the version in its high five bits and
+the message type's tag, 1 to 7, in its low three. A frame of any other
+version, or of a tag no message type carries, is refused.
 
 There is one encoding of an integer and one of a bit string. Every integer,
 the frame's byte count included, is an unsigned minimal LEB128 varint:
@@ -10,14 +12,15 @@ seven bits a byte, low group first, the high bit set on every byte but the
 last. It is below 2**32 in a frame count or a block header, which keeps the
 block decoders' int64 offset arithmetic exact, and below 2**64 in a scalar
 message, whose seeds are u64; one that does not fit raises ``WireError`` on
-encode, never wraps. Every bit string is a column packed LSB-first and
-padded with zero bits to a whole byte, and carries no length of its own: a
-varint, the columns before it or the frame's end imply it.
+encode, never wraps. A payload is its varints, then one packed column: the
+bit strings of the message back to back, LSB-first, zero-padded once to a
+whole byte at the frame's end. No bit string carries a length of its own: a
+varint or the bit strings before it imply it.
 
 The five scalar messages (``SiftAnnounce`` to ``PaSeed``) state their
 fields once, as dataclass fields annotated ``int``, ``bool`` or
 ``BitString``, and share one codec: one varint per field in declaration
-order (a flag's is 0 or 1, a bit string's its bit count), then the columns
+order (a flag's is 0 or 1, a bit string's its bit count), then the column
 of the bit strings in the same order.
 
 The two block messages announce only what the other side lacks, in
@@ -32,11 +35,14 @@ otherwise, in integers, so every platform lays out the same frame.
 A block message holds each column as a read-only numpy array of its own,
 and its constructor is the one check of its shape: values in range,
 offsets ascending inside the block, column lengths that agree. It refuses
-a malformed message with ``WireError``. So encode only packs, and decode
-checks only what bytes alone can get wrong (truncation, padding, varints
-that are over-long, not minimal or out of range, unary parts that do not
-end the frame at their k-th set bit, positions out of range) before it
-builds the message through that constructor.
+a malformed message with ``WireError``. So encode only packs, into one
+column buffer that the subset writer fills the tail of, and decode reads
+each bit string at the offset that the lengths before it give and checks
+only what bytes alone can get wrong (truncation, varints that are
+over-long, not minimal or out of range, unary parts that do not end the
+frame at their k-th set bit, positions out of range, and at the end, set
+padding bits and trailing bytes) before it builds the message through
+that constructor.
 
 Every encoding is canonical: a decoder refuses any form the encoder would
 not have produced, so a frame that decodes re-encodes to its own bytes.
@@ -46,7 +52,6 @@ no MAC. The transcript of a session is the concatenation of its frames;
 no frame closes it, since each party finishes on the message that decides
 its outcome.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -59,7 +64,7 @@ import numpy as np
 
 from .gf2 import BitString
 
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 
 
 class WireError(ValueError):
@@ -127,23 +132,42 @@ def _packed(bits: np.ndarray) -> bytes:
     return np.packbits(bits, bitorder="little").tobytes()
 
 
+def _unpacked(payload: bytes, at: int) -> np.ndarray:
+    """The column of ``payload`` from byte ``at`` on, unpacked to 0/1
+    bytes in one call, padding included."""
+    return np.unpackbits(np.frombuffer(payload, np.uint8, offset=at), bitorder="little")
+
+
+def _bits(raw: np.ndarray, start: int, n: int) -> np.ndarray:
+    """The ``n`` bits of the unpacked column ``raw`` from bit ``start``, as
+    a view; a bit string that runs past the frame is refused."""
+    if start + n > len(raw):
+        raise WireError("truncated bit-string body")
+    return raw[start : start + n]
+
+
 def encode_frame(tag: int, payload: bytes) -> bytes:
-    return _uvarints(len(payload) + 2) + bytes((WIRE_VERSION, tag)) + payload
+    if tag not in MESSAGE_TYPES:
+        raise WireError(f"unknown tag {tag}")
+    return _uvarints(len(payload) + 1) + bytes((WIRE_VERSION << 3 | tag,)) + payload
 
 
 def decode_frame(buf: bytes, offset: int = 0) -> tuple:
     """Return (tag, payload, next offset) for the frame at ``offset``."""
     length, at = _read_uvarints(buf, 1, offset)
-    if at + 2 > len(buf):
+    if at == len(buf):
         raise WireError("truncated frame header")
-    if buf[at] != WIRE_VERSION:
-        raise WireError(f"wire version {buf[at]}, expected {WIRE_VERSION}")
-    if length < 2:
-        raise WireError("frame length must cover the version and tag bytes")
+    version, tag = buf[at] >> 3, buf[at] & 7
+    if version != WIRE_VERSION:
+        raise WireError(f"wire version {version}, expected {WIRE_VERSION}")
+    if tag not in MESSAGE_TYPES:
+        raise WireError(f"unknown tag {tag}")
+    if length < 1:
+        raise WireError("frame length must cover the header byte")
     end = at + length
     if end > len(buf):
         raise WireError("truncated frame payload")
-    return buf[at + 1], buf[at + 2 : end], end
+    return tag, buf[at + 1 : end], end
 
 
 def clicked_offsets(offsets, m: int) -> np.ndarray:
@@ -209,31 +233,35 @@ def _subset_layout(n: int, k: int) -> tuple:
     return low_bits, _PLANE_SHIFTS[low_bits]
 
 
-def _subset_bits(positions: np.ndarray, n: int) -> np.ndarray:
-    """The subset form of strictly ascending ``positions`` below ``n`` as a
-    0/1 column: L low-bit planes of the gaps, then the unary part."""
+def _subset_column(head: int, positions: np.ndarray, n: int) -> np.ndarray:
+    """A 0/1 column of ``head`` zero bits, for the caller to fill, then the
+    subset form of strictly ascending ``positions`` below ``n``: L low-bit
+    planes of the gaps, then the unary part."""
     k = len(positions)
+    if not k:
+        return np.zeros(head, np.uint8)
     low_bits, shifts = _subset_layout(n, k)
     gaps = positions.copy()
     gaps[1:] -= positions[:-1] + 1
     # The one of element i follows the zeros of gaps 0, ..., i and i ones.
-    ones = np.cumsum((gaps >> low_bits) + 1) + (low_bits * k - 1)
-    column = np.zeros(ones[-1] + 1 if k else 0, np.uint8)
+    ones = np.cumsum((gaps >> low_bits) + 1) + (head + low_bits * k - 1)
+    column = np.zeros(ones[-1] + 1, np.uint8)
     low = (gaps & ((1 << low_bits) - 1)).astype(shifts.dtype)
-    column[: low_bits * k] = ((low >> shifts) & 1).ravel()
+    column[head : head + low_bits * k] = ((low >> shifts) & 1).ravel()
     column[ones] = 1
     return column
 
 
 def _read_subset(raw: np.ndarray, start: int, n: int, k: int) -> np.ndarray:
     """The k positions out of n of the subset form at bit ``start`` of the
-    unpacked payload ``raw``, whose last k set bits must be the unary part,
-    ending in its last byte, with every position below n (so k <= n)."""
+    unpacked column ``raw``, whose last k set bits must be the unary part,
+    ending in its last byte, with every position below n (so k <= n). So
+    this one check refuses a set padding bit or a trailing byte."""
     low_bits, shifts = _subset_layout(n, k)
     unary_at = start + low_bits * k
     ones = raw[unary_at:].view(bool).nonzero()[0]
     if len(ones) != k:
-        raise WireError("unary part must hold one set bit per element")
+        raise WireError("unary part must hold one set bit per element, and the padding none")
     if (unary_at + (int(ones[-1]) + 1 if k else 0) + 7) // 8 != len(raw) // 8:
         raise WireError("trailing or missing bytes after the last column")
     if not k:
@@ -259,9 +287,9 @@ class BobBlockDisclosure(_Block):
     The constructor takes any 1-d integer columns and refuses with
     ``WireError`` a message that breaks one of these rules.
 
-    Layout: j, m and the clicked count k as varints, then ``basis`` (k
-    bits), ``x_outcomes`` (one bit per 1 in ``basis``) and the clicked set
-    in the subset form with n = m.
+    Layout: j, m and the clicked count k as varints, then one column of
+    ``basis`` (k bits), ``x_outcomes`` (one bit per 1 in ``basis``) and the
+    clicked set in the subset form with n = m.
     """
 
     TAG: ClassVar[int] = 1
@@ -282,25 +310,23 @@ class BobBlockDisclosure(_Block):
         self._own(offsets=offsets, basis=basis, x_outcomes=x_outcomes)
 
     def encode(self) -> bytes:
-        return b"".join((
-            _uvarints(self.j, self.m, len(self.offsets)),
-            _packed(self.basis),
-            _packed(self.x_outcomes),
-            _packed(_subset_bits(self.offsets, self.m)),
-        ))
+        k, n_x = len(self.offsets), len(self.x_outcomes)
+        column = _subset_column(k + n_x, self.offsets, self.m)
+        column[:k] = self.basis
+        column[k : k + n_x] = self.x_outcomes
+        return _uvarints(self.j, self.m, k) + _packed(column)
 
     @classmethod
     def decode(cls, payload: bytes) -> "BobBlockDisclosure":
-        j, m, k, basis_at = _read_uvarints(payload, 3)
-        x_at = _column_end(payload, basis_at, k)
-        # One unpack for the whole payload; each column is a view of it.
-        raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
+        j, m, k, at = _read_uvarints(payload, 3)
+        # One unpack for the whole column; each bit string is a view of it.
+        raw = _unpacked(payload, at)
         # 0/1 bytes viewed as bool: nonzero search is faster on bool, and
         # the constructor copies a bool column without a range check.
-        basis = raw[8 * basis_at : 8 * basis_at + k].view(bool)
+        basis = _bits(raw, 0, k).view(bool)
         n_x = np.count_nonzero(basis)
-        offsets = _read_subset(raw, 8 * _column_end(payload, x_at, n_x), m, k)
-        return cls(j, m, offsets, basis, raw[8 * x_at : 8 * x_at + n_x].view(bool))
+        x_outcomes = _bits(raw, k, n_x).view(bool)
+        return cls(j, m, _read_subset(raw, k + n_x, m, k), basis, x_outcomes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,10 +344,10 @@ class AliceBlockDisclosure(_Block):
     an ``omega`` whose length is not the number of matched rounds.
 
     Layout: j, the record count, the number of value bits and the number
-    of V records as varints, then ``matched``, ``value`` and the intensity
-    column over the matched rounds: one bit per matched round, set for D
-    or V, then which of the set records are V in the subset form, with n
-    the number of set records.
+    of V records as varints, then one column of ``matched``, ``value`` and
+    the intensities of the matched rounds: one bit per matched round, set
+    for D or V, then which of the set records are V in the subset form,
+    with n the number of set records.
     """
 
     TAG: ClassVar[int] = 2
@@ -338,33 +364,28 @@ class AliceBlockDisclosure(_Block):
         self._own(matched=matched, omega=omega, value=_column("value", self.value, 1))
 
     def encode(self) -> bytes:
-        column = d_or_v = self.omega > 0
+        count, n_values = len(self.matched), len(self.value)
+        d_or_v = self.omega > 0
         v = (self.omega.compress(d_or_v) > 1).nonzero()[0]
-        if len(v):  # Most replies have no V record; their column is d_or_v alone.
-            column = np.concatenate((d_or_v, _subset_bits(v, int(np.count_nonzero(d_or_v)))))
-        return b"".join((
-            _uvarints(self.j, len(self.matched), len(self.value), len(v)),
-            _packed(self.matched),
-            _packed(self.value),
-            _packed(column),
-        ))
+        head = count + n_values
+        column = _subset_column(head + len(d_or_v), v, int(np.count_nonzero(d_or_v)))
+        column[:count] = self.matched
+        column[count:head] = self.value
+        column[head : head + len(d_or_v)] = d_or_v
+        return _uvarints(self.j, count, n_values, len(v)) + _packed(column)
 
     @classmethod
     def decode(cls, payload: bytes) -> "AliceBlockDisclosure":
-        j, count, n_values, n_v, matched_at = _read_uvarints(payload, 4)
-        value_at = _column_end(payload, matched_at, count)
-        omega_at = _column_end(payload, value_at, n_values)
-        raw = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")
-        matched = raw[8 * matched_at : 8 * matched_at + count].view(bool)
-        n_matched = np.count_nonzero(matched)
-        # A column that runs past the frame is cut short here; the subset
-        # read below then finds the frame too short.
-        omega = raw[8 * omega_at : 8 * omega_at + n_matched]
+        j, count, n_values, n_v, at = _read_uvarints(payload, 4)
+        raw = _unpacked(payload, at)
+        matched = _bits(raw, 0, count).view(bool)
+        value = _bits(raw, count, n_values).view(bool)
+        omega = _bits(raw, count + n_values, np.count_nonzero(matched))
         d_or_v = omega.view(bool).nonzero()[0] if n_v else np.zeros(0, np.int64)
-        v = _read_subset(raw, 8 * omega_at + n_matched, len(d_or_v), n_v)
+        v = _read_subset(raw, count + n_values + len(omega), len(d_or_v), n_v)
         # Each V record's D-or-V bit becomes 2, in place: raw is ours.
         omega[d_or_v[v]] = 2
-        return cls(j, matched, omega, raw[8 * value_at : 8 * value_at + n_values].view(bool))
+        return cls(j, matched, omega, value)
 
 
 class _Scalar:
@@ -372,10 +393,10 @@ class _Scalar:
     by its annotation (``int``, ``bool`` or ``BitString``).
 
     The payload is one u64 varint per field in declaration order, a flag's
-    0 or 1 and a bit string's its bit count, then the packed column of each
-    bit string in the same order. Decode converts each value to its
-    field's type, so a payload that does not re-encode to itself, such as
-    one with trailing bytes or a flag of 2, is refused.
+    0 or 1 and a bit string's its bit count, then the bit strings back to
+    back in the same order as one packed column. Decode converts each
+    value to its field's type, so a payload that does not re-encode to
+    itself, such as one with trailing bytes or a flag of 2, is refused.
     """
 
     TAG: ClassVar[int]
@@ -392,21 +413,23 @@ class _Scalar:
         for name, kind in self._fields():
             value = getattr(self, name)
             if kind is BitString:
-                columns.append(_packed(value.to_array()))
+                columns.append(value.to_array())
                 value = len(value)
             header.append(value)
-        return _uvarints(*header, width=64) + b"".join(columns)
+        varints = _uvarints(*header, width=64)
+        return varints + _packed(np.concatenate(columns)) if columns else varints
 
     @classmethod
     def decode(cls, payload: bytes) -> "_Scalar":
         fields = cls._fields()
         *header, at = _read_uvarints(payload, len(fields), width=64)
+        lengths = [value for (_, kind), value in zip(fields, header) if kind is BitString]
+        if lengths:
+            raw = _unpacked(payload[: _column_end(payload, at, sum(lengths))], at)
         values = {}
         for (name, kind), value in zip(fields, header):
             if kind is BitString:
-                end = _column_end(payload, at, value)
-                values[name] = BitString.from_bytes(payload[at:end], value)
-                at = end
+                values[name], raw = BitString.from_array(raw[:value]), raw[value:]
             else:
                 values[name] = kind(value)
         msg = cls(**values)
@@ -470,8 +493,4 @@ def encode_message(msg) -> bytes:
 def decode_message(buf: bytes, offset: int = 0) -> tuple:
     """Decode one frame into a typed message; returns (message, offset)."""
     tag, payload, offset = decode_frame(buf, offset)
-    try:
-        cls = MESSAGE_TYPES[tag]
-    except KeyError:
-        raise WireError(f"unknown tag {tag}") from None
-    return cls.decode(payload), offset
+    return MESSAGE_TYPES[tag].decode(payload), offset

@@ -182,7 +182,7 @@ def test_readme_library_examples_run(monkeypatch, capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     session, engine = capsys.readouterr().out.splitlines()
-    assert session == "661 key bits, 15680 transcript bytes"
+    assert session == "661 key bits, 15657 transcript bytes"
     shown = blocks[1].rstrip().rsplit("# ", 1)[1].rstrip(".")
     assert shown.startswith("622 False")
     assert engine.startswith(shown)
@@ -190,9 +190,9 @@ def test_readme_library_examples_run(monkeypatch, capsys):
 
 # SHA-256 over the --json reports of the shipped small and fiber configs,
 # in the order below, taken while the constants' tables were plain dicts and
-# re-taken at wire version 7, which moved only the two simulate reports'
-# AliceBlockDisclosure and transcript byte counts.
-PINNED_REPORTS = "64199f2c03d19f695464b3ac02c17909298660f070718e335d5a89fc5f0742fc"
+# re-taken at wire version 8, which moved only the two simulate reports'
+# per-message-type and transcript byte counts.
+PINNED_REPORTS = "55887d890ecf38fbb4a100b143319d3ec4b5ff3c512f4140d2be156fe06cedfb"
 
 
 def test_reports_are_pinned(config_files, tmp_path, capsys):
@@ -550,15 +550,15 @@ def test_simulate_report_counts_frames_and_bytes_per_message_type(tmp_path):
         "Syndrome": 1, "VerifyHash": 1, "VerifyResult": 1, "PaSeed": 1,
     }
     assert sum(counts["bytes"] for counts in messages.values()) == report["transcript_bytes"]
-    # A frame is its byte count (a varint), a version and a tag byte, then
-    # the payload: one varint per field, a bit string's being its bit
-    # count, then the bit strings packed. Alice draws the code, verify and
-    # PA seeds in that order from the session's post-processing stream.
+    # A frame is its byte count (a varint), one header byte, then the
+    # payload: one varint per field, a bit string's being its bit count,
+    # then the bit strings packed. Alice draws the code, verify and PA
+    # seeds in that order from the session's post-processing stream.
     def varint(value):
         return max(1, -(-value.bit_length() // 7))
 
     def frame(payload):
-        return varint(payload + 2) + 2 + payload
+        return varint(payload + 1) + 1 + payload
 
     rng = generator(42, StreamKey.POST_PROCESSING)
     code_seed, verify_seed, pa_seed = (

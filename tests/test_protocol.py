@@ -115,10 +115,10 @@ def test_successful_run_produces_matching_keys():
 # run_protocol(SMALL, CLEAN, seed=42), taken when each party came to finish
 # on the message that decides its outcome, with no closing frame, and each
 # block drawn from its counter range on the session's per-role streams;
-# re-taken for wire version 7 (Alice's reply names the matched rounds and
-# gives intensities for those rounds only).
+# re-taken for wire version 8 (one header byte, then the payload's bit
+# strings as one column, padded once at the frame's end).
 GOLDEN_SESSION_DIGEST = (
-    "dd7b11963b9cefc3f9934f5a16d8ee9cc0649d6397388c9885cf718956b90943"
+    "af4b90f3af12f335737a69ad91146031fedcbcb31951ff65f94efe77f600ba7f"
 )
 
 
@@ -137,9 +137,9 @@ def test_seeded_session_is_byte_identical_to_golden_digest():
 
 # SHA-256 over the transcript of run_protocol(LOSSY_LONG, FIBER, seed=9),
 # taken when each party came to finish on the message that decides its
-# outcome, with per-block counter-range streams and wire version 7.
+# outcome, with per-block counter-range streams and wire version 8.
 GOLDEN_ABORT_DIGEST = (
-    "b793edcfde96878c88fd4e7e3acb0d424aacbc523e0dac791c72fe22c57279d9"
+    "da077fdd17434d305a67e7e25815e54e24068c52d7d8ef279bb8c1ea97d79194"
 )
 
 
@@ -155,9 +155,9 @@ def test_seeded_abort_is_byte_identical_to_golden_digest():
 # run_protocol(DEMO_X4, DEMO_CHANNEL, seed=7) (2e7 rounds, about 246k
 # sifted bits: the FFT hashing and LDPC path at scale), taken when each
 # party came to finish on the message that decides its outcome, with
-# per-block counter-range streams and wire version 7.
+# per-block counter-range streams and wire version 8.
 GOLDEN_DEMO_DIGEST = (
-    "fd52f63a3e49f6de771075ad8e4a932981ef51e5e2ec3cef60913b187077e069"
+    "7ff870b28b1180a2cb050e911508b9cdc4b47e0be73fac9c4f26082b81a9b3ab"
 )
 
 
@@ -256,9 +256,9 @@ CHAIN_SESSIONS = (
 
 # SHA-256 over sha256(transcript).hexdigest() + key_material_digest([out])
 # of each reference session in CHAIN_SESSIONS order, fed as one ASCII
-# stream, with wire version 7; 149 of the 181 sessions key.
+# stream, with wire version 8; 149 of the 181 sessions key.
 GOLDEN_CHAIN_DIGEST = (
-    "f6ce76e3de14b5f3cca212b261361e5ffc10b15aa61dd2e48283af509f8228f9"
+    "3f110f7a42982da94891d76a1dffa41a4af59e8b86600ac7ff0a2c1b7f083a5d"
 )
 CHAIN_KEYED = 149
 
@@ -266,7 +266,8 @@ CHAIN_KEYED = 149
 # sessions' transcripts, in CHAIN_SESSIONS order. It reads no byte of the
 # wire layout, so a change of wire format that keeps every decoded message
 # leaves it as it is; re-taken at wire version 7, whose reply holds a match
-# bit in place of Alice's basis and no intensity of a mismatched round.
+# bit in place of Alice's basis and no intensity of a mismatched round;
+# wire version 8, a change of layout alone, left it as it was.
 GOLDEN_MESSAGE_DIGEST = (
     "e3f3a9b1291b51a7877fb4c9ba084cc8a06eda0711f3c59431496ef39e8cf66d"
 )
@@ -569,6 +570,20 @@ def test_bob_rejects_wrong_final_length():
 
     with pytest.raises(ProtocolError, match="final length"):
         pump(alice, bob, tamper)
+
+
+def test_bob_rejects_wrong_verification_digest_length():
+    # A digest of another length than n_verify is a protocol fault, not a
+    # mismatch: Bob refuses it before hashing and answers nothing.
+    alice, bob = build_machines(SMALL, CLEAN, seed=42)
+
+    def tamper(msg):
+        if isinstance(msg, VerifyHash):
+            return VerifyHash(msg.seed, msg.digest[:3])
+
+    with pytest.raises(ProtocolError, match="digest length disagrees with n_verify"):
+        pump(alice, bob, tamper)
+    assert not bob.done and not bob.outbox
 
 
 def test_corrupted_syndrome_fails_verification():

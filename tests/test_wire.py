@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,38 +88,45 @@ def roundtrip(msg):
 
 
 def test_frame_layout():
-    # Varint byte count (covering version, tag and payload), version, tag.
-    assert WIRE_VERSION == 7
+    # Varint byte count (covering the header byte and the payload), then
+    # one header byte: the version in the high five bits, the tag in the
+    # low three.
+    assert WIRE_VERSION == 8
     raw = encode_frame(7, b"abc")
-    assert raw == b"\x05\x07\x07abc"
+    assert raw == b"\x04\x47abc"
     tag, payload, end = decode_frame(raw)
     assert (tag, payload, end) == (7, b"abc", len(raw))
     # A count of 128 or more takes a second byte.
-    raw = encode_frame(7, bytes(126))
-    assert raw[:4] == b"\x80\x01\x07\x07" and decode_frame(raw)[1:] == (bytes(126), 130)
+    raw = encode_frame(7, bytes(127))
+    assert raw[:3] == b"\x80\x01\x47" and decode_frame(raw)[1:] == (bytes(127), 130)
 
 
 def test_frame_errors():
     with pytest.raises(WireError, match="truncated varint"):
         decode_frame(b"\x81")
     with pytest.raises(WireError, match="truncated frame header"):
-        decode_frame(b"\x02\x05")
+        decode_frame(b"\x02")
     with pytest.raises(WireError, match="cover"):
-        decode_frame(b"\x01\x07\x05")
+        decode_frame(b"\x00\x47")
     with pytest.raises(WireError, match="truncated"):
-        decode_frame(b"\x09\x07\x05abc")
-    with pytest.raises(WireError):
-        decode_message(encode_frame(200, b""))
-    # Any other version is refused, today's predecessor (Alice's basis and
-    # intensity on every named round) included.
-    for version in (0, 1, 2, 3, 4, 5, 6, 8, 255):
-        with pytest.raises(WireError, match="version"):
-            decode_frame(b"\x05" + bytes([version]) + b"\x07abc")
-    # A frame of version 4 reads as a count of 5 and a version byte of 0.
+        decode_frame(b"\x09\x47abc")
+    # A tag is 1 to 7, each a message type's.
+    for tag in (0, 8, 200):
+        with pytest.raises(WireError, match=f"unknown tag {tag}"):
+            encode_frame(tag, b"")
+    with pytest.raises(WireError, match="unknown tag 0"):
+        decode_frame(b"\x01\x40")
+    # Any other version is refused.
+    for version in (0, 1, 2, 3, 4, 5, 6, 7, 9, 31):
+        with pytest.raises(WireError, match=f"version {version},"):
+            decode_frame(b"\x04" + bytes([version << 3 | 7]) + b"abc")
+    # A frame of version 7 (a version byte, then a tag byte) reads as a
+    # header byte of version 0.
+    with pytest.raises(WireError, match="version 0"):
+        decode_frame(b"\x05\x07\x07abc")
+    # A frame of version 4 reads as a count of 5 and a header byte of 0.
     with pytest.raises(WireError, match="version 0"):
         decode_frame(b"\x05\x00\x00\x00\x04\x07abc")
-    with pytest.raises(WireError):
-        decode_message(b"\x01\x05\x08")
 
 
 @given(st.binary(max_size=30), st.integers(min_value=0, max_value=7))
@@ -155,7 +165,7 @@ def test_bob_disclosure_validates_x_count():
     with pytest.raises(WireError):
         bob(0, 3, [0, 2], [1], [1]).encode()
     # Decoding takes the X outcome count from the basis bits, so an extra
-    # byte of outcomes is trailing and a missing one is truncation.
+    # byte is trailing and a missing one is truncation.
     raw = bob(0, 3, [0, 2], [1, 1], [1, 0]).encode()
     with pytest.raises(WireError):
         BobBlockDisclosure.decode(raw + b"\x00")
@@ -165,20 +175,21 @@ def test_bob_disclosure_validates_x_count():
 
 def test_bob_disclosure_byte_layout():
     # Varints of the block index, round count m = 100 and click count k = 3,
-    # then Bob's basis 0, 1, 1 and X outcomes 1, 0, each column LSB-first
-    # and padded to a byte. The clicked set [5, 6, 70] has gaps 5, 0 and 63
-    # and L = floor(log2(100/3)) = 5: planes 0-4 of the gaps are 101 001 101
-    # 001 001, and the unary part of the high parts 0, 0, 1 is 1 1 01. The
-    # 19 bits pack to 0x65 0xc9 0x05.
+    # then one column, LSB-first and padded once to a byte: Bob's basis
+    # 0, 1, 1, his X outcomes 1, 0 and the clicked set [5, 6, 70], whose
+    # gaps are 5, 0 and 63 and L = floor(log2(100/3)) = 5: planes 0-4 of
+    # the gaps are 101 001 101 001 001, and the unary part of the high
+    # parts 0, 0, 1 is 1 1 01. The 24 bits pack to 0xae 0x2c 0xb9.
     msg = bob(2, 100, [5, 6, 70], [0, 1, 1], [1, 0])
-    assert msg.encode() == bytes.fromhex("02" "64" "03" "06" "01" "65c905")
+    assert msg.encode() == bytes.fromhex("02" "64" "03" "ae2cb9")
     roundtrip(msg)
     # Below m = 4k, L is 0 and the clicked set is its gaps in unary: [0, 3,
-    # 9] out of 10 has gaps 0, 2, 5, so 1 001 000001, 0x09 0x02.
+    # 9] out of 10 has gaps 0, 2, 5, so 1 001 000001. After the basis
+    # 1, 0, 1 and the outcomes 0, 1, the 15 bits are 0x35 0x41.
     msg = bob(2, 10, [0, 3, 9], [1, 0, 1], [0, 1])
-    assert msg.encode() == bytes.fromhex("02" "0a" "03" "05" "02" "0902")
+    assert msg.encode() == bytes.fromhex("02" "0a" "03" "3541")
     roundtrip(msg)
-    assert len(WIDE) == 3 + 3 + 3 + 5 + 5
+    assert len(WIDE) == 3 + (20 + 20 + 40 + 39 + 7) // 8
     # An empty set sends no clicked-set bits at all.
     assert bob(1, 10, [], [], []).encode() == bytes.fromhex("01" "0a" "00")
     # A varint holds seven bits a byte, low group first: m = 100,000 takes
@@ -197,12 +208,6 @@ def clicked_sets(draw):
     return m, sorted(draw(st.sets(st.integers(0, m - 1), max_size=60)))
 
 
-def clicked_set_bytes(msg):
-    """Bytes of the clicked set: the payload less header, basis and outcomes."""
-    columns = (len(msg.basis) + 7) // 8 + (len(msg.x_outcomes) + 7) // 8
-    return len(msg.encode()) - len(leb128(msg.j, msg.m, len(msg.offsets))) - columns
-
-
 @given(clicked_sets())
 @example((0, []))
 @example((1, []))
@@ -216,10 +221,12 @@ def test_clicked_set_roundtrips(clicked):
 
 
 def clicked_set_bits(msg):
-    """Bits of the clicked set: the frame's last column, up to its last set
-    bit."""
-    column = msg.encode()[-clicked_set_bytes(msg):] if msg.offsets.size else b""
-    return 8 * len(column) - 8 + column[-1].bit_length() if column else 0
+    """Bits of the clicked set: the frame's column up to its last set bit,
+    less the basis and X outcome bits before it."""
+    if not msg.offsets.size:
+        return 0
+    column = msg.encode()[len(leb128(msg.j, msg.m, len(msg.offsets))):]
+    return 8 * len(column) - 8 + column[-1].bit_length() - len(msg.basis) - len(msg.x_outcomes)
 
 
 # Clustered sets: every click at the start of the block, every click at its
@@ -248,7 +255,7 @@ def test_sparse_clicked_set_is_no_longer_than_a_bitmap(clicked):
     # the L low bits and the unary part of each click fit in its share.
     m, offsets = clicked
     msg = bob(0, m, offsets, [0] * len(offsets), [])
-    assert clicked_set_bytes(msg) <= (m + 7) // 8
+    assert clicked_set_bits(msg) <= m
 
 
 @given(clicked_sets())
@@ -267,54 +274,56 @@ def test_clicked_set_is_no_longer_than_elias_fano(clicked):
     assert clicked_set_bits(msg) == len(rice_bits(offsets, m)) <= elias_fano
 
 
-def bob_payload(j, m, k, *columns):
-    return leb128(j, m, k) + b"".join(columns)
+def bits(text):
+    """Bits written as a string of 0s and 1s, spaces ignored, packed."""
+    return packed([int(bit) for bit in text.replace(" ", "")])
 
 
-# m = 100 with every fifth round clicked and in X: 20 basis bits (3 bytes)
-# and 20 X outcomes (3), then the clicked set with L = 2, gaps 0 and then
-# 4: a 40-bit low part (5 bytes, all zero) and a 1 + 19 * 2 = 39-bit unary
-# part (5). Each cut ends the payload inside one column.
+def bob_payload(j, m, k, column=""):
+    return leb128(j, m, k) + bits(column)
+
+
+# m = 100 with every fifth round clicked and in X: 20 basis bits and 20 X
+# outcomes, then the clicked set with L = 2, gaps 0 and then 4: a 40-bit
+# low part (all zero) and a 1 + 19 * 2 = 39-bit unary part, 119 bits in 15
+# bytes. Each cut ends the payload inside one bit string.
 WIDE = bob(0, 100, list(range(0, 100, 5)), [1] * 20, [1, 0] * 10).encode()
 
 
-# The clicked set [1, 6, 11] out of m = 12, with basis 1, 0, 1 and X
-# outcomes 0, 1 (0x05 and 0x02): L = 2, gaps 1, 4, 4, so the planes are
-# 100 000 and the unary part of the high parts 0, 1, 1 is 1 01 01, 0x41
-# 0x05. A repeated or descending offset has no form to refuse: a gap is
-# never negative.
+# The clicked set [1, 6, 11] out of m = 12, with basis 1, 0, 0 and X
+# outcome 1: L = 2, gaps 1, 4, 4, so the planes are 100 000 and the unary
+# part of the high parts 0, 1, 1 is 1 01 01; 15 bits and one padding bit.
+# A repeated or descending offset has no form to refuse: a gap is never
+# negative.
 @pytest.mark.parametrize(
     "payload, match",
     [
         # The unary part one 1 short (1 01 0) and one 1 too many (1 01 1 1).
-        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x41\x01"), "unary part"),
-        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x41\x07"), "unary part"),
+        (bob_payload(0, 12, 3, "100 1 100000 1010"), "unary part"),
+        (bob_payload(0, 12, 3, "100 1 100000 10111"), "unary part"),
         # A zero byte after the last 1, beyond its padding.
-        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x41\x05\x00"), "trailing"),
+        (bob_payload(0, 12, 3, "100 1 100000 10101") + b"\x00", "trailing"),
         # Gaps 1, 4, 5 reach offset 12 of a block of 12; three clicks in a
         # block of two read as offsets [0, 1, 2].
-        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x45\x05"), "outside"),
-        (bob_payload(0, 2, 3, b"\x05", b"\x02", b"\x07"), "outside"),
-        # Padding bits set: basis, X outcomes, the clicked set, whose set
-        # padding bit reads as one 1 too many.
-        (bob_payload(0, 12, 3, b"\x0d", b"\x02", b"\x41\x05"), "padding"),
-        (bob_payload(0, 12, 3, b"\x05", b"\x06", b"\x41\x05"), "padding"),
-        (bob_payload(0, 12, 3, b"\x05", b"\x02", b"\x41\x25"), "unary part"),
+        (bob_payload(0, 12, 3, "100 1 101000 10101"), "outside"),
+        (bob_payload(0, 2, 3, "100 1 111"), "outside"),
+        # The padding bit after the unary part set, which reads as one 1
+        # too many.
+        (bob_payload(0, 12, 3, "100 1 100000 10101 1"), "padding"),
         # A payload that ends inside the basis, the X outcomes, the low
-        # planes or the unary part; a count whose columns the payload
+        # planes or the unary part; a count whose column the payload
         # cannot hold.
         (WIDE[: 3 + 2], "truncated"),
-        (WIDE[: 3 + 3 + 2], "truncated"),
-        (WIDE[: 3 + 6 + 3], "unary part"),
-        (WIDE[: 3 + 6 + 8], "unary part"),
+        (WIDE[: 3 + 4], "truncated"),
+        (WIDE[: 3 + 8], "unary part"),
+        (WIDE[: 3 + 12], "unary part"),
         (bob_payload(0, 2**32 - 1, 2**31), "truncated"),
         # A header that ends before its third varint.
         (leb128(0, 10), "truncated varint"),
     ],
     ids=["missing-one", "extra-one", "trailing", "offset-beyond-m", "k-above-m",
-         "basis-padding", "x-padding", "high-padding", "truncated-basis",
-         "truncated-x", "truncated-low", "truncated-high", "count-beyond-payload",
-         "short"],
+         "high-padding", "truncated-basis", "truncated-x", "truncated-low",
+         "truncated-high", "count-beyond-payload", "short"],
 )
 def test_bob_disclosure_refuses_non_canonical_forms(payload, match):
     with pytest.raises(WireError, match=match):
@@ -340,17 +349,18 @@ def test_alice_disclosure_roundtrip():
 
 def test_alice_disclosure_byte_layout():
     # Varints of the block index, record count, value-bit count and V count;
-    # then the match bits, the matched-X value bits and the intensity
-    # column over the matched records (a D-or-V bit per matched record,
-    # then which D-or-V records are V in the subset form), each LSB-first
-    # and padded with zero bits to a whole byte.
+    # then one column, LSB-first and padded once with zero bits to a whole
+    # byte: the match bits, the matched-X value bits and the intensities of
+    # the matched records (a D-or-V bit per matched record, then which
+    # D-or-V records are V in the subset form).
     msg = AliceBlockDisclosure(
         2, [1, 1, 1, 0, 1, 1], [0, 1, 2, 1, 2], [1, 0]
     )
-    # Match bits 1 1 1 0 1 1: 0x37. D-or-V bits 0 1 1 1 1; V records 1 and
-    # 3 of the 4 D-or-V ones, so L is 0 and the gaps 1, 1 are 01 01: 0x5e,
-    # then 0x01.
-    assert msg.encode() == b"\x02\x06\x02\x02" b"\x37" b"\x01" b"\x5e\x01"
+    # Match bits 1 1 1 0 1 1, value bits 1 0, D-or-V bits 0 1 1 1 1; V
+    # records 1 and 3 of the 4 D-or-V ones, so L is 0 and the gaps 1, 1
+    # are 01 01. The 17 bits pack to 0x77 0x5e 0x01.
+    assert msg.encode() == b"\x02\x06\x02\x02" + bits("111011 10 01111 0101")
+    assert msg.encode()[4:] == b"\x77\x5e\x01"
     empty = AliceBlockDisclosure(7, [], [], [])
     assert empty.encode() == b"\x07\x00\x00\x00"
     # A reply with no matched record sends its match bits and no intensity.
@@ -368,44 +378,40 @@ def test_alice_disclosure_byte_layout():
         assert len(AliceBlockDisclosure(0, matched, omega, []).encode()) == 4 + 4 + size
 
 
-def alice_payload(count, n_values, n_v, body):
-    return leb128(0, count, n_values, n_v) + body
+def alice_payload(count, n_values, n_v, column=""):
+    return leb128(0, count, n_values, n_v) + bits(column)
 
 
 def test_alice_disclosure_validation():
-    # Padding bits set: the match bits', the value bits' (two records fill
-    # two match bits and one value bit) and the intensity column's, which
-    # with no V record leaves a set bit that no unary part takes.
-    for body, n_values in ((b"\x04\x00", 0), (b"\x00\x02\x00", 1)):
+    # A set padding bit, after the match bits alone or after one value
+    # bit: with no V record, no unary part takes it.
+    for n_values, column in ((0, "00 1"), (1, "00 0 01")):
         with pytest.raises(WireError, match="padding"):
-            AliceBlockDisclosure.decode(alice_payload(2, n_values, 0, body))
-    with pytest.raises(WireError, match="unary part"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00\x04"))
-    with pytest.raises(WireError, match="unary part"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x03\x04"))
-    # The intensity column of two matched records missing, or cut short
-    # inside its second byte, or with a V record but no unary part. With
-    # no matched record the column is empty and nothing is missing.
-    with pytest.raises(WireError, match="missing"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x03"))
-    assert AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00")).omega.size == 0
-    with pytest.raises(WireError, match="missing"):
-        AliceBlockDisclosure.decode(alice_payload(9, 0, 0, b"\xff\x01\x00"))
-    with pytest.raises(WireError, match="unary part"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 1, b"\x03\x01"))
+            AliceBlockDisclosure.decode(alice_payload(2, n_values, 0, column))
+    # A set bit after the intensities of two matched records with no V
+    # record, and a V record with no unary part.
+    for n_v, column in ((0, "11 11 1"), (0, "11 00 1"), (1, "11 11")):
+        with pytest.raises(WireError, match="unary part"):
+            AliceBlockDisclosure.decode(alice_payload(2, 0, n_v, column))
+    # With no matched record the intensities are empty and nothing is
+    # missing; those of nine matched records cut short inside their last
+    # byte are.
+    assert AliceBlockDisclosure.decode(alice_payload(2, 0, 0, "00")).omega.size == 0
+    with pytest.raises(WireError, match="truncated"):
+        AliceBlockDisclosure.decode(alice_payload(9, 0, 0, "1" * 9 + "0" * 7))
     # A match column whose count runs past the frame.
     with pytest.raises(WireError, match="truncated"):
-        AliceBlockDisclosure.decode(alice_payload(2**32 - 1, 0, 0, b"\x00\x00"))
+        AliceBlockDisclosure.decode(alice_payload(2**32 - 1, 0, 0, "0" * 16))
     with pytest.raises(WireError, match="truncated"):
-        AliceBlockDisclosure.decode(alice_payload(17, 0, 0, b"\xff\xff"))
+        AliceBlockDisclosure.decode(alice_payload(17, 0, 0, "1" * 16))
     with pytest.raises(WireError, match="trailing"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, b"\x00\x00\x00"))
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 0, "00") + b"\x00")
     # More V records than D-or-V records: one D-or-V record, two ones.
     with pytest.raises(WireError, match="outside"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 2, b"\x03\x0d"))
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 2, "11 10 11"))
     # A V record at gap 2, beyond the one D-or-V record.
     with pytest.raises(WireError, match="outside"):
-        AliceBlockDisclosure.decode(alice_payload(2, 0, 1, b"\x03\x11"))
+        AliceBlockDisclosure.decode(alice_payload(2, 0, 1, "11 10 001"))
     # A header that ends before its fourth varint.
     with pytest.raises(WireError, match="truncated varint"):
         AliceBlockDisclosure.decode(leb128(0, 2, 0))
@@ -427,8 +433,8 @@ def test_every_intensity_column_decodes_and_reencodes():
             named = [r for r, bit in enumerate(d_or_v) if bit]
             for v_bits in itertools.product((0, 1), repeat=len(named)):
                 v = [i for i, bit in enumerate(v_bits) if bit]
-                column = packed(list(d_or_v) + rice_bits(v, len(named)))
-                payload = alice_payload(count, 0, len(v), packed([1] * count) + column)
+                column = [1] * count + list(d_or_v) + rice_bits(v, len(named))
+                payload = leb128(0, count, 0, len(v)) + packed(column)
                 msg = AliceBlockDisclosure.decode(payload)
                 expected = list(d_or_v)
                 for i in v:
@@ -460,7 +466,7 @@ def reencoded_frame(raw):
 # The varint fields of the frame and of each message: (decode and encode
 # again, width, valid field values, the bytes after the varints).
 VARINT_FIELDS = {
-    "frame": (reencoded_frame, 32, (5,), b"\x07\x07abc"),
+    "frame": (reencoded_frame, 32, (4,), b"\x47abc"),
     "bob": (lambda raw: BobBlockDisclosure.decode(raw).encode(), 32, (0, 10, 0), b""),
     "alice": (lambda raw: AliceBlockDisclosure.decode(raw).encode(), 32, (0, 0, 0, 0), b""),
     **{
@@ -651,7 +657,7 @@ def test_alice_reply_grows_by_at_most_its_v_count_varint(msg):
     # record; an S record, the cheapest, cost one bit. Version 7 sends the
     # match bits in place of the basis bits and no intensity of a
     # mismatched record, and its V subset never takes more bits than those
-    # V bits. So a reply is longer than version 5's, whatever intensities
+    # V bits; version 8 pads its one column once. So a reply is longer than version 5's, whatever intensities
     # its mismatched records had, by at most the V count's varint: one byte
     # while fewer than 128 records are V, as in every reply of up to 40
     # records.
@@ -762,6 +768,67 @@ scalar_messages = st.one_of(
 )
 
 
+def frame_layout(msg):
+    """(header varints, bit count of the one column) of a message, from
+    its fields and the plain reference subset form above."""
+    if isinstance(msg, BobBlockDisclosure):
+        offsets = msg.offsets.tolist()
+        n_bits = len(offsets) + len(msg.x_outcomes) + len(rice_bits(offsets, msg.m))
+        return leb128(msg.j, msg.m, len(offsets)), n_bits
+    if isinstance(msg, AliceBlockDisclosure):
+        named = [w for w in msg.omega.tolist() if w]
+        v = [i for i, w in enumerate(named) if w == 2]
+        n_bits = len(msg.matched) + len(msg.value) + len(msg.omega) + len(rice_bits(v, len(named)))
+        return leb128(msg.j, len(msg.matched), len(msg.value), len(v)), n_bits
+    header, n_bits = [], 0
+    for field in dataclasses.fields(msg):
+        value = getattr(msg, field.name)
+        if isinstance(value, BitString):
+            n_bits += len(value)
+            value = len(value)
+        header.append(int(value))
+    return leb128(*header), n_bits
+
+
+def with_header_byte(raw, header):
+    """The frame ``raw`` with ``header`` in place of its header byte, the
+    byte count framing it anew."""
+    _, payload, _ = decode_frame(raw)
+    return leb128(len(header) + len(payload)) + header + payload
+
+
+@given(st.one_of(bob_disclosures(), alice_replies(), scalar_messages), st.data())
+def test_frame_is_header_byte_varints_and_one_padded_column(msg, data):
+    # Every frame is its byte count, one header byte, the header varints
+    # and one column of every bit string, padded once at the frame's end.
+    header, n_bits = frame_layout(msg)
+    raw = encode_message(msg)
+    count = 1 + len(header) + (n_bits + 7) // 8
+    assert raw[: len(leb128(count)) + 1 + len(header)] == (
+        leb128(count) + bytes([WIRE_VERSION << 3 | msg.TAG]) + header
+    )
+    assert len(raw) == len(leb128(count)) + count
+    assert encode_message(decode_message(raw)[0]) == raw
+    # Any set padding bit is refused.
+    if n_bits % 8:
+        padded = bytearray(raw)
+        padded[-1] |= 1 << data.draw(st.integers(n_bits % 8, 7))
+        assert decode_or_wire_error(bytes(padded)) is None
+    # A version 7 header (the version byte 0x07, then the tag byte), tag 0,
+    # a tag no message type carries and a frame one byte short.
+    for bad in (
+        with_header_byte(raw, bytes([7, msg.TAG])),
+        with_header_byte(raw, bytes([WIRE_VERSION << 3])),
+        raw[:-1],
+    ):
+        with pytest.raises(WireError):
+            decode_message(bad)
+    with mock.patch.dict(MESSAGE_TYPES):
+        del MESSAGE_TYPES[msg.TAG]
+        with pytest.raises(WireError, match=f"unknown tag {msg.TAG}"):
+            decode_message(raw)
+
+
 def test_scalar_messages_share_one_codec():
     # Each scalar message states its fields once, as annotations.
     for cls in SCALAR_TYPES:
@@ -843,9 +910,10 @@ def test_tags_are_unique_and_stable():
     assert sorted(MESSAGE_TYPES) == list(range(1, 8))
     assert MESSAGE_TYPES[1] is BobBlockDisclosure
     assert MESSAGE_TYPES[7] is PaSeed
-    # Tag 8 closed a session in earlier versions; no message carries it.
+    # Tag 8 closed a session in earlier versions; no message carries it,
+    # and the header byte has no room for it.
     with pytest.raises(WireError, match="unknown tag 8"):
-        decode_message(encode_frame(8, b""))
+        encode_frame(8, b"")
 
 
 def test_stream_of_frames_decodes_sequentially():
@@ -857,3 +925,9 @@ def test_stream_of_frames_decodes_sequentially():
         msg, offset = decode_message(stream, offset)
         out.append(msg)
     assert out == msgs
+
+
+def test_readme_states_the_wire_version():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("\n- `src/dsbb84/wire.py`", 1)[1].split("\n- ", 1)[0]
+    assert re.findall(r"\(`WIRE_VERSION` (\d+)\)", paragraph) == [str(WIRE_VERSION)]
